@@ -83,7 +83,7 @@ cases = find_disagreements(llm, a1, tolerance_days=30)
 print("\nopen disagreements (llm vs abstractor_1):")
 for case in cases:
     print(f"  {case.patient_id}/{case.variable}: "
-          f"llm={case.llm_value!r} vs a1={case.abstractor_1_value!r}")
+          f"llm={[r.value for r in case.llm]} vs a1={[r.value for r in case.abstractor_1]}")
 
 # ---- mode 2: double abstraction with adjudication ----
 # Every open disagreement must carry an adjudication. Handing over an
@@ -92,6 +92,7 @@ try:
     build_double_adjudication(llm, a1, LabelSet(schema, Source.ADJUDICATOR))
 except AdjudicationError as exc:
     print("\nwithout adjudications:", exc)
+    print(f"  the error carries the worklist: {len(exc.worklist)} open case(s)")
 
 # An adjudicator (here simulated by copying A2, who we trust) resolves
 # each case; agreed keys keep the first abstractor's record.

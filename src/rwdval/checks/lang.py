@@ -608,11 +608,7 @@ def referenced_variables(expr: Expr | Operand) -> set[str]:
         return {expr.var}
     if isinstance(expr, Lit):
         return set()
-    if isinstance(expr, (DaysBetween,)):
-        return referenced_variables(expr.left) | referenced_variables(expr.right)
-    if isinstance(expr, Cmp):
-        return referenced_variables(expr.left) | referenced_variables(expr.right)
-    if isinstance(expr, WithinDays):
+    if isinstance(expr, (DaysBetween, Cmp, WithinDays)):
         return referenced_variables(expr.left) | referenced_variables(expr.right)
     if isinstance(expr, Not):
         return referenced_variables(expr.item)

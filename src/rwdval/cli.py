@@ -16,23 +16,16 @@ import click
 from .labelio import IngestError, load_schema, read_labels, save_schema, write_attributes, write_labels
 from .pipeline import (
     ConfigError,
+    assemble_reference,
     canonical_json,
     emit_report,
     load_run_config,
     run_pipeline,
+    _load_dataset,
     _summary_lines,
 )
-from .refstd import (
-    AdjudicationError,
-    ReferenceMode,
-    adjudicate_from_oracle,
-    build_double_adjudication,
-    build_duplicate_abstraction,
-    build_triple_adjudication,
-    find_disagreements,
-    write_disagreements,
-)
-from .schema import SchemaError, Source
+from .refstd import AdjudicationError, ReferenceMode, adjudicate_from_oracle, write_disagreements
+from .schema import LabelSet, SchemaError, Source
 from .synth import ErrorModel, ErrorRates, GeneratorConfig, corrupt, generate_truth, refresh_snapshot
 
 _RUN_ERRORS = (ConfigError, IngestError, SchemaError, OSError, ValueError)
@@ -121,72 +114,30 @@ def ingest(ctx, label_file, schema_path, source_name, refresh_id):
 @click.pass_context
 def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
     """Assemble the reference standard; emit a worklist when blocked."""
-    from .pipeline import _load_dataset
-    from .schema import LabelSet
-
     try:
         config = _load_config(ctx)
         if mode:
             config.reference_mode = ReferenceMode(mode)
         dataset = _load_dataset(config)
-        tol = config.tolerances.date_tolerance_days
-        llm = dataset.labels(Source.LLM)
-        a1 = dataset.labels(Source.ABSTRACTOR_1)
-        adjudications = dataset.label_sets.get(Source.ADJUDICATOR)
+        adjudications = None
         if adjudications_path:
-            adjudications = read_labels(
-                adjudications_path, dataset.schema, Source.ADJUDICATOR
-            )
-        if adjudications is None:
-            adjudications = LabelSet(dataset.schema, Source.ADJUDICATOR)
+            adjudications = read_labels(adjudications_path, dataset.schema, Source.ADJUDICATOR)
         if oracle_path:
+            # assembling with no adjudications yields the active mode's open cases
             oracle = read_labels(oracle_path, dataset.schema, Source.REFERENCE)
-            a2 = (
-                dataset.label_sets.get(Source.ABSTRACTOR_2)
-                if config.reference_mode != ReferenceMode.DOUBLE_ADJUDICATION
-                else None
-            )
-            cases = find_disagreements(llm, a1, a2, tolerance_days=tol)
-            adjudications = adjudicate_from_oracle(cases, oracle)
-        if config.reference_mode == ReferenceMode.DUPLICATE_ABSTRACTION:
-            ref, _ = build_duplicate_abstraction(
-                llm, a1, dataset.labels(Source.ABSTRACTOR_2)
-            )
-        elif config.reference_mode == ReferenceMode.DOUBLE_ADJUDICATION:
-            ref = build_double_adjudication(llm, a1, adjudications, tolerance_days=tol)
-        else:
-            ref = build_triple_adjudication(
-                llm,
-                a1,
-                dataset.labels(Source.ABSTRACTOR_2),
-                adjudications,
-                tolerance_days=tol,
-            )
+            adjudications = LabelSet(dataset.schema, Source.ADJUDICATOR)
+            try:
+                assemble_reference(config, dataset, adjudications)
+            except AdjudicationError as exc:
+                adjudications = adjudicate_from_oracle(exc.worklist, oracle)
+        ref, _, _ = assemble_reference(config, dataset, adjudications)
     except AdjudicationError as exc:
         if worklist_path:
             try:
-                config = _load_config(ctx)
-                dataset = _load_dataset(config)
-                a2 = (
-                    dataset.label_sets.get(Source.ABSTRACTOR_2)
-                    if config.reference_mode != ReferenceMode.DOUBLE_ADJUDICATION
-                    else None
-                )
-                uncovered = set(exc.uncovered)
-                cases = [
-                    c
-                    for c in find_disagreements(
-                        dataset.labels(Source.LLM),
-                        dataset.labels(Source.ABSTRACTOR_1),
-                        a2,
-                        tolerance_days=config.tolerances.date_tolerance_days,
-                    )
-                    if c.key in uncovered
-                ]
-                write_disagreements(cases, worklist_path)
-                click.echo(f"worklist written: {worklist_path} ({len(cases)} cases)")
-            except _RUN_ERRORS as inner:
+                write_disagreements(exc.worklist, worklist_path)
+            except OSError as inner:
                 _fail(str(inner))
+            click.echo(f"worklist written: {worklist_path} ({len(exc.worklist)} cases)")
         click.echo(f"reference standard blocked: {exc}", err=True)
         ctx.exit(1)
     except _RUN_ERRORS as exc:

@@ -469,11 +469,8 @@ def bootstrap_ci(
                 v = rep.get(k) if isinstance(rep, Mapping) else None
                 if v is not None:
                     reps[k].append(float(v))
-        return {
-            k: interval(reps[k], point.get(k))
-            for k in point
-            if interval(reps[k], point.get(k)) is not None
-        }
+        intervals = {k: interval(reps[k], point.get(k)) for k in point}
+        return {k: ci for k, ci in intervals.items() if ci is not None}
     values = []
     for row in idx:
         v = statistic([patients[i] for i in row])

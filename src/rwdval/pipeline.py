@@ -30,7 +30,7 @@ from .refstd import (
     build_double_adjudication,
     build_duplicate_abstraction,
     build_triple_adjudication,
-    find_disagreements,
+    find_disagreements,  # not called here; perfbench/spans.py wraps it at this name
     write_disagreements,
 )
 from .replication import (
@@ -257,28 +257,35 @@ def _load_dataset(config: RunConfig) -> CohortDataset:
     return dataset
 
 
-def _build_reference(config: RunConfig, dataset: CohortDataset):
-    """Returns (reference_standard, evaluand_llm, evaluand_abstraction)."""
+def assemble_reference(
+    config: RunConfig, dataset: CohortDataset, adjudications: LabelSet | None = None
+):
+    """Assemble the reference standard the configured mode asks for.
+
+    Returns (reference_standard, evaluand_llm, evaluand_abstraction). The
+    adjudications default to the dataset's adjudicator labels (none given
+    means none made). An incomplete adjudication raises
+    ``AdjudicationError``, whose ``worklist`` holds the open cases.
+    """
     llm = dataset.labels(Source.LLM)
+    a1 = dataset.labels(Source.ABSTRACTOR_1)
     mode = config.reference_mode
-    tol = config.tolerances.date_tolerance_days
     if mode == ReferenceMode.DUPLICATE_ABSTRACTION:
         ref, (llm_eval, a1_eval) = build_duplicate_abstraction(
-            llm,
-            dataset.labels(Source.ABSTRACTOR_1),
-            dataset.labels(Source.ABSTRACTOR_2),
+            llm, a1, dataset.labels(Source.ABSTRACTOR_2)
         )
         return ref, llm_eval, a1_eval
-    a1 = dataset.labels(Source.ABSTRACTOR_1)
-    adjudications = dataset.label_sets.get(Source.ADJUDICATOR)
+    if adjudications is None:
+        adjudications = dataset.label_sets.get(Source.ADJUDICATOR)
     if adjudications is None:
         adjudications = LabelSet(dataset.schema, Source.ADJUDICATOR)
+    tol = config.tolerances.date_tolerance_days
     if mode == ReferenceMode.DOUBLE_ADJUDICATION:
         ref = build_double_adjudication(llm, a1, adjudications, tolerance_days=tol)
-        return ref, llm, a1
-    ref = build_triple_adjudication(
-        llm, a1, dataset.labels(Source.ABSTRACTOR_2), adjudications, tolerance_days=tol
-    )
+    else:
+        ref = build_triple_adjudication(
+            llm, a1, dataset.labels(Source.ABSTRACTOR_2), adjudications, tolerance_days=tol
+        )
     return ref, llm, a1
 
 
@@ -418,24 +425,23 @@ def _reference_label_set(dataset: CohortDataset, reference) -> LabelSet | None:
     return dataset.label_sets.get(Source.REFERENCE)
 
 
+def _survival_args(doc: dict) -> dict:
+    """The ``survival_records`` keyword arguments an analysis entry gives."""
+    max_days = doc.get("max_followup_days")
+    return {
+        "index_variable": str(doc["index_variable"]),
+        "event_variable": str(doc["event_variable"]),
+        "censor_variable": str(doc["censor_variable"]),
+        "event_positive": str(doc.get("event_positive", "yes")),
+        "max_followup_days": int(max_days) if max_days is not None else None,
+    }
+
+
 def _survival_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, reference, curves: dict) -> dict:
     llm = dataset.labels(Source.LLM)
     group_by = doc.get("group_by")
-    max_days = doc.get("max_followup_days")
-    max_days = int(max_days) if max_days is not None else None
     name = str(doc.get("name", "survival_benchmark"))
-
-    def build(labels: LabelSet, pids):
-        return survival_records(
-            labels,
-            index_variable=str(doc["index_variable"]),
-            event_variable=str(doc["event_variable"]),
-            censor_variable=str(doc["censor_variable"]),
-            event_positive=str(doc.get("event_positive", "yes")),
-            max_followup_days=max_days,
-            patients=pids,
-        )
-
+    survival_args = _survival_args(doc)
     groups = dataset.strata(group_by) if group_by else {"all": sorted(dataset.patients)}
     ref_labels = _reference_label_set(dataset, reference)
     result: dict = {"kind": "survival_benchmark", "name": name, "groups": {}}
@@ -443,7 +449,7 @@ def _survival_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, ref
     ref_medians: dict[str, float | None] = {}
     for group in sorted(groups):
         pids = groups[group]
-        cohort = build(llm, pids)
+        cohort = survival_records(llm, patients=pids, **survival_args)
         entry: dict = {"llm_cohort": cohort.summary()}
         if cohort.n_included:
             curve = cohort.curve()
@@ -451,7 +457,7 @@ def _survival_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, ref
             entry["llm_median"] = curve.median()
             curves[f"{name}_{group}_llm"] = curve
             if ref_labels is not None:
-                ref_cohort = build(ref_labels, pids)
+                ref_cohort = survival_records(ref_labels, patients=pids, **survival_args)
                 if ref_cohort.n_included:
                     ref_curve = ref_cohort.curve()
                     ref_medians[group] = ref_curve.median()
@@ -519,23 +525,10 @@ def _equity_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, refer
     llm = dataset.labels(Source.LLM)
     attr = str(doc["stratum_attribute"])
     name = str(doc.get("name", f"equity_{attr}"))
-    max_days = doc.get("max_followup_days")
-    max_days = int(max_days) if max_days is not None else None
-
-    def build(labels: LabelSet):
-        return survival_records(
-            labels,
-            index_variable=str(doc["index_variable"]),
-            event_variable=str(doc["event_variable"]),
-            censor_variable=str(doc["censor_variable"]),
-            event_positive=str(doc.get("event_positive", "yes")),
-            max_followup_days=max_days,
-            patients=sorted(dataset.patients),
-        )
-
+    survival_args = dict(_survival_args(doc), patients=sorted(dataset.patients))
     stratum_of = {pid: dataset.attribute(pid, attr) for pid in dataset.patients}
     benchmark = _parse_benchmark(doc["benchmark"]) if doc.get("benchmark") else None
-    cohort = build(llm)
+    cohort = survival_records(llm, **survival_args)
     report = equity_replication(
         cohort.records,
         stratum_of,
@@ -557,7 +550,7 @@ def _equity_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, refer
     }
     ref_labels = _reference_label_set(dataset, reference)
     if ref_labels is not None:
-        ref_cohort = build(ref_labels)
+        ref_cohort = survival_records(ref_labels, **survival_args)
         if ref_cohort.n_included:
             ref_report = equity_replication(
                 ref_cohort.records,
@@ -652,25 +645,12 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     need_reference = config.pillar("metrics") or config.pillar("replication")
     if need_reference:
         try:
-            reference, llm_eval, a1_eval = _build_reference(config, dataset)
+            reference, llm_eval, a1_eval = assemble_reference(config, dataset)
             report["reference"] = reference.summary()
             worklist = list(reference.cases)
         except AdjudicationError as exc:
             report["reference"] = {"status": "blocked", "reason": str(exc)}
-            a2 = dataset.label_sets.get(Source.ABSTRACTOR_2)
-            if config.reference_mode == ReferenceMode.DOUBLE_ADJUDICATION:
-                a2 = None
-            uncovered = set(exc.uncovered)
-            worklist = [
-                case
-                for case in find_disagreements(
-                    dataset.labels(Source.LLM),
-                    dataset.labels(Source.ABSTRACTOR_1),
-                    a2,
-                    tolerance_days=config.tolerances.date_tolerance_days,
-                )
-                if case.key in uncovered
-            ]
+            worklist = exc.worklist
             if config.pillar("metrics"):
                 report["metrics"] = {"status": "blocked", "reason": str(exc)}
     if config.pillar("metrics") and reference is not None:

@@ -86,42 +86,24 @@ class DisagreementCase:
     def key(self) -> tuple[str, str]:
         return (self.patient_id, self.variable)
 
-    def _single(self, recs: tuple[LabelRecord, ...]):
-        if not recs:
-            return None, None
-        return recs[0].value, recs[0].event_date
-
-    @property
-    def llm_value(self):
-        return self._single(self.llm)[0]
-
-    @property
-    def llm_date(self):
-        return self._single(self.llm)[1]
-
-    @property
-    def abstractor_1_value(self):
-        return self._single(self.abstractor_1)[0]
-
-    @property
-    def abstractor_1_date(self):
-        return self._single(self.abstractor_1)[1]
-
-    @property
-    def abstractor_2_value(self):
-        return self._single(self.abstractor_2)[0]
-
-    @property
-    def abstractor_2_date(self):
-        return self._single(self.abstractor_2)[1]
-
 
 class AdjudicationError(ValueError):
-    """Adjudication coverage does not line up with the open disagreements."""
+    """Adjudication coverage does not line up with the open disagreements.
 
-    def __init__(self, uncovered: list[tuple[str, str]], stale: list[tuple[str, str]]):
+    ``worklist`` holds every case whose key is uncovered, in
+    ``find_disagreements`` order: the cases an adjudicator still has to
+    resolve before the assembly can go through.
+    """
+
+    def __init__(
+        self,
+        uncovered: list[tuple[str, str]],
+        stale: list[tuple[str, str]],
+        worklist: list[DisagreementCase] | None = None,
+    ):
         self.uncovered = uncovered
         self.stale = stale
+        self.worklist = worklist or []
         parts = []
         if uncovered:
             parts.append(
@@ -315,7 +297,44 @@ def _check_adjudications(
     uncovered = sorted(case_keys - adj_keys)
     stale = sorted(adj_keys - case_keys)
     if uncovered or stale:
-        raise AdjudicationError(uncovered, stale)
+        open_keys = set(uncovered)
+        raise AdjudicationError(uncovered, stale, [c for c in cases if c.key in open_keys])
+
+
+def _build_adjudicated(
+    mode: ReferenceMode,
+    llm: LabelSet,
+    abstractor_1: LabelSet,
+    abstractor_2: LabelSet | None,
+    adjudications: LabelSet,
+    tolerance_days: int,
+) -> ReferenceStandard:
+    cases = find_disagreements(
+        llm, abstractor_1, abstractor_2, tolerance_days=tolerance_days
+    )
+    _check_adjudications(cases, adjudications)
+    case_keys = {c.key for c in cases}
+    entries = []
+    provenance: dict[tuple[str, str], Provenance] = {}
+    all_keys = llm.keys() | abstractor_1.keys()
+    if abstractor_2 is not None:
+        all_keys |= abstractor_2.keys()
+    for key in sorted(all_keys):
+        if key in case_keys:
+            entries.append((key, adjudications.get(*key)))
+            provenance[key] = Provenance.ADJUDICATED
+        else:
+            entries.append((key, abstractor_1.get(*key)))
+            provenance[key] = Provenance.AGREED
+    for case in cases:
+        case.status = CaseStatus.RESOLVED
+    return ReferenceStandard(
+        mode=mode,
+        labels=_as_reference(llm.schema, entries),
+        provenance=provenance,
+        patients=_all_patients(llm, abstractor_1, abstractor_2, adjudications),
+        cases=tuple(cases),
+    )
 
 
 def build_double_adjudication(
@@ -332,26 +351,8 @@ def build_double_adjudication(
     key that is not a disagreement is equally an error (it would fabricate
     reference content nobody disputed).
     """
-    cases = find_disagreements(llm, abstractor_1, tolerance_days=tolerance_days)
-    _check_adjudications(cases, adjudications)
-    case_keys = {c.key for c in cases}
-    entries = []
-    provenance: dict[tuple[str, str], Provenance] = {}
-    for key in sorted(llm.keys() | abstractor_1.keys()):
-        if key in case_keys:
-            entries.append((key, adjudications.get(*key)))
-            provenance[key] = Provenance.ADJUDICATED
-        else:
-            entries.append((key, abstractor_1.get(*key)))
-            provenance[key] = Provenance.AGREED
-    for case in cases:
-        case.status = CaseStatus.RESOLVED
-    return ReferenceStandard(
-        mode=ReferenceMode.DOUBLE_ADJUDICATION,
-        labels=_as_reference(llm.schema, entries),
-        provenance=provenance,
-        patients=_all_patients(llm, abstractor_1, adjudications),
-        cases=tuple(cases),
+    return _build_adjudicated(
+        ReferenceMode.DOUBLE_ADJUDICATION, llm, abstractor_1, None, adjudications, tolerance_days
     )
 
 
@@ -370,29 +371,13 @@ def build_triple_adjudication(
     abstractor 2's up to date tolerance). Majority vote is deliberately not
     applied: two sources agreeing does not settle a dispute with the third.
     """
-    cases = find_disagreements(
-        llm, abstractor_1, abstractor_2, tolerance_days=tolerance_days
-    )
-    _check_adjudications(cases, adjudications)
-    case_keys = {c.key for c in cases}
-    entries = []
-    provenance: dict[tuple[str, str], Provenance] = {}
-    all_keys = llm.keys() | abstractor_1.keys() | abstractor_2.keys()
-    for key in sorted(all_keys):
-        if key in case_keys:
-            entries.append((key, adjudications.get(*key)))
-            provenance[key] = Provenance.ADJUDICATED
-        else:
-            entries.append((key, abstractor_1.get(*key)))
-            provenance[key] = Provenance.AGREED
-    for case in cases:
-        case.status = CaseStatus.RESOLVED
-    return ReferenceStandard(
-        mode=ReferenceMode.TRIPLE_ADJUDICATION,
-        labels=_as_reference(llm.schema, entries),
-        provenance=provenance,
-        patients=_all_patients(llm, abstractor_1, abstractor_2, adjudications),
-        cases=tuple(cases),
+    return _build_adjudicated(
+        ReferenceMode.TRIPLE_ADJUDICATION,
+        llm,
+        abstractor_1,
+        abstractor_2,
+        adjudications,
+        tolerance_days,
     )
 
 

@@ -263,10 +263,15 @@ class LabelSet:
         return out
 
     def relabel(self, source: Source, refresh_id: str | None = None) -> "LabelSet":
-        """Copy with every record re-attributed to another source."""
+        """Copy with every record re-attributed to another source.
+
+        A ``refresh_id`` stamps the copy and each of its records; without
+        one the records keep their own.
+        """
         out = LabelSet(self.schema, source, refresh_id=refresh_id)
         for rec in self.records():
-            out.add(replace(rec, source=source))
+            stamp = rec.refresh_id if refresh_id is None else refresh_id
+            out.add(replace(rec, source=source, refresh_id=stamp))
         return out
 
     def __len__(self) -> int:

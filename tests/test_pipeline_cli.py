@@ -1,6 +1,8 @@
 """End-to-end pipeline runs and the command-line interface."""
 
+import csv
 import json
+import re
 
 import pytest
 import yaml
@@ -171,6 +173,24 @@ def test_refstd_blocked_emits_worklist_and_exit_1(workspace, tmp_path):
     assert "blocked" in text(result)
     lines = worklist.read_text().splitlines()
     assert len(lines) > 1  # header plus at least one open case
+    # double adjudication compares the extraction with abstractor 1 only,
+    # and the worklist holds exactly the unresolved keys
+    rows = list(csv.DictReader(lines))
+    assert {row["pair"] for row in rows} == {"llm_vs_abstractor_1"}
+    unresolved = int(re.search(r"(\d+) unresolved disagreement", text(result)).group(1))
+    assert len({(row["patient_id"], row["variable"]) for row in rows}) == unresolved
+
+
+def test_simulated_refresh_snapshot_runs(tmp_path):
+    runner = CliRunner()
+    ws = tmp_path / "ws"
+    result = runner.invoke(
+        main, ["--out", str(ws), "--seed", SEED, "simulate", "--n", "240", "--with-refresh"]
+    )
+    assert result.exit_code == 0, text(result)
+    result = runner.invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exit_code in (0, 1), text(result)
+    assert "both label sets need a refresh_id" not in text(result)
 
 
 def test_refstd_oracle_resolves_the_block(workspace, tmp_path):

@@ -248,6 +248,70 @@ def test_adjudications_must_come_from_adjudicator(schema):
         build_double_adjudication(llm, a1, wrong)
 
 
+L, A1, A2, ADJ = Source.LLM, Source.ABSTRACTOR_1, Source.ABSTRACTOR_2, Source.ADJUDICATOR
+
+
+def _sources(schema, rows):
+    """Label sets per source from (source, pid, var, value, date) rows."""
+    out = {s: LabelSet(schema, s) for s in (L, A1, A2, ADJ)}
+    for source, pid, var, value, day in rows:
+        out[source].add(rec(pid, var, value, day, source=source))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["double", "triple"])
+def test_blocked_assembly_carries_its_worklist(schema, mode):
+    if mode == "double":
+        # p1..p3 disagree on stage; only p2 is adjudicated
+        var = "stage"
+        rows = [(L, p, var, "I", None) for p in ("p1", "p2", "p3")]
+        rows += [(A1, p, var, "II", None) for p in ("p1", "p2", "p3")]
+    else:
+        # 20-day steps within a 30-day tolerance: only the llm-vs-A2 pair
+        # disagrees on p1/p3 surgery; p2's stage (two pairs) is adjudicated
+        var = "surgery"
+        rows = [
+            (source, p, var, "yes", date(2020, 1, 1) + timedelta(days=days))
+            for p in ("p1", "p3")
+            for source, days in ((L, 0), (A1, 20), (A2, 40))
+        ]
+        rows += [(L, "p2", "stage", "I", None), (A1, "p2", "stage", "II", None)]
+        rows += [(A2, "p2", "stage", "II", None)]
+    rows += [(ADJ, "p2", "stage", "II", None)]
+    sets = _sources(schema, rows)
+    with pytest.raises(AdjudicationError) as err:
+        if mode == "double":
+            build_double_adjudication(sets[L], sets[A1], sets[ADJ])
+        else:
+            build_triple_adjudication(sets[L], sets[A1], sets[A2], sets[ADJ])
+    exc = err.value
+    assert exc.uncovered == [("p1", var), ("p3", var)]
+    assert [c.key for c in exc.worklist] == exc.uncovered
+    assert all(c.status == CaseStatus.OPEN for c in exc.worklist)
+
+
+def test_triple_worklist_keeps_every_pair_of_an_open_key(schema):
+    sets = _sources(
+        schema,
+        [(L, "p1", "stage", "I", None), (A1, "p1", "stage", "II", None), (A2, "p1", "stage", "II", None)],
+    )
+    with pytest.raises(AdjudicationError) as err:
+        build_triple_adjudication(sets[L], sets[A1], sets[A2], sets[ADJ])
+    assert err.value.uncovered == [("p1", "stage")]
+    assert [(c.key, c.pair) for c in err.value.worklist] == [
+        (("p1", "stage"), Pair.LLM_VS_A1),
+        (("p1", "stage"), Pair.LLM_VS_A2),
+    ]
+
+
+def test_stale_only_block_has_an_empty_worklist(schema):
+    llm, a1 = two_sets(schema, [rec("p1", "stage", "I")], [rec("p1", "stage", "I")])
+    adj = LabelSet(schema, ADJ, [rec("p1", "stage", "II", source=ADJ)])
+    with pytest.raises(AdjudicationError) as err:
+        build_double_adjudication(llm, a1, adj)
+    assert err.value.worklist == []
+
+
 # --- triple adjudication ---
 
 
