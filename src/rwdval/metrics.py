@@ -27,8 +27,10 @@ import numpy as np
 
 from .schema import (
     CohortDataset,
+    LabelRecord,
     LabelSet,
     VariableKind,
+    VariableSpec,
     effective_tolerance,
 )
 
@@ -171,11 +173,98 @@ def _reference_labels(reference) -> LabelSet:
     return labels
 
 
-def _default_cohort(pred: LabelSet, reference) -> list[str]:
+def _cohort(pred: LabelSet, reference, patients: Iterable[str] | None) -> list[str]:
+    if patients is not None:
+        return list(patients)
     universe = getattr(reference, "patients", None)
     if universe is None:
         universe = _reference_labels(reference).patients | pred.patients
     return sorted(universe)
+
+
+def _known(records: Sequence[LabelRecord], spec: VariableSpec) -> bool:
+    """A documented known value; documented-unknown and missing are not."""
+    return any(r.is_known(spec) for r in records)
+
+
+def _one_vs_rest(ref_pos: bool | None, pred_pos: bool) -> tuple[int, int, int]:
+    """(tp, fp, fn) of one patient; a reference of None (unknown) is excluded."""
+    if ref_pos is None:
+        return 0, 0, 0
+    return int(ref_pos and pred_pos), int(pred_pos and not ref_pos), int(ref_pos and not pred_pos)
+
+
+def _asserted_events(
+    records: Sequence[LabelRecord], spec: VariableSpec, positive_class: str | None
+) -> tuple[list[date], int]:
+    """(dated events, number undated) among one side's known assertions."""
+    hits = [
+        r.event_date
+        for r in records
+        if r.is_known(spec) and (positive_class is None or r.value == positive_class)
+    ]
+    dated = [d for d in hits if d is not None]
+    return dated, len(hits) - len(dated)
+
+
+def _as_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(-1, 6)
+
+
+def _patient_rows(
+    pred: LabelSet,
+    reference,
+    variable: str,
+    positive_class: str | None,
+    *,
+    tolerance_days: int,
+    patients: Iterable[str] | None,
+) -> np.ndarray:
+    """Per-patient contribution rows for one variable, in cohort order.
+
+    A row is ``(tp, fp, fn, n_matched_with_date, n_date_correct, known)``;
+    every count over a cohort, a stratum or a bootstrap resample is a sum
+    of these rows.
+    """
+    ref_labels = _reference_labels(reference)
+    spec = pred.schema[variable]
+    tol = effective_tolerance(spec, tolerance_days)
+    if spec.kind != VariableKind.EVENT_LIST and positive_class is None:
+        raise ValueError(f"{variable}: positive_class required for {spec.kind.value}")
+    allowed = spec.allowed_values
+    if positive_class is not None and allowed is not None and positive_class not in allowed:
+        raise ValueError(f"{variable}: positive_class {positive_class!r} not in allowed values")
+    rows = []
+    for pid in _cohort(pred, reference, patients):
+        pred_recs = pred.get(pid, variable)
+        ref_recs = ref_labels.get(pid, variable)
+        known = _known(pred_recs, spec)
+        if spec.kind == VariableKind.EVENT_LIST:
+            pred_events, pred_undated = _asserted_events(pred_recs, spec, positive_class)
+            ref_events, ref_undated = _asserted_events(ref_recs, spec, positive_class)
+            m = match_events(pred_events, ref_events, tol)
+            fp = len(m.unmatched_pred) + pred_undated
+            fn = len(m.unmatched_ref) + ref_undated
+            n_correct = sum(1 for p, r in m.pairs if abs((p - r).days) <= tol)
+            rows.append((m.n_matched, fp, fn, m.n_matched, n_correct, known))
+            continue
+        pred_rec = pred_recs[0] if known else None
+        ref_rec = ref_recs[0] if _known(ref_recs, spec) else None
+        ref_pos = None if ref_rec is None else ref_rec.value == positive_class
+        tp, fp, fn = _one_vs_rest(ref_pos, known and pred_rec.value == positive_class)
+        dates = (pred_rec.event_date, ref_rec.event_date) if tp else (None, None)
+        dated = spec.kind == VariableKind.DATE and None not in dates
+        correct = dated and abs((dates[0] - dates[1]).days) <= tol
+        rows.append((tp, fp, fn, dated, correct, known))
+    return _as_rows(rows)
+
+
+def _rows_report(variable: str, positive_class: str | None, rows: np.ndarray) -> MetricReport:
+    """Point metrics of the cohort the rows describe, one row per patient."""
+    tp, fp, fn, with_date, date_ok, known = (int(v) for v in rows.sum(axis=0))
+    counts = ConfusionCounts(variable, positive_class, tp, fp, fn, with_date, date_ok)
+    n = len(rows)
+    return compute_metrics(counts, completeness=(known, n) if n else None, n_patients=n)
 
 
 def confusion(
@@ -201,82 +290,10 @@ def confusion(
     sides to events with that value. Undated known events cannot be matched
     and therefore count as unmatched assertions.
     """
-    ref_labels = _reference_labels(reference)
-    spec = pred.schema[variable]
-    tol = effective_tolerance(spec, tolerance_days)
-    if spec.kind != VariableKind.EVENT_LIST:
-        if positive_class is None:
-            raise ValueError(f"{variable}: positive_class required for {spec.kind.value}")
-        if spec.allowed_values is not None and positive_class not in spec.allowed_values:
-            raise ValueError(
-                f"{variable}: positive_class {positive_class!r} not in allowed values"
-            )
-    elif positive_class is not None and spec.allowed_values is not None:
-        if positive_class not in spec.allowed_values:
-            raise ValueError(
-                f"{variable}: positive_class {positive_class!r} not in allowed values"
-            )
-    cohort = list(patients) if patients is not None else _default_cohort(pred, reference)
-    counts = ConfusionCounts(variable=variable, positive_class=positive_class)
-    if spec.kind == VariableKind.EVENT_LIST:
-        for pid in cohort:
-            ref_events = [
-                r.event_date
-                for r in ref_labels.get(pid, variable)
-                if r.is_known(spec)
-                and r.event_date is not None
-                and (positive_class is None or r.value == positive_class)
-            ]
-            pred_events = [
-                r.event_date
-                for r in pred.get(pid, variable)
-                if r.is_known(spec)
-                and r.event_date is not None
-                and (positive_class is None or r.value == positive_class)
-            ]
-            ref_undated = sum(
-                1
-                for r in ref_labels.get(pid, variable)
-                if r.is_known(spec)
-                and r.event_date is None
-                and (positive_class is None or r.value == positive_class)
-            )
-            pred_undated = sum(
-                1
-                for r in pred.get(pid, variable)
-                if r.is_known(spec)
-                and r.event_date is None
-                and (positive_class is None or r.value == positive_class)
-            )
-            m = match_events(pred_events, ref_events, tol)
-            counts.tp += m.n_matched
-            counts.fp += len(m.unmatched_pred) + pred_undated
-            counts.fn += len(m.unmatched_ref) + ref_undated
-            counts.n_matched_with_date += m.n_matched
-            counts.n_date_correct += sum(
-                1 for p, r in m.pairs if abs((p - r).days) <= tol
-            )
-        return counts
-    for pid in cohort:
-        ref_rec = ref_labels.get_single(pid, variable)
-        if ref_rec is None or not ref_rec.is_known(spec):
-            continue  # reference not known: excluded from confusion
-        pred_rec = pred.get_single(pid, variable)
-        pred_asserts = pred_rec is not None and pred_rec.is_known(spec)
-        ref_pos = ref_rec.value == positive_class
-        pred_pos = pred_asserts and pred_rec.value == positive_class
-        if ref_pos and pred_pos:
-            counts.tp += 1
-            if spec.kind == VariableKind.DATE:
-                if pred_rec.event_date is not None and ref_rec.event_date is not None:
-                    counts.n_matched_with_date += 1
-                    if abs((pred_rec.event_date - ref_rec.event_date).days) <= tol:
-                        counts.n_date_correct += 1
-        elif ref_pos:
-            counts.fn += 1
-        elif pred_pos:
-            counts.fp += 1
-    return counts
+    rows = _patient_rows(
+        pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
+    )
+    return _rows_report(variable, positive_class, rows).counts
 
 
 @dataclass
@@ -388,11 +405,7 @@ def completeness(
     cohort = list(cohort)
     if not cohort:
         raise ValueError(f"{variable}: empty cohort for completeness")
-    n_known = 0
-    for pid in cohort:
-        if any(r.is_known(spec) for r in labels.get(pid, variable)):
-            n_known += 1
-    return n_known, len(cohort)
+    return sum(_known(labels.get(pid, variable), spec) for pid in cohort), len(cohort)
 
 
 def relative_difference(
@@ -489,17 +502,10 @@ def variable_metrics(
     patients: Iterable[str] | None = None,
 ) -> MetricReport:
     """Confusion + completeness in one pass for one variable."""
-    cohort = list(patients) if patients is not None else _default_cohort(pred, reference)
-    counts = confusion(
-        pred,
-        reference,
-        variable,
-        positive_class,
-        tolerance_days=tolerance_days,
-        patients=cohort,
+    rows = _patient_rows(
+        pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
     )
-    comp = completeness(pred, variable, cohort) if cohort else None
-    return compute_metrics(counts, completeness=comp, n_patients=len(cohort))
+    return _rows_report(variable, positive_class, rows)
 
 
 def bootstrap_variable_ci(
@@ -514,22 +520,21 @@ def bootstrap_variable_ci(
     seed: int = 0,
     alpha: float = 0.05,
 ) -> dict[str, tuple[float, float]]:
-    """Bootstrap intervals for every defined metric of one variable."""
-    cohort = list(patients) if patients is not None else _default_cohort(pred, reference)
+    """Bootstrap intervals for every defined metric of one variable.
 
-    def statistic(sample: Sequence[str]) -> dict[str, float | None]:
-        rep = variable_metrics(
-            pred,
-            reference,
-            variable,
-            positive_class,
-            tolerance_days=tolerance_days,
-            patients=sample,
-        )
+    Each replicate re-sums the patient rows of its resample, which gives
+    exactly ``variable_metrics`` on that resample.
+    """
+    rows = _patient_rows(
+        pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
+    )
+
+    def statistic(sample: Sequence[int]) -> dict[str, float | None]:
+        rep = _rows_report(variable, positive_class, rows[sample])
         return {name: rep.value(name) for name in METRIC_NAMES}
 
     return bootstrap_ci(
-        statistic, cohort, n_replicates=n_replicates, seed=seed, alpha=alpha
+        statistic, range(len(rows)), n_replicates=n_replicates, seed=seed, alpha=alpha
     )
 
 
@@ -625,30 +630,6 @@ class EndToEndMetrics:
     relative: list[RelativePerformance] | None = None
 
 
-def _derived_confusion(
-    derived_pred: Mapping[str, str],
-    derived_ref: Mapping[str, str],
-    name: str,
-    cohort: Sequence[str],
-) -> tuple[ConfusionCounts, tuple[int, int]]:
-    counts = ConfusionCounts(variable=name, positive_class=DERIVED_POSITIVE)
-    n_known = 0
-    for pid in cohort:
-        p = derived_pred.get(pid, DERIVED_UNKNOWN)
-        r = derived_ref.get(pid, DERIVED_UNKNOWN)
-        if p != DERIVED_UNKNOWN:
-            n_known += 1
-        if r == DERIVED_UNKNOWN:
-            continue
-        if r == DERIVED_POSITIVE and p == DERIVED_POSITIVE:
-            counts.tp += 1
-        elif r == DERIVED_POSITIVE:
-            counts.fn += 1
-        elif p == DERIVED_POSITIVE:
-            counts.fp += 1
-    return counts, (n_known, len(cohort))
-
-
 def end_to_end_metrics(
     rule: DerivedVariableRule,
     pred: LabelSet,
@@ -664,24 +645,23 @@ def end_to_end_metrics(
     compound: with independent per-component accuracy p over k required
     components, end-to-end accuracy approaches p**k.
     """
-    ref_labels = _reference_labels(reference)
-    cohort_list = (
-        sorted(cohort) if cohort is not None else _default_cohort(pred, reference)
-    )
-    derived_ref = derive_variable(rule, ref_labels, cohort=cohort_list)
-    derived_pred = derive_variable(rule, pred, cohort=cohort_list)
-    counts, comp = _derived_confusion(derived_pred, derived_ref, rule.name, cohort_list)
-    llm_report = compute_metrics(counts, completeness=comp, n_patients=len(cohort_list))
-    result = EndToEndMetrics(rule=rule, llm=llm_report)
+    cohort_list = sorted(_cohort(pred, reference, cohort))
+    derived_ref = derive_variable(rule, _reference_labels(reference), cohort=cohort_list)
+
+    def score(labels: LabelSet) -> MetricReport:
+        derived = derive_variable(rule, labels, cohort=cohort_list)
+        rows = []
+        for pid in cohort_list:
+            p, r = derived[pid], derived_ref[pid]
+            ref_pos = None if r == DERIVED_UNKNOWN else r == DERIVED_POSITIVE
+            tp, fp, fn = _one_vs_rest(ref_pos, p == DERIVED_POSITIVE)
+            rows.append((tp, fp, fn, 0, 0, p != DERIVED_UNKNOWN))
+        return _rows_report(rule.name, DERIVED_POSITIVE, _as_rows(rows))
+
+    result = EndToEndMetrics(rule=rule, llm=score(pred))
     if abstraction is not None:
-        derived_abs = derive_variable(rule, abstraction, cohort=cohort_list)
-        a_counts, a_comp = _derived_confusion(
-            derived_abs, derived_ref, rule.name, cohort_list
-        )
-        result.abstraction = compute_metrics(
-            a_counts, completeness=a_comp, n_patients=len(cohort_list)
-        )
-        result.relative = relative_difference(llm_report, result.abstraction)
+        result.abstraction = score(abstraction)
+        result.relative = relative_difference(result.llm, result.abstraction)
     return result
 
 
@@ -715,32 +695,26 @@ def stratified_metrics(
     size. A widening llm-vs-abstraction gap in one stratum relative to the
     others is the differential-error signal this view exists to surface.
     """
+    cohort = sorted(dataset.patients)
+    position = {pid: i for i, pid in enumerate(cohort)}
+    sides = [
+        _patient_rows(
+            labels, reference, variable, positive_class,
+            tolerance_days=tolerance_days, patients=cohort,
+        )
+        for labels in (pred, abstraction)
+        if labels is not None
+    ]
     out: dict[str, StratumMetrics] = {}
     for stratum, pids in sorted(dataset.strata(stratum_key).items()):
         if len(pids) < min_stratum_n:
             out[stratum] = StratumMetrics(stratum=stratum, n=len(pids), suppressed=True)
             continue
-        llm_rep = variable_metrics(
-            pred,
-            reference,
-            variable,
-            positive_class,
-            tolerance_days=tolerance_days,
-            patients=pids,
-        )
-        entry = StratumMetrics(
-            stratum=stratum, n=len(pids), suppressed=False, llm=llm_rep
-        )
+        take = [position[pid] for pid in pids]
+        reports = [_rows_report(variable, positive_class, rows[take]) for rows in sides]
+        entry = StratumMetrics(stratum=stratum, n=len(pids), suppressed=False, llm=reports[0])
         if abstraction is not None:
-            abs_rep = variable_metrics(
-                abstraction,
-                reference,
-                variable,
-                positive_class,
-                tolerance_days=tolerance_days,
-                patients=pids,
-            )
-            entry.abstraction = abs_rep
-            entry.relative = relative_difference(llm_rep, abs_rep)
+            entry.abstraction = reports[1]
+            entry.relative = relative_difference(*reports)
         out[stratum] = entry
     return out

@@ -35,6 +35,8 @@ from .refstd import (
 )
 from .replication import (
     DirectionBenchmark,
+    EquityReport,
+    SurvivalCohort,
     ToleranceBenchmark,
     benchmark_concordance,
     compare_curves,
@@ -528,14 +530,21 @@ def _equity_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, refer
     survival_args = dict(_survival_args(doc), patients=sorted(dataset.patients))
     stratum_of = {pid: dataset.attribute(pid, attr) for pid in dataset.patients}
     benchmark = _parse_benchmark(doc["benchmark"]) if doc.get("benchmark") else None
+
+    def replicate(cohort: SurvivalCohort) -> EquityReport:
+        return equity_replication(
+            cohort.records,
+            stratum_of,
+            stratum_attribute=attr,
+            benchmark=benchmark,
+            min_stratum_n=config.tolerances.min_stratum_n,
+        )
+
     cohort = survival_records(llm, **survival_args)
-    report = equity_replication(
-        cohort.records,
-        stratum_of,
-        stratum_attribute=attr,
-        benchmark=benchmark,
-        min_stratum_n=config.tolerances.min_stratum_n,
-    )
+    try:
+        report = replicate(cohort)
+    except ValueError as exc:  # every stratum falls below min_stratum_n
+        return {"kind": "equity", "name": name, "status": "not_applicable", "reason": str(exc)}
     for group, curve in report.curves.items():
         curves[f"{name}_{group}_llm"] = curve
     out = {
@@ -552,13 +561,11 @@ def _equity_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, refer
     if ref_labels is not None:
         ref_cohort = survival_records(ref_labels, **survival_args)
         if ref_cohort.n_included:
-            ref_report = equity_replication(
-                ref_cohort.records,
-                stratum_of,
-                stratum_attribute=attr,
-                benchmark=benchmark,
-                min_stratum_n=config.tolerances.min_stratum_n,
-            )
+            try:
+                ref_report = replicate(ref_cohort)
+            except ValueError as exc:
+                out["reference"] = {"status": "not_applicable", "reason": str(exc)}
+                return out
             for group, curve in ref_report.curves.items():
                 curves[f"{name}_{group}_reference"] = curve
             out["reference"] = {
@@ -721,6 +728,8 @@ def _summary_lines(report: dict) -> list[str]:
         lines.append("replication:")
         for analysis in replication["analyses"]:
             lines.append(f"  {analysis['name']} [{analysis['kind']}]")
+            if analysis.get("status") == "not_applicable":
+                lines.append(f"    not applicable ({analysis['reason']})")
             conc = analysis.get("concordance") or (analysis.get("llm") or {}).get(
                 "concordance"
             )

@@ -21,6 +21,9 @@ from rwdval import (
     CohortDataset,
     ConfusionCounts,
     DerivedVariableRule,
+    ErrorModel,
+    ErrorRates,
+    GeneratorConfig,
     LabelRecord,
     LabelSet,
     Source,
@@ -28,17 +31,20 @@ from rwdval import (
     VariableSpec,
     Schema,
     bootstrap_ci,
+    bootstrap_variable_ci,
     completeness,
+    corrupt,
     compute_metrics,
     confusion,
     derive_variable,
     end_to_end_metrics,
+    generate_truth,
     match_events,
     relative_difference,
     stratified_metrics,
     variable_metrics,
 )
-from rwdval.metrics import EVENT_PRESENCE, MetricReport
+from rwdval.metrics import EVENT_PRESENCE, METRIC_NAMES, MetricReport
 
 from conftest import make_schema, rec
 
@@ -420,6 +426,93 @@ def test_bootstrap_mapping_statistic():
     assert set(got) == {"recall"}  # all-None metrics are dropped
     lo, hi = got["recall"]
     assert lo <= 0.5 <= hi
+
+
+# --- per-patient rows against the re-scoring oracle ---
+
+
+@pytest.fixture(scope="module")
+def scored_cohort():
+    dataset = generate_truth(GeneratorConfig(n_patients=80), seed=3)
+    noisy = ErrorRates(miss=0.1, flip=0.1, date_shift_rate=0.2, date_shift_days=45)
+    clean = ErrorRates(miss=0.03, flip=0.02, date_shift_rate=0.05, date_shift_days=45)
+    llm = corrupt(dataset, ErrorModel(default=noisy), source=Source.LLM, seed=4)
+    a1 = corrupt(dataset, ErrorModel(default=clean), source=Source.ABSTRACTOR_1, seed=5)
+    return dataset, llm, a1
+
+
+def rescoring_oracle(pred, ref, variable, positive, seen=None):
+    """The bootstrap statistic that re-scores labels on every resample."""
+
+    def stat(sample):
+        rep = variable_metrics(pred, ref, variable, positive, patients=sample)
+        if seen is not None:
+            seen.append(rep)
+        return {name: rep.value(name) for name in METRIC_NAMES}
+
+    return stat
+
+
+ROW_TARGETS = [
+    ("stage", "III"),  # categorical
+    ("surgery", "yes"),  # date
+    ("er_result", EVENT_PRESENCE),  # event list, any known event
+    ("er_result", "negative"),  # event list, one token
+]
+
+
+@pytest.mark.parametrize("variable,positive", ROW_TARGETS)
+def test_bootstrap_variable_ci_equals_the_rescoring_oracle(scored_cohort, variable, positive):
+    dataset, llm, _ = scored_cohort
+    ref = dataset.labels(Source.REFERENCE)
+    cohort = sorted(dataset.patients)
+    for patients in (cohort, cohort[:9] * 3):  # the second repeats every patient
+        got = bootstrap_variable_ci(
+            llm, ref, variable, positive, patients=patients, n_replicates=60, seed=2
+        )
+        want = bootstrap_ci(
+            rescoring_oracle(llm, ref, variable, positive), patients, n_replicates=60, seed=2
+        )
+        assert got, (variable, positive)
+        assert got == want
+
+
+def test_bootstrap_variable_ci_drops_undefined_precision_like_the_oracle(schema):
+    ref = LabelSet(
+        schema,
+        Source.REFERENCE,
+        [LabelRecord(p, "stage", "I", None, Source.REFERENCE) for p in ("p1", "p2", "p3")],
+    )
+    # only p1 asserts the positive class: resamples without p1 have no precision
+    pred = LabelSet(
+        schema, Source.LLM, [rec("p1", "stage", "I"), rec("p2", "stage", "II")]
+    )
+    cohort = ["p1", "p2", "p3"]
+    seen = []
+    want = bootstrap_ci(
+        rescoring_oracle(pred, ref, "stage", "I", seen), cohort, n_replicates=80, seed=1
+    )
+    assert any(rep.precision is None for rep in seen)
+    assert "precision" in want
+    got = bootstrap_variable_ci(pred, ref, "stage", "I", patients=cohort, n_replicates=80, seed=1)
+    assert got == want
+
+
+@pytest.mark.parametrize("variable,positive", ROW_TARGETS)
+def test_stratified_metrics_equal_variable_metrics_per_stratum(scored_cohort, variable, positive):
+    dataset, llm, a1 = scored_cohort
+    ref = dataset.labels(Source.REFERENCE)
+    for attr in ("race_ethnicity", "treatment_arm"):
+        got = stratified_metrics(llm, a1, ref, variable, positive, dataset, attr, min_stratum_n=10)
+        strata = dataset.strata(attr)
+        assert set(got) == set(strata)
+        for stratum, entry in got.items():
+            if entry.suppressed:
+                continue
+            pids = strata[stratum]
+            assert entry.llm == variable_metrics(llm, ref, variable, positive, patients=pids)
+            assert entry.abstraction == variable_metrics(a1, ref, variable, positive, patients=pids)
+            assert entry.relative == relative_difference(entry.llm, entry.abstraction)
 
 
 # --- derived variables ---

@@ -193,6 +193,46 @@ def test_simulated_refresh_snapshot_runs(tmp_path):
     assert "both label sets need a refresh_id" not in text(result)
 
 
+def test_bootstrap_run_brackets_every_point_and_is_deterministic(workspace):
+    doc = yaml.safe_load((workspace / "run.yaml").read_text())
+    doc["metrics"]["bootstrap"] = True
+    doc["tolerances"]["bootstrap_replicates"] = 50
+    doc["output_dir"] = "results_bootstrap"
+    config = workspace / "run_bootstrap.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    runner = CliRunner()
+    args = ["--config", str(config), "run"]
+    first = runner.invoke(main, args)
+    assert first.exit_code in (0, 1), text(first)
+    report_path = workspace / "results_bootstrap" / "report.json"
+    first_bytes = report_path.read_bytes()
+    variables = json.loads(first_bytes)["metrics"]["variables"]
+    assert set(variables) == {"surgery", "metastatic_dx", "hr_status"}
+    for entry in variables.values():
+        llm = entry["llm"]
+        assert llm["ci"], llm
+        for metric, (lo, hi) in llm["ci"].items():
+            assert lo <= llm[metric] <= hi, (metric, lo, llm[metric], hi)
+    second = runner.invoke(main, args)
+    assert second.exit_code == first.exit_code
+    assert report_path.read_bytes() == first_bytes
+
+
+def test_equity_too_thin_is_not_applicable_and_the_run_goes_on(tmp_path):
+    runner = CliRunner()
+    ws = tmp_path / "ws"
+    result = runner.invoke(main, ["--out", str(ws), "--seed", "4", "simulate", "--n", "40"])
+    assert result.exit_code == 0, text(result)
+    result = runner.invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exit_code in (0, 1), text(result)
+    report = json.loads((ws / "results" / "report.json").read_text())
+    assert set(report["metrics"]["variables"]) == {"surgery", "metastatic_dx", "hr_status"}
+    (equity,) = [a for a in report["replication"]["analyses"] if a["kind"] == "equity"]
+    assert equity["status"] == "not_applicable"
+    assert equity["reason"] == "all 2 strata fall below min_stratum_n=20"
+    assert not any("os_equity" in issue for issue in report["issues"])
+
+
 def test_refstd_oracle_resolves_the_block(workspace, tmp_path):
     # oracle files are read with source=reference, so export one that way
     from rwdval import load_schema, read_labels
