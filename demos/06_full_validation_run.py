@@ -28,23 +28,24 @@ from rwdval import (
     write_labels,
 )
 
-ws = Path(tempfile.mkdtemp(prefix="rwdval_demo_"))
+with tempfile.TemporaryDirectory(prefix="rwdval_demo_") as tmp:
+    ws = Path(tmp)
 
-# ---- the input files ----
-dataset = generate_truth(GeneratorConfig(n_patients=400), seed=5)
-llm = corrupt(dataset, ErrorModel(default=ErrorRates(miss=0.03, flip=0.02, date_shift_rate=0.05, date_shift_days=45)),
-              source=Source.LLM, seed=6)
-a1 = corrupt(dataset, ErrorModel(default=ErrorRates(miss=0.01, flip=0.01)),
-             source=Source.ABSTRACTOR_1, seed=7)
-a2 = dataset.labels(Source.REFERENCE).relabel(Source.ABSTRACTOR_2)
+    # ---- the input files ----
+    dataset = generate_truth(GeneratorConfig(n_patients=400), seed=5)
+    llm = corrupt(dataset, ErrorModel(default=ErrorRates(miss=0.03, flip=0.02, date_shift_rate=0.05, date_shift_days=45)),
+                  source=Source.LLM, seed=6)
+    a1 = corrupt(dataset, ErrorModel(default=ErrorRates(miss=0.01, flip=0.01)),
+                 source=Source.ABSTRACTOR_1, seed=7)
+    a2 = dataset.labels(Source.REFERENCE).relabel(Source.ABSTRACTOR_2)
 
-save_schema(dataset.schema, ws / "schema.yaml")
-write_attributes(dataset.patients, ws / "attributes.csv")
-write_labels(llm, ws / "labels_llm.csv")
-write_labels(a1, ws / "labels_abstractor_1.csv")
-write_labels(a2, ws / "labels_abstractor_2.csv")
+    save_schema(dataset.schema, ws / "schema.yaml")
+    write_attributes(dataset.patients, ws / "attributes.csv")
+    write_labels(llm, ws / "labels_llm.csv")
+    write_labels(a1, ws / "labels_abstractor_1.csv")
+    write_labels(a2, ws / "labels_abstractor_2.csv")
 
-(ws / "run.yaml").write_text("""\
+    (ws / "run.yaml").write_text("""\
 schema: schema.yaml
 labels:
   llm: labels_llm.csv
@@ -74,21 +75,21 @@ tolerances:
 output_dir: results
 """)
 
-# ---- run every pillar and emit the bundle ----
-result = run_from_config_file(ws / "run.yaml")
-print(f"exit code: {result.exit_code}")
-print(f"written to {ws / 'results'}: "
-      f"{sorted(p.name for p in (ws / 'results').iterdir())}")
+    # ---- run every pillar and emit the bundle ----
+    result = run_from_config_file(ws / "run.yaml")
+    print(f"exit code: {result.exit_code}")
+    print(f"written to {ws / 'results'}: "
+          f"{sorted(p.name for p in (ws / 'results').iterdir())}")
 
-# ---- what the report holds ----
-report = json.loads((ws / "results" / "report.json").read_text())
-print(f"\nconfig hash: {report['config_hash'][:16]}...")
-print(f"reference: {report['reference']['mode']}, n={report['cohort']['n_patients']} patients")
-for variable, entry in report["metrics"]["variables"].items():
-    print(f"{variable}: llm recall {entry['llm']['recall']:.3f} vs "
-          f"abstraction {entry['abstraction']['recall']:.3f}")
-for issue in report["issues"]:
-    print(f"issue: {issue}")
+    # ---- what the report holds ----
+    report = json.loads((ws / "results" / "report.json").read_text())
+    print(f"\nconfig hash: {report['config_hash'][:16]}...")
+    print(f"reference: {report['reference']['mode']}, n={report['cohort']['n_patients']} patients")
+    for variable, entry in report["metrics"]["variables"].items():
+        print(f"{variable}: llm recall {entry['llm']['recall']:.3f} vs "
+              f"abstraction {entry['abstraction']['recall']:.3f}")
+    for issue in report["issues"]:
+        print(f"issue: {issue}")
 
-print("\n--- summary.txt ---")
-print((ws / "results" / "summary.txt").read_text())
+    print("\n--- summary.txt ---")
+    print((ws / "results" / "summary.txt").read_text())

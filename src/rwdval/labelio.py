@@ -10,6 +10,7 @@ all with row numbers rather than stopping at the first.
 from __future__ import annotations
 
 import csv
+import re
 from datetime import date, datetime
 from pathlib import Path
 
@@ -40,7 +41,18 @@ class IngestError(ValueError):
         super().__init__(f"{path}: {len(problems)} problem(s)\n  {preview}{more}")
 
 
+_STRICT_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def parse_iso_date(text: str) -> date:
+    """Parse YYYY-MM-DD exactly as ``datetime.strptime(text, "%Y-%m-%d")`` does.
+
+    The strict ASCII form takes the fast ``date.fromisoformat`` path; any
+    other text (``2020-1-5``, non-ASCII digits, ...) falls back to
+    ``strptime``, which accepts or rejects it as ingest always has.
+    """
+    if _STRICT_ISO_DATE.fullmatch(text):
+        return date.fromisoformat(text)
     return datetime.strptime(text, "%Y-%m-%d").date()
 
 

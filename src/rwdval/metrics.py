@@ -450,10 +450,11 @@ def bootstrap_ci(
 
     ``statistic`` receives a patient list (with repeats) and returns either
     a float or a mapping of named floats; undefined replicate values are
-    dropped before taking percentiles. Resample indices are drawn once from
-    a generator seeded with ``seed``, so results are reproducible and do
-    not depend on evaluation order. Intervals are clamped to bracket the
-    point estimate.
+    dropped before taking percentiles. Resample indices come from one
+    generator seeded with ``seed``, one replicate's row at a time (the same
+    stream as drawing the whole ``(n_replicates, n)`` array at once, without
+    holding it), so results are reproducible. Intervals are clamped to
+    bracket the point estimate.
     """
     patients = list(patients)
     if not patients:
@@ -461,7 +462,10 @@ def bootstrap_ci(
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(patients), size=(n_replicates, len(patients)))
+    samples = (
+        [patients[i] for i in rng.integers(0, len(patients), size=len(patients)).tolist()]
+        for _ in range(n_replicates)
+    )
     point = statistic(patients)
     lo_q, hi_q = 100 * alpha / 2, 100 * (1 - alpha / 2)
 
@@ -475,8 +479,7 @@ def bootstrap_ci(
 
     if isinstance(point, Mapping):
         reps: dict[str, list[float]] = {k: [] for k in point}
-        for row in idx:
-            sample = [patients[i] for i in row]
+        for sample in samples:
             rep = statistic(sample)
             for k in reps:
                 v = rep.get(k) if isinstance(rep, Mapping) else None
@@ -485,8 +488,8 @@ def bootstrap_ci(
         intervals = {k: interval(reps[k], point.get(k)) for k in point}
         return {k: ci for k, ci in intervals.items() if ci is not None}
     values = []
-    for row in idx:
-        v = statistic([patients[i] for i in row])
+    for sample in samples:
+        v = statistic(sample)
         if v is not None:
             values.append(float(v))
     return interval(values, None if point is None else float(point))

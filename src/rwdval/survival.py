@@ -68,9 +68,9 @@ class KMCurve:
 
     def confidence_band(self, alpha: float = 0.05) -> list[tuple[float, float]]:
         """Pointwise log(-log) confidence intervals at the event times."""
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
-        z = norm.ppf(1 - alpha / 2)
+        z = ndtri(1 - alpha / 2)
         out = []
         for surv, se in zip(self.survival, self.std_err):
             if surv <= 0.0:

@@ -428,6 +428,25 @@ def test_bootstrap_mapping_statistic():
     assert lo <= 0.5 <= hi
 
 
+@pytest.mark.parametrize(
+    "n, n_replicates, seed", [(1, 5, 0), (2, 40, 1), (7, 30, 5), (101, 25, 12345), (4097, 3, 9)]
+)
+def test_bootstrap_resamples_are_the_rows_of_one_whole_draw(n, n_replicates, seed):
+    """Drawing one replicate at a time gives the stream of the one-shot draw."""
+    patients = [f"p{i}" for i in range(n)]
+    position = {p: i for i, p in enumerate(patients)}
+    seen = []
+
+    def stat(sample):
+        seen.append([position[p] for p in sample])
+        return 0.0
+
+    bootstrap_ci(stat, patients, n_replicates=n_replicates, seed=seed)
+    whole = np.random.default_rng(seed).integers(0, n, size=(n_replicates, n))
+    assert seen[0] == list(range(n))  # the point estimate sees the cohort itself
+    assert seen[1:] == whole.tolist()
+
+
 # --- per-patient rows against the re-scoring oracle ---
 
 

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,6 +14,7 @@ from click.testing import CliRunner
 
 from conftest import make_schema, rec
 
+import rwdval
 from rwdval import Source, write_labels, save_schema
 from rwdval.cli import main
 from rwdval.pipeline import (
@@ -231,6 +236,42 @@ def test_equity_too_thin_is_not_applicable_and_the_run_goes_on(tmp_path):
     assert equity["status"] == "not_applicable"
     assert equity["reason"] == "all 2 strata fall below min_stratum_n=20"
     assert not any("os_equity" in issue for issue in report["issues"])
+
+
+_RUN_AND_LIST_MODULES = """
+import sys
+from rwdval.cli import main
+try:
+    main(["--config", sys.argv[1], "run"])
+except SystemExit as exc:
+    print("exit", exc.code)
+print("scipy.stats loaded:", "scipy.stats" in sys.modules)
+"""
+
+
+def test_run_never_imports_scipy_stats(tmp_path):
+    """The chi-square test and KM bands use scipy.special; scipy.stats alone
+    costs about a second to import, so a run must not load it."""
+    ws = tmp_path / "ws"
+    result = CliRunner().invoke(main, ["--out", str(ws), "--seed", SEED, "simulate", "--n", "120"])
+    assert result.exit_code == 0, text(result)
+    src = str(Path(rwdval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, str(ws / "run.yaml")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2] in ("exit 0", "exit 1"), proc.stdout + proc.stderr
+    assert lines[-1] == "scipy.stats loaded: False"
+    report = json.loads((ws / "results" / "report.json").read_text())
+    analyses = report["replication"]["analyses"]
+    (dist,) = [a for a in analyses if a["kind"] == "distribution_vs_reference"]
+    assert dist["comparison"]["chi2_applicable"]  # the chi-square path ran
 
 
 def test_refstd_oracle_resolves_the_block(workspace, tmp_path):

@@ -1,8 +1,12 @@
 """Replication analyses: distributions, trends, curves, benchmarks, equity."""
 
+import math
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from rwdval import (
     DirectionBenchmark,
@@ -20,7 +24,7 @@ from rwdval import (
     survival_records,
     trend_series,
 )
-from rwdval.replication import distribution_from_labels
+from rwdval.replication import _pearson_chi2, distribution_from_labels
 
 from conftest import rec
 
@@ -186,6 +190,66 @@ def test_distribution_input_validation():
         compare_distribution({"A": -1}, {"A": 1.0})
     with pytest.raises(ValueError):
         compare_distribution({"A": 1}, {})
+
+
+def _chisquare_oracle(observed, reference):
+    """The chi-square fields as computed through ``scipy.stats.chisquare``."""
+    n = sum(observed.values())
+    ref_total = float(sum(reference.values()))
+    categories = sorted(set(observed) | set(reference))
+    expected = [n * reference.get(cat, 0.0) / ref_total for cat in categories]
+    if any(e == 0 for e in expected):
+        return None, None, False, "reference has zero mass on an observed category"
+    if min(expected) < 5:
+        return None, None, False, f"smallest expected count {min(expected):.2f} is below 5"
+    res = chisquare(f_obs=[observed.get(cat, 0) for cat in categories], f_exp=expected)
+    return float(res.statistic), float(res.pvalue), True, None
+
+
+def _same(a, b):
+    """Exact equality, with NaN equal to NaN (one category has 0 dof)."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+@st.composite
+def _distributions(draw):
+    """1-8 categories, zero counts, reference masses from 1e-4 to 1e4, and
+    sometimes a category the reference leaves out or gives no mass."""
+    categories = [f"c{i}" for i in range(draw(st.integers(1, 8)))]
+    observed = {cat: draw(st.integers(0, 2000)) for cat in categories}
+    reference = {
+        cat: draw(st.floats(0.01, 10.0)) * 10.0 ** draw(st.integers(-2, 3)) for cat in categories
+    }
+    if draw(st.booleans()):
+        gap = draw(st.sampled_from(categories))
+        if draw(st.booleans()):
+            del reference[gap]
+        else:
+            reference[gap] = 0.0
+    assume(sum(observed.values()) > 0 and sum(reference.values()) > 0)
+    return observed, reference
+
+
+@settings(max_examples=600, deadline=None)
+@given(_distributions())
+def test_chi2_equals_scipy_stats_chisquare(distributions):
+    observed, reference = distributions
+    cmp = compare_distribution(observed, reference)
+    got = (cmp.chi2, cmp.chi2_pvalue, cmp.chi2_applicable, cmp.chi2_reason)
+    want = _chisquare_oracle(observed, reference)
+    assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
+
+
+def test_pearson_chi2_keeps_the_sum_check():
+    with pytest.raises(ValueError):
+        chisquare(f_obs=[10, 10], f_exp=[5.0, 5.0])
+    with pytest.raises(ValueError):
+        _pearson_chi2([10, 10], [5.0, 5.0])
+    # totals that differ within the relative tolerance sqrt(eps) still pass
+    res = chisquare(f_obs=[10, 10], f_exp=[10.0, 10.0 + 1e-9])
+    assert _pearson_chi2([10, 10], [10.0, 10.0 + 1e-9]) == (res.statistic, res.pvalue)
 
 
 def test_distribution_from_labels_counts_known_values(schema):

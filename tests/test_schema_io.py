@@ -1,6 +1,6 @@
 """Schema validation, label set semantics, and CSV/YAML round trips."""
 
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from rwdval import (
     write_attributes,
     write_labels,
 )
+from rwdval.labelio import parse_iso_date
 from rwdval.schema import effective_tolerance, shift_date
 
 from conftest import make_schema, rec
@@ -440,3 +441,65 @@ def test_round_trip_property(tmp_path_factory, labels):
     path = tmp_path_factory.mktemp("rt") / "labels.csv"
     write_labels(labels, path)
     assert read_labels(path, labels.schema, labels.source) == labels
+
+
+# --- ISO dates against the strptime oracle ---
+
+
+def _parsed(parse, text):
+    """A parser's answer for ``text``: the date, or None when it rejects it."""
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def _strptime(text):
+    return datetime.strptime(text, "%Y-%m-%d").date()
+
+
+def _agrees_with_strptime(text):
+    return _parsed(parse_iso_date, text) == _parsed(_strptime, text)
+
+
+_date_like = st.builds(
+    lambda y, m, d: f"{y}-{m}-{d}",
+    st.text("0123456789", min_size=0, max_size=5),
+    st.text("0123456789", min_size=0, max_size=3),
+    st.text("0123456789", min_size=0, max_size=3),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.text("0123456789-", max_size=12), _date_like))
+def test_parse_iso_date_equals_strptime(text):
+    assert _agrees_with_strptime(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("2020-1-5", date(2020, 1, 5)),  # strptime takes one-digit months and days
+        ("2020-01-05", date(2020, 1, 5)),
+        ("20200101", None),  # date.fromisoformat would take it
+        ("2020-02-30", None),
+        ("0000-01-01", None),
+    ],
+)
+def test_parse_iso_date_named_cases(text, want):
+    assert _parsed(parse_iso_date, text) == want
+    assert _agrees_with_strptime(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2020-01- 5",
+        "\u0662\u0660\u0662\u0660-\u0660\u0661-\u0660\u0661",  # Arabic-Indic digits
+        "\uff12\uff10\uff12\uff10-\uff10\uff11-\uff10\uff11",  # full-width digits
+        "2020-01-01\n",
+        " 2020-01-01",
+    ],
+)
+def test_parse_iso_date_off_the_fast_path_behaves_as_strptime(text):
+    assert _agrees_with_strptime(text)

@@ -131,6 +131,26 @@ def test_confidence_band_brackets_the_curve():
     assert sure.confidence_band() == [(0.0, 0.0)]
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.01, 0.2, 0.001])
+def test_confidence_band_uses_the_normal_quantile(alpha):
+    from scipy.stats import norm
+
+    z = norm.ppf(1 - alpha / 2)
+    durations = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    events = [True, True, False, True, True, False, True, True, False, True]
+    curve = km_estimate(durations, events)
+    want = []
+    for s, se in zip(curve.survival, curve.std_err):
+        if s <= 0.0:
+            want.append((0.0, 0.0))
+            continue
+        theta, se_loglog = math.log(-math.log(s)), se / (abs(math.log(s)) * s)
+        want.append(
+            (math.exp(-math.exp(theta + z * se_loglog)), math.exp(-math.exp(theta - z * se_loglog)))
+        )
+    assert curve.confidence_band(alpha) == want
+
+
 def test_km_from_records_uses_day_durations():
     records = [
         SurvivalRecord("p1", date(2020, 1, 1), date(2020, 3, 1), True),
