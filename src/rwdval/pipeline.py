@@ -296,15 +296,12 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
     cohort = sorted(dataset.patients)
     out: dict = {"status": "ok", "variables": {}, "derived": {}, "threshold_breaches": []}
     for target in config.metric_targets:
-        spec_tol = metrics_mod.effective_tolerance(
-            dataset.schema[target.variable], tol.date_tolerance_days
-        )
         llm_report = metrics_mod.variable_metrics(
             llm,
             reference,
             target.variable,
             target.positive_class,
-            tolerance_days=spec_tol,
+            tolerance_days=tol.date_tolerance_days,
             patients=cohort,
         )
         a1_report = metrics_mod.variable_metrics(
@@ -312,7 +309,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
             reference,
             target.variable,
             target.positive_class,
-            tolerance_days=spec_tol,
+            tolerance_days=tol.date_tolerance_days,
             patients=cohort,
         )
         if config.bootstrap:
@@ -321,7 +318,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
                 reference,
                 target.variable,
                 target.positive_class,
-                tolerance_days=spec_tol,
+                tolerance_days=tol.date_tolerance_days,
                 patients=cohort,
                 n_replicates=tol.bootstrap_replicates,
                 seed=tol.seed,
@@ -344,7 +341,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
                     target.positive_class,
                     dataset,
                     attr,
-                    tolerance_days=spec_tol,
+                    tolerance_days=tol.date_tolerance_days,
                     min_stratum_n=tol.min_stratum_n,
                 )
                 strat[attr] = {
@@ -747,7 +744,7 @@ def _summary_lines(report: dict) -> list[str]:
     return lines
 
 
-def emit_report(result: PipelineResult, out_dir: str | Path, fmt: str = "json") -> dict[str, Path]:
+def emit_report(result: PipelineResult, out_dir: str | Path) -> dict[str, Path]:
     """Write the deterministic report bundle; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -171,12 +171,8 @@ def assertions_agree(
     if spec.kind == VariableKind.EVENT_LIST:
         tokens = {r.value for r in recs_a} | {r.value for r in recs_b}
         for token in tokens:
-            dated_a = sorted(
-                r.event_date for r in recs_a if r.value == token and r.event_date
-            )
-            dated_b = sorted(
-                r.event_date for r in recs_b if r.value == token and r.event_date
-            )
+            dated_a = [r.event_date for r in recs_a if r.value == token and r.event_date]
+            dated_b = [r.event_date for r in recs_b if r.value == token and r.event_date]
             undated_a = sum(1 for r in recs_a if r.value == token and not r.event_date)
             undated_b = sum(1 for r in recs_b if r.value == token and not r.event_date)
             if undated_a != undated_b:
@@ -215,27 +211,24 @@ def find_disagreements(
         by_source[Source.ABSTRACTOR_2] = abstractor_2
         pairs += [Pair.LLM_VS_A2, Pair.A1_VS_A2]
     schema = llm.schema
+    keys = set().union(*(labels.keys() for labels in by_source.values()))
     cases: list[DisagreementCase] = []
-    for pair in pairs:
-        src_a, src_b = _PAIR_SOURCES[pair]
-        set_a, set_b = by_source[src_a], by_source[src_b]
-        for pid, var in sorted(set_a.keys() | set_b.keys()):
-            recs_a, recs_b = set_a.get(pid, var), set_b.get(pid, var)
-            if assertions_agree(schema, var, recs_a, recs_b, tolerance_days):
+    for pid, var in sorted(keys):
+        recs = {src: labels.get(pid, var) for src, labels in by_source.items()}
+        for pair in pairs:
+            src_a, src_b = _PAIR_SOURCES[pair]
+            if assertions_agree(schema, var, recs[src_a], recs[src_b], tolerance_days):
                 continue
             cases.append(
                 DisagreementCase(
                     patient_id=pid,
                     variable=var,
                     pair=pair,
-                    llm=llm.get(pid, var),
-                    abstractor_1=abstractor_1.get(pid, var),
-                    abstractor_2=(
-                        abstractor_2.get(pid, var) if abstractor_2 is not None else ()
-                    ),
+                    llm=recs[Source.LLM],
+                    abstractor_1=recs[Source.ABSTRACTOR_1],
+                    abstractor_2=recs.get(Source.ABSTRACTOR_2, ()),
                 )
             )
-    cases.sort(key=lambda c: (c.patient_id, c.variable, list(Pair).index(c.pair)))
     return cases
 
 

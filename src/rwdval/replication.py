@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks.engine import monthly_counts
-from .schema import LabelSet, VariableKind
+from .schema import LabelSet, VariableKind, shift_date
 from .survival import KMCurve, SurvivalRecord, km_from_records
 
 
@@ -108,8 +108,6 @@ def survival_records(
         duration = (last_date - index_date).days
         if max_followup_days is not None and duration > max_followup_days:
             # administrative censoring at the analysis horizon
-            from .schema import shift_date
-
             last_date = shift_date(index_date, max_followup_days)
             event = False
         cohort.records.append(

@@ -195,9 +195,12 @@ class LabelSet:
     """All label records from one source, keyed by (patient, variable).
 
     Non-event_list variables hold at most one record per key. Construction
-    validates every record against the schema. Equality compares the source
-    and the canonical record multiset, so write -> read round-trips compare
-    equal regardless of row order.
+    validates every record against the schema. Each key's records are kept
+    in canonical order (dated before undated, then by date, then by value;
+    ties in insertion order), fixed when a record is added, so every reader
+    sees the same order whatever the order of addition. Equality compares
+    the source and the canonical record multiset, so write -> read
+    round-trips compare equal regardless of row order.
     """
 
     def __init__(
@@ -210,7 +213,7 @@ class LabelSet:
         self.schema = schema
         self.source = Source(source)
         self.refresh_id = refresh_id
-        self._by_key: dict[tuple[str, str], list[LabelRecord]] = {}
+        self._by_key: dict[tuple[str, str], tuple[LabelRecord, ...]] = {}
         for rec in records:
             self.add(rec)
 
@@ -223,24 +226,27 @@ class LabelSet:
                 f"label set source {self.source.value!r}"
             )
         key = (record.patient_id, record.variable)
-        bucket = self._by_key.setdefault(key, [])
-        if bucket and spec.kind != VariableKind.EVENT_LIST:
+        bucket = self._by_key.get(key)
+        if bucket is None:
+            self._by_key[key] = (record,)
+            return
+        if spec.kind != VariableKind.EVENT_LIST:
             raise SchemaError(
                 f"duplicate record for patient {record.patient_id!r}, "
                 f"variable {record.variable!r} ({spec.kind.value} admits one)"
             )
-        bucket.append(record)
+        self._by_key[key] = tuple(sorted(bucket + (record,), key=_record_sort_key))
 
     def remove(self, patient_id: str, variable: str) -> None:
         """Drop every record for one key; absent keys are a no-op."""
         self._by_key.pop((patient_id, variable), None)
 
     def get(self, patient_id: str, variable: str) -> tuple[LabelRecord, ...]:
-        """Records for one key, date-sorted; empty tuple means missing."""
-        recs = self._by_key.get((patient_id, variable), ())
-        return tuple(sorted(recs, key=_record_sort_key))
+        """Records for one key in canonical order; empty tuple means missing."""
+        return self._by_key.get((patient_id, variable), ())
 
     def get_single(self, patient_id: str, variable: str) -> LabelRecord | None:
+        """The key's first record in canonical order; None means missing."""
         recs = self._by_key.get((patient_id, variable))
         return recs[0] if recs else None
 
@@ -257,9 +263,8 @@ class LabelSet:
 
     def records(self) -> list[LabelRecord]:
         out: list[LabelRecord] = []
-        for recs in self._by_key.values():
-            out.extend(recs)
-        out.sort(key=_record_sort_key)
+        for key in sorted(self._by_key):
+            out.extend(self._by_key[key])
         return out
 
     def relabel(self, source: Source, refresh_id: str | None = None) -> "LabelSet":
@@ -325,11 +330,7 @@ class CohortDataset:
             raise SchemaError(f"no label set for source {Source(source).value!r}") from None
 
 
-def patient_view(
-    dataset_or_labels: CohortDataset | LabelSet,
-    source: Source | None = None,
-    patient_id: str = "",
-) -> dict[str, object]:
+def patient_view(labels: LabelSet, patient_id: str) -> dict[str, object]:
     """Flatten one patient's labels from one source for check evaluation.
 
     Returns a map variable -> entry where the entry is the value for
@@ -338,17 +339,8 @@ def patient_view(
     Only documented variables appear; documented-unknown records are
     included so the check engine can distinguish unknown from missing.
     """
-    if isinstance(dataset_or_labels, CohortDataset):
-        if source is None:
-            raise ValueError("source required when passing a CohortDataset")
-        if patient_id not in dataset_or_labels.patients:
-            raise SchemaError(f"unknown patient {patient_id!r}")
-        labels = dataset_or_labels.labels(source)
-    else:
-        labels = dataset_or_labels
-    schema = labels.schema
     view: dict[str, object] = {}
-    for var, spec in schema.items():
+    for var, spec in labels.schema.items():
         recs = labels.get(patient_id, var)
         if not recs:
             continue

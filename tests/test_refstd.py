@@ -1,9 +1,12 @@
 """Reference standard assembly: agreement, disagreement, adjudication."""
 
 import random
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwdval import (
     AdjudicationError,
@@ -137,6 +140,86 @@ def test_find_disagreements_three_way_pairs(schema):
     cases = find_disagreements(llm, a1, a2)
     # LLM differs from both abstractors; the abstractors agree
     assert [c.pair for c in cases] == [Pair.LLM_VS_A1, Pair.LLM_VS_A2]
+
+
+def _find_disagreements_oracle(llm, abstractor_1, abstractor_2=None, *, tolerance_days=30):
+    """One sweep per pair over that pair's keys, then a sort into
+    (patient, variable, pair) order."""
+    pairs = {Pair.LLM_VS_A1: (llm, abstractor_1)}
+    if abstractor_2 is not None:
+        pairs[Pair.LLM_VS_A2] = (llm, abstractor_2)
+        pairs[Pair.A1_VS_A2] = (abstractor_1, abstractor_2)
+    cases = []
+    for pair, (set_a, set_b) in pairs.items():
+        for pid, var in sorted(set_a.keys() | set_b.keys()):
+            recs_a, recs_b = set_a.get(pid, var), set_b.get(pid, var)
+            if assertions_agree(llm.schema, var, recs_a, recs_b, tolerance_days):
+                continue
+            cases.append(
+                DisagreementCase(
+                    patient_id=pid,
+                    variable=var,
+                    pair=pair,
+                    llm=llm.get(pid, var),
+                    abstractor_1=abstractor_1.get(pid, var),
+                    abstractor_2=abstractor_2.get(pid, var) if abstractor_2 is not None else (),
+                )
+            )
+    cases.sort(key=lambda c: (c.patient_id, c.variable, list(Pair).index(c.pair)))
+    return cases
+
+
+_SCHEMA = make_schema()
+# 30 and 31 days apart straddle the default tolerance edge.
+_DAYS = st.sampled_from([0, 1, 29, 30, 31, 61]).map(lambda d: date(2020, 1, 1) + timedelta(days=d))
+
+
+@st.composite
+def _drawn_records(draw, source):
+    out = []
+    for pid in ("p0", "p1", "p2"):
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(["I", "II", "unknown"]))
+            out.append(LabelRecord(pid, "stage", value, None, source))
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(["yes", "no", "unknown"]))
+            out.append(LabelRecord(pid, "surgery", value, draw(st.none() | _DAYS), source))
+        for _ in range(draw(st.integers(0, 3))):
+            value = draw(st.sampled_from(["positive", "negative", "unknown"]))
+            day = draw(st.none() | _DAYS) if value == "unknown" else draw(_DAYS)
+            out.append(LabelRecord(pid, "er_result", value, day, source))
+        if draw(st.booleans()):
+            out.append(LabelRecord(pid, "tumor_size_mm", draw(st.sampled_from([10.0, 12.5])), None, source))
+    return out
+
+
+@st.composite
+def _compared_sets(draw):
+    """LLM labels plus one or two abstractor sets; an abstractor either
+    draws its own records or copies most of the LLM's, so keys agree,
+    disagree and are held by one source only."""
+    llm_records = draw(_drawn_records(Source.LLM))
+    sets = [LabelSet(_SCHEMA, Source.LLM, llm_records)]
+    for source in (Source.ABSTRACTOR_1, Source.ABSTRACTOR_2)[: draw(st.integers(1, 2))]:
+        if draw(st.booleans()):
+            records = draw(_drawn_records(source))
+        else:
+            records = [replace(r, source=source) for r in llm_records if draw(st.integers(0, 4))]
+        sets.append(LabelSet(_SCHEMA, source, draw(st.permutations(records))))
+    return sets, draw(st.sampled_from([0, 30]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_compared_sets())
+def test_find_disagreements_equals_the_per_pair_oracle(drawn):
+    sets, tolerance = drawn
+    got = find_disagreements(*sets, tolerance_days=tolerance)
+    want = _find_disagreements_oracle(*sets, tolerance_days=tolerance)
+
+    def rows(cases):
+        return [(c.patient_id, c.variable, c.pair, c.llm, c.abstractor_1, c.abstractor_2) for c in cases]
+
+    assert rows(got) == rows(want)
 
 
 # --- duplicate abstraction ---

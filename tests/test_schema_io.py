@@ -1,6 +1,6 @@
 """Schema validation, label set semantics, and CSV/YAML round trips."""
 
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from rwdval import (
     read_attributes,
     read_labels,
     save_schema,
+    survival_records,
     write_attributes,
     write_labels,
 )
@@ -288,6 +289,47 @@ def test_write_read_round_trip(tmp_path, schema):
     write_labels(labels, path)
     back = read_labels(path, schema, Source.LLM)
     assert back == labels
+
+
+def test_row_order_never_changes_what_a_label_set_answers(tmp_path, schema):
+    # Each patient's er_result list has two values on one date, a later
+    # date and an undated unknown, so its first row as written and as
+    # reversed differ; surgery gives every patient a follow-up anchor.
+    records = []
+    for i, first in enumerate([date(2019, 3, 1), date(2019, 6, 15), date(2020, 1, 2)]):
+        pid = f"p{i}"
+        records += [
+            rec(pid, "er_result", "positive", first),
+            rec(pid, "er_result", "negative", first),
+            rec(pid, "er_result", "negative", first + timedelta(days=200)),
+            rec(pid, "er_result", "unknown"),
+            rec(pid, "surgery", "yes" if i % 2 else "no", date(2022, 5, 1)),
+        ]
+    path = tmp_path / "labels.csv"
+    write_labels(LabelSet(schema, Source.LLM, records), path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    reversed_path = tmp_path / "labels_reversed.csv"
+    reversed_path.write_text(header + "".join(reversed(rows)))
+
+    as_written = read_labels(path, schema, Source.LLM)
+    reversed_rows = read_labels(reversed_path, schema, Source.LLM)
+    assert as_written == reversed_rows
+    for pid, var in as_written.keys():
+        assert as_written.get(pid, var) == reversed_rows.get(pid, var)
+        assert as_written.get_single(pid, var) == reversed_rows.get_single(pid, var)
+    for pid in as_written.patients:
+        assert patient_view(as_written, pid) == patient_view(reversed_rows, pid)
+
+    def cohort(labels):
+        return survival_records(
+            labels,
+            index_variable="er_result",
+            event_variable="surgery",
+            censor_variable="surgery",
+        )
+
+    assert cohort(as_written) == cohort(reversed_rows)
+    assert cohort(as_written).n_included == 3
 
 
 def test_read_inherits_blank_source_cell(tmp_path, schema):
