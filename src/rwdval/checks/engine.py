@@ -6,9 +6,9 @@ count stability, per-stratum rate ranges, or cross-refresh stability.
 Every guideline-informed expected range lives in the suite configuration,
 never in code.
 
-Outcomes are three-valued: pass, fail (a finding), or not-applicable when
-the data needed to establish truth is absent. Prevalence for a check is
-flagged / (evaluated - not_applicable).
+Outcomes are three-valued (``Truth``): pass, fail (a finding), or
+not-applicable when the data needed to establish truth is absent.
+Prevalence for a check is flagged / (evaluated - not_applicable).
 """
 from __future__ import annotations
 
@@ -50,22 +50,15 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-class CheckOutcome(str, Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    NOT_APPLICABLE = "not_applicable"
+def evaluate_patient_check(expr: Expr, view: dict, schema: Schema) -> Truth:
+    """Outcome of one expression for one patient view: ``TRUE`` passes,
+    ``FALSE`` is a finding and ``UNKNOWN`` is not applicable.
 
-
-_TRUTH_TO_OUTCOME = {
-    Truth.TRUE: CheckOutcome.PASS,
-    Truth.FALSE: CheckOutcome.FAIL,
-    Truth.UNKNOWN: CheckOutcome.NOT_APPLICABLE,
-}
-
-
-def evaluate_patient_check(expr: Expr, view: dict, schema: Schema) -> CheckOutcome:
-    """Outcome of one expression for one patient view."""
-    return _TRUTH_TO_OUTCOME[evaluate(expr, view, schema)]
+    ``run_all_checks`` calls it once per patient and check through this
+    module's name, where ``perfbench/spans.py`` wraps it to time patient
+    evaluation; keep the name.
+    """
+    return evaluate(expr, view, schema)
 
 
 @dataclass(frozen=True)
@@ -199,6 +192,13 @@ class StratumTally:
     n_not_applicable: int = 0
     suppressed: bool = False
 
+    def count(self, truth: Truth) -> None:
+        self.n_evaluated += 1
+        if truth is Truth.UNKNOWN:
+            self.n_not_applicable += 1
+        elif truth is Truth.FALSE:
+            self.n_flagged += 1
+
     def to_dict(self) -> dict:
         out = {
             "n_evaluated": self.n_evaluated,
@@ -212,28 +212,38 @@ class StratumTally:
 
 @dataclass
 class CheckResult:
-    check_id: str
-    category: CheckCategory
-    level: CheckLevel
-    severity: Severity
-    description: str
+    check: CheckDefinition
     n_evaluated: int = 0
-    n_flagged: int = 0
     n_not_applicable: int = 0
     findings: list[CheckFinding] = field(default_factory=list)
     stratified: dict[str, dict[str, StratumTally]] = field(default_factory=dict)
+
+    @property
+    def check_id(self) -> str:
+        return self.check.id
+
+    @property
+    def n_flagged(self) -> int:
+        return len(self.findings)
 
     @property
     def prevalence(self) -> float | None:
         denom = self.n_evaluated - self.n_not_applicable
         return self.n_flagged / denom if denom > 0 else None
 
+    def flag(self, scope: str, observed: str, expected: str) -> None:
+        """Record one finding of this check."""
+        self.findings.append(
+            CheckFinding(self.check.id, self.check.severity, scope, observed, expected)
+        )
+
     def to_dict(self) -> dict:
+        check = self.check
         out = {
-            "check_id": self.check_id,
-            "category": self.category.value,
-            "level": self.level.value,
-            "severity": self.severity.value,
+            "check_id": check.id,
+            "category": check.category.value,
+            "level": check.level.value,
+            "severity": check.severity.value,
             "n_evaluated": self.n_evaluated,
             "n_flagged": self.n_flagged,
             "n_not_applicable": self.n_not_applicable,
@@ -389,8 +399,13 @@ def _month_range(first: date, last: date) -> list[str]:
 
 
 def monthly_counts(labels: LabelSet, variable: str) -> tuple[list[str], list[int]]:
-    """Zero-filled per-month record counts for one dated variable."""
+    """Zero-filled per-month record counts for one dated variable.
+
+    Both lists are empty when no known record of the variable is dated.
+    """
     spec = labels.schema[variable]
+    if not spec.kind.has_dates:
+        raise ValueError(f"{variable}: {spec.kind.value} variables carry no date")
     dates = [
         r.event_date
         for pid, var in labels.keys()
@@ -399,7 +414,7 @@ def monthly_counts(labels: LabelSet, variable: str) -> tuple[list[str], list[int
         if r.event_date is not None and r.is_known(spec)
     ]
     if not dates:
-        raise ValueError(f"{variable}: no dated records to bucket by month")
+        return [], []
     months = _month_range(min(dates), max(dates))
     counts = dict.fromkeys(months, 0)
     for d in dates:
@@ -409,7 +424,6 @@ def monthly_counts(labels: LabelSet, variable: str) -> tuple[list[str], list[int
 
 def _run_distribution(
     spec: DistributionRange,
-    check: CheckDefinition,
     labels: LabelSet,
     cohort: Sequence[str],
     result: CheckResult,
@@ -432,33 +446,18 @@ def _run_distribution(
             continue
         frac = eligible.count(token) / n
         if not lo <= frac <= hi:
-            result.n_flagged += 1
-            result.findings.append(
-                CheckFinding(
-                    check_id=check.id,
-                    severity=check.severity,
-                    scope=f"category:{token}",
-                    observed=f"fraction {frac:.4f} of {n}",
-                    expected=f"within [{lo}, {hi}]",
-                )
-            )
+            result.flag(f"category:{token}", f"fraction {frac:.4f} of {n}", f"within [{lo}, {hi}]")
 
 
-def _run_monthly(
-    spec: MonthlyCountStability,
-    check: CheckDefinition,
-    labels: LabelSet,
-    result: CheckResult,
-) -> None:
-    months, counts = monthly_counts(labels, spec.variable)
+def _run_monthly(spec: MonthlyCountStability, labels: LabelSet, result: CheckResult) -> None:
     w = spec.window_months
     if w < 2:
-        raise ValueError(f"{check.id}: window_months must be >= 2")
-    if w > len(counts):
-        raise ValueError(
-            f"{check.id}: window of {w} months exceeds the observed series "
-            f"({len(counts)} months)"
-        )
+        raise ValueError(f"{result.check_id}: window_months must be >= 2")
+    months, counts = monthly_counts(labels, spec.variable)
+    if w > len(counts):  # no dated record, or a series shorter than one window
+        result.n_evaluated += 1
+        result.n_not_applicable += 1
+        return
     half = w // 2
     for i, (month, c) in enumerate(zip(months, counts)):
         result.n_evaluated += 1
@@ -470,24 +469,16 @@ def _run_monthly(
         mad = median(abs(x - med) for x in window)
         scale = max(mad, 0.6745 * math.sqrt(max(med, 1.0)))
         if abs(c - med) > spec.mad_k * scale:
-            result.n_flagged += 1
-            result.findings.append(
-                CheckFinding(
-                    check_id=check.id,
-                    severity=check.severity,
-                    scope=f"month:{month}",
-                    observed=f"count {c}",
-                    expected=(
-                        f"within {spec.mad_k} robust deviations "
-                        f"(scale {scale:g}) of rolling median {med:g}"
-                    ),
-                )
+            result.flag(
+                f"month:{month}",
+                f"count {c}",
+                f"within {spec.mad_k} robust deviations "
+                f"(scale {scale:g}) of rolling median {med:g}",
             )
 
 
 def _run_stratified_rate(
     spec: StratifiedRateRange,
-    check: CheckDefinition,
     dataset: CohortDataset,
     labels: LabelSet,
     cohort: Sequence[str],
@@ -512,21 +503,13 @@ def _run_stratified_rate(
             continue
         rate = sum(1 for v in values if v == spec.positive_value) / len(values)
         if not lo <= rate <= hi:
-            result.n_flagged += 1
-            result.findings.append(
-                CheckFinding(
-                    check_id=check.id,
-                    severity=check.severity,
-                    scope=f"stratum:{stratum}",
-                    observed=f"rate {rate:.4f} of {len(values)}",
-                    expected=f"within [{lo}, {hi}]",
-                )
+            result.flag(
+                f"stratum:{stratum}", f"rate {rate:.4f} of {len(values)}", f"within [{lo}, {hi}]"
             )
 
 
 def _run_refresh(
     spec: RefreshStability,
-    check: CheckDefinition,
     labels: LabelSet,
     previous: LabelSet | None,
     result: CheckResult,
@@ -538,24 +521,11 @@ def _run_refresh(
     delta = refresh_stability(
         previous, labels, spec.variable, tolerance_days=spec.tolerance_days
     )
-    compared = {
-        p
-        for p, v in previous.keys()
-        if v == spec.variable
-    }
-    result.n_evaluated += len(compared)
+    result.n_evaluated += sum(1 for _, v in previous.keys() if v == spec.variable)
+    expected = f"stable across refreshes (tolerance {spec.tolerance_days}d)"
     for change in delta.changed:
-        result.n_flagged += 1
-        result.findings.append(
-            CheckFinding(
-                check_id=check.id,
-                severity=check.severity,
-                scope=change.patient_id,
-                observed=f"{change.reason}: {change.before} -> {change.after}",
-                expected=(
-                    f"stable across refreshes (tolerance {spec.tolerance_days}d)"
-                ),
-            )
+        result.flag(
+            change.patient_id, f"{change.reason}: {change.before} -> {change.after}", expected
         )
 
 
@@ -581,75 +551,51 @@ def run_all_checks(
     labels = dataset.labels(source)
     schema = dataset.schema
     strata = list(strata)
-    results: dict[str, CheckResult] = {}
-    for check in suite:
-        results[check.id] = CheckResult(
-            check_id=check.id,
-            category=check.category,
-            level=check.level,
-            severity=check.severity,
-            description=check.description,
-        )
-    patient_checks = [c for c in suite if c.expr is not None]
-    if patient_checks:
-        stratum_sizes: dict[str, dict[str, int]] = {
-            attr: {k: len(v) for k, v in dataset.strata(attr).items()} for attr in strata
-        }
-        for pid in sorted(dataset.patients):
-            view = patient_view(labels, patient_id=pid)
-            for check in patient_checks:
-                result = results[check.id]
-                outcome = evaluate_patient_check(check.expr, view, schema)
-                result.n_evaluated += 1
-                if outcome == CheckOutcome.NOT_APPLICABLE:
-                    result.n_not_applicable += 1
-                elif outcome == CheckOutcome.FAIL:
-                    result.n_flagged += 1
-                    observed = "; ".join(
-                        f"{var}={view[var]!r}"
-                        for var in sorted(referenced_variables(check.expr))
-                        if var in view
-                    )
-                    result.findings.append(
-                        CheckFinding(
-                            check_id=check.id,
-                            severity=check.severity,
-                            scope=pid,
-                            observed=observed or "no documented values",
-                            expected=to_text(check.expr),
-                        )
-                    )
-                for attr in strata:
-                    value = dataset.attribute(pid, attr)
-                    tallies = result.stratified.setdefault(attr, {})
-                    tally = tallies.setdefault(
-                        value,
-                        StratumTally(
-                            suppressed=stratum_sizes[attr].get(value, 0) < min_stratum_n
-                        ),
-                    )
-                    tally.n_evaluated += 1
-                    if outcome == CheckOutcome.NOT_APPLICABLE:
-                        tally.n_not_applicable += 1
-                    elif outcome == CheckOutcome.FAIL:
-                        tally.n_flagged += 1
     cohort = sorted(dataset.patients)
-    for check in suite:
-        if check.cohort is None:
+    results = [CheckResult(check) for check in suite]
+    # (result, expression, sorted referenced variables, expected text), built once
+    patient_checks = [
+        (r, r.check.expr, sorted(referenced_variables(r.check.expr)), to_text(r.check.expr))
+        for r in results
+        if r.check.expr is not None
+    ]
+    if patient_checks and cohort:
+        sizes = {attr: {v: len(p) for v, p in dataset.strata(attr).items()} for attr in strata}
+        for result, _, _, _ in patient_checks:
+            result.stratified = {
+                attr: {v: StratumTally(suppressed=n < min_stratum_n) for v, n in sizes[attr].items()}
+                for attr in strata
+            }
+        for pid in cohort:
+            view = patient_view(labels, patient_id=pid)
+            stratum_values = [(attr, dataset.attribute(pid, attr)) for attr in strata]
+            for result, expr, variables, expected in patient_checks:
+                truth = evaluate_patient_check(expr, view, schema)
+                result.n_evaluated += 1
+                if truth is Truth.UNKNOWN:
+                    result.n_not_applicable += 1
+                elif truth is Truth.FALSE:
+                    observed = "; ".join(
+                        f"{var}={view[var]!r}" for var in variables if var in view
+                    )
+                    result.flag(pid, observed or "no documented values", expected)
+                for attr, value in stratum_values:
+                    result.stratified[attr][value].count(truth)
+    for result in results:
+        spec = result.check.cohort
+        if spec is None:
             continue
-        spec = check.cohort
-        result = results[check.id]
         if isinstance(spec, DistributionRange):
-            _run_distribution(spec, check, labels, cohort, result)
+            _run_distribution(spec, labels, cohort, result)
         elif isinstance(spec, MonthlyCountStability):
-            _run_monthly(spec, check, labels, result)
+            _run_monthly(spec, labels, result)
         elif isinstance(spec, StratifiedRateRange):
-            _run_stratified_rate(spec, check, dataset, labels, cohort, result)
+            _run_stratified_rate(spec, dataset, labels, cohort, result)
         elif isinstance(spec, RefreshStability):
-            _run_refresh(spec, check, labels, previous, result)
+            _run_refresh(spec, labels, previous, result)
         else:
             raise TypeError(f"unsupported cohort check {spec!r}")
-    return CheckReport(results=list(results.values()))
+    return CheckReport(results=results)
 
 
 # ---- suite loading ----

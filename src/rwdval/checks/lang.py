@@ -33,6 +33,7 @@ the signed day count b - a; durations are written like ``90d``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime
@@ -57,30 +58,23 @@ class Truth(Enum):
     UNKNOWN = "unknown"
 
 
-def kleene_not(a: Truth) -> Truth:
-    if a == Truth.TRUE:
-        return Truth.FALSE
-    if a == Truth.FALSE:
-        return Truth.TRUE
-    return Truth.UNKNOWN
+_NEGATION = {Truth.TRUE: Truth.FALSE, Truth.FALSE: Truth.TRUE, Truth.UNKNOWN: Truth.UNKNOWN}
 
 
-def kleene_and(values) -> Truth:
-    values = list(values)
-    if any(v == Truth.FALSE for v in values):
-        return Truth.FALSE
-    if any(v == Truth.UNKNOWN for v in values):
-        return Truth.UNKNOWN
-    return Truth.TRUE
+def _kleene(truths: Iterable[Truth], decisive: Truth) -> Truth:
+    """Kleene's strong conjunction (``decisive`` FALSE) or disjunction
+    (``decisive`` TRUE) of lazily produced truths.
 
-
-def kleene_or(values) -> Truth:
-    values = list(values)
-    if any(v == Truth.TRUE for v in values):
-        return Truth.TRUE
-    if any(v == Truth.UNKNOWN for v in values):
-        return Truth.UNKNOWN
-    return Truth.FALSE
+    Stops at the first decisive value; otherwise UNKNOWN if any value was,
+    else the negation of ``decisive``.
+    """
+    out = _NEGATION[decisive]
+    for truth in truths:
+        if truth is decisive:
+            return decisive
+        if truth is Truth.UNKNOWN:
+            out = Truth.UNKNOWN
+    return out
 
 
 @dataclass(frozen=True)
@@ -587,18 +581,18 @@ def evaluate(expr: Expr, view: dict, schema: Schema) -> Truth:
             Truth.TRUE if _known_entries(view, schema, expr.var) else Truth.FALSE
         )
     if isinstance(expr, Not):
-        return kleene_not(evaluate(expr.item, view, schema))
+        return _NEGATION[evaluate(expr.item, view, schema)]
     if isinstance(expr, And):
-        return kleene_and(evaluate(i, view, schema) for i in expr.items)
+        return _kleene((evaluate(i, view, schema) for i in expr.items), Truth.FALSE)
     if isinstance(expr, Or):
-        return kleene_or(evaluate(i, view, schema) for i in expr.items)
+        return _kleene((evaluate(i, view, schema) for i in expr.items), Truth.TRUE)
     if isinstance(expr, Implies):
-        return kleene_or(
-            [
-                kleene_not(evaluate(expr.antecedent, view, schema)),
-                evaluate(expr.consequent, view, schema),
-            ]
-        )
+        # (not a) or b; a FALSE decides it without evaluating b
+        antecedent = evaluate(expr.antecedent, view, schema)
+        if antecedent is Truth.FALSE:
+            return Truth.TRUE
+        consequent = evaluate(expr.consequent, view, schema)
+        return _kleene((_NEGATION[antecedent], consequent), Truth.TRUE)
     raise TypeError(f"not an expression: {expr!r}")
 
 

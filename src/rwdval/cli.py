@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import click
+import yaml
 
 from .labelio import IngestError, load_schema, read_labels, save_schema, write_attributes, write_labels
 from .pipeline import (
@@ -28,7 +29,7 @@ from .refstd import AdjudicationError, ReferenceMode, adjudicate_from_oracle, wr
 from .schema import LabelSet, SchemaError, Source
 from .synth import ErrorModel, ErrorRates, GeneratorConfig, corrupt, generate_truth, refresh_snapshot
 
-_RUN_ERRORS = (ConfigError, IngestError, SchemaError, OSError, ValueError)
+_RUN_ERRORS = (ConfigError, IngestError, SchemaError, OSError, ValueError, yaml.YAMLError)
 
 
 @click.group()
@@ -194,11 +195,7 @@ def report(ctx):
 
     out_dir = ctx.obj.get("out_dir")
     if not out_dir:
-        try:
-            config = _load_config(ctx)
-        except SystemExit:
-            raise
-        out_dir = config.output_dir
+        out_dir = _load_config(ctx).output_dir
     if not out_dir:
         _fail("give --out (or a config with output_dir) pointing at a finished run")
     path = Path(out_dir) / "report.json"
@@ -213,7 +210,6 @@ def report(ctx):
 
 
 @main.command()
-@click.option("--preset", type=click.Choice(["breast"]), default="breast")
 @click.option("--n", "n_patients", type=int, default=500, show_default=True)
 @click.option("--miss", type=float, default=0.03, show_default=True)
 @click.option("--flip", type=float, default=0.02, show_default=True)
@@ -223,7 +219,7 @@ def report(ctx):
 @click.option("--with-refresh", is_flag=True, default=False,
               help="Also write a prior extraction snapshot for refresh checks.")
 @click.pass_context
-def simulate(ctx, preset, n_patients, miss, flip, hallucinate, date_shift_rate,
+def simulate(ctx, n_patients, miss, flip, hallucinate, date_shift_rate,
              date_shift_days, with_refresh):
     """Write a synthetic validation workspace ready for `rwdval run`."""
     out_dir = ctx.obj.get("out_dir")

@@ -229,7 +229,10 @@ def load_schema(path: str | Path) -> Schema:
     if not isinstance(doc, dict) or "variables" not in doc:
         raise SchemaError(f"{path}: schema file needs a top-level 'variables' list")
     specs = []
-    for entry in doc["variables"]:
+    for i, entry in enumerate(doc["variables"]):
+        for key in ("name", "kind"):
+            if key not in entry:
+                raise SchemaError(f"{path}: variables[{i}] has no {key!r}")
         allowed = entry.get("allowed_values")
         specs.append(
             VariableSpec(

@@ -357,7 +357,7 @@ def _ratio(num: int, den: int) -> tuple[float, tuple[int, int]] | tuple[None, No
 def compute_metrics(
     counts: ConfusionCounts,
     *,
-    completeness: tuple[int, int] | float | None = None,
+    completeness: tuple[int, int] | None = None,
     n_patients: int = 0,
     ci: dict[str, tuple[float, float]] | None = None,
 ) -> MetricReport:
@@ -384,12 +384,10 @@ def compute_metrics(
     report.date_accuracy, r = _ratio(counts.n_date_correct, counts.n_matched_with_date)
     if r:
         report.ratios["date_accuracy"] = r
-    if isinstance(completeness, tuple):
+    if completeness is not None:
         report.completeness, r = _ratio(*completeness)
         if r:
             report.ratios["completeness"] = r
-    elif completeness is not None:
-        report.completeness = float(completeness)
     return report
 
 

@@ -105,6 +105,13 @@ _LABEL_SOURCES = {
 }
 
 
+def _yes_no(value, key: str) -> bool:
+    """A switch must be a YAML boolean: ``bool("no")`` would read as on."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -162,7 +169,13 @@ def load_run_config(path: str | Path) -> RunConfig:
         )
     pillars_doc = doc.get("pillars") or {}
     pillars = {"metrics": True, "checks": True, "replication": True}
-    pillars.update({k: bool(v) for k, v in pillars_doc.items()})
+    pillars.update({k: _yes_no(v, f"pillars.{k}") for k, v in pillars_doc.items()})
+    thresholds = {str(k): float(v) for k, v in (doc.get("thresholds") or {}).items()}
+    unknown = sorted(set(thresholds) - set(metrics_mod.METRIC_NAMES))
+    if unknown:
+        raise ConfigError(
+            f"thresholds: unknown metric(s) {unknown}; known: {list(metrics_mod.METRIC_NAMES)}"
+        )
     return RunConfig(
         base_dir=base,
         schema_path=resolve(doc["schema"]),
@@ -178,8 +191,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         derived_rules=rules,
         analyses=list(doc.get("analyses", [])),
         tolerances=tolerances,
-        thresholds={str(k): float(v) for k, v in (doc.get("thresholds") or {}).items()},
-        bootstrap=bool(metrics_doc.get("bootstrap", False)),
+        thresholds=thresholds,
+        bootstrap=_yes_no(metrics_doc.get("bootstrap", False), "metrics.bootstrap"),
         pillars=pillars,
         output_dir=resolve(doc["output_dir"]) if doc.get("output_dir") else None,
         raw=doc,
@@ -195,7 +208,7 @@ def _file_digest(path: Path) -> str:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def config_hash(config: RunConfig) -> str:
@@ -356,7 +369,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
                 }
             entry["stratified"] = strat
         for metric, floor in sorted(config.thresholds.items()):
-            value = llm_report.value(metric) if metric in metrics_mod.METRIC_NAMES else None
+            value = llm_report.value(metric)
             if value is not None and value < floor:
                 out["threshold_breaches"].append(
                     {
@@ -472,15 +485,22 @@ def _survival_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, ref
     bench = doc.get("benchmark")
     if bench:
         benchmark = _parse_benchmark(bench)
-        result["concordance"] = benchmark_concordance(benchmark, llm_medians).to_dict()
+        # a group the benchmark names but the cohort lacks has no median
+        if isinstance(benchmark, ToleranceBenchmark):
+            named = dict.fromkeys([benchmark.group])
+        else:
+            named = dict.fromkeys([benchmark.higher, benchmark.lower])
+        result["concordance"] = benchmark_concordance(benchmark, named | llm_medians).to_dict()
         if ref_medians:
-            try:
-                result["reference_concordance"] = benchmark_concordance(
-                    benchmark, ref_medians
-                ).to_dict()
-            except KeyError:
-                pass
+            result["reference_concordance"] = benchmark_concordance(
+                benchmark, named | ref_medians
+            ).to_dict()
     return result
+
+
+def _not_applicable(kind: str, name: str, reason: str) -> dict:
+    """An analysis the data is too thin for; the rest of the run goes on."""
+    return {"kind": kind, "name": name, "status": "not_applicable", "reason": reason}
 
 
 def _distribution_analysis(doc: dict, dataset: CohortDataset) -> dict:
@@ -489,11 +509,14 @@ def _distribution_analysis(doc: dict, dataset: CohortDataset) -> dict:
     reference_dist = {str(k): float(v) for k, v in (doc.get("reference") or {}).items()}
     if not reference_dist:
         raise ConfigError(f"distribution analysis for {variable} needs a reference map")
+    name = str(doc.get("name", f"distribution_{variable}"))
     observed = distribution_from_labels(llm, variable, sorted(dataset.patients))
+    if not observed:
+        return _not_applicable("distribution_vs_reference", name, f"no known {variable} value")
     comparison = compare_distribution(observed, reference_dist)
     return {
         "kind": "distribution_vs_reference",
-        "name": str(doc.get("name", f"distribution_{variable}")),
+        "name": name,
         "variable": variable,
         "observed_counts": dict(sorted(observed.items())),
         "comparison": comparison.to_dict(),
@@ -503,20 +526,17 @@ def _distribution_analysis(doc: dict, dataset: CohortDataset) -> dict:
 def _trend_analysis(doc: dict, dataset: CohortDataset, reference) -> dict:
     llm = dataset.labels(Source.LLM)
     variable = str(doc["variable"])
+    name = str(doc.get("name", f"trend_{variable}"))
     llm_trend = trend_series(llm, variable)
-    out = {
-        "kind": "trend",
-        "name": str(doc.get("name", f"trend_{variable}")),
-        "variable": variable,
-        "llm": llm_trend.to_dict(),
-    }
+    if not llm_trend.months:
+        return _not_applicable("trend", name, f"no dated {variable} record to bucket by month")
+    out = {"kind": "trend", "name": name, "variable": variable, "llm": llm_trend.to_dict()}
     ref_labels = _reference_label_set(dataset, reference)
-    if ref_labels is not None and any(
-        var == variable for _, var in ref_labels.keys()
-    ):
+    if ref_labels is not None:
         ref_trend = trend_series(ref_labels, variable)
-        out["reference"] = ref_trend.to_dict()
-        out["comparison"] = compare_trend(llm_trend, ref_trend).to_dict()
+        if ref_trend.months:
+            out["reference"] = ref_trend.to_dict()
+            out["comparison"] = compare_trend(llm_trend, ref_trend).to_dict()
     return out
 
 
@@ -541,7 +561,7 @@ def _equity_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, refer
     try:
         report = replicate(cohort)
     except ValueError as exc:  # every stratum falls below min_stratum_n
-        return {"kind": "equity", "name": name, "status": "not_applicable", "reason": str(exc)}
+        return _not_applicable("equity", name, str(exc))
     for group, curve in report.curves.items():
         curves[f"{name}_{group}_llm"] = curve
     out = {

@@ -259,8 +259,9 @@ def compare_distribution(
 
     Categories are unioned with zero fill on either side. Total variation
     distance is always reported; the chi-square goodness-of-fit statistic
-    is computed only when every expected count is at least 5 and the
-    reference puts mass on every observed category.
+    is computed only when there are at least two categories, every
+    expected count is at least 5 and the reference puts mass on every
+    observed category.
     """
     if any(c < 0 for c in observed.values()):
         raise ValueError("observed counts must be non-negative")
@@ -283,7 +284,10 @@ def compare_distribution(
     applicable = True
     reason = None
     expected = [n * reference.get(cat, 0.0) / ref_total for cat in categories]
-    if any(e == 0 for e in expected):
+    if len(categories) < 2:
+        applicable = False
+        reason = "one category leaves no degrees of freedom"
+    elif any(e == 0 for e in expected):
         applicable = False
         reason = "reference has zero mass on an observed category"
     elif min(expected) < 5:

@@ -26,7 +26,6 @@ from rwdval.checks.engine import (
     CheckCategory,
     CheckDefinition,
     CheckLevel,
-    CheckOutcome,
     CheckSuite,
     DistributionRange,
     MonthlyCountStability,
@@ -54,6 +53,7 @@ from rwdval.checks.lang import (
     Value,
     WithinDays,
     referenced_variables,
+    typecheck,
 )
 from rwdval.schema import SchemaError
 
@@ -297,9 +297,132 @@ def test_outcome_mapping(schema):
     expr = parse_check("value(stage) = 'I'", schema)
     ok = view_of(schema, [rec("p1", "stage", "I")])
     bad = view_of(schema, [rec("p1", "stage", "II")])
-    assert evaluate_patient_check(expr, ok, schema) == CheckOutcome.PASS
-    assert evaluate_patient_check(expr, bad, schema) == CheckOutcome.FAIL
-    assert evaluate_patient_check(expr, {}, schema) == CheckOutcome.NOT_APPLICABLE
+    assert evaluate_patient_check(expr, ok, schema) == Truth.TRUE
+    assert evaluate_patient_check(expr, bad, schema) == Truth.FALSE
+    assert evaluate_patient_check(expr, {}, schema) == Truth.UNKNOWN
+
+
+# The connectives as they were before they short-circuited: each copies its
+# operands into a list and scans it; ``Implies`` evaluates both sides. Kept
+# as the oracle for ``evaluate``'s folds.
+
+
+def _oracle_not(a):
+    if a == Truth.TRUE:
+        return Truth.FALSE
+    if a == Truth.FALSE:
+        return Truth.TRUE
+    return Truth.UNKNOWN
+
+
+def _oracle_and(values):
+    values = list(values)
+    if any(v == Truth.FALSE for v in values):
+        return Truth.FALSE
+    if any(v == Truth.UNKNOWN for v in values):
+        return Truth.UNKNOWN
+    return Truth.TRUE
+
+
+def _oracle_or(values):
+    values = list(values)
+    if any(v == Truth.TRUE for v in values):
+        return Truth.TRUE
+    if any(v == Truth.UNKNOWN for v in values):
+        return Truth.UNKNOWN
+    return Truth.FALSE
+
+
+def _oracle_evaluate(expr, view, schema):
+    if isinstance(expr, Not):
+        return _oracle_not(_oracle_evaluate(expr.item, view, schema))
+    if isinstance(expr, And):
+        return _oracle_and(_oracle_evaluate(i, view, schema) for i in expr.items)
+    if isinstance(expr, Or):
+        return _oracle_or(_oracle_evaluate(i, view, schema) for i in expr.items)
+    if isinstance(expr, Implies):
+        return _oracle_or(
+            [
+                _oracle_not(_oracle_evaluate(expr.antecedent, view, schema)),
+                _oracle_evaluate(expr.consequent, view, schema),
+            ]
+        )
+    return evaluate(expr, view, schema)  # atoms
+
+
+_VARS = ["stage", "surgery", "er_result", "tumor_size_mm"]
+_dates = st.integers(0, 120).map(day)
+_dated_vars = st.sampled_from([DateOf("surgery"), DateOf("er_result")])
+_date_operands = st.one_of(_dated_vars, _dates.map(Lit))
+_order_ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+
+# Well-typed atoms on the test schema: ``exists`` and ``known`` are always
+# determinate; the comparisons are indeterminate when a side is undocumented.
+_typed_atoms = st.one_of(
+    st.sampled_from(_VARS).map(Exists),
+    st.sampled_from(_VARS).map(Known),
+    st.tuples(st.sampled_from(["=", "!="]), st.sampled_from(["I", "II", "III"])).map(
+        lambda t: Cmp(t[0], Value("stage"), Lit(t[1]))
+    ),
+    st.sampled_from(["positive", "negative"]).map(lambda v: Cmp("=", Value("er_result"), Lit(v))),
+    st.tuples(_order_ops, st.integers(0, 60)).map(
+        lambda t: Cmp(t[0], Value("tumor_size_mm"), Lit(t[1]))
+    ),
+    st.tuples(st.sampled_from(["before", "after"]), _dated_vars, _date_operands).map(
+        lambda t: Cmp(*t)
+    ),
+    st.tuples(_order_ops, _dated_vars, _dated_vars, st.integers(-60, 60)).map(
+        lambda t: Cmp(t[0], DaysBetween(t[1], t[2]), Lit(Duration(t[3])))
+    ),
+    st.tuples(_dated_vars, _date_operands, st.integers(0, 60)).map(
+        lambda t: WithinDays(t[0], t[1], Duration(t[2]))
+    ),
+)
+
+
+def _typed_exprs(depth):
+    if depth <= 0:
+        return _typed_atoms
+    sub = _typed_exprs(depth - 1)
+    return st.one_of(
+        _typed_atoms,
+        sub.map(Not),
+        st.lists(sub, min_size=2, max_size=4).map(lambda xs: And(tuple(xs))),
+        st.lists(sub, min_size=2, max_size=4).map(lambda xs: Or(tuple(xs))),
+        st.tuples(sub, sub).map(lambda t: Implies(*t)),
+    )
+
+
+@st.composite
+def _views(draw):
+    """A patient view as ``patient_view`` builds it; any variable may be
+    undocumented or documented unknown."""
+    view = {}
+    if draw(st.booleans()):
+        view["stage"] = draw(st.sampled_from(["I", "II", "III", "unknown"]))
+    if draw(st.booleans()):
+        value = draw(st.sampled_from(["yes", "no", "unknown"]))
+        view["surgery"] = (value, draw(st.one_of(st.none(), _dates)))
+    if draw(st.booleans()):
+        events = draw(
+            st.lists(
+                st.tuples(st.sampled_from(["positive", "negative", "unknown"]), _dates),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        view["er_result"] = tuple(sorted(events, key=lambda e: e[1]))
+    if draw(st.booleans()):
+        view["tumor_size_mm"] = draw(st.integers(0, 60))
+    return view
+
+
+@settings(max_examples=400, deadline=None)
+@given(_typed_exprs(3), _views())
+def test_short_circuit_connectives_equal_the_list_oracle(expr, view):
+    schema = make_schema()
+    typecheck(expr, schema)
+    assert evaluate(expr, view, schema) == _oracle_evaluate(expr, view, schema)
 
 
 def test_referenced_variables():
@@ -439,12 +562,36 @@ def test_monthly_poisson_noise_not_flagged(schema):
     assert result.n_flagged == 0
 
 
-def test_monthly_window_longer_than_series_rejected(schema):
-    ds = dataset_of(schema, monthly_records([5, 5, 5]))
+def _monthly_result(schema, records):
+    ds = dataset_of(schema, records)
     suite = CheckSuite(
         [check_of(MonthlyCountStability(variable="surgery", window_months=12))]
     )
-    with pytest.raises(ValueError):
+    return run_all_checks(suite, ds).result("c1")
+
+
+def test_monthly_window_longer_than_series_is_not_applicable(schema):
+    # a series shorter than one window gives one not-applicable evaluation
+    # instead of stopping the run
+    result = _monthly_result(schema, monthly_records([5, 5, 5]))
+    assert result.n_evaluated == 1
+    assert result.n_not_applicable == 1
+    assert result.n_flagged == 0
+
+
+def test_monthly_without_dated_records_is_not_applicable(schema):
+    result = _monthly_result(schema, [rec("p1", "surgery", "no"), rec("p2", "surgery", "unknown")])
+    assert result.n_evaluated == 1
+    assert result.n_not_applicable == 1
+    assert result.n_flagged == 0
+
+
+def test_monthly_window_below_two_rejected(schema):
+    ds = dataset_of(schema, monthly_records([5, 5, 5]))
+    suite = CheckSuite(
+        [check_of(MonthlyCountStability(variable="surgery", window_months=1))]
+    )
+    with pytest.raises(ValueError, match="window_months must be >= 2"):
         run_all_checks(suite, ds)
 
 
@@ -719,3 +866,49 @@ def test_run_all_checks_stratified_tallies(schema):
         "stage_is_one"
     )
     assert tiny.stratified["site"]["east"].suppressed
+
+
+def test_stratum_tallies_sum_to_check_totals(schema):
+    # every patient lands in exactly one stratum per attribute, so each
+    # attribute's strata partition the check's three counts
+    records, attrs = [], {}
+    for i in range(40):
+        pid = f"p{i:02d}"
+        if i % 5:
+            records.append(rec(pid, "stage", ["I", "II", "III", "unknown"][i % 4]))
+        if i % 3:
+            records.append(rec(pid, "surgery", "yes" if i % 2 else "no", day(i)))
+        attrs[pid] = {"site": ["east", "west", "north"][i % 3]}
+        if i % 7:
+            attrs[pid]["sex"] = "F" if i % 2 else "M"  # absent reads as missing
+    ds = dataset_of(schema, records, patients=sorted(attrs), attrs=attrs)
+    texts = {
+        "stage_one": "value(stage) = 'I'",
+        "surgery_needs_stage": "value(surgery) = 'yes' implies known(stage)",
+        "stage_or_surgery": "value(stage) != 'III' or exists(surgery)",
+    }
+    suite = CheckSuite(
+        [
+            CheckDefinition(
+                id=cid,
+                category=CheckCategory.CONSISTENCY,
+                level=CheckLevel.PATIENT,
+                severity=Severity.WARNING,
+                description="",
+                expr=parse_check(text, schema),
+            )
+            for cid, text in texts.items()
+        ]
+    )
+    report = run_all_checks(suite, ds, strata=["site", "sex"], min_stratum_n=5)
+    for cid in texts:
+        result = report.result(cid)
+        assert result.n_evaluated == 40
+        assert result.n_flagged == len(result.findings)
+        assert sorted(result.stratified) == ["sex", "site"]
+        for attr, tallies in result.stratified.items():
+            for count in ("n_evaluated", "n_flagged", "n_not_applicable"):
+                total = sum(getattr(t, count) for t in tallies.values())
+                assert total == getattr(result, count), (cid, attr, count)
+    assert sum(r.n_flagged for r in report.results) > 0
+    assert sum(r.n_not_applicable for r in report.results) > 0

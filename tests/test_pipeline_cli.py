@@ -238,6 +238,46 @@ def test_equity_too_thin_is_not_applicable_and_the_run_goes_on(tmp_path):
     assert not any("os_equity" in issue for issue in report["issues"])
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_tiny_cohorts_never_stop_the_run(tmp_path, seed, n):
+    # between them these nine workspaces hold a month series shorter than
+    # the monthly check's window, no dated metastatic_dx at all, no known
+    # first_line_regimen, and no patient in the benchmark's arm B
+    runner = CliRunner()
+    ws = tmp_path / "ws"
+    result = runner.invoke(main, ["--out", str(ws), "--seed", seed, "simulate", "--n", n])
+    assert result.exit_code == 0, text(result)
+    result = runner.invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1), text(result)
+    assert "error:" not in text(result)
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
+def test_one_category_distribution_writes_strict_json(workspace, tmp_path):
+    doc = yaml.safe_load((workspace / "run.yaml").read_text())
+    doc["pillars"] = {"metrics": False, "checks": False}
+    doc["analyses"] = [
+        {"kind": "distribution_vs_reference", "variable": "initial_dx", "reference": {"yes": 1.0}}
+    ]
+    config = workspace / "run_one_category.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    run_from_config_file(config, out_dir=tmp_path / "out")
+    report = json.loads(
+        (tmp_path / "out" / "report.json").read_text(), parse_constant=_reject_constant
+    )
+    (analysis,) = report["replication"]["analyses"]
+    assert analysis["observed_counts"].keys() == {"yes"}
+    comparison = analysis["comparison"]
+    assert comparison["chi2_applicable"] is False
+    assert comparison["chi2_reason"] == "one category leaves no degrees of freedom"
+    assert comparison["chi2_pvalue"] is None
+
+
 _RUN_AND_LIST_MODULES = """
 import sys
 from rwdval.cli import main
@@ -404,3 +444,34 @@ def test_config_validation_errors(tmp_path):
     (tmp_path / "not_map.yaml").write_text("- just\n- a list\n")
     with pytest.raises(ConfigError):
         load_run_config(tmp_path / "not_map.yaml")
+
+@pytest.mark.parametrize(
+    "section, value, key",
+    [("metrics", {"bootstrap": "no"}, "metrics.bootstrap"), ("pillars", {"metrics": "no"}, "pillars.metrics")],
+)
+def test_switches_must_be_yaml_booleans(tmp_path, section, value, key):
+    # bool("no") is True: a quoted "no" used to switch the bootstrap on
+    cfg_path = small_workspace(tmp_path)
+    doc = yaml.safe_load(cfg_path.read_text())
+    doc[section] = {**doc.get(section, {}), **value}
+    cfg_path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_run_config(cfg_path)
+
+
+def test_unknown_threshold_metric_rejected(tmp_path):
+    cfg_path = small_workspace(tmp_path, with_adjudicator=True)
+    doc = yaml.safe_load(cfg_path.read_text())
+    doc["thresholds"] = {"recal": 0.999}
+    cfg_path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match="'recal'"):
+        load_run_config(cfg_path)
+
+
+def test_yaml_syntax_error_is_a_run_failure(tmp_path):
+    cfg_path = small_workspace(tmp_path)
+    cfg_path.write_text(cfg_path.read_text() + "thresholds: {recall: [0.9\n")
+    result = CliRunner().invoke(main, ["--config", str(cfg_path), "run"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: while parsing" in text(result)

@@ -436,6 +436,17 @@ def test_schema_yaml_round_trip(tmp_path, schema):
         assert back[name] == schema[name]
 
 
+def test_schema_entry_without_name_names_its_index(tmp_path):
+    path = tmp_path / "schema.yaml"
+    path.write_text(
+        "variables:\n"
+        "  - {name: tumor_size_mm, kind: numeric}\n"
+        "  - {kind: numeric}\n"
+    )
+    with pytest.raises(SchemaError, match=r"variables\[1\] has no 'name'"):
+        load_schema(path)
+
+
 # --- property: any valid label set survives a write/read cycle ---
 
 _values = {
