@@ -1,10 +1,12 @@
 """Command-line interface for the validation engine.
 
 Subcommands mirror the pillars: ingest and refstd prepare inputs, metrics
-/ checks / replicate run one pillar each, run executes everything, report
-re-prints a previous run, and simulate builds a synthetic workspace to
-try the whole flow on. Exit codes are uniform: 0 clean, 1 validation
-issues (including an unassembled reference standard), 2 run failure.
+/ checks / replicate run one pillar each, run executes the pillars the
+config enables (all by default), report re-prints a previous run, and
+simulate builds a synthetic workspace to try the whole flow on. Exit codes
+are uniform: 0 clean, 1 validation issues (including an unassembled
+reference standard), 2 run failure, which the group maps from any
+subcommand's run error in one place.
 """
 from __future__ import annotations
 
@@ -32,7 +34,17 @@ from .synth import ErrorModel, ErrorRates, GeneratorConfig, corrupt, generate_tr
 _RUN_ERRORS = (ConfigError, IngestError, SchemaError, OSError, ValueError, yaml.YAMLError)
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: any subcommand's run error exits 2 with a message."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _RUN_ERRORS as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Run configuration YAML.")
 @click.option("--seed", type=int, default=None, help="Override the configured random seed.")
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Output directory override.")
@@ -65,15 +77,14 @@ def _load_config(ctx: click.Context):
     return config
 
 
-def _run_and_report(ctx: click.Context, pillars: dict[str, bool]):
-    try:
-        config = _load_config(ctx)
-        config.pillars = pillars
-        result = run_pipeline(config)
-        if config.output_dir is not None:
-            emit_report(result, config.output_dir)
-    except _RUN_ERRORS as exc:
-        _fail(str(exc))
+def _run_and_report(ctx: click.Context, only: str | None = None):
+    """Run the configured pillars, or just the pillar ``only``."""
+    config = _load_config(ctx)
+    if only is not None:
+        config.pillars = {name: name == only for name in config.pillars}
+    result = run_pipeline(config)
+    if config.output_dir is not None:
+        emit_report(result, config.output_dir)
     if ctx.obj["format"] == "json":
         click.echo(canonical_json(result.report), nl=False)
     else:
@@ -85,17 +96,13 @@ def _run_and_report(ctx: click.Context, pillars: dict[str, bool]):
 @click.argument("label_file", type=click.Path(exists=True))
 @click.option("--schema", "schema_path", type=click.Path(exists=True), required=True)
 @click.option("--source", "source_name", type=click.Choice([s.value for s in Source]), required=True)
-@click.option("--refresh-id", default=None, help="Require this refresh id on every row.")
+@click.option("--refresh-id", default=None,
+              help="Require this refresh id on every row; an empty refresh_id cell takes it.")
 @click.pass_context
 def ingest(ctx, label_file, schema_path, source_name, refresh_id):
     """Validate one label file against a schema and report its shape."""
-    try:
-        schema = load_schema(schema_path)
-        labels = read_labels(
-            label_file, schema, Source(source_name), expected_refresh_id=refresh_id
-        )
-    except _RUN_ERRORS as exc:
-        _fail(str(exc))
+    schema = load_schema(schema_path)
+    labels = read_labels(label_file, schema, Source(source_name), expected_refresh_id=refresh_id)
     click.echo(
         f"ok: {len(labels)} records, {len(labels.patients)} patients, "
         f"{len(labels.variables)} variables"
@@ -134,15 +141,10 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
         ref, _, _ = assemble_reference(config, dataset, adjudications)
     except AdjudicationError as exc:
         if worklist_path:
-            try:
-                write_disagreements(exc.worklist, worklist_path)
-            except OSError as inner:
-                _fail(str(inner))
+            write_disagreements(exc.worklist, worklist_path)
             click.echo(f"worklist written: {worklist_path} ({len(exc.worklist)} cases)")
         click.echo(f"reference standard blocked: {exc}", err=True)
         ctx.exit(1)
-    except _RUN_ERRORS as exc:
-        _fail(str(exc))
     out_dir = ctx.obj.get("out_dir") or config.output_dir
     if out_dir:
         out = Path(out_dir)
@@ -163,28 +165,28 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
 @click.pass_context
 def metrics(ctx):
     """Variable-level metrics against the reference standard."""
-    _run_and_report(ctx, {"metrics": True, "checks": False, "replication": False})
+    _run_and_report(ctx, "metrics")
 
 
 @main.command()
 @click.pass_context
 def checks(ctx):
     """Run the verification check suite."""
-    _run_and_report(ctx, {"metrics": False, "checks": True, "replication": False})
+    _run_and_report(ctx, "checks")
 
 
 @main.command()
 @click.pass_context
 def replicate(ctx):
     """Replicate configured analyses and score benchmark concordance."""
-    _run_and_report(ctx, {"metrics": False, "checks": False, "replication": True})
+    _run_and_report(ctx, "replication")
 
 
 @main.command()
 @click.pass_context
 def run(ctx):
-    """Run every pillar and write the full report bundle."""
-    _run_and_report(ctx, {"metrics": True, "checks": True, "replication": True})
+    """Run the pillars the config enables (all by default) and write the report bundle."""
+    _run_and_report(ctx)
 
 
 @main.command()
@@ -227,53 +229,52 @@ def simulate(ctx, n_patients, miss, flip, hallucinate, date_shift_rate,
         _fail("simulate needs --out DIR (give it before the subcommand)")
     seed = ctx.obj.get("seed") or 0
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        config = GeneratorConfig(n_patients=n_patients)
-        dataset = generate_truth(config, seed=seed)
-        llm_model = ErrorModel(
-            default=ErrorRates(
-                miss=miss,
-                hallucinate=hallucinate,
-                flip=flip,
-                date_shift_rate=date_shift_rate,
-                date_shift_days=date_shift_days,
-            )
+    out.mkdir(parents=True, exist_ok=True)
+    config = GeneratorConfig(n_patients=n_patients)
+    dataset = generate_truth(config, seed=seed)
+    llm_model = ErrorModel(
+        default=ErrorRates(
+            miss=miss,
+            hallucinate=hallucinate,
+            flip=flip,
+            date_shift_rate=date_shift_rate,
+            date_shift_days=date_shift_days,
         )
-        a1_model = ErrorModel(
-            default=ErrorRates(
-                miss=miss / 3,
-                hallucinate=hallucinate / 3,
-                flip=flip / 3,
-                date_shift_rate=date_shift_rate / 3,
-                date_shift_days=date_shift_days,
-            )
+    )
+    a1_model = ErrorModel(
+        default=ErrorRates(
+            miss=miss / 3,
+            hallucinate=hallucinate / 3,
+            flip=flip / 3,
+            date_shift_rate=date_shift_rate / 3,
+            date_shift_days=date_shift_days,
         )
-        llm = corrupt(dataset, llm_model, source=Source.LLM, seed=seed + 1)
-        a1 = corrupt(dataset, a1_model, source=Source.ABSTRACTOR_1, seed=seed + 2)
-        a2 = dataset.labels(Source.REFERENCE).relabel(Source.ABSTRACTOR_2)
-        save_schema(dataset.schema, out / "schema.yaml")
-        write_attributes(dataset.patients, out / "attributes.csv")
-        write_labels(a1, out / "labels_abstractor_1.csv")
-        write_labels(a2, out / "labels_abstractor_2.csv")
-        previous_line = ""
-        if with_refresh:
-            refresh_model = ErrorModel(
-                default=ErrorRates(instability=0.01, date_shift_days=30)
-            )
-            first = llm.relabel(Source.LLM, refresh_id="1")
-            second = refresh_snapshot(
-                first, refresh_model, seed=seed + 3, refresh_id="2"
-            )
-            write_labels(first, out / "labels_llm_refresh1.csv")
-            write_labels(second, out / "labels_llm.csv")
-            previous_line = "previous_labels: labels_llm_refresh1.csv\n"
-        else:
-            write_labels(llm, out / "labels_llm.csv")
-        regimen_lines = "\n".join(
-            f"    {name}: {p}" for name, p in sorted(config.regimens.items())
+    )
+    llm = corrupt(dataset, llm_model, source=Source.LLM, seed=seed + 1)
+    a1 = corrupt(dataset, a1_model, source=Source.ABSTRACTOR_1, seed=seed + 2)
+    a2 = dataset.labels(Source.REFERENCE).relabel(Source.ABSTRACTOR_2)
+    save_schema(dataset.schema, out / "schema.yaml")
+    write_attributes(dataset.patients, out / "attributes.csv")
+    write_labels(a1, out / "labels_abstractor_1.csv")
+    write_labels(a2, out / "labels_abstractor_2.csv")
+    previous_line = ""
+    if with_refresh:
+        refresh_model = ErrorModel(
+            default=ErrorRates(instability=0.01, date_shift_days=30)
         )
-        run_yaml = f"""schema: schema.yaml
+        first = llm.relabel(Source.LLM, refresh_id="1")
+        second = refresh_snapshot(
+            first, refresh_model, seed=seed + 3, refresh_id="2"
+        )
+        write_labels(first, out / "labels_llm_refresh1.csv")
+        write_labels(second, out / "labels_llm.csv")
+        previous_line = "previous_labels: labels_llm_refresh1.csv\n"
+    else:
+        write_labels(llm, out / "labels_llm.csv")
+    regimen_lines = "\n".join(
+        f"    {name}: {p}" for name, p in sorted(config.regimens.items())
+    )
+    run_yaml = f"""schema: schema.yaml
 labels:
   llm: labels_llm.csv
   abstractor_1: labels_abstractor_1.csv
@@ -322,9 +323,7 @@ tolerances:
   seed: {seed}
 output_dir: results
 """
-        (out / "run.yaml").write_text(run_yaml)
-    except _RUN_ERRORS as exc:
-        _fail(str(exc))
+    (out / "run.yaml").write_text(run_yaml)
     click.echo(f"synthetic workspace written to {out}")
     click.echo(f"next: rwdval --config {out / 'run.yaml'} run")
 

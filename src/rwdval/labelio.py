@@ -65,10 +65,12 @@ def read_labels(
 ) -> LabelSet:
     """Read and validate one label file into a LabelSet.
 
-    Rows must carry the declared source (an empty source cell inherits it).
-    Row order never affects the result. Raises IngestError listing every
-    unknown variable, out-of-set value, malformed date, duplicate
-    single-valued record, and source mismatch with its row number.
+    Rows must carry the declared source (an empty source cell inherits it)
+    and, when ``expected_refresh_id`` is given, that refresh id (an empty
+    refresh_id cell inherits it). Row order never affects the result.
+    Raises IngestError listing every unknown variable, out-of-set value,
+    malformed date, duplicate single-valued record, source mismatch and
+    refresh id mismatch with its row number.
     """
     source = Source(source)
     path = Path(path)
@@ -97,6 +99,13 @@ def read_labels(
                 problems.append(
                     f"row {lineno}: source {source_text!r} does not match declared "
                     f"{source.value!r}"
+                )
+                continue
+            refresh = refresh or expected_refresh_id
+            if expected_refresh_id is not None and refresh != expected_refresh_id:
+                problems.append(
+                    f"row {lineno}: refresh_id {refresh!r} does not match expected "
+                    f"{expected_refresh_id!r}"
                 )
                 continue
             try:

@@ -21,7 +21,6 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from .schema import (
 )
 
 EVENT_PRESENCE = None  # positive_class sentinel for event_list variables
-
-_EXACT_MATCH_LIMIT = 8
 
 DERIVED_POSITIVE = "positive"
 DERIVED_NEGATIVE = "negative"
@@ -65,21 +62,35 @@ def match_events(
 ) -> MatchResult:
     """Match predicted to reference event dates within a day tolerance.
 
-    Each event is used at most once. For inputs up to eight events per side
-    the matching is exact: maximum cardinality, then minimum total absolute
-    day distance, then lexicographically earliest (reference, predicted)
-    pairs. Larger inputs fall back to an earliest-compatible greedy sweep
-    that preserves maximum cardinality for this interval structure but may
-    not minimize total distance.
+    Each event is used at most once, and the matching is exact at every
+    input size: maximum cardinality, then minimum total absolute day
+    distance, then lexicographically earliest (reference, predicted) pairs.
+
+    The optimum never crosses. Take reference dates a <= b and predicted
+    dates c < d. If (a, d) and (b, c) are both within tolerance, so are
+    (a, c) and (b, d); uncrossing never adds distance and makes the pair
+    list lexicographically earlier. So one table over the sorted dates
+    finds it: cell (i, j) is the best matching of ``ref[i:]`` against
+    ``pred[j:]``, which skips ``ref[i]``, skips ``pred[j]``, or pairs them.
+    The table is filled one reference date per row, keeping two rows.
     """
     if tolerance_days < 0:
         raise ValueError("tolerance_days must be >= 0")
     pred = sorted(pred_events)
     ref = sorted(ref_events)
-    if max(len(pred), len(ref)) <= _EXACT_MATCH_LIMIT:
-        pairs = _match_exact(tuple(pred), tuple(ref), tolerance_days)
-    else:
-        pairs = _match_greedy(pred, ref, tolerance_days)
+    # a cell is (-cardinality, total days, (reference, predicted) pairs)
+    below = [(0, 0, ())] * (len(pred) + 1)
+    for r in reversed(ref):
+        row = [(0, 0, ())] * (len(pred) + 1)
+        for j in range(len(pred) - 1, -1, -1):
+            best = min(below[j], row[j + 1])
+            delta = abs((pred[j] - r).days)
+            if delta <= tolerance_days:
+                neg_card, days, pairs = below[j + 1]
+                best = min(best, (neg_card - 1, days + delta, ((r, pred[j]),) + pairs))
+            row[j] = best
+        below = row
+    pairs = below[0][2]
     used_pred = list(pred)
     used_ref = list(ref)
     for r, p in pairs:
@@ -90,49 +101,6 @@ def match_events(
         unmatched_pred=tuple(used_pred),
         unmatched_ref=tuple(used_ref),
     )
-
-
-def _match_exact(
-    pred: tuple[date, ...], ref: tuple[date, ...], tol: int
-) -> tuple[tuple[date, date], ...]:
-    """Optimal assignment over (ref index, used-pred bitmask) states."""
-
-    @lru_cache(maxsize=None)
-    def best(i: int, mask: int):
-        if i == len(ref):
-            return (0, 0, ())
-        options = [best(i + 1, mask)]
-        for j, p in enumerate(pred):
-            if mask & (1 << j):
-                continue
-            delta = abs((p - ref[i]).days)
-            if delta <= tol:
-                neg_card, days, pairs = best(i + 1, mask | (1 << j))
-                options.append((neg_card - 1, days + delta, ((ref[i], p),) + pairs))
-        return min(options)
-
-    result = best(0, 0)[2]
-    best.cache_clear()
-    return result
-
-
-def _match_greedy(pred: list[date], ref: list[date], tol: int) -> tuple[tuple[date, date], ...]:
-    pairs = []
-    used = [False] * len(pred)
-    j = 0
-    for r in ref:
-        while j < len(pred) and (r - pred[j]).days > tol:
-            j += 1
-        for k in range(j, len(pred)):
-            if used[k]:
-                continue
-            if abs((pred[k] - r).days) <= tol:
-                used[k] = True
-                pairs.append((r, pred[k]))
-                break
-            if (pred[k] - r).days > tol:
-                break
-    return tuple(pairs)
 
 
 @dataclass
@@ -245,8 +213,8 @@ def _patient_rows(
             m = match_events(pred_events, ref_events, tol)
             fp = len(m.unmatched_pred) + pred_undated
             fn = len(m.unmatched_ref) + ref_undated
-            n_correct = sum(1 for p, r in m.pairs if abs((p - r).days) <= tol)
-            rows.append((m.n_matched, fp, fn, m.n_matched, n_correct, known))
+            # every matched pair is dated and within tolerance by construction
+            rows.append((m.n_matched, fp, fn, m.n_matched, m.n_matched, known))
             continue
         pred_rec = pred_recs[0] if known else None
         ref_rec = ref_recs[0] if _known(ref_recs, spec) else None

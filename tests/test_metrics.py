@@ -1,7 +1,8 @@
 """Metric computation against independent oracles.
 
 The event matcher is checked against exhaustive enumeration of every
-injective partial matching, the confusion logic against a from-scratch
+injective partial matching on small inputs and against an optimal
+assignment solver on larger ones, the confusion logic against a from-scratch
 reimplementation of the scoring rules, and the bootstrap against the
 binomial standard error it should approximate.
 """
@@ -14,8 +15,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.optimize import linear_sum_assignment
 
 from rwdval import (
     CohortDataset,
@@ -89,8 +89,8 @@ def enumerate_best(pred_days, ref_days, tol):
 def test_match_events_equals_enumeration_randomized():
     rng = random.Random(20260822)
     for _ in range(400):
-        n_pred = rng.randint(0, 4)
-        n_ref = rng.randint(0, 4)
+        n_pred = rng.randint(0, 6)
+        n_ref = rng.randint(0, 6)
         pred = [rng.randint(0, 40) for _ in range(n_pred)]
         ref = [rng.randint(0, 40) for _ in range(n_ref)]
         tol = rng.choice([0, 3, 10, 30])
@@ -122,24 +122,25 @@ def test_match_negative_tolerance_rejected():
         match_events([], [], -1)
 
 
-def test_greedy_fallback_keeps_maximum_cardinality():
-    # above eight events per side the matcher switches to the greedy sweep;
-    # cardinality must still agree with a maximum bipartite matching
+def test_match_events_equals_linear_sum_assignment():
+    # above the sizes enumeration can afford, an optimal assignment gives
+    # the cardinality and total distance: an out-of-tolerance pair costs
+    # more than any feasible total, so the assignment first avoids those
     rng = random.Random(7)
     for _ in range(60):
-        n_pred = rng.randint(9, 14)
-        n_ref = rng.randint(9, 14)
-        pred = sorted(rng.randint(0, 120) for _ in range(n_pred))
-        ref = sorted(rng.randint(0, 120) for _ in range(n_ref))
+        n_pred = rng.randint(9, 20)
+        n_ref = rng.randint(9, 20)
+        pred = [rng.randint(0, 120) for _ in range(n_pred)]
+        ref = [rng.randint(0, 120) for _ in range(n_ref)]
         tol = rng.choice([0, 5, 15])
         got = match_events([day(p) for p in pred], [day(r) for r in ref], tol)
-        adj = np.zeros((n_ref, n_pred), dtype=np.int8)
-        for i, r in enumerate(ref):
-            for j, p in enumerate(pred):
-                if abs(p - r) <= tol:
-                    adj[i, j] = 1
-        matching = maximum_bipartite_matching(csr_matrix(adj), perm_type="column")
-        assert got.n_matched == int((matching >= 0).sum()), (pred, ref, tol)
+        gap = np.abs(np.subtract.outer(ref, pred))
+        penalty = min(n_pred, n_ref) * tol + 1
+        rows, cols = linear_sum_assignment(np.where(gap <= tol, gap, penalty))
+        feasible = gap[rows, cols] <= tol
+        assert got.n_matched == int(feasible.sum()), (pred, ref, tol)
+        got_dist = sum(abs((p - r).days) for p, r in got.pairs)
+        assert got_dist == int(gap[rows, cols][feasible].sum()), (pred, ref, tol)
 
 
 # --- confusion vs a from-scratch reimplementation ---

@@ -352,6 +352,37 @@ def test_missing_config_is_a_run_failure():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "metrics", "checks", "replicate", "refstd", "report"])
+def test_malformed_config_is_a_run_failure_for_every_command(tmp_path, command):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump({"schema": "schema.yaml", "labels": {"abstractor_1": "a.csv"}}))
+    result = CliRunner().invoke(main, ["--config", str(cfg_path), command])
+    assert result.exit_code == 2, text(result)
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in text(result)
+    assert "Traceback" not in text(result)
+
+
+def test_run_honours_configured_pillars(workspace, tmp_path):
+    doc = yaml.safe_load((workspace / "run.yaml").read_text())
+    doc["pillars"] = {"metrics": False}
+    cfg_path = workspace / "run_no_metrics.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc))
+    runner = CliRunner()
+    result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "run"), "run"])
+    assert result.exit_code in (0, 1), text(result)
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert "metrics" not in report
+    assert {"checks", "replication"} <= report.keys()
+    # a one-pillar subcommand still runs only its own pillar
+    cfg = str(workspace / "run.yaml")
+    result = runner.invoke(main, ["--config", cfg, "--out", str(tmp_path / "m"), "metrics"])
+    assert result.exit_code in (0, 1), text(result)
+    report = json.loads((tmp_path / "m" / "report.json").read_text())
+    assert "metrics" in report
+    assert not {"checks", "replication"} & report.keys()
+
+
 def test_config_hash_tracks_input_content(workspace):
     config = load_run_config(workspace / "run.yaml")
     before = config_hash(config)

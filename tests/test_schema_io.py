@@ -405,6 +405,20 @@ def test_read_mixed_refresh_ids_not_inferred(tmp_path, schema):
     assert labels.refresh_id is None
 
 
+def test_read_expected_refresh_id_checks_every_row(tmp_path, schema):
+    header = "patient_id,variable,value,event_date,source,refresh_id\n"
+    path = tmp_path / "labels.csv"
+    path.write_text(header + "p1,stage,I,,llm,2\np2,stage,II,,llm,1\n")
+    with pytest.raises(IngestError) as err:
+        read_labels(path, schema, Source.LLM, expected_refresh_id="2")
+    assert err.value.problems == ["row 3: refresh_id '1' does not match expected '2'"]
+    # an empty cell takes the expected id, as an empty source cell takes the source
+    path.write_text(header + "p1,stage,I,,llm,2\np2,stage,II,,llm,\n")
+    labels = read_labels(path, schema, Source.LLM, expected_refresh_id="2")
+    assert labels.refresh_id == "2"
+    assert {r.refresh_id for r in labels.records()} == {"2"}
+
+
 def test_attributes_round_trip(tmp_path):
     attrs = {"p1": {"race": "groupA", "site": "s1"}, "p2": {"race": "groupB", "site": "s2"}}
     path = tmp_path / "attrs.csv"
