@@ -56,6 +56,36 @@ def parse_iso_date(text: str) -> date:
     return datetime.strptime(text, "%Y-%m-%d").date()
 
 
+_UNSEEN = object()
+
+
+def _parse_value(spec: VariableSpec, text: str) -> str | float | None:
+    """A cell's value for its variable; None when a numeric cell is not a number."""
+    if spec.kind != VariableKind.NUMERIC:
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _parse_date(text: str) -> date | None:
+    """A cell's event date; None when it is not a YYYY-MM-DD date."""
+    try:
+        return parse_iso_date(text)
+    except ValueError:
+        return None
+
+
+def _schema_problem(record: LabelRecord, spec: VariableSpec) -> str | None:
+    """``validate_record``'s complaint about a record, or None when it is valid."""
+    try:
+        validate_record(record, spec)
+    except SchemaError as exc:
+        return str(exc)
+    return None
+
+
 def read_labels(
     path: str | Path,
     schema: Schema,
@@ -70,13 +100,29 @@ def read_labels(
     refresh_id cell inherits it). Row order never affects the result.
     Raises IngestError listing every unknown variable, out-of-set value,
     malformed date, duplicate single-valued record, source mismatch and
-    refresh id mismatch with its row number.
+    refresh id mismatch with its row number; each bad row reports the
+    first check it fails, in that order: cell count, source, refresh id,
+    variable, numeric value, date, ``validate_record``, duplicate.
+
+    Values and dates repeat heavily across rows, so each distinct
+    (variable, value) is parsed once, each distinct
+    date string is parsed once, and ``validate_record`` runs once per
+    distinct (variable, value, dated, empty patient_id) -- the only parts
+    of a row its verdict depends on. Valid rows are grouped by key while
+    reading and the set is built in bulk.
     """
     source = Source(source)
+    source_value = source.value
     path = Path(path)
     problems: list[str] = []
     refresh_ids: set[str] = set()
-    labels = LabelSet(schema, source, refresh_id=expected_refresh_id)
+    specs = dict(schema.items())
+    values: dict[tuple[str, str], str | float | None] = {}
+    dates: dict[str, date | None] = {}
+    verdicts: dict[tuple[str, str, bool, bool], str | None] = {}
+    buckets: dict[tuple[str, str], list[LabelRecord]] = {}
+    pids: dict[str, str] = {}
+    n_cells = len(LABEL_COLUMNS)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -89,16 +135,18 @@ def read_labels(
                 [f"header must be {','.join(LABEL_COLUMNS)}; got {','.join(header)}"],
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if len(row) != n_cells:
+                # a blank row is skipped whatever its cell count
+                if "".join(row).strip():
+                    problems.append(f"row {lineno}: expected {n_cells} cells, got {len(row)}")
                 continue
-            if len(row) != len(LABEL_COLUMNS):
-                problems.append(f"row {lineno}: expected {len(LABEL_COLUMNS)} cells, got {len(row)}")
+            pid, var, value_text, date_text, source_text, refresh = map(str.strip, row)
+            if not (pid or var or value_text or date_text or source_text or refresh):
                 continue
-            pid, var, value_text, date_text, source_text, refresh = (c.strip() for c in row)
-            if source_text and source_text != source.value:
+            if source_text and source_text != source_value:
                 problems.append(
                     f"row {lineno}: source {source_text!r} does not match declared "
-                    f"{source.value!r}"
+                    f"{source_value!r}"
                 )
                 continue
             refresh = refresh or expected_refresh_id
@@ -108,44 +156,50 @@ def read_labels(
                     f"{expected_refresh_id!r}"
                 )
                 continue
-            try:
-                spec = schema[var]
-            except SchemaError:
+            spec = specs.get(var)
+            if spec is None:
                 problems.append(f"row {lineno}: unknown variable {var!r}")
                 continue
-            value: str | float
-            if spec.kind == VariableKind.NUMERIC:
-                try:
-                    value = float(value_text)
-                except ValueError:
-                    problems.append(f"row {lineno}: {var}: non-numeric value {value_text!r}")
-                    continue
-            else:
-                value = value_text
-            event_date: date | None = None
+            var = spec.name
+            value = values.get((var, value_text), _UNSEEN)
+            if value is _UNSEEN:
+                value = values[var, value_text] = _parse_value(spec, value_text)
+            if value is None:
+                problems.append(f"row {lineno}: {var}: non-numeric value {value_text!r}")
+                continue
+            event_date = None
             if date_text:
-                try:
-                    event_date = parse_iso_date(date_text)
-                except ValueError:
+                event_date = dates.get(date_text, _UNSEEN)
+                if event_date is _UNSEEN:
+                    event_date = dates[date_text] = _parse_date(date_text)
+                if event_date is None:
                     problems.append(f"row {lineno}: {var}: bad date {date_text!r} (want YYYY-MM-DD)")
                     continue
-            rec = LabelRecord(
-                patient_id=pid,
-                variable=var,
-                value=value,
-                event_date=event_date,
-                source=source,
-                refresh_id=refresh or None,
-            )
-            try:
-                labels.add(rec)
-            except SchemaError as exc:
-                problems.append(f"row {lineno}: {exc}")
+            pid = pids.setdefault(pid, pid)  # a patient's records share one string
+            rec = LabelRecord(pid, var, value, event_date, source, refresh or None)
+            verdict_key = (var, value_text, event_date is None, not pid)
+            problem = verdicts.get(verdict_key, _UNSEEN)
+            if problem is _UNSEEN:
+                problem = verdicts[verdict_key] = _schema_problem(rec, spec)
+            if problem is not None:
+                problems.append(f"row {lineno}: {problem}")
+                continue
+            bucket = buckets.get((pid, var))
+            if bucket is None:
+                buckets[pid, var] = [rec]
+            elif spec.kind == VariableKind.EVENT_LIST:
+                bucket.append(rec)
+            else:
+                problems.append(
+                    f"row {lineno}: duplicate record for patient {pid!r}, "
+                    f"variable {var!r} ({spec.kind.value} admits one)"
+                )
                 continue
             if refresh:
                 refresh_ids.add(refresh)
     if problems:
         raise IngestError(path, problems)
+    labels = LabelSet._from_buckets(schema, source, buckets, refresh_id=expected_refresh_id)
     if expected_refresh_id is None and len(refresh_ids) == 1:
         labels.refresh_id = refresh_ids.pop()
     return labels

@@ -17,7 +17,7 @@ number of percentage points serializes as exactly that number).
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
@@ -404,6 +404,50 @@ def relative_difference(
     return out
 
 
+def _resamples(n: int, n_replicates: int, seed: int) -> Iterator[np.ndarray]:
+    """Resample index arrays, one replicate at a time; bad arguments raise now.
+
+    Rows come from one generator seeded with ``seed``: the same stream as
+    drawing the whole ``(n_replicates, n)`` array at once, without holding it.
+    """
+    if n == 0:
+        raise ValueError("bootstrap needs a non-empty cohort")
+    if n_replicates < 1:
+        raise ValueError("n_replicates must be >= 1")
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, n, size=n) for _ in range(n_replicates))
+
+
+def _percentile_intervals(point, replicates: Iterable, alpha: float):
+    """Percentile intervals of replicate statistics, clamped to bracket ``point``.
+
+    ``point`` and each replicate are a float or a mapping of named floats
+    (None when undefined); undefined replicate values are dropped, and a
+    name without any defined replicate gets no interval.
+    """
+    lo_q, hi_q = 100 * alpha / 2, 100 * (1 - alpha / 2)
+
+    def interval(values: list[float], center: float | None):
+        if not values:
+            return None
+        lo, hi = np.percentile(values, [lo_q, hi_q])
+        if center is not None:
+            lo, hi = min(lo, center), max(hi, center)
+        return (float(lo), float(hi))
+
+    if isinstance(point, Mapping):
+        reps: dict[str, list[float]] = {k: [] for k in point}
+        for rep in replicates:
+            for k in reps:
+                v = rep.get(k) if isinstance(rep, Mapping) else None
+                if v is not None:
+                    reps[k].append(float(v))
+        intervals = {k: interval(reps[k], point.get(k)) for k in point}
+        return {k: ci for k, ci in intervals.items() if ci is not None}
+    values = [float(v) for v in replicates if v is not None]
+    return interval(values, None if point is None else float(point))
+
+
 def bootstrap_ci(
     statistic: Callable[[Sequence[str]], Mapping[str, float | None] | float | None],
     patients: Sequence[str],
@@ -423,42 +467,12 @@ def bootstrap_ci(
     bracket the point estimate.
     """
     patients = list(patients)
-    if not patients:
-        raise ValueError("bootstrap needs a non-empty cohort")
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be >= 1")
-    rng = np.random.default_rng(seed)
-    samples = (
-        [patients[i] for i in rng.integers(0, len(patients), size=len(patients)).tolist()]
-        for _ in range(n_replicates)
-    )
+    resamples = _resamples(len(patients), n_replicates, seed)
     point = statistic(patients)
-    lo_q, hi_q = 100 * alpha / 2, 100 * (1 - alpha / 2)
-
-    def interval(values: list[float], center: float | None):
-        if not values:
-            return None
-        lo, hi = np.percentile(values, [lo_q, hi_q])
-        if center is not None:
-            lo, hi = min(lo, center), max(hi, center)
-        return (float(lo), float(hi))
-
-    if isinstance(point, Mapping):
-        reps: dict[str, list[float]] = {k: [] for k in point}
-        for sample in samples:
-            rep = statistic(sample)
-            for k in reps:
-                v = rep.get(k) if isinstance(rep, Mapping) else None
-                if v is not None:
-                    reps[k].append(float(v))
-        intervals = {k: interval(reps[k], point.get(k)) for k in point}
-        return {k: ci for k, ci in intervals.items() if ci is not None}
-    values = []
-    for sample in samples:
-        v = statistic(sample)
-        if v is not None:
-            values.append(float(v))
-    return interval(values, None if point is None else float(point))
+    replicates = (
+        statistic([patients[i] for i in sample.tolist()]) for sample in resamples
+    )
+    return _percentile_intervals(point, replicates, alpha)
 
 
 def variable_metrics(
@@ -498,13 +512,13 @@ def bootstrap_variable_ci(
         pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
     )
 
-    def statistic(sample: Sequence[int]) -> dict[str, float | None]:
-        rep = _rows_report(variable, positive_class, rows[sample])
+    def statistic(sample_rows: np.ndarray) -> dict[str, float | None]:
+        rep = _rows_report(variable, positive_class, sample_rows)
         return {name: rep.value(name) for name in METRIC_NAMES}
 
-    return bootstrap_ci(
-        statistic, range(len(rows)), n_replicates=n_replicates, seed=seed, alpha=alpha
-    )
+    resamples = _resamples(len(rows), n_replicates, seed)
+    replicates = (statistic(rows[sample]) for sample in resamples)
+    return _percentile_intervals(statistic(rows), replicates, alpha)
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,58 @@ _LABEL_SOURCES = {
 }
 
 
+_RUN_CONFIG_KEYS = (
+    "schema",
+    "labels",
+    "reference_mode",
+    "tolerances",
+    "metrics",
+    "pillars",
+    "thresholds",
+    "attributes",
+    "previous_labels",
+    "check_suite",
+    "strata",
+    "analyses",
+    "output_dir",
+)
+
+_SURVIVAL_KEYS = ("index_variable", "event_variable", "censor_variable")
+
+# the keys each analysis kind reads without a default
+_ANALYSIS_REQUIRED_KEYS = {
+    "survival_benchmark": _SURVIVAL_KEYS,
+    "equity": (*_SURVIVAL_KEYS, "stratum_attribute"),
+    "distribution_vs_reference": ("variable",),
+    "trend": ("variable",),
+}
+
+
+def _strata(doc: dict) -> list[str]:
+    strata = doc.get("strata", [])
+    if not isinstance(strata, list):
+        raise ConfigError(f"strata: must be a list of strings, got {strata!r}")
+    for i, stratum in enumerate(strata):
+        if not isinstance(stratum, str):
+            raise ConfigError(f"strata[{i}]: must be a string, got {stratum!r}")
+    return list(strata)
+
+
+def _analyses(doc: dict) -> list[dict]:
+    analyses = doc.get("analyses", [])
+    if not isinstance(analyses, list):
+        raise ConfigError(f"analyses: must be a list of mappings, got {type(analyses).__name__}")
+    for i, analysis in enumerate(analyses):
+        if not isinstance(analysis, dict):
+            raise ConfigError(f"analyses[{i}]: must be a mapping, got {analysis!r}")
+        kind = analysis.get("kind")
+        required = _ANALYSIS_REQUIRED_KEYS.get(kind, ()) if isinstance(kind, str) else ()
+        missing = [key for key in required if key not in analysis]
+        if missing:
+            raise ConfigError(f"analyses[{i}].{missing[0]}: required")
+    return list(analyses)
+
+
 def _yes_no(value, key: str) -> bool:
     """A switch must be a YAML boolean: ``bool("no")`` would read as on."""
     if not isinstance(value, bool):
@@ -121,6 +173,11 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: run config must be a mapping")
+    unknown_keys = [key for key in doc if key not in _RUN_CONFIG_KEYS]
+    if unknown_keys:
+        raise ConfigError(
+            f"{unknown_keys[0]}: unknown key; a run config takes {', '.join(_RUN_CONFIG_KEYS)}"
+        )
     base = path.parent
 
     def resolve(p) -> Path:
@@ -186,10 +243,10 @@ def load_run_config(path: str | Path) -> RunConfig:
             resolve(doc["previous_labels"]) if doc.get("previous_labels") else None
         ),
         check_suite_path=resolve(doc["check_suite"]) if doc.get("check_suite") else None,
-        strata=[str(s) for s in doc.get("strata", [])],
+        strata=_strata(doc),
         metric_targets=targets,
         derived_rules=rules,
-        analyses=list(doc.get("analyses", [])),
+        analyses=_analyses(doc),
         tolerances=tolerances,
         thresholds=thresholds,
         bootstrap=_yes_no(metrics_doc.get("bootstrap", False), "metrics.bootstrap"),

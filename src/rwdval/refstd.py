@@ -20,7 +20,7 @@ records which.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -32,7 +32,9 @@ from .schema import (
     SchemaError,
     Source,
     VariableKind,
+    _restamped,
     effective_tolerance,
+    validate_record,
 )
 
 
@@ -236,11 +238,13 @@ def _as_reference(
     schema: Schema,
     entries: Iterable[tuple[tuple[str, str], tuple[LabelRecord, ...]]],
 ) -> LabelSet:
-    out = LabelSet(schema, Source.REFERENCE)
-    for _, recs in entries:
-        for rec in recs:
-            out.add(replace(rec, source=Source.REFERENCE))
-    return out
+    """The reference set holding each entry's records, re-attributed.
+
+    Entries name distinct keys and hold one bucket of a label set over
+    ``schema``: valid, canonical, and single for kinds that admit one.
+    """
+    buckets = {key: _restamped(recs, Source.REFERENCE) for key, recs in entries}
+    return LabelSet._from_buckets(schema, Source.REFERENCE, buckets)
 
 
 def _all_patients(*label_sets: LabelSet | None) -> frozenset[str]:
@@ -417,29 +421,26 @@ def adjudicate_from_oracle(
     format cannot express adjudication-to-absent), which requires the
     variable to declare an unknown token.
     """
-    out = LabelSet(oracle.schema, Source.ADJUDICATOR)
-    seen: set[tuple[str, str]] = set()
+    buckets: dict[tuple[str, str], tuple[LabelRecord, ...]] = {}
     for case in cases:
-        if case.key in seen:
+        if case.key in buckets:
             continue
-        seen.add(case.key)
         recs = oracle.get(*case.key)
         if recs:
-            for rec in recs:
-                out.add(replace(rec, source=Source.ADJUDICATOR))
-        else:
-            spec = oracle.schema[case.variable]
-            if spec.unknown_token is None:
-                raise SchemaError(
-                    f"{case.variable}: oracle has no record for {case.patient_id} and "
-                    "no unknown token is declared to stand in for absence"
-                )
-            out.add(
-                LabelRecord(
-                    patient_id=case.patient_id,
-                    variable=case.variable,
-                    value=spec.unknown_token,
-                    source=Source.ADJUDICATOR,
-                )
+            buckets[case.key] = _restamped(recs, Source.ADJUDICATOR)
+            continue
+        spec = oracle.schema[case.variable]
+        if spec.unknown_token is None:
+            raise SchemaError(
+                f"{case.variable}: oracle has no record for {case.patient_id} and "
+                "no unknown token is declared to stand in for absence"
             )
-    return out
+        stand_in = LabelRecord(
+            patient_id=case.patient_id,
+            variable=case.variable,
+            value=spec.unknown_token,
+            source=Source.ADJUDICATOR,
+        )
+        validate_record(stand_in, spec)
+        buckets[case.key] = (stand_in,)
+    return LabelSet._from_buckets(oracle.schema, Source.ADJUDICATOR, buckets)

@@ -16,8 +16,8 @@ applicability and for disagreement detection.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 
@@ -35,9 +35,9 @@ class VariableKind(str, Enum):
     NUMERIC = "numeric"
     EVENT_LIST = "event_list"
 
-    @property
-    def has_dates(self) -> bool:
-        return self in (VariableKind.DATE, VariableKind.EVENT_LIST)
+    def __init__(self, value: str) -> None:
+        # fixed per member when the class is built: readers test it per record
+        self.has_dates: bool = value in ("date", "event_list")
 
 
 class Source(str, Enum):
@@ -126,7 +126,7 @@ class Schema(Mapping[str, VariableSpec]):
         return f"Schema({sorted(self._by_name)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelRecord:
     """One asserted value for one (patient, variable) from one source.
 
@@ -191,11 +191,35 @@ def _record_sort_key(rec: LabelRecord):
     )
 
 
+def _restamped(
+    recs: Sequence[LabelRecord], source: Source, refresh_id: str | None = None
+) -> tuple[LabelRecord, ...]:
+    """Records re-attributed to ``source``, in the same order.
+
+    A ``refresh_id`` stamps every record; without one each keeps its own.
+    Neither field is part of the canonical sort key, so a bucket that was
+    canonical stays canonical, and a valid record stays valid.
+    """
+    return tuple(
+        LabelRecord(
+            r.patient_id,
+            r.variable,
+            r.value,
+            r.event_date,
+            source,
+            r.refresh_id if refresh_id is None else refresh_id,
+        )
+        for r in recs
+    )
+
+
 class LabelSet:
     """All label records from one source, keyed by (patient, variable).
 
     Non-event_list variables hold at most one record per key. Construction
-    validates every record against the schema. Each key's records are kept
+    and ``add`` validate every record against the schema; ingest and the
+    copy paths validate once at their boundary and build through
+    ``_from_buckets``. Each key's records are kept
     in canonical order (dated before undated, then by date, then by value;
     ties in insertion order), fixed when a record is added, so every reader
     sees the same order whatever the order of addition. Equality compares
@@ -237,6 +261,34 @@ class LabelSet:
             )
         self._by_key[key] = tuple(sorted(bucket + (record,), key=_record_sort_key))
 
+    @classmethod
+    def _from_buckets(
+        cls,
+        schema: Schema,
+        source: Source,
+        buckets: Mapping[tuple[str, str], Sequence[LabelRecord]],
+        refresh_id: str | None = None,
+    ) -> "LabelSet":
+        """Build a label set from records already grouped by (patient, variable).
+
+        Nothing is validated here; the caller guarantees that every record
+        is valid for its variable's spec (``validate_record`` passes), that
+        every record carries ``source``, and that a key whose variable is
+        not an event_list holds exactly one record. Each multi-record bucket
+        is sorted once into canonical order (stable, so ties keep the
+        bucket's order, as ``add`` keeps them). Empty buckets are skipped.
+        """
+        out = cls(schema, source, refresh_id=refresh_id)
+        by_key = out._by_key
+        for key, recs in buckets.items():
+            if not recs:
+                continue
+            if len(recs) == 1:
+                by_key[key] = tuple(recs)
+            else:
+                by_key[key] = tuple(sorted(recs, key=_record_sort_key))
+        return out
+
     def remove(self, patient_id: str, variable: str) -> None:
         """Drop every record for one key; absent keys are a no-op."""
         self._by_key.pop((patient_id, variable), None)
@@ -273,11 +325,12 @@ class LabelSet:
         A ``refresh_id`` stamps the copy and each of its records; without
         one the records keep their own.
         """
-        out = LabelSet(self.schema, source, refresh_id=refresh_id)
-        for rec in self.records():
-            stamp = rec.refresh_id if refresh_id is None else refresh_id
-            out.add(replace(rec, source=source, refresh_id=stamp))
-        return out
+        source = Source(source)
+        buckets = {
+            key: _restamped(recs, source, refresh_id)
+            for key, recs in sorted(self._by_key.items())
+        }
+        return LabelSet._from_buckets(self.schema, source, buckets, refresh_id)
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_key.values())

@@ -30,6 +30,7 @@ from .schema import (
     Source,
     VariableKind,
     VariableSpec,
+    _restamped,
     shift_date,
 )
 
@@ -224,7 +225,8 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     receptor positivity, and every death is dated and terminal.
     """
     schema = breast_schema()
-    labels = LabelSet(schema, source=Source.REFERENCE)
+    # valid by construction, so the set is built once at the end
+    buckets: dict[tuple[str, str], list[LabelRecord]] = {}
     patients: dict[str, dict[str, str]] = {}
     span_days = max(1, config.diagnosis_months * 30)
     width = max(6, len(str(config.n_patients - 1)))
@@ -232,15 +234,8 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     def emit(pid, variable, value, event_date=None):
         if config.include is not None and variable not in config.include:
             return
-        labels.add(
-            LabelRecord(
-                patient_id=pid,
-                variable=variable,
-                value=value,
-                event_date=event_date,
-                source=Source.REFERENCE,
-            )
-        )
+        record = LabelRecord(pid, variable, value, event_date, Source.REFERENCE)
+        buckets.setdefault((pid, variable), []).append(record)
 
     for i in range(config.n_patients):
         rng = _patient_rng(_TRUTH_SALT, seed, i)
@@ -344,8 +339,9 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
             # downgrade some documented values to documented-unknown
             for variable in ("stage", "hr_status", "first_line_regimen"):
                 if rng.random() < config.unknown_rate:
-                    _make_unknown(labels, pid, variable, schema)
+                    _make_unknown(buckets, pid, variable, schema)
 
+    labels = LabelSet._from_buckets(schema, Source.REFERENCE, buckets)
     dataset = CohortDataset(
         schema=schema, patients=patients, label_sets={Source.REFERENCE: labels}
     )
@@ -353,20 +349,16 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     return dataset
 
 
-def _make_unknown(labels: LabelSet, pid: str, variable: str, schema: Schema) -> None:
+def _make_unknown(
+    buckets: dict[tuple[str, str], list[LabelRecord]], pid: str, variable: str, schema: Schema
+) -> None:
+    """Replace a documented key's records with one documented-unknown record."""
     spec = schema[variable]
-    if spec.unknown_token is None or not labels.get(pid, variable):
+    if spec.unknown_token is None or not buckets.pop((pid, variable), None):
         return
-    labels.remove(pid, variable)
-    labels.add(
-        LabelRecord(
-            patient_id=pid,
-            variable=variable,
-            value=spec.unknown_token,
-            event_date=None,
-            source=labels.source,
-        )
-    )
+    buckets[pid, variable] = [
+        LabelRecord(pid, variable, spec.unknown_token, None, Source.REFERENCE)
+    ]
 
 
 # ---- error model ----
@@ -482,7 +474,10 @@ def corrupt(
     """
     truth = dataset.labels(base_source)
     schema = dataset.schema
-    out = LabelSet(schema, source=source, refresh_id=refresh_id)
+    # each record is a truth record with its value flipped to another known
+    # value or its date moved, or a known value hallucinated where the truth
+    # has none: all valid by construction, so the set is built once at the end
+    buckets: dict[tuple[str, str], list[LabelRecord]] = {}
     for index, pid in enumerate(sorted(dataset.patients)):
         rng = _patient_rng(_CORRUPT_SALT, seed, index)
         attrs = dataset.patients[pid]
@@ -504,19 +499,13 @@ def corrupt(
                     event_date = _hallucinated_date(rng, spec, anchor)
                     if spec.kind == VariableKind.EVENT_LIST and event_date is None:
                         continue
-                    out.add(
-                        LabelRecord(
-                            patient_id=pid,
-                            variable=variable,
-                            value=value,
-                            event_date=event_date,
-                            source=source,
-                            refresh_id=refresh_id,
-                        )
-                    )
+                    buckets[pid, variable] = [
+                        LabelRecord(pid, variable, value, event_date, source, refresh_id)
+                    ]
                 continue
             if rng.random() < rates.miss:
                 continue
+            bucket = buckets[pid, variable] = []
             for rec in records:
                 value = rec.value
                 event_date = rec.event_date
@@ -527,17 +516,8 @@ def corrupt(
                     if rng.random() < rates.date_shift_rate:
                         sign = 1 if rng.random() < 0.5 else -1
                         event_date = shift_date(event_date, sign * rates.date_shift_days)
-                out.add(
-                    LabelRecord(
-                        patient_id=pid,
-                        variable=variable,
-                        value=value,
-                        event_date=event_date,
-                        source=source,
-                        refresh_id=refresh_id,
-                    )
-                )
-    return out
+                bucket.append(LabelRecord(pid, variable, value, event_date, source, refresh_id))
+    return LabelSet._from_buckets(schema, source, buckets, refresh_id)
 
 
 def refresh_snapshot(
@@ -557,14 +537,19 @@ def refresh_snapshot(
     patients, the expected kind of churn.
     """
     schema = labels.schema
-    out = LabelSet(schema, source=labels.source, refresh_id=refresh_id)
+    source = labels.source
+    # mutations keep records valid (see corrupt); the set is built once
+    buckets: dict[tuple[str, str], list[LabelRecord]] = {}
     for index, pid in enumerate(sorted(labels.patients)):
         rng = _patient_rng(_REFRESH_SALT, seed, index)
         attrs = (attributes or {}).get(pid, {})
         for variable in sorted(schema.keys()):
             spec = schema[variable]
             rates = model.rates_for(variable, attrs)
-            for rec in labels.get(pid, variable):
+            records = labels.get(pid, variable)
+            if records:
+                bucket = buckets[pid, variable] = []
+            for rec in records:
                 value = rec.value
                 event_date = rec.event_date
                 if rates.instability > 0 and rng.random() < rates.instability:
@@ -577,23 +562,16 @@ def refresh_snapshot(
                         shift = rates.date_shift_days or 30
                         sign = 1 if rng.random() < 0.5 else -1
                         event_date = shift_date(event_date, sign * shift)
-                out.add(
-                    LabelRecord(
-                        patient_id=pid,
-                        variable=variable,
-                        value=value,
-                        event_date=event_date,
-                        source=labels.source,
-                        refresh_id=refresh_id,
-                    )
-                )
+                bucket.append(LabelRecord(pid, variable, value, event_date, source, refresh_id))
     if additions is not None:
         overlap = additions.patients & labels.patients
         if overlap:
             raise ValueError(f"additions overlap existing patients: {sorted(overlap)[:5]}")
-        for rec in additions.records():
-            out.add(replace(rec, source=labels.source, refresh_id=refresh_id))
-    return out
+        # additions may carry another schema, so they go through the validating add
+        checked = LabelSet(schema, source, _restamped(additions.records(), source, refresh_id))
+        for rec in checked.records():
+            buckets.setdefault((rec.patient_id, rec.variable), []).append(rec)
+    return LabelSet._from_buckets(schema, source, buckets, refresh_id)
 
 
 # ---- closed-form expectations ----

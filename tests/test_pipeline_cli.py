@@ -506,3 +506,31 @@ def test_yaml_syntax_error_is_a_run_failure(tmp_path):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error: while parsing" in text(result)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"strata": 5}, "strata: must be a list of strings"),
+        ({"analyses": {"kind": "trend", "variable": "stage"}}, "analyses: must be a list of mappings"),
+        (
+            {
+                "analyses": [
+                    {"kind": "survival_benchmark", "event_variable": "surgery", "censor_variable": "surgery"}
+                ]
+            },
+            "analyses[0].index_variable: required",
+        ),
+        ({"metricz": {"variables": []}}, "metricz: unknown key"),
+    ],
+    ids=["strata_not_a_list", "analyses_a_mapping", "analysis_key_missing", "unknown_top_level_key"],
+)
+def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, message):
+    cfg_path = small_workspace(tmp_path)
+    doc = {**yaml.safe_load(cfg_path.read_text()), **change}
+    cfg_path.write_text(yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["--config", str(cfg_path), "run"])
+    assert result.exit_code == 2, text(result)
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {message}" in text(result)
+    assert "Traceback" not in text(result)

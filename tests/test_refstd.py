@@ -24,7 +24,7 @@ from rwdval import (
     variable_metrics,
     write_disagreements,
 )
-from rwdval.refstd import CaseStatus, Pair, Provenance, assertions_agree
+from rwdval.refstd import CaseStatus, Pair, Provenance, _as_reference, assertions_agree
 
 from conftest import make_schema, rec
 
@@ -220,6 +220,50 @@ def test_find_disagreements_equals_the_per_pair_oracle(drawn):
         return [(c.patient_id, c.variable, c.pair, c.llm, c.abstractor_1, c.abstractor_2) for c in cases]
 
     assert rows(got) == rows(want)
+
+
+def _adjudicate_per_record(cases, oracle):
+    """adjudicate_from_oracle's records, each added through ``LabelSet.add``."""
+    records, seen = [], set()
+    for case in cases:
+        if case.key in seen:
+            continue
+        seen.add(case.key)
+        recs = oracle.get(*case.key)
+        records += [replace(r, source=Source.ADJUDICATOR) for r in recs]
+        if not recs:
+            unknown = oracle.schema[case.variable].unknown_token
+            if unknown is None:
+                raise SchemaError(f"{case.variable}: no unknown token")
+            records.append(LabelRecord(case.patient_id, case.variable, unknown, None, Source.ADJUDICATOR))
+    return LabelSet(oracle.schema, Source.ADJUDICATOR, records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compared_sets(), st.sampled_from([None, "r2"]))
+def test_bulk_copies_equal_the_validating_add(drawn, refresh_id):
+    sets, tolerance = drawn
+    for labels in sets:
+        entries = [(key, labels.get(*key)) for key in sorted(labels.keys())]
+        assert _as_reference(_SCHEMA, entries) == LabelSet(
+            _SCHEMA, Source.REFERENCE, [replace(r, source=Source.REFERENCE) for r in labels.records()]
+        )
+        copy = labels.relabel(Source.ADJUDICATOR, refresh_id=refresh_id)
+        stamped = [
+            replace(r, source=Source.ADJUDICATOR, refresh_id=refresh_id or r.refresh_id)
+            for r in labels.records()
+        ]
+        assert copy == LabelSet(_SCHEMA, Source.ADJUDICATOR, stamped)
+        assert copy.refresh_id == refresh_id
+    cases = find_disagreements(*sets, tolerance_days=tolerance)
+    oracle = sets[-1]
+    try:
+        want = _adjudicate_per_record(cases, oracle)
+    except SchemaError:
+        with pytest.raises(SchemaError):
+            adjudicate_from_oracle(cases, oracle)
+        return
+    assert adjudicate_from_oracle(cases, oracle) == want
 
 
 # --- duplicate abstraction ---

@@ -1,6 +1,8 @@
 """Schema validation, label set semantics, and CSV/YAML round trips."""
 
+import csv
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from rwdval import (
     write_attributes,
     write_labels,
 )
-from rwdval.labelio import parse_iso_date
+from rwdval.labelio import LABEL_COLUMNS, parse_iso_date
 from rwdval.schema import effective_tolerance, shift_date
 
 from conftest import make_schema, rec
@@ -508,6 +510,217 @@ def test_round_trip_property(tmp_path_factory, labels):
     path = tmp_path_factory.mktemp("rt") / "labels.csv"
     write_labels(labels, path)
     assert read_labels(path, labels.schema, labels.source) == labels
+
+
+# --- property: the one-pass ingest equals the per-row ingest ---
+
+
+def _read_labels_per_row(
+    path,
+    schema,
+    source,
+    *,
+    expected_refresh_id=None,
+):
+    """The per-row ingest: every row goes through ``LabelSet.add``."""
+    source = Source(source)
+    path = Path(path)
+    problems: list[str] = []
+    refresh_ids: set[str] = set()
+    labels = LabelSet(schema, source, refresh_id=expected_refresh_id)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(path, ["file is empty (no header row)"]) from None
+        if header != LABEL_COLUMNS:
+            raise IngestError(
+                path,
+                [f"header must be {','.join(LABEL_COLUMNS)}; got {','.join(header)}"],
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(LABEL_COLUMNS):
+                problems.append(f"row {lineno}: expected {len(LABEL_COLUMNS)} cells, got {len(row)}")
+                continue
+            pid, var, value_text, date_text, source_text, refresh = (c.strip() for c in row)
+            if source_text and source_text != source.value:
+                problems.append(
+                    f"row {lineno}: source {source_text!r} does not match declared "
+                    f"{source.value!r}"
+                )
+                continue
+            refresh = refresh or expected_refresh_id
+            if expected_refresh_id is not None and refresh != expected_refresh_id:
+                problems.append(
+                    f"row {lineno}: refresh_id {refresh!r} does not match expected "
+                    f"{expected_refresh_id!r}"
+                )
+                continue
+            try:
+                spec = schema[var]
+            except SchemaError:
+                problems.append(f"row {lineno}: unknown variable {var!r}")
+                continue
+            value: str | float
+            if spec.kind == VariableKind.NUMERIC:
+                try:
+                    value = float(value_text)
+                except ValueError:
+                    problems.append(f"row {lineno}: {var}: non-numeric value {value_text!r}")
+                    continue
+            else:
+                value = value_text
+            event_date: date | None = None
+            if date_text:
+                try:
+                    event_date = parse_iso_date(date_text)
+                except ValueError:
+                    problems.append(f"row {lineno}: {var}: bad date {date_text!r} (want YYYY-MM-DD)")
+                    continue
+            record = LabelRecord(
+                patient_id=pid,
+                variable=var,
+                value=value,
+                event_date=event_date,
+                source=source,
+                refresh_id=refresh or None,
+            )
+            try:
+                labels.add(record)
+            except SchemaError as exc:
+                problems.append(f"row {lineno}: {exc}")
+                continue
+            if refresh:
+                refresh_ids.add(refresh)
+    if problems:
+        raise IngestError(path, problems)
+    if expected_refresh_id is None and len(refresh_ids) == 1:
+        labels.refresh_id = refresh_ids.pop()
+    return labels
+
+
+# cells that pass each check; padding tests the strip
+_valid_cells = {
+    "pid": ["p1", "p2", " p3 ", "p4", "p5", "p6"],
+    "variable": ["stage", "surgery", "er_result", "er_result", "tumor_size_mm"],
+    "stage": ["I", "II", "unknown"],
+    "surgery": ["yes", "no", "unknown"],
+    "er_result": ["positive", "negative"],
+    "tumor_size_mm": ["12", " 3.5", "1e1"],
+    "date": ["2020-01-05", "2020-01-05", "2021-12-31 "],
+    "source": ["", "llm"],
+    "refresh": ["", "r1"],
+}
+# plus cells that fail each check: unknown variables, bad and empty tokens,
+# non-numeric values, impossible and non-ISO dates, other sources and
+# refresh ids, empty patient ids
+_any_cells = {
+    "pid": [*_valid_cells["pid"][:3], ""],
+    "variable": [*_valid_cells["variable"], "grade", ""],
+    "stage": [*_valid_cells["stage"], "IV", ""],
+    "surgery": [*_valid_cells["surgery"], "maybe"],
+    "er_result": [*_valid_cells["er_result"], "unknown", "pos"],
+    "tumor_size_mm": [*_valid_cells["tumor_size_mm"], "abc", ""],
+    "grade": ["1"],
+    "": [""],
+    "date": ["", "", *_valid_cells["date"], "2020-02-30", "2020-1-5", "01/05/2020"],
+    "source": [*_valid_cells["source"], "abstractor_1"],
+    "refresh": [*_valid_cells["refresh"], "r2"],
+}
+
+
+@st.composite
+def label_file_rows(draw):
+    """Rows of a label file: either well-formed apart from the odd blank
+    row and repeated key, or drawn from every kind of fault."""
+    faulty = draw(st.booleans())
+    cells = _any_cells if faulty else _valid_cells
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["row"] * 8 + ["blank", "cells" if faulty else "row"]))
+        if shape == "cells":
+            n = draw(st.sampled_from([1, 2, 5, 7]))
+            rows.append([draw(st.sampled_from(["p1", "stage", "I", " "])) for _ in range(n)])
+            continue
+        if shape == "blank":
+            rows.append([" "] * draw(st.sampled_from([0, 1, 6])))
+            continue
+        var = draw(st.sampled_from(cells["variable"]))
+        value = draw(st.sampled_from(cells[var]))
+        if faulty or var == "er_result" or (var == "surgery" and value != "unknown"):
+            day = draw(st.sampled_from(cells["date"]))
+        else:
+            day = ""
+        rows.append(
+            [
+                draw(st.sampled_from(cells["pid"])),
+                var,
+                value,
+                day,
+                draw(st.sampled_from(cells["source"])),
+                draw(st.sampled_from(cells["refresh"])),
+            ]
+        )
+    return rows
+
+
+def _ingest(read, path, schema, expected_refresh_id):
+    """A reader's answer: the label set and its refresh id, or the problem list."""
+    try:
+        labels = read(path, schema, Source.LLM, expected_refresh_id=expected_refresh_id)
+    except IngestError as exc:
+        return "problems", exc.problems
+    return "labels", labels, labels.refresh_id, {k: labels.get(*k) for k in labels.keys()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_file_rows(), st.sampled_from([None, "r1"]))
+def test_read_labels_equals_the_per_row_ingest(tmp_path_factory, rows, expected_refresh_id):
+    path = tmp_path_factory.mktemp("ingest") / "labels.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABEL_COLUMNS)
+        writer.writerows(rows)
+    schema = make_schema()
+    got = _ingest(read_labels, path, schema, expected_refresh_id)
+    want = _ingest(_read_labels_per_row, path, schema, expected_refresh_id)
+    assert got == want
+
+
+def test_read_labels_reports_each_rows_first_problem_in_row_order(tmp_path, schema):
+    path = tmp_path / "labels.csv"
+    rows = [
+        ["p1", "stage", "I", "", "", ""],
+        ["p1", "stage"],
+        ["p1", "stage", "I", "", "abstractor_1", ""],
+        ["p1", "grade", "abc", "nope", "", ""],
+        ["p1", "tumor_size_mm", "abc", "nope", "", ""],
+        ["p1", "surgery", "maybe", "2020-02-30", "", ""],
+        ["", "stage", "IV", "", "", ""],
+        ["p2", "stage", "IV", "2020-01-01", "", ""],
+        ["p2", "stage", "II", "2020-01-01", "", ""],
+        ["p1", "stage", "II", "", "", ""],
+        ["p1", "er_result", "positive", "", "", ""],
+    ]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([LABEL_COLUMNS, *rows])
+    with pytest.raises(IngestError) as exc:
+        read_labels(path, schema, Source.LLM)
+    assert exc.value.problems == [
+        "row 3: expected 6 cells, got 2",
+        "row 4: source 'abstractor_1' does not match declared 'llm'",
+        "row 5: unknown variable 'grade'",
+        "row 6: tumor_size_mm: non-numeric value 'abc'",
+        "row 7: surgery: bad date '2020-02-30' (want YYYY-MM-DD)",
+        "row 8: stage: empty patient_id",
+        "row 9: stage: value 'IV' not in allowed values ['I', 'II', 'III', 'unknown']",
+        "row 10: stage: categorical variables carry no event_date",
+        "row 11: duplicate record for patient 'p1', variable 'stage' (categorical admits one)",
+        "row 12: er_result: event_list records need an event_date",
+    ]
 
 
 # --- ISO dates against the strptime oracle ---

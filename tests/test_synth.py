@@ -7,6 +7,7 @@ from rwdval import (
     ErrorModel,
     ErrorRates,
     GeneratorConfig,
+    LabelSet,
     Source,
     breast_schema,
     corrupt,
@@ -296,3 +297,34 @@ def test_simulate_validation_inputs_builds_three_sources():
     n_a1 = len(ds.labels(Source.ABSTRACTOR_1))
     n_truth = len(ds.labels(Source.REFERENCE))
     assert n_llm < n_a1 <= n_truth
+
+
+def _through_add(labels):
+    """The same records added one at a time: every record is validated."""
+    return LabelSet(labels.schema, labels.source, labels.records())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_synth_output_passes_the_validating_add(seed):
+    """Synth builds its label sets without validating each record."""
+    config = small_config(150, unknown_rate=0.2)
+    truth = generate_truth(config, seed=seed)
+    reference = truth.labels(Source.REFERENCE)
+    assert reference == _through_add(reference)
+    noisy = ErrorRates(
+        miss=0.1, hallucinate=0.3, flip=0.2, date_shift_rate=0.3, date_shift_days=40, instability=0.3
+    )
+    llm = corrupt(truth, ErrorModel(default=noisy), source=Source.LLM, seed=seed, refresh_id="1")
+    assert llm == _through_add(llm)
+    # patients P000150 onwards are new to the refreshed feed
+    newcomers = generate_truth(small_config(170), seed=seed + 10).labels(Source.REFERENCE)
+    additions = LabelSet(
+        newcomers.schema,
+        Source.REFERENCE,
+        [r for r in newcomers.records() if r.patient_id >= "P000150"],
+    )
+    refreshed = refresh_snapshot(
+        llm, ErrorModel(default=noisy), seed=seed, refresh_id="2", additions=additions
+    )
+    assert refreshed == _through_add(refreshed)
+    assert {r.refresh_id for r in refreshed.records()} == {"2"}
