@@ -29,6 +29,7 @@ from ..schema import (
     Source,
     VariableKind,
     patient_view,
+    yaml_token,
 )
 from ..refstd import assertions_agree
 from .lang import Expr, Truth, evaluate, parse_check, referenced_variables, to_text
@@ -610,6 +611,16 @@ def _parse_range(raw, where: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _expected_ranges(doc: dict, check_id: str, kind: str) -> dict[str, tuple[float, float]]:
+    expected = {
+        str(yaml_token(token, f"{check_id}.expected")): _parse_range(rng, f"{check_id}:{token}")
+        for token, rng in (doc.get("expected") or {}).items()
+    }
+    if not expected:
+        raise ValueError(f"{check_id}: {kind} needs expected ranges")
+    return expected
+
+
 def _cohort_spec_from_dict(doc: dict, check_id: str, schema: Schema) -> CohortCheckSpec:
     kind = doc.get("kind")
     variable = doc.get("variable")
@@ -617,12 +628,7 @@ def _cohort_spec_from_dict(doc: dict, check_id: str, schema: Schema) -> CohortCh
         raise ValueError(f"{check_id}: cohort check needs a variable")
     schema[variable]
     if kind == "distribution_range":
-        expected = {
-            str(token): _parse_range(rng, f"{check_id}:{token}")
-            for token, rng in (doc.get("expected") or {}).items()
-        }
-        if not expected:
-            raise ValueError(f"{check_id}: distribution_range needs expected ranges")
+        expected = _expected_ranges(doc, check_id, kind)
         filter_expr = None
         if doc.get("filter"):
             filter_expr = parse_check(doc["filter"], schema)
@@ -635,18 +641,13 @@ def _cohort_spec_from_dict(doc: dict, check_id: str, schema: Schema) -> CohortCh
         )
     if kind == "stratified_rate_range":
         by = doc.get("by") or {}
-        expected = {
-            str(token): _parse_range(rng, f"{check_id}:{token}")
-            for token, rng in (doc.get("expected") or {}).items()
-        }
-        if not expected:
-            raise ValueError(f"{check_id}: stratified_rate_range needs expected ranges")
+        expected = _expected_ranges(doc, check_id, kind)
         by_variable = by.get("variable")
         if by_variable:
             schema[by_variable]
         return StratifiedRateRange(
             variable=variable,
-            positive_value=str(doc["positive_value"]),
+            positive_value=str(yaml_token(doc["positive_value"], f"{check_id}.positive_value")),
             by_variable=by_variable,
             by_attribute=by.get("attribute"),
             expected=expected,

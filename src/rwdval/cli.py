@@ -29,7 +29,7 @@ from .pipeline import (
 )
 from .refstd import AdjudicationError, ReferenceMode, adjudicate_from_oracle, write_disagreements
 from .schema import LabelSet, SchemaError, Source
-from .synth import ErrorModel, ErrorRates, GeneratorConfig, corrupt, generate_truth, refresh_snapshot
+from .synth import REGIMENS, ErrorModel, ErrorRates, GeneratorConfig, corrupt, generate_truth, refresh_snapshot
 
 _RUN_ERRORS = (ConfigError, IngestError, SchemaError, OSError, ValueError, yaml.YAMLError)
 
@@ -230,8 +230,7 @@ def simulate(ctx, n_patients, miss, flip, hallucinate, date_shift_rate,
     seed = ctx.obj.get("seed") or 0
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = GeneratorConfig(n_patients=n_patients)
-    dataset = generate_truth(config, seed=seed)
+    dataset = generate_truth(GeneratorConfig(n_patients=n_patients), seed=seed)
     llm_model = ErrorModel(
         default=ErrorRates(
             miss=miss,
@@ -271,9 +270,7 @@ def simulate(ctx, n_patients, miss, flip, hallucinate, date_shift_rate,
         previous_line = "previous_labels: labels_llm_refresh1.csv\n"
     else:
         write_labels(llm, out / "labels_llm.csv")
-    regimen_lines = "\n".join(
-        f"    {name}: {p}" for name, p in sorted(config.regimens.items())
-    )
+    regimen_lines = "\n".join(f"    {name}: {p}" for name, p in sorted(REGIMENS.items()))
     run_yaml = f"""schema: schema.yaml
 labels:
   llm: labels_llm.csv

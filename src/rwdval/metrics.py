@@ -418,19 +418,21 @@ def _resamples(n: int, n_replicates: int, seed: int) -> Iterator[np.ndarray]:
     return (rng.integers(0, n, size=n) for _ in range(n_replicates))
 
 
-def _percentile_intervals(point, replicates: Iterable, alpha: float):
-    """Percentile intervals of replicate statistics, clamped to bracket ``point``.
+_CI_PERCENTILES = (2.5, 97.5)
+
+
+def _percentile_intervals(point, replicates: Iterable):
+    """95 % percentile intervals of replicate statistics, clamped to bracket ``point``.
 
     ``point`` and each replicate are a float or a mapping of named floats
     (None when undefined); undefined replicate values are dropped, and a
     name without any defined replicate gets no interval.
     """
-    lo_q, hi_q = 100 * alpha / 2, 100 * (1 - alpha / 2)
 
     def interval(values: list[float], center: float | None):
         if not values:
             return None
-        lo, hi = np.percentile(values, [lo_q, hi_q])
+        lo, hi = np.percentile(values, _CI_PERCENTILES)
         if center is not None:
             lo, hi = min(lo, center), max(hi, center)
         return (float(lo), float(hi))
@@ -454,9 +456,8 @@ def bootstrap_ci(
     *,
     n_replicates: int = 2000,
     seed: int = 0,
-    alpha: float = 0.05,
 ):
-    """Percentile bootstrap over patient-level resamples.
+    """95 % percentile bootstrap over patient-level resamples.
 
     ``statistic`` receives a patient list (with repeats) and returns either
     a float or a mapping of named floats; undefined replicate values are
@@ -472,7 +473,7 @@ def bootstrap_ci(
     replicates = (
         statistic([patients[i] for i in sample.tolist()]) for sample in resamples
     )
-    return _percentile_intervals(point, replicates, alpha)
+    return _percentile_intervals(point, replicates)
 
 
 def variable_metrics(
@@ -501,9 +502,8 @@ def bootstrap_variable_ci(
     patients: Iterable[str] | None = None,
     n_replicates: int = 2000,
     seed: int = 0,
-    alpha: float = 0.05,
 ) -> dict[str, tuple[float, float]]:
-    """Bootstrap intervals for every defined metric of one variable.
+    """95 % bootstrap intervals for every defined metric of one variable.
 
     Each replicate re-sums the patient rows of its resample, which gives
     exactly ``variable_metrics`` on that resample.
@@ -518,7 +518,7 @@ def bootstrap_variable_ci(
 
     resamples = _resamples(len(rows), n_replicates, seed)
     replicates = (statistic(rows[sample]) for sample in resamples)
-    return _percentile_intervals(statistic(rows), replicates, alpha)
+    return _percentile_intervals(statistic(rows), replicates)
 
 
 @dataclass(frozen=True)

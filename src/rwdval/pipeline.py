@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -47,7 +47,7 @@ from .replication import (
     survival_records,
     trend_series,
 )
-from .schema import CohortDataset, LabelSet, Source
+from .schema import CohortDataset, LabelSet, Source, yaml_token
 
 
 class ConfigError(ValueError):
@@ -72,7 +72,6 @@ class MetricTarget:
 class RunConfig:
     """Parsed run configuration; paths are resolved against the config file."""
 
-    base_dir: Path
     schema_path: Path
     label_paths: dict[str, Path]
     reference_mode: ReferenceMode
@@ -86,14 +85,12 @@ class RunConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
     thresholds: dict[str, float] = field(default_factory=dict)
     bootstrap: bool = False
-    pillars: dict[str, bool] = field(
-        default_factory=lambda: {"metrics": True, "checks": True, "replication": True}
-    )
+    pillars: dict[str, bool] = field(default_factory=lambda: dict.fromkeys(_PILLARS, True))
     output_dir: Path | None = None
     raw: dict = field(default_factory=dict)
 
     def pillar(self, name: str) -> bool:
-        return bool(self.pillars.get(name, True))
+        return self.pillars[name]
 
 
 _LABEL_SOURCES = {
@@ -121,15 +118,54 @@ _RUN_CONFIG_KEYS = (
     "output_dir",
 )
 
+_PILLARS = ("metrics", "checks", "replication")
+_METRICS_KEYS = ("variables", "derived", "bootstrap")
+_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
+
 _SURVIVAL_KEYS = ("index_variable", "event_variable", "censor_variable")
 
-# the keys each analysis kind reads without a default
+# the analysis kinds, each with the keys it reads without a default
 _ANALYSIS_REQUIRED_KEYS = {
     "survival_benchmark": _SURVIVAL_KEYS,
     "equity": (*_SURVIVAL_KEYS, "stratum_attribute"),
     "distribution_vs_reference": ("variable",),
     "trend": ("variable",),
 }
+
+
+def _known_keys(mapping: dict, path: str, known: tuple[str, ...]) -> None:
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        where = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ConfigError(f"{where}: unknown key; {path or 'a run config'} takes {', '.join(known)}")
+
+
+def _section(doc: dict, key: str, known: tuple[str, ...]) -> dict:
+    """The mapping under a top-level ``key``, empty when absent."""
+    section = doc.get(key) or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: must be a mapping, got {section!r}")
+    _known_keys(section, key, known)
+    return section
+
+
+def _mappings(value, path: str) -> list[dict]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: must be a list of mappings, got {type(value).__name__}")
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ConfigError(f"{path}[{i}]: must be a mapping, got {item!r}")
+    return value
+
+
+def _required(mapping: dict, path: str, keys: tuple[str, ...]) -> None:
+    missing = [key for key in keys if key not in mapping]
+    if missing:
+        raise ConfigError(f"{path}.{missing[0]}: required")
+
+
+def _token(value, path: str) -> str:
+    return str(yaml_token(value, path, ConfigError))
 
 
 def _strata(doc: dict) -> list[str]:
@@ -142,18 +178,62 @@ def _strata(doc: dict) -> list[str]:
     return list(strata)
 
 
+def _metric_targets(metrics_doc: dict) -> list[MetricTarget]:
+    targets = []
+    for i, target in enumerate(_mappings(metrics_doc.get("variables", []), "metrics.variables")):
+        path = f"metrics.variables[{i}]"
+        _required(target, path, ("variable",))
+        positive = yaml_token(target.get("positive_class"), f"{path}.positive_class", ConfigError)
+        targets.append(MetricTarget(variable=str(target["variable"]), positive_class=positive))
+    return targets
+
+
+def _derived_rules(metrics_doc: dict) -> list[metrics_mod.DerivedVariableRule]:
+    rules = []
+    for i, rule in enumerate(_mappings(metrics_doc.get("derived", []), "metrics.derived")):
+        path = f"metrics.derived[{i}]"
+        _required(rule, path, ("name", "index_variable"))
+        components = []
+        for j, c in enumerate(_mappings(rule.get("components", []), f"{path}.components")):
+            _required(c, f"{path}.components[{j}]", ("variable", "required"))
+            components.append(
+                (str(c["variable"]), _token(c["required"], f"{path}.components[{j}].required"))
+            )
+        window = rule.get("window_days", (-60, 60))
+        rules.append(
+            metrics_mod.DerivedVariableRule(
+                name=str(rule["name"]),
+                index_variable=str(rule["index_variable"]),
+                components=tuple(components),
+                window_days=(int(window[0]), int(window[1])),
+                index_positive=_token(rule.get("index_positive", "yes"), f"{path}.index_positive"),
+            )
+        )
+    return rules
+
+
 def _analyses(doc: dict) -> list[dict]:
-    analyses = doc.get("analyses", [])
-    if not isinstance(analyses, list):
-        raise ConfigError(f"analyses: must be a list of mappings, got {type(analyses).__name__}")
+    analyses = _mappings(doc.get("analyses", []), "analyses")
     for i, analysis in enumerate(analyses):
-        if not isinstance(analysis, dict):
-            raise ConfigError(f"analyses[{i}]: must be a mapping, got {analysis!r}")
+        path = f"analyses[{i}]"
         kind = analysis.get("kind")
-        required = _ANALYSIS_REQUIRED_KEYS.get(kind, ()) if isinstance(kind, str) else ()
-        missing = [key for key in required if key not in analysis]
-        if missing:
-            raise ConfigError(f"analyses[{i}].{missing[0]}: required")
+        if not isinstance(kind, str) or kind not in _ANALYSIS_REQUIRED_KEYS:
+            raise ConfigError(
+                f"{path}.kind: must be one of {', '.join(_ANALYSIS_REQUIRED_KEYS)}, got {kind!r}"
+            )
+        _required(analysis, path, _ANALYSIS_REQUIRED_KEYS[kind])
+        # the category tokens an analysis names, read when the pillar runs
+        if "event_positive" in analysis:
+            _token(analysis["event_positive"], f"{path}.event_positive")
+        benchmark = analysis.get("benchmark")
+        if isinstance(benchmark, dict):
+            for key in ("higher", "lower", "group"):
+                if key in benchmark:
+                    _token(benchmark[key], f"{path}.benchmark.{key}")
+        reference = analysis.get("reference")
+        if isinstance(reference, dict):
+            for token in reference:
+                _token(token, f"{path}.reference")
     return list(analyses)
 
 
@@ -173,11 +253,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: run config must be a mapping")
-    unknown_keys = [key for key in doc if key not in _RUN_CONFIG_KEYS]
-    if unknown_keys:
-        raise ConfigError(
-            f"{unknown_keys[0]}: unknown key; a run config takes {', '.join(_RUN_CONFIG_KEYS)}"
-        )
+    _known_keys(doc, "", _RUN_CONFIG_KEYS)
     base = path.parent
 
     def resolve(p) -> Path:
@@ -185,48 +261,20 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     if "schema" not in doc:
         raise ConfigError("run config needs a 'schema' path")
-    labels_doc = doc.get("labels") or {}
+    labels_doc = _section(doc, "labels", tuple(_LABEL_SOURCES))
     if "llm" not in labels_doc:
         raise ConfigError("run config needs labels.llm")
-    label_paths = {}
-    for role, p in labels_doc.items():
-        if role not in _LABEL_SOURCES:
-            raise ConfigError(f"unknown label role {role!r}")
-        label_paths[role] = resolve(p)
+    label_paths = {role: resolve(p) for role, p in labels_doc.items()}
     try:
         mode = ReferenceMode(doc.get("reference_mode", "duplicate_abstraction"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    tol_doc = doc.get("tolerances") or {}
-    tolerances = Tolerances(
-        date_tolerance_days=int(tol_doc.get("date_tolerance_days", 30)),
-        min_stratum_n=int(tol_doc.get("min_stratum_n", 20)),
-        bootstrap_replicates=int(tol_doc.get("bootstrap_replicates", 2000)),
-        seed=int(tol_doc.get("seed", 0)),
-    )
-    metrics_doc = doc.get("metrics") or {}
-    targets = [
-        MetricTarget(variable=str(t["variable"]), positive_class=t.get("positive_class"))
-        for t in metrics_doc.get("variables", [])
-    ]
-    rules = []
-    for r in metrics_doc.get("derived", []):
-        window = r.get("window_days", (-60, 60))
-        rules.append(
-            metrics_mod.DerivedVariableRule(
-                name=str(r["name"]),
-                index_variable=str(r["index_variable"]),
-                components=tuple(
-                    (str(c["variable"]), str(c["required"]))
-                    for c in r.get("components", [])
-                ),
-                window_days=(int(window[0]), int(window[1])),
-                index_positive=str(r.get("index_positive", "yes")),
-            )
-        )
-    pillars_doc = doc.get("pillars") or {}
-    pillars = {"metrics": True, "checks": True, "replication": True}
-    pillars.update({k: _yes_no(v, f"pillars.{k}") for k, v in pillars_doc.items()})
+    tol_doc = _section(doc, "tolerances", _TOLERANCE_KEYS)
+    tolerances = Tolerances(**{key: int(value) for key, value in tol_doc.items()})
+    metrics_doc = _section(doc, "metrics", _METRICS_KEYS)
+    pillars = dict.fromkeys(_PILLARS, True)
+    for name, value in _section(doc, "pillars", _PILLARS).items():
+        pillars[name] = _yes_no(value, f"pillars.{name}")
     thresholds = {str(k): float(v) for k, v in (doc.get("thresholds") or {}).items()}
     unknown = sorted(set(thresholds) - set(metrics_mod.METRIC_NAMES))
     if unknown:
@@ -234,7 +282,6 @@ def load_run_config(path: str | Path) -> RunConfig:
             f"thresholds: unknown metric(s) {unknown}; known: {list(metrics_mod.METRIC_NAMES)}"
         )
     return RunConfig(
-        base_dir=base,
         schema_path=resolve(doc["schema"]),
         label_paths=label_paths,
         reference_mode=mode,
@@ -244,8 +291,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         ),
         check_suite_path=resolve(doc["check_suite"]) if doc.get("check_suite") else None,
         strata=_strata(doc),
-        metric_targets=targets,
-        derived_rules=rules,
+        metric_targets=_metric_targets(metrics_doc),
+        derived_rules=_derived_rules(metrics_doc),
         analyses=_analyses(doc),
         tolerances=tolerances,
         thresholds=thresholds,
@@ -661,11 +708,14 @@ def _replication_pillar(config: RunConfig, dataset: CohortDataset, reference, cu
             analyses.append(_distribution_analysis(doc, dataset))
         elif kind == "trend":
             analyses.append(_trend_analysis(doc, dataset, reference))
-        elif kind == "equity":
+        else:  # equity: load_run_config admits no other kind
             analyses.append(_equity_analysis(doc, config, dataset, reference, curves))
-        else:
-            raise ConfigError(f"unknown analysis kind {kind!r}")
     return {"analyses": analyses}
+
+
+def _llm_concordance(analysis: dict) -> dict | None:
+    """The llm side's benchmark verdict: a survival analysis's, else an equity analysis's."""
+    return analysis.get("concordance") or (analysis.get("llm") or {}).get("concordance")
 
 
 def _collect_issues(report: dict) -> list[str]:
@@ -685,18 +735,10 @@ def _collect_issues(report: dict) -> list[str]:
     replication = report.get("replication")
     if replication:
         for analysis in replication.get("analyses", []):
-            for key in ("concordance",):
-                conc = analysis.get(key)
-                if conc and not conc.get("concordant", True):
-                    issues.append(
-                        f"{analysis['name']}: discordant with benchmark "
-                        f"({conc.get('reason')})"
-                    )
-            equity_conc = (analysis.get("llm") or {}).get("concordance")
-            if equity_conc and not equity_conc.get("concordant", True):
+            conc = _llm_concordance(analysis)
+            if conc and not conc.get("concordant", True):
                 issues.append(
-                    f"{analysis['name']}: discordant with benchmark "
-                    f"({equity_conc.get('reason')})"
+                    f"{analysis['name']}: discordant with benchmark ({conc.get('reason')})"
                 )
     return issues
 
@@ -804,9 +846,7 @@ def _summary_lines(report: dict) -> list[str]:
             lines.append(f"  {analysis['name']} [{analysis['kind']}]")
             if analysis.get("status") == "not_applicable":
                 lines.append(f"    not applicable ({analysis['reason']})")
-            conc = analysis.get("concordance") or (analysis.get("llm") or {}).get(
-                "concordance"
-            )
+            conc = _llm_concordance(analysis)
             if conc:
                 verdict = "concordant" if conc["concordant"] else "DISCORDANT"
                 lines.append(f"    benchmark: {verdict} ({conc['reason']})")

@@ -421,70 +421,38 @@ def benchmark_concordance(
     reason stated, because the direction or value cannot be established.
     """
     if isinstance(benchmark, DirectionBenchmark):
-        for group in (benchmark.higher, benchmark.lower):
-            if group not in medians:
-                raise KeyError(f"{benchmark.name}: no median supplied for {group!r}")
-        m_hi = medians[benchmark.higher]
-        m_lo = medians[benchmark.lower]
-        observed = {benchmark.higher: m_hi, benchmark.lower: m_lo}
-        undefined = [g for g, m in observed.items() if m is None]
+        groups = (benchmark.higher, benchmark.lower)
+    elif isinstance(benchmark, ToleranceBenchmark):
+        groups = (benchmark.group,)
+    else:
+        raise TypeError(f"unsupported benchmark {benchmark!r}")
+    for group in groups:
+        if group not in medians:
+            raise KeyError(f"{benchmark.name}: no median supplied for {group!r}")
+    observed = {group: medians[group] for group in groups}
+    undefined = sorted(g for g, m in observed.items() if m is None)
+    if isinstance(benchmark, DirectionBenchmark):
+        m_hi, m_lo = observed[benchmark.higher], observed[benchmark.lower]
         if undefined:
-            return ConcordanceResult(
-                benchmark=benchmark.name,
-                concordant=False,
-                reason=(
-                    "median undefined for "
-                    + ", ".join(sorted(undefined))
-                    + "; direction cannot be established"
-                ),
-                observed=observed,
-            )
-        if m_hi > m_lo:
-            return ConcordanceResult(
-                benchmark=benchmark.name,
-                concordant=True,
-                reason=f"median {m_hi:g} > {m_lo:g} as published",
-                observed=observed,
-            )
-        return ConcordanceResult(
-            benchmark=benchmark.name,
-            concordant=False,
-            reason=f"median {m_hi:g} <= {m_lo:g}, direction reversed or erased",
-            observed=observed,
-        )
-    if isinstance(benchmark, ToleranceBenchmark):
-        if benchmark.group not in medians:
-            raise KeyError(f"{benchmark.name}: no median supplied for {benchmark.group!r}")
-        m = medians[benchmark.group]
-        observed = {benchmark.group: m}
-        if m is None:
-            return ConcordanceResult(
-                benchmark=benchmark.name,
-                concordant=False,
-                reason="median undefined; value cannot be compared",
-                observed=observed,
-            )
-        delta = abs(m - benchmark.expected_median)
-        if delta <= benchmark.tolerance:
-            return ConcordanceResult(
-                benchmark=benchmark.name,
-                concordant=True,
-                reason=(
-                    f"median {m:g} within {benchmark.tolerance:g} of "
-                    f"{benchmark.expected_median:g}"
-                ),
-                observed=observed,
-            )
-        return ConcordanceResult(
-            benchmark=benchmark.name,
-            concordant=False,
-            reason=(
-                f"median {m:g} misses {benchmark.expected_median:g} "
-                f"by {delta:g} (> {benchmark.tolerance:g})"
-            ),
-            observed=observed,
-        )
-    raise TypeError(f"unsupported benchmark {benchmark!r}")
+            concordant = False
+            reason = f"median undefined for {', '.join(undefined)}; direction cannot be established"
+        elif m_hi > m_lo:
+            concordant, reason = True, f"median {m_hi:g} > {m_lo:g} as published"
+        else:
+            concordant = False
+            reason = f"median {m_hi:g} <= {m_lo:g}, direction reversed or erased"
+    else:
+        m, expected, tol = observed[benchmark.group], benchmark.expected_median, benchmark.tolerance
+        if undefined:
+            concordant, reason = False, "median undefined; value cannot be compared"
+        elif abs(m - expected) <= tol:
+            concordant, reason = True, f"median {m:g} within {tol:g} of {expected:g}"
+        else:
+            concordant = False
+            reason = f"median {m:g} misses {expected:g} by {abs(m - expected):g} (> {tol:g})"
+    return ConcordanceResult(
+        benchmark=benchmark.name, concordant=concordant, reason=reason, observed=observed
+    )
 
 
 # ---- equity replication ----

@@ -413,3 +413,15 @@ def effective_tolerance(spec: VariableSpec, default_days: int) -> int:
 
 def shift_date(d: date, days: int) -> date:
     return d + timedelta(days=days)
+
+
+def yaml_token(value, where: str, error: type[ValueError] = ValueError):
+    """``value`` from a YAML file where a category token belongs.
+
+    PyYAML reads a bare yes, no, on, off, true or false as a boolean, which
+    ``str`` turns into "True" or "False", a token no label carries; so a
+    boolean raises ``error`` naming ``where``.
+    """
+    if isinstance(value, bool):
+        raise error(f"{where}: YAML reads {value} as a boolean; quote the token")
+    return value

@@ -15,7 +15,7 @@ independent of cohort size or iteration order.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -107,37 +107,51 @@ def breast_schema() -> Schema:
 _BIOMARKERS = ("er_result", "pr_result", "her2_result", "gbrca1_result")
 
 
+# The fixed parameters of the synthetic cohort. Delay windows are
+# inclusive day ranges; probability maps sum to 1.
+_DIAGNOSIS_START = date(2010, 1, 1)
+_DIAGNOSIS_SPAN_DAYS = 96 * 30
+_MET_DELAY_DAYS = (180, 900)
+_STAGE_PROBS = {"I": 0.35, "II": 0.40, "III": 0.25}
+_SURGERY_BY_STAGE = {"I": 0.95, "II": 0.90, "III": 0.80, "IV": 0.0}
+_SURGERY_DELAY_DAYS = (7, 90)
+_RADIATION_GIVEN_SURGERY = 0.6
+_RADIATION_DELAY_DAYS = (10, 60)
+_ADJUVANT_GIVEN_SURGERY = 0.7
+_ADJUVANT_DELAY_DAYS = (7, 150)
+_BIOMARKER_WINDOW_DAYS = (-30, 30)
+_ENDOCRINE_GIVEN_HR_POSITIVE = 0.85
+_ENDOCRINE_DELAY_DAYS = (30, 200)
+REGIMENS = {
+    "anthracycline_taxane": 0.35,
+    "taxane_platinum": 0.25,
+    "cdk46_inhibitor_ai": 0.25,
+    "capecitabine": 0.15,
+}
+_OS_MEDIAN_DAYS = {"A": 420.0, "B": 330.0}
+_FOLLOWUP_DAYS = 1095
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for the synthetic cohort.
+    """The settable parameters of the synthetic cohort.
 
     Probability maps must sum to 1. ``include`` restricts which variables
-    are emitted (None keeps all). Survival is exponential from the
-    metastatic date with arm-specific medians, optionally scaled per
-    attribute stratum, and administratively censored at ``followup_days``.
+    are emitted (None keeps all). The rest of the cohort is fixed by the
+    module constants above: the diagnosis era, the stage mix, treatment
+    rates and delays, the first-line regimen mix (``REGIMENS``), and
+    survival, which is exponential from the metastatic date with medians of
+    420 days in arm A and 330 in arm B, administratively censored at 1095
+    days.
     """
 
     n_patients: int = 1000
-    diagnosis_start: date = date(2010, 1, 1)
-    diagnosis_months: int = 96
     strata: Mapping[str, Mapping[str, float]] = field(
         default_factory=lambda: {"race_ethnicity": {"groupA": 0.5, "groupB": 0.5}}
     )
     arms: Mapping[str, float] = field(default_factory=lambda: {"A": 0.5, "B": 0.5})
     metastatic_fraction: float = 0.35
     de_novo_fraction: float = 0.25
-    met_delay_days: tuple[int, int] = (180, 900)
-    stage_probs: Mapping[str, float] = field(
-        default_factory=lambda: {"I": 0.35, "II": 0.40, "III": 0.25}
-    )
-    surgery_by_stage: Mapping[str, float] = field(
-        default_factory=lambda: {"I": 0.95, "II": 0.90, "III": 0.80, "IV": 0.0}
-    )
-    surgery_delay_days: tuple[int, int] = (7, 90)
-    radiation_given_surgery: float = 0.6
-    radiation_delay_days: tuple[int, int] = (10, 60)
-    adjuvant_given_surgery: float = 0.7
-    adjuvant_delay_days: tuple[int, int] = (7, 150)
     biomarker_positive: Mapping[str, float] = field(
         default_factory=lambda: {
             "er_result": 0.75,
@@ -155,22 +169,6 @@ class GeneratorConfig:
         }
     )
     biomarker_repeat_rate: float = 0.15
-    biomarker_window_days: tuple[int, int] = (-30, 30)
-    endocrine_given_hr_positive: float = 0.85
-    endocrine_delay_days: tuple[int, int] = (30, 200)
-    regimens: Mapping[str, float] = field(
-        default_factory=lambda: {
-            "anthracycline_taxane": 0.35,
-            "taxane_platinum": 0.25,
-            "cdk46_inhibitor_ai": 0.25,
-            "capecitabine": 0.15,
-        }
-    )
-    os_median_days: Mapping[str, float] = field(
-        default_factory=lambda: {"A": 420.0, "B": 330.0}
-    )
-    os_stratum_multiplier: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
-    followup_days: int = 1095
     unknown_rate: float = 0.0
     include: frozenset[str] | None = None
 
@@ -179,34 +177,16 @@ class GeneratorConfig:
             raise ValueError("n_patients must be positive")
         for name, probs in [
             ("arms", self.arms),
-            ("stage_probs", self.stage_probs),
-            ("regimens", self.regimens),
             *[(f"strata[{k}]", v) for k, v in self.strata.items()],
         ]:
             total = sum(probs.values())
             if not math.isclose(total, 1.0, abs_tol=1e-9):
                 raise ValueError(f"{name}: probabilities sum to {total}, not 1")
-        for lo, hi in (
-            self.met_delay_days,
-            self.surgery_delay_days,
-            self.radiation_delay_days,
-            self.adjuvant_delay_days,
-            self.biomarker_window_days,
-            self.endocrine_delay_days,
-        ):
-            if lo > hi:
-                raise ValueError(f"delay window ({lo}, {hi}) is inverted")
         if self.include is not None:
             known = set(breast_schema().keys())
             bad = set(self.include) - known
             if bad:
                 raise ValueError(f"include names unknown variables: {sorted(bad)}")
-
-    def os_median(self, arm: str, attributes: Mapping[str, str]) -> float:
-        median = self.os_median_days[arm]
-        for attr, mults in self.os_stratum_multiplier.items():
-            median *= mults.get(attributes.get(attr, ""), 1.0)
-        return median
 
 
 def _uniform_days(rng: np.random.Generator, window: tuple[int, int]) -> int:
@@ -220,7 +200,7 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     The output is internally consistent by construction: stage IV is
     de novo metastatic disease, surgery happens between initial and any
     metastatic diagnosis and never for stage IV, radiation and adjuvant
-    therapy follow surgery inside their configured windows, repeat
+    therapy follow surgery inside their fixed windows, repeat
     biomarker tests agree in sign, endocrine therapy needs hormone
     receptor positivity, and every death is dated and terminal.
     """
@@ -228,7 +208,6 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     # valid by construction, so the set is built once at the end
     buckets: dict[tuple[str, str], list[LabelRecord]] = {}
     patients: dict[str, dict[str, str]] = {}
-    span_days = max(1, config.diagnosis_months * 30)
     width = max(6, len(str(config.n_patients - 1)))
 
     def emit(pid, variable, value, event_date=None):
@@ -244,7 +223,7 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
         attrs["treatment_arm"] = _choice(rng, config.arms)
         patients[pid] = attrs
 
-        initial = shift_date(config.diagnosis_start, int(rng.integers(0, span_days)))
+        initial = shift_date(_DIAGNOSIS_START, int(rng.integers(0, _DIAGNOSIS_SPAN_DAYS)))
         emit(pid, "initial_dx", "yes", initial)
 
         metastatic = rng.random() < config.metastatic_fraction
@@ -255,43 +234,43 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
                 met_date = initial
                 stage = "IV"
             else:
-                met_date = shift_date(initial, _uniform_days(rng, config.met_delay_days))
-                stage = _choice(rng, config.stage_probs)
+                met_date = shift_date(initial, _uniform_days(rng, _MET_DELAY_DAYS))
+                stage = _choice(rng, _STAGE_PROBS)
             emit(pid, "metastatic_dx", "yes", met_date)
         else:
-            stage = _choice(rng, config.stage_probs)
+            stage = _choice(rng, _STAGE_PROBS)
             emit(pid, "metastatic_dx", "no")
         emit(pid, "stage", stage)
 
         surgery_date = None
-        if rng.random() < config.surgery_by_stage.get(stage, 0.0):
-            surgery_date = shift_date(initial, _uniform_days(rng, config.surgery_delay_days))
+        if rng.random() < _SURGERY_BY_STAGE[stage]:
+            surgery_date = shift_date(initial, _uniform_days(rng, _SURGERY_DELAY_DAYS))
             emit(pid, "surgery", "yes", surgery_date)
         else:
             emit(pid, "surgery", "no")
 
-        if surgery_date is not None and rng.random() < config.radiation_given_surgery:
+        if surgery_date is not None and rng.random() < _RADIATION_GIVEN_SURGERY:
             emit(
                 pid,
                 "radiation",
                 "yes",
-                shift_date(surgery_date, _uniform_days(rng, config.radiation_delay_days)),
+                shift_date(surgery_date, _uniform_days(rng, _RADIATION_DELAY_DAYS)),
             )
         else:
             emit(pid, "radiation", "no")
 
-        if surgery_date is not None and rng.random() < config.adjuvant_given_surgery:
+        if surgery_date is not None and rng.random() < _ADJUVANT_GIVEN_SURGERY:
             emit(
                 pid,
                 "adjuvant_start",
                 "yes",
-                shift_date(surgery_date, _uniform_days(rng, config.adjuvant_delay_days)),
+                shift_date(surgery_date, _uniform_days(rng, _ADJUVANT_DELAY_DAYS)),
             )
         else:
             emit(pid, "adjuvant_start", "no")
 
         if metastatic:
-            emit(pid, "first_line_regimen", _choice(rng, config.regimens))
+            emit(pid, "first_line_regimen", _choice(rng, REGIMENS))
 
         signs = {}
         for marker in _BIOMARKERS:
@@ -304,19 +283,19 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
             n_tests = 2 if rng.random() < config.biomarker_repeat_rate else 1
             offsets: set[int] = set()
             while len(offsets) < n_tests:
-                offsets.add(_uniform_days(rng, config.biomarker_window_days))
+                offsets.add(_uniform_days(rng, _BIOMARKER_WINDOW_DAYS))
             for off in sorted(offsets):
                 emit(pid, marker, signs[marker], shift_date(initial, off))
 
         hr = "positive" if "positive" in (signs["er_result"], signs["pr_result"]) else "negative"
         emit(pid, "hr_status", hr)
 
-        if hr == "positive" and rng.random() < config.endocrine_given_hr_positive:
+        if hr == "positive" and rng.random() < _ENDOCRINE_GIVEN_HR_POSITIVE:
             emit(
                 pid,
                 "endocrine_therapy",
                 "yes",
-                shift_date(initial, _uniform_days(rng, config.endocrine_delay_days)),
+                shift_date(initial, _uniform_days(rng, _ENDOCRINE_DELAY_DAYS)),
             )
         else:
             emit(pid, "endocrine_therapy", "no")
@@ -324,16 +303,16 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
         anchor = met_date if met_date is not None else initial
         death_date = None
         if metastatic:
-            median = config.os_median(attrs["treatment_arm"], attrs)
+            median = _OS_MEDIAN_DAYS[attrs["treatment_arm"]]
             duration = int(round(rng.exponential(median / math.log(2.0))))
-            if duration <= config.followup_days:
+            if duration <= _FOLLOWUP_DAYS:
                 death_date = shift_date(anchor, max(duration, 1))
         if death_date is not None:
             emit(pid, "death", "yes", death_date)
             emit(pid, "last_contact", "yes", death_date)
         else:
             emit(pid, "death", "no")
-            emit(pid, "last_contact", "yes", shift_date(anchor, config.followup_days))
+            emit(pid, "last_contact", "yes", shift_date(anchor, _FOLLOWUP_DAYS))
 
         if config.unknown_rate > 0:
             # downgrade some documented values to documented-unknown
@@ -459,10 +438,9 @@ def corrupt(
     *,
     source: Source,
     seed: int,
-    base_source: Source = Source.REFERENCE,
     refresh_id: str | None = None,
 ) -> LabelSet:
-    """Derive an imperfect label set from a dataset's base labels.
+    """Derive an imperfect label set from a dataset's reference labels.
 
     Per patient and variable, in deterministic order: the whole key may be
     missed; each surviving known record may have its value flipped to a
@@ -472,7 +450,7 @@ def corrupt(
     dated relative to the patient's initial diagnosis. Unknown-token
     records can be missed but are never flipped.
     """
-    truth = dataset.labels(base_source)
+    truth = dataset.labels(Source.REFERENCE)
     schema = dataset.schema
     # each record is a truth record with its value flipped to another known
     # value or its date moved, or a known value hallucinated where the truth
@@ -526,15 +504,14 @@ def refresh_snapshot(
     *,
     seed: int,
     refresh_id: str,
-    attributes: Mapping[str, Mapping[str, str]] | None = None,
     additions: LabelSet | None = None,
 ) -> LabelSet:
     """Produce the next refresh of a label feed.
 
-    Each key mutates with its ``instability`` rate: the value flips when
-    an alternative known value exists, otherwise the date shifts by the
-    configured magnitude (default 30 days). ``additions`` merge in new
-    patients, the expected kind of churn.
+    Each key mutates with its variable's ``instability`` rate, unscaled by
+    any stratum: the value flips when an alternative known value exists,
+    otherwise the date shifts by the configured magnitude (default 30
+    days). ``additions`` merge in new patients, the expected kind of churn.
     """
     schema = labels.schema
     source = labels.source
@@ -542,10 +519,9 @@ def refresh_snapshot(
     buckets: dict[tuple[str, str], list[LabelRecord]] = {}
     for index, pid in enumerate(sorted(labels.patients)):
         rng = _patient_rng(_REFRESH_SALT, seed, index)
-        attrs = (attributes or {}).get(pid, {})
         for variable in sorted(schema.keys()):
             spec = schema[variable]
-            rates = model.rates_for(variable, attrs)
+            rates = model.rates_for(variable)
             records = labels.get(pid, variable)
             if records:
                 bucket = buckets[pid, variable] = []
@@ -585,7 +561,6 @@ def expected_metrics(
     *,
     stratum_value: str | None = None,
     tolerance_days: int = 30,
-    base_source: Source = Source.REFERENCE,
 ) -> dict[str, float | None]:
     """Expected metric values for ``corrupt`` output on a known truth.
 
@@ -598,7 +573,7 @@ def expected_metrics(
     spec = schema[variable]
     if spec.kind == VariableKind.EVENT_LIST:
         raise ValueError("closed-form expectations cover single-valued variables")
-    labels = truth.labels(base_source)
+    labels = truth.labels(Source.REFERENCE)
     patients = sorted(truth.patients)
     if stratum_value is not None:
         if model.stratum_attribute is None:
@@ -668,23 +643,18 @@ def expected_metrics(
     }
 
 
-def expected_end_to_end_recall(
-    model: ErrorModel,
-    rule: DerivedVariableRule,
-    *,
-    attributes: Mapping[str, str] | None = None,
-) -> float:
+def expected_end_to_end_recall(model: ErrorModel, rule: DerivedVariableRule) -> float:
     """Expected recall of a derived classification under independent errors.
 
     Assumes the truth satisfies the rule for the scored patients, one test
-    per component, no date shifting, and required values with exactly one
-    alternative (so every flip breaks the rule). The derived prediction is
+    per component, no date shifting, no stratum scaling, and required
+    values with exactly one alternative (so every flip breaks the rule). The derived prediction is
     then correct exactly when the index and every component survive
     unmissed and unflipped.
     """
     result = 1.0
     for variable in (rule.index_variable, *[v for v, _ in rule.components]):
-        rates = model.rates_for(variable, attributes)
+        rates = model.rates_for(variable)
         result *= (1.0 - rates.miss) * (1.0 - rates.flip)
     return result
 

@@ -19,6 +19,8 @@ from rwdval import Source, write_labels, save_schema
 from rwdval.cli import main
 from rwdval.pipeline import (
     ConfigError,
+    _collect_issues,
+    _summary_lines,
     config_hash,
     load_run_config,
     run_from_config_file,
@@ -522,8 +524,41 @@ def test_yaml_syntax_error_is_a_run_failure(tmp_path):
             "analyses[0].index_variable: required",
         ),
         ({"metricz": {"variables": []}}, "metricz: unknown key"),
+        # the replication pillar is off, so only the loader can catch the kind
+        ({"analyses": [{"kind": "trnd", "variable": "stage"}]}, "analyses[0].kind: must be one of"),
+        (
+            {"pillars": {"checks": False, "replication": False, "metricz": True}},
+            "pillars.metricz: unknown key",
+        ),
+        ({"tolerances": {"min_stratum": 5}}, "tolerances.min_stratum: unknown key"),
+        ({"labels": "llm.csv"}, "labels: must be a mapping"),
+        ({"metrics": {"variables": [], "bootstrp": True}}, "metrics.bootstrp: unknown key"),
+        ({"metrics": {"variables": ["stage"]}}, "metrics.variables[0]: must be a mapping"),
+        (
+            {"metrics": {"variables": [{"positive_class": "II"}]}},
+            "metrics.variables[0].variable: required",
+        ),
+        ({"metrics": {"derived": ["tnbc"]}}, "metrics.derived[0]: must be a mapping"),
+        (
+            {"metrics": {"derived": [{"index_variable": "stage"}]}},
+            "metrics.derived[0].name: required",
+        ),
     ],
-    ids=["strata_not_a_list", "analyses_a_mapping", "analysis_key_missing", "unknown_top_level_key"],
+    ids=[
+        "strata_not_a_list",
+        "analyses_a_mapping",
+        "analysis_key_missing",
+        "unknown_top_level_key",
+        "unknown_analysis_kind",
+        "unknown_pillar",
+        "unknown_tolerance",
+        "labels_not_a_mapping",
+        "unknown_metrics_key",
+        "metric_target_not_a_mapping",
+        "metric_target_without_variable",
+        "derived_rule_not_a_mapping",
+        "derived_rule_without_name",
+    ],
 )
 def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, message):
     cfg_path = small_workspace(tmp_path)
@@ -534,3 +569,119 @@ def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, messa
     assert isinstance(result.exception, SystemExit)
     assert f"error: {message}" in text(result)
     assert "Traceback" not in text(result)
+
+
+_RATE_SUITE = """checks:
+  - id: surgery_rate_by_stage
+    cohort:
+      kind: stratified_rate_range
+      variable: surgery
+      positive_value: yes
+      by: {variable: stage}
+      expected: {I: [0.9, 1.0]}
+"""
+
+_DISTRIBUTION_SUITE = """checks:
+  - id: metastatic_mix
+    cohort:
+      kind: distribution_range
+      variable: metastatic_dx
+      expected: {yes: [0.2, 0.5], no: [0.5, 0.8]}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, suite, message",
+    [
+        (
+            "    name: os_by_arm\n",
+            "    name: os_by_arm\n    event_positive: yes\n",
+            None,
+            "analyses[0].event_positive",
+        ),
+        ('positive_class: "yes"', "positive_class: yes", None, "metrics.variables[0].positive_class"),
+        (
+            "      index_variable: initial_dx\n",
+            "      index_variable: initial_dx\n      index_positive: yes\n",
+            None,
+            "metrics.derived[0].index_positive",
+        ),
+        (
+            "{variable: er_result, required: negative}",
+            "{variable: er_result, required: no}",
+            None,
+            "metrics.derived[0].components[0].required",
+        ),
+        ("higher: A, lower: B", "higher: yes, lower: B", None, "analyses[0].benchmark.higher"),
+        ("higher: A, lower: B", "higher: A, lower: no", None, "analyses[0].benchmark.lower"),
+        (
+            "type: direction, higher: A, lower: B",
+            "type: tolerance, group: yes, expected_median: 400, tolerance: 50",
+            None,
+            "analyses[0].benchmark.group",
+        ),
+        ("      anthracycline_taxane: 0.35", "      yes: 0.35", None, "analyses[1].reference"),
+        ("", "", _RATE_SUITE, "surgery_rate_by_stage.positive_value"),
+        ("", "", _DISTRIBUTION_SUITE, "metastatic_mix.expected"),
+    ],
+    ids=[
+        "event_positive",
+        "positive_class",
+        "index_positive",
+        "component_required",
+        "benchmark_higher",
+        "benchmark_lower",
+        "benchmark_group",
+        "distribution_reference_key",
+        "suite_positive_value",
+        "suite_expected_token",
+    ],
+)
+def test_yaml_boolean_where_a_token_belongs_exits_2_naming_the_key(
+    workspace, tmp_path, old, new, suite, message
+):
+    # unquoted yes/no are YAML booleans, which str() would make "True"/"False"
+    run_yaml = (workspace / "run.yaml").read_text()
+    assert old in run_yaml
+    run_yaml = run_yaml.replace(old, new, 1).replace("output_dir: results", f"output_dir: {tmp_path}")
+    if suite is not None:
+        (tmp_path / "suite.yaml").write_text(suite)
+        run_yaml += f"check_suite: {tmp_path / 'suite.yaml'}\n"
+    config = workspace / f"run_boolean_{tmp_path.name}.yaml"
+    config.write_text(run_yaml)
+    result = CliRunner().invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 2, text(result)
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {message}: YAML reads " in text(result)
+    assert "Traceback" not in text(result)
+
+
+def test_discordant_survival_and_equity_benchmarks_are_issues():
+    def verdict(concordant):
+        return {"concordant": concordant, "reason": "as published" if concordant else "reversed"}
+
+    report = {
+        "config_hash": "0",
+        "reference_mode": "duplicate_abstraction",
+        "cohort": {"n_patients": 0},
+        "replication": {
+            "analyses": [
+                {"kind": "survival_benchmark", "name": "os", "concordance": verdict(False)},
+                {"kind": "equity", "name": "gap", "llm": {"concordance": verdict(False)}},
+                {"kind": "equity", "name": "gap_ok", "llm": {"concordance": verdict(True)}},
+                {"kind": "trend", "name": "dx_trend", "llm": {"months": []}},
+            ]
+        },
+    }
+    report["issues"] = _collect_issues(report)
+    report["exit_code"] = 1
+    assert report["issues"] == [
+        "os: discordant with benchmark (reversed)",
+        "gap: discordant with benchmark (reversed)",
+    ]
+    verdicts = [line for line in _summary_lines(report) if line.startswith("    benchmark:")]
+    assert verdicts == [
+        "    benchmark: DISCORDANT (reversed)",
+        "    benchmark: DISCORDANT (reversed)",
+        "    benchmark: concordant (as published)",
+    ]

@@ -334,6 +334,37 @@ def test_tolerance_benchmark():
         ToleranceBenchmark(name="bad", group="A", expected_median=1.0, tolerance=-1.0)
 
 
+_DIRECTION = DirectionBenchmark(name="arm_gap", higher="A", lower="B")
+_TOLERANCE = ToleranceBenchmark(name="os_a", group="A", expected_median=400.0, tolerance=30.0)
+
+
+@pytest.mark.parametrize(
+    "spec, medians, concordant, reason",
+    [
+        (_DIRECTION, {"A": 420.5, "B": 330.0}, True, "median 420.5 > 330 as published"),
+        (_DIRECTION, {"A": 300.0, "B": 330.0}, False, "median 300 <= 330, direction reversed or erased"),
+        (
+            _DIRECTION,
+            {"A": None, "B": None},
+            False,
+            "median undefined for A, B; direction cannot be established",
+        ),
+        (_TOLERANCE, {"A": 420.0}, True, "median 420 within 30 of 400"),
+        (_TOLERANCE, {"A": 440.5}, False, "median 440.5 misses 400 by 40.5 (> 30)"),
+        (_TOLERANCE, {"A": None}, False, "median undefined; value cannot be compared"),
+    ],
+)
+def test_concordance_reasons_are_exact(spec, medians, concordant, reason):
+    # the reasons reach report.json and summary.txt, so their bytes are pinned
+    got = benchmark_concordance(spec, {**medians, "C": 1.0})
+    assert (got.benchmark, got.concordant, got.reason, got.observed) == (
+        spec.name,
+        concordant,
+        reason,
+        medians,
+    )
+
+
 # --- equity replication ---
 
 

@@ -1,6 +1,9 @@
 """Synthetic cohort generator and error model."""
 
+import hashlib
+
 import pytest
+from click.testing import CliRunner
 
 from rwdval import (
     DerivedVariableRule,
@@ -22,6 +25,7 @@ from rwdval import (
     simulate_validation_inputs,
     variable_metrics,
 )
+from rwdval.cli import main
 
 SEED = 20260801
 
@@ -328,3 +332,25 @@ def test_synth_output_passes_the_validating_add(seed):
     )
     assert refreshed == _through_add(refreshed)
     assert {r.refresh_id for r in refreshed.records()} == {"2"}
+
+
+# SHA-256 of every file `rwdval --seed 2 simulate --n 300 --with-refresh`
+# writes. A change that alters synth output on purpose updates these and
+# says so in CHANGES.md.
+SIMULATE_SEED_2_DIGESTS = {
+    "attributes.csv": "d7f474f3152738b68b37c7247baabdb218761a9dcb83fe3bdec24beafa1b1cf8",
+    "labels_abstractor_1.csv": "ece4e33dd310bd2deb826ce07b682e1c5e500362f0f6a76ef27a7b7a6b45ae66",
+    "labels_abstractor_2.csv": "c1a22f96cc51a3c1d9cdfa98094944fce2eb74067e1942faa4842eff77dc8dad",
+    "labels_llm.csv": "541c9c896fba3e4f2c08efa4851ec6a9497b93178aaeb00ab52d1cc5b0ece1ea",
+    "labels_llm_refresh1.csv": "20e82af4d416eb83d89880d9af54295680e6c6b3de6abfcc662115997ba660ca",
+    "run.yaml": "79dbeedf420e705fd493cf410ea6f3a701001a26760aa58b1ef0d72b96dfce8a",
+    "schema.yaml": "819aaedf52cc3f75752450133262f5908f51e7889e388ca407b3171a8cfa15c2",
+}
+
+
+def test_simulated_workspace_bytes_are_pinned(tmp_path):
+    args = ["--out", str(tmp_path), "--seed", "2", "simulate", "--n", "300", "--with-refresh"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == SIMULATE_SEED_2_DIGESTS
