@@ -25,6 +25,7 @@ from .schema import (
     VariableKind,
     VariableSpec,
     validate_record,
+    yaml_token,
 )
 
 LABEL_COLUMNS = ["patient_id", "variable", "value", "event_date", "source", "refresh_id"]
@@ -296,13 +297,20 @@ def load_schema(path: str | Path) -> Schema:
         for key in ("name", "kind"):
             if key not in entry:
                 raise SchemaError(f"{path}: variables[{i}] has no {key!r}")
+        where = f"{path}: {entry['name']}"
         allowed = entry.get("allowed_values")
+        if allowed is not None and not isinstance(allowed, list):
+            raise SchemaError(f"{where}.allowed_values: must be a list of tokens, got {allowed!r}")
+        for token in allowed or ():
+            yaml_token(token, f"{where}.allowed_values", SchemaError)
         specs.append(
             VariableSpec(
                 name=entry["name"],
                 kind=VariableKind(entry["kind"]),
                 allowed_values=frozenset(allowed) if allowed else None,
-                unknown_token=entry.get("unknown_token"),
+                unknown_token=yaml_token(
+                    entry.get("unknown_token"), f"{where}.unknown_token", SchemaError
+                ),
                 date_tolerance_days=entry.get("date_tolerance_days"),
             )
         )

@@ -199,13 +199,19 @@ def _derived_rules(metrics_doc: dict) -> list[metrics_mod.DerivedVariableRule]:
             components.append(
                 (str(c["variable"]), _token(c["required"], f"{path}.components[{j}].required"))
             )
-        window = rule.get("window_days", (-60, 60))
+        window = rule.get("window_days", [-60, 60])
+        if not (
+            isinstance(window, list)
+            and len(window) == 2
+            and all(isinstance(d, int) and not isinstance(d, bool) for d in window)
+        ):
+            raise ConfigError(f"{path}.window_days: must be a list of two integers, got {window!r}")
         rules.append(
             metrics_mod.DerivedVariableRule(
                 name=str(rule["name"]),
                 index_variable=str(rule["index_variable"]),
                 components=tuple(components),
-                window_days=(int(window[0]), int(window[1])),
+                window_days=tuple(window),
                 index_positive=_token(rule.get("index_positive", "yes"), f"{path}.index_positive"),
             )
         )

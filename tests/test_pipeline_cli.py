@@ -287,13 +287,14 @@ try:
     main(["--config", sys.argv[1], "run"])
 except SystemExit as exc:
     print("exit", exc.code)
-print("scipy.stats loaded:", "scipy.stats" in sys.modules)
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_run_never_imports_scipy_stats(tmp_path):
-    """The chi-square test and KM bands use scipy.special; scipy.stats alone
-    costs about a second to import, so a run must not load it."""
+def test_run_never_imports_scipy(tmp_path):
+    """The chi-square p-value comes from the pure-Python ``chdtrc`` port, and
+    KM bands are not on the run path; importing scipy.special costs about
+    0.3 s and scipy.stats about a second, so a run must load no scipy module."""
     ws = tmp_path / "ws"
     result = CliRunner().invoke(main, ["--out", str(ws), "--seed", SEED, "simulate", "--n", "120"])
     assert result.exit_code == 0, text(result)
@@ -309,7 +310,7 @@ def test_run_never_imports_scipy_stats(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-2] in ("exit 0", "exit 1"), proc.stdout + proc.stderr
-    assert lines[-1] == "scipy.stats loaded: False"
+    assert lines[-1] == "scipy modules: []"
     report = json.loads((ws / "results" / "report.json").read_text())
     analyses = report["replication"]["analyses"]
     (dist,) = [a for a in analyses if a["kind"] == "distribution_vs_reference"]
@@ -543,6 +544,13 @@ def test_yaml_syntax_error_is_a_run_failure(tmp_path):
             {"metrics": {"derived": [{"index_variable": "stage"}]}},
             "metrics.derived[0].name: required",
         ),
+        *(
+            (
+                {"metrics": {"derived": [{"name": "r", "index_variable": "stage", "window_days": w}]}},
+                "metrics.derived[0].window_days: must be a list of two integers",
+            )
+            for w in (60, [60], [-60, 60, 90], [-60.0, 60], [-60, "60"], "-60, 60", [False, 60])
+        ),
     ],
     ids=[
         "strata_not_a_list",
@@ -558,6 +566,13 @@ def test_yaml_syntax_error_is_a_run_failure(tmp_path):
         "metric_target_without_variable",
         "derived_rule_not_a_mapping",
         "derived_rule_without_name",
+        "derived_window_an_integer",
+        "derived_window_one_item",
+        "derived_window_three_items",
+        "derived_window_a_float",
+        "derived_window_a_string_item",
+        "derived_window_a_string",
+        "derived_window_a_boolean_item",
     ],
 )
 def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, message):
@@ -653,6 +668,46 @@ def test_yaml_boolean_where_a_token_belongs_exits_2_naming_the_key(
     assert result.exit_code == 2, text(result)
     assert isinstance(result.exception, SystemExit)
     assert f"error: {message}: YAML reads " in text(result)
+    assert "Traceback" not in text(result)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("  - 'yes'\n", "  - yes\n", "allowed_values: YAML reads True as a boolean; quote the token"),
+        (
+            "  unknown_token: unknown\n",
+            "  unknown_token: no\n",
+            "unknown_token: YAML reads False as a boolean; quote the token",
+        ),
+        (
+            "  allowed_values:\n  - unknown\n  - 'yes'\n",
+            "  allowed_values: yes\n",
+            "allowed_values: must be a list of tokens, got True",
+        ),
+        (
+            "  allowed_values:\n  - unknown\n  - 'yes'\n",
+            "  allowed_values: unknown yes\n",
+            "allowed_values: must be a list of tokens, got 'unknown yes'",
+        ),
+    ],
+    ids=["allowed_values", "unknown_token", "allowed_values_a_boolean", "allowed_values_a_string"],
+)
+def test_malformed_schema_token_exits_2_naming_the_variable(
+    workspace, tmp_path, old, new, message
+):
+    schema_yaml = (workspace / "schema.yaml").read_text()
+    assert old in schema_yaml
+    schema_path = tmp_path / "schema.yaml"
+    schema_path.write_text(schema_yaml.replace(old, new))
+    run_yaml = (workspace / "run.yaml").read_text()
+    run_yaml = run_yaml.replace("schema: schema.yaml", f"schema: {schema_path}", 1)
+    config = workspace / f"run_schema_boolean_{tmp_path.name}.yaml"
+    config.write_text(run_yaml.replace("output_dir: results", f"output_dir: {tmp_path}"))
+    result = CliRunner().invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 2, text(result)
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {schema_path}: initial_dx.{message}" in text(result)
     assert "Traceback" not in text(result)
 
 
