@@ -11,6 +11,7 @@ subcommand's run error in one place.
 from __future__ import annotations
 
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -19,6 +20,7 @@ import yaml
 from .labelio import IngestError, load_schema, read_labels, save_schema, write_attributes, write_labels
 from .pipeline import (
     ConfigError,
+    Pillars,
     assemble_reference,
     canonical_json,
     emit_report,
@@ -71,9 +73,9 @@ def _load_config(ctx: click.Context):
         _fail("this command needs --config (give it before the subcommand)")
     config = load_run_config(path)
     if ctx.obj.get("seed") is not None:
-        config.tolerances.seed = int(ctx.obj["seed"])
+        config = replace(config, tolerances=replace(config.tolerances, seed=ctx.obj["seed"]))
     if ctx.obj.get("out_dir"):
-        config.output_dir = Path(ctx.obj["out_dir"])
+        config = replace(config, output_dir=Path(ctx.obj["out_dir"]))
     return config
 
 
@@ -81,7 +83,7 @@ def _run_and_report(ctx: click.Context, only: str | None = None):
     """Run the configured pillars, or just the pillar ``only``."""
     config = _load_config(ctx)
     if only is not None:
-        config.pillars = {name: name == only for name in config.pillars}
+        config = replace(config, pillars=Pillars(**{f.name: f.name == only for f in fields(Pillars)}))
     result = run_pipeline(config)
     if config.output_dir is not None:
         emit_report(result, config.output_dir)
@@ -125,7 +127,7 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
     try:
         config = _load_config(ctx)
         if mode:
-            config.reference_mode = ReferenceMode(mode)
+            config = replace(config, reference_mode=ReferenceMode(mode))
         dataset = _load_dataset(config)
         adjudications = None
         if adjudications_path:

@@ -522,6 +522,17 @@ def bootstrap_variable_ci(
 
 
 @dataclass(frozen=True)
+class Component:
+    """One component test of a derived rule: ``variable`` must read ``required``."""
+
+    variable: str
+    required: str
+
+    def __iter__(self):
+        return iter((self.variable, self.required))
+
+
+@dataclass(frozen=True)
 class DerivedVariableRule:
     """Composite variable built from dated component tests near an index date.
 
@@ -532,20 +543,21 @@ class DerivedVariableRule:
     (ties to the earlier date) supplies its value. The derived value is
     positive when every component equals its required token, negative when
     any known in-window component differs, and unknown when any
-    still-undecided component lacks a known in-window value.
+    still-undecided component lacks a known in-window value. A component
+    is a ``Component`` or a plain (variable, required value) pair.
     """
 
     name: str
     index_variable: str
-    components: tuple[tuple[str, str], ...]  # (variable, required value)
+    components: tuple[Component, ...] = ()
     window_days: tuple[int, int] = (-60, 60)
     index_positive: str = "yes"
 
     def __post_init__(self) -> None:
         if self.window_days[0] > self.window_days[1]:
-            raise ValueError(f"{self.name}: window lo must be <= hi")
+            raise ValueError(f"window_days: lo must be <= hi in rule {self.name}, got {self.window_days}")
         if not self.components:
-            raise ValueError(f"{self.name}: at least one component required")
+            raise ValueError(f"components: rule {self.name} needs at least one")
         object.__setattr__(self, "components", tuple(self.components))
 
 

@@ -16,8 +16,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -34,6 +38,7 @@ from .refstd import (
     write_disagreements,
 )
 from .replication import (
+    BenchmarkSpec,
     DirectionBenchmark,
     EquityReport,
     SurvivalCohort,
@@ -51,10 +56,33 @@ from .schema import CohortDataset, LabelSet, Source, yaml_token
 
 
 class ConfigError(ValueError):
-    """The run configuration is malformed or references missing inputs."""
+    """The run configuration is malformed or references missing inputs; ``problems`` lists each."""
+
+    def __init__(self, *problems: str):
+        self.problems = list(problems)
+        head = f"{len(problems)} problems:\n  " if len(problems) > 1 else ""
+        super().__init__(head + "\n  ".join(problems))
 
 
-@dataclass
+# ---- the run config: one frozen spec per YAML mapping, read by _parse ----
+
+
+@dataclass(frozen=True, eq=False)  # hashed by identity, as typing.Union hashes its members
+class _OneOf:
+    """A mapping that names its spec under ``key``; absent, the key reads ``default``."""
+
+    key: str
+    specs: dict[str, type]
+    default: str | None = None
+
+
+Benchmark = Annotated[
+    BenchmarkSpec,
+    _OneOf("type", {"direction": DirectionBenchmark, "tolerance": ToleranceBenchmark}, "direction"),
+]
+
+
+@dataclass(frozen=True)
 class Tolerances:
     date_tolerance_days: int = 30
     min_stratum_n: int = 20
@@ -62,195 +90,234 @@ class Tolerances:
     seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricTarget:
     variable: str
-    positive_class: str | None
+    positive_class: str | None = None
 
 
-@dataclass
-class RunConfig:
-    """Parsed run configuration; paths are resolved against the config file."""
-
-    schema_path: Path
-    label_paths: dict[str, Path]
-    reference_mode: ReferenceMode
-    attributes_path: Path | None = None
-    previous_labels_path: Path | None = None
-    check_suite_path: Path | None = None
-    strata: list[str] = field(default_factory=list)
-    metric_targets: list[MetricTarget] = field(default_factory=list)
-    derived_rules: list[metrics_mod.DerivedVariableRule] = field(default_factory=list)
-    analyses: list[dict] = field(default_factory=list)
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    thresholds: dict[str, float] = field(default_factory=dict)
+@dataclass(frozen=True)
+class MetricsSpec:
+    variables: tuple[MetricTarget, ...] = ()
+    derived: tuple[metrics_mod.DerivedVariableRule, ...] = ()
     bootstrap: bool = False
-    pillars: dict[str, bool] = field(default_factory=lambda: dict.fromkeys(_PILLARS, True))
+
+
+@dataclass(frozen=True)
+class Pillars:
+    metrics: bool = True
+    checks: bool = True
+    replication: bool = True
+
+
+@dataclass(frozen=True, kw_only=True)
+class _SurvivalEndpoint:
+    """The keys a survival analysis builds its cohort from."""
+
+    index_variable: str
+    event_variable: str
+    censor_variable: str
+    event_positive: str = "yes"
+    max_followup_days: int | None = None
+
+    def cohort(self, labels: LabelSet, patients: list[str]) -> SurvivalCohort:
+        # each field is a keyword argument of survival_records
+        keys = {f.name: getattr(self, f.name) for f in fields(_SurvivalEndpoint)}
+        return survival_records(labels, patients=patients, **keys)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SurvivalBenchmarkSpec(_SurvivalEndpoint):
+    name: str = "survival_benchmark"
+    group_by: str | None = None
+    at_times: tuple[float, ...] = ()
+    benchmark: Benchmark | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class EquitySpec(_SurvivalEndpoint):
+    stratum_attribute: str
+    name: str | None = None  # equity_<stratum_attribute>
+    benchmark: Benchmark | None = None
+
+
+@dataclass(frozen=True)
+class DistributionSpec:
+    variable: str
+    reference: dict[str, float]
+    name: str | None = None  # distribution_<variable>
+
+    def __post_init__(self) -> None:
+        masses = self.reference.values()
+        if sum(masses) <= 0 or any(p < 0 for p in masses):
+            raise ValueError(f"reference: needs non-negative masses summing above 0, got {self.reference}")
+
+
+@dataclass(frozen=True)
+class TrendSpec:
+    variable: str
+    name: str | None = None  # trend_<variable>
+
+
+Analysis = Annotated[
+    SurvivalBenchmarkSpec | EquitySpec | DistributionSpec | TrendSpec,
+    _OneOf("kind", {"survival_benchmark": SurvivalBenchmarkSpec, "equity": EquitySpec,
+                    "distribution_vs_reference": DistributionSpec, "trend": TrendSpec}),
+]
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A parsed run config: one field per top-level key.
+
+    Paths are resolved against the config file. ``raw`` is the document as
+    read, for the config hash.
+    """
+
+    schema: Path
+    labels: dict[Source, Path]
+    reference_mode: ReferenceMode = ReferenceMode.DUPLICATE_ABSTRACTION
+    attributes: Path | None = None
+    previous_labels: Path | None = None
+    check_suite: Path | None = None
+    strata: tuple[str, ...] = ()
+    metrics: MetricsSpec = MetricsSpec()
+    thresholds: dict[str, float] = field(default_factory=dict)
+    analyses: tuple[Analysis, ...] = ()
+    tolerances: Tolerances = Tolerances()
+    pillars: Pillars = Pillars()
     output_dir: Path | None = None
-    raw: dict = field(default_factory=dict)
-
-    def pillar(self, name: str) -> bool:
-        return self.pillars[name]
+    raw: dict = field(default_factory=dict, compare=False, metadata={"yaml": False})
 
 
-_LABEL_SOURCES = {
-    "llm": Source.LLM,
-    "abstractor_1": Source.ABSTRACTOR_1,
-    "abstractor_2": Source.ABSTRACTOR_2,
-    "adjudicator": Source.ADJUDICATOR,
-    "reference": Source.REFERENCE,
+def _key(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+# what a message says a type accepts, in the singular and the plural
+_ACCEPTS = {
+    str: ("a string", "strings"),
+    Path: ("a path", "paths"),
+    int: ("an integer", "integers"),
+    float: ("a finite number", "finite numbers"),
+    bool: ("true or false", "booleans"),
 }
 
 
-_RUN_CONFIG_KEYS = (
-    "schema",
-    "labels",
-    "reference_mode",
-    "tolerances",
-    "metrics",
-    "pillars",
-    "thresholds",
-    "attributes",
-    "previous_labels",
-    "check_suite",
-    "strata",
-    "analyses",
-    "output_dir",
-)
-
-_PILLARS = ("metrics", "checks", "replication")
-_METRICS_KEYS = ("variables", "derived", "bootstrap")
-_TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
-
-_SURVIVAL_KEYS = ("index_variable", "event_variable", "censor_variable")
-
-# the analysis kinds, each with the keys it reads without a default
-_ANALYSIS_REQUIRED_KEYS = {
-    "survival_benchmark": _SURVIVAL_KEYS,
-    "equity": (*_SURVIVAL_KEYS, "stratum_attribute"),
-    "distribution_vs_reference": ("variable",),
-    "trend": ("variable",),
-}
+def _accepts(hint, plural: bool = False) -> str:
+    if get_origin(hint) is tuple:
+        items = _accepts(get_args(hint)[0], plural=True)
+        # every fixed-length tuple in the specs is a pair
+        return f"a list of {items}" if get_args(hint)[-1] is Ellipsis else f"a list of two {items}"
+    if hint in _ACCEPTS:
+        return _ACCEPTS[hint][plural]
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return f"one of {', '.join(m.value for m in hint)}"
+    return "mappings" if plural else "a mapping"
 
 
-def _known_keys(mapping: dict, path: str, known: tuple[str, ...]) -> None:
-    unknown = [key for key in mapping if key not in known]
-    if unknown:
-        where = f"{path}.{unknown[0]}" if path else unknown[0]
-        raise ConfigError(f"{where}: unknown key; {path or 'a run config'} takes {', '.join(known)}")
+def _value(hint, value, path: str, problems: list[str]):
+    """``value`` read as the type ``hint``; on a problem, record it and return None."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):  # X | None: a null value never gets here
+        (hint,) = [a for a in args if a is not NoneType]
+        return _value(hint, value, path, problems)
+    if origin is Annotated:  # one of several specs, named under a tag key
+        choice = hint.__metadata__[0]
+        if isinstance(value, dict):
+            tag = value.get(choice.key, choice.default)
+            if isinstance(tag, str) and tag in choice.specs:
+                rest = {k: v for k, v in value.items() if k != choice.key}
+                return _parse(choice.specs[tag], rest, path, problems)
+            problems.append(f"{path}.{choice.key}: must be one of {', '.join(choice.specs)}, got {tag!r}")
+            return None
+    elif is_dataclass(hint):
+        if isinstance(value, dict):
+            return _parse(hint, value, path, problems)
+    elif origin is tuple:
+        fixed = args[-1] is not Ellipsis
+        if isinstance(value, list) and (not fixed or len(value) == len(args)):
+            # a fixed-length tuple is reported whole, a list item by item
+            found = [] if fixed else problems
+            types = args if fixed else args[:1] * len(value)
+            items = tuple(_value(t, v, f"{path}[{i}]", found) for i, (t, v) in enumerate(zip(types, value)))
+            if not (fixed and found):
+                return items
+    elif origin is dict:
+        if isinstance(value, dict):
+            return {
+                _value(args[0], k, path, problems): _value(args[1], v, _key(path, k), problems)
+                for k, v in value.items()
+            }
+    elif hint is bool:
+        if isinstance(value, bool):
+            return value
+    elif hint is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif hint is float:  # NaN fails the comparison; an int too large for a float fails it too
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+            return float(value)
+    else:  # a token: str, Path or an Enum of str
+        try:
+            yaml_token(value, path, ConfigError)
+        except ConfigError as exc:
+            problems.append(str(exc))
+            return None
+        if isinstance(value, (str, int, float)):
+            try:
+                return hint(str(value))
+            except ValueError:  # not a member of the Enum
+                pass
+    problems.append(f"{path}: must be {_accepts(hint)}, got {value!r}")
+    return None
 
 
-def _section(doc: dict, key: str, known: tuple[str, ...]) -> dict:
-    """The mapping under a top-level ``key``, empty when absent."""
-    section = doc.get(key) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key}: must be a mapping, got {section!r}")
-    _known_keys(section, key, known)
-    return section
+def _parse(cls, value, path: str, problems: list[str]):
+    """The spec ``cls`` read from the mapping ``value`` at YAML ``path``.
+
+    Every unknown key, missing required key (a field with no default) and
+    ill-typed value is recorded in ``problems`` with its YAML path, and
+    None is returned. A null value reads as the field's default. A spec's
+    own check raises ``ValueError`` naming the field first.
+    """
+    known = {f.name: f for f in fields(cls) if f.metadata.get("yaml", True)}
+    hints = get_type_hints(cls, include_extras=True)
+    before = len(problems)
+    for key in value:
+        if key not in known:
+            problems.append(f"{_key(path, key)}: unknown key; {path or 'a run config'} takes {', '.join(known)}")
+    kwargs = {}
+    for name, f in known.items():
+        if value.get(name) is not None:
+            kwargs[name] = _value(hints[name], value[name], _key(path, name), problems)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            problems.append(f"{_key(path, name)}: required")
+    if len(problems) > before:
+        return None
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        problems.append(_key(path, exc))
+        return None
 
 
-def _mappings(value, path: str) -> list[dict]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: must be a list of mappings, got {type(value).__name__}")
-    for i, item in enumerate(value):
-        if not isinstance(item, dict):
-            raise ConfigError(f"{path}[{i}]: must be a mapping, got {item!r}")
-    return value
-
-
-def _required(mapping: dict, path: str, keys: tuple[str, ...]) -> None:
-    missing = [key for key in keys if key not in mapping]
-    if missing:
-        raise ConfigError(f"{path}.{missing[0]}: required")
-
-
-def _token(value, path: str) -> str:
-    return str(yaml_token(value, path, ConfigError))
-
-
-def _strata(doc: dict) -> list[str]:
-    strata = doc.get("strata", [])
-    if not isinstance(strata, list):
-        raise ConfigError(f"strata: must be a list of strings, got {strata!r}")
-    for i, stratum in enumerate(strata):
-        if not isinstance(stratum, str):
-            raise ConfigError(f"strata[{i}]: must be a string, got {stratum!r}")
-    return list(strata)
-
-
-def _metric_targets(metrics_doc: dict) -> list[MetricTarget]:
-    targets = []
-    for i, target in enumerate(_mappings(metrics_doc.get("variables", []), "metrics.variables")):
-        path = f"metrics.variables[{i}]"
-        _required(target, path, ("variable",))
-        positive = yaml_token(target.get("positive_class"), f"{path}.positive_class", ConfigError)
-        targets.append(MetricTarget(variable=str(target["variable"]), positive_class=positive))
-    return targets
-
-
-def _derived_rules(metrics_doc: dict) -> list[metrics_mod.DerivedVariableRule]:
-    rules = []
-    for i, rule in enumerate(_mappings(metrics_doc.get("derived", []), "metrics.derived")):
-        path = f"metrics.derived[{i}]"
-        _required(rule, path, ("name", "index_variable"))
-        components = []
-        for j, c in enumerate(_mappings(rule.get("components", []), f"{path}.components")):
-            _required(c, f"{path}.components[{j}]", ("variable", "required"))
-            components.append(
-                (str(c["variable"]), _token(c["required"], f"{path}.components[{j}].required"))
-            )
-        window = rule.get("window_days", [-60, 60])
-        if not (
-            isinstance(window, list)
-            and len(window) == 2
-            and all(isinstance(d, int) and not isinstance(d, bool) for d in window)
-        ):
-            raise ConfigError(f"{path}.window_days: must be a list of two integers, got {window!r}")
-        rules.append(
-            metrics_mod.DerivedVariableRule(
-                name=str(rule["name"]),
-                index_variable=str(rule["index_variable"]),
-                components=tuple(components),
-                window_days=tuple(window),
-                index_positive=_token(rule.get("index_positive", "yes"), f"{path}.index_positive"),
-            )
-        )
-    return rules
-
-
-def _analyses(doc: dict) -> list[dict]:
-    analyses = _mappings(doc.get("analyses", []), "analyses")
-    for i, analysis in enumerate(analyses):
-        path = f"analyses[{i}]"
-        kind = analysis.get("kind")
-        if not isinstance(kind, str) or kind not in _ANALYSIS_REQUIRED_KEYS:
-            raise ConfigError(
-                f"{path}.kind: must be one of {', '.join(_ANALYSIS_REQUIRED_KEYS)}, got {kind!r}"
-            )
-        _required(analysis, path, _ANALYSIS_REQUIRED_KEYS[kind])
-        # the category tokens an analysis names, read when the pillar runs
-        if "event_positive" in analysis:
-            _token(analysis["event_positive"], f"{path}.event_positive")
-        benchmark = analysis.get("benchmark")
-        if isinstance(benchmark, dict):
-            for key in ("higher", "lower", "group"):
-                if key in benchmark:
-                    _token(benchmark[key], f"{path}.benchmark.{key}")
-        reference = analysis.get("reference")
-        if isinstance(reference, dict):
-            for token in reference:
-                _token(token, f"{path}.reference")
-    return list(analyses)
-
-
-def _yes_no(value, key: str) -> bool:
-    """A switch must be a YAML boolean: ``bool("no")`` would read as on."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+def _named_variables(spec, path: str):
+    """(YAML path, name) of each schema variable a spec names: every field named ``*variable``."""
+    for f in fields(spec):
+        value, where = getattr(spec, f.name), _key(path, f.name)
+        if f.name.endswith("variable"):
+            yield where, value
+        elif is_dataclass(value):
+            yield from _named_variables(value, where)
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                if is_dataclass(item):
+                    yield from _named_variables(item, f"{where}[{i}]")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
+    """Parse ``run.yaml``; a ``ConfigError`` lists every problem before any input is read."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -259,54 +326,29 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: run config must be a mapping")
-    _known_keys(doc, "", _RUN_CONFIG_KEYS)
-    base = path.parent
+    problems: list[str] = []
+    config = _parse(RunConfig, doc, "", problems)
+    if config is not None:
+        if Source.LLM not in config.labels:
+            problems.append("labels.llm: required")
+        unknown = sorted(set(config.thresholds) - set(metrics_mod.METRIC_NAMES))
+        if unknown:
+            problems.append(f"thresholds: unknown metric(s) {unknown}; known: {list(metrics_mod.METRIC_NAMES)}")
+        for i, analysis in enumerate(config.analyses):
+            for key in ("group_by", "stratum_attribute"):
+                attribute = getattr(analysis, key, None)
+                if attribute is not None and attribute not in config.strata:
+                    problems.append(f"analyses[{i}].{key}: {attribute!r} is not declared under strata")
+    if problems:
+        raise ConfigError(*problems)
 
-    def resolve(p) -> Path:
-        return (base / str(p)).resolve() if not Path(str(p)).is_absolute() else Path(str(p))
+    def resolve(p: Path | None) -> Path | None:
+        return p if p is None or p.is_absolute() else (path.parent / p).resolve()
 
-    if "schema" not in doc:
-        raise ConfigError("run config needs a 'schema' path")
-    labels_doc = _section(doc, "labels", tuple(_LABEL_SOURCES))
-    if "llm" not in labels_doc:
-        raise ConfigError("run config needs labels.llm")
-    label_paths = {role: resolve(p) for role, p in labels_doc.items()}
-    try:
-        mode = ReferenceMode(doc.get("reference_mode", "duplicate_abstraction"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    tol_doc = _section(doc, "tolerances", _TOLERANCE_KEYS)
-    tolerances = Tolerances(**{key: int(value) for key, value in tol_doc.items()})
-    metrics_doc = _section(doc, "metrics", _METRICS_KEYS)
-    pillars = dict.fromkeys(_PILLARS, True)
-    for name, value in _section(doc, "pillars", _PILLARS).items():
-        pillars[name] = _yes_no(value, f"pillars.{name}")
-    thresholds = {str(k): float(v) for k, v in (doc.get("thresholds") or {}).items()}
-    unknown = sorted(set(thresholds) - set(metrics_mod.METRIC_NAMES))
-    if unknown:
-        raise ConfigError(
-            f"thresholds: unknown metric(s) {unknown}; known: {list(metrics_mod.METRIC_NAMES)}"
-        )
-    return RunConfig(
-        schema_path=resolve(doc["schema"]),
-        label_paths=label_paths,
-        reference_mode=mode,
-        attributes_path=resolve(doc["attributes"]) if doc.get("attributes") else None,
-        previous_labels_path=(
-            resolve(doc["previous_labels"]) if doc.get("previous_labels") else None
-        ),
-        check_suite_path=resolve(doc["check_suite"]) if doc.get("check_suite") else None,
-        strata=_strata(doc),
-        metric_targets=_metric_targets(metrics_doc),
-        derived_rules=_derived_rules(metrics_doc),
-        analyses=_analyses(doc),
-        tolerances=tolerances,
-        thresholds=thresholds,
-        bootstrap=_yes_no(metrics_doc.get("bootstrap", False), "metrics.bootstrap"),
-        pillars=pillars,
-        output_dir=resolve(doc["output_dir"]) if doc.get("output_dir") else None,
-        raw=doc,
-    )
+    paths = ("schema", "attributes", "previous_labels", "check_suite", "output_dir")
+    resolved = {key: resolve(getattr(config, key)) for key in paths}
+    labels = {source: resolve(p) for source, p in config.labels.items()}
+    return replace(config, labels=labels, raw=doc, **resolved)
 
 
 def _file_digest(path: Path) -> str:
@@ -323,15 +365,10 @@ def canonical_json(obj) -> str:
 
 def config_hash(config: RunConfig) -> str:
     """Digest of the config content plus every referenced input file."""
-    inputs = {"schema": config.schema_path}
-    for role, p in config.label_paths.items():
-        inputs[f"labels.{role}"] = p
-    if config.attributes_path:
-        inputs["attributes"] = config.attributes_path
-    if config.previous_labels_path:
-        inputs["previous_labels"] = config.previous_labels_path
-    if config.check_suite_path:
-        inputs["check_suite"] = config.check_suite_path
+    inputs = {f"labels.{source.value}": p for source, p in config.labels.items()}
+    for key in ("schema", "attributes", "previous_labels", "check_suite"):
+        if getattr(config, key) is not None:
+            inputs[key] = getattr(config, key)
     digests = {}
     for role in sorted(inputs):
         try:
@@ -364,13 +401,16 @@ class PipelineResult:
 
 
 def _load_dataset(config: RunConfig) -> CohortDataset:
-    schema = load_schema(config.schema_path)
+    schema = load_schema(config.schema)
+    named = _named_variables(config, "")
+    unknown = [f"{where}: unknown variable {name!r}" for where, name in named if name not in schema]
+    if unknown:
+        raise ConfigError(*unknown)
     label_sets: dict[Source, LabelSet] = {}
-    for role, path in sorted(config.label_paths.items()):
-        source = _LABEL_SOURCES[role]
+    for source, path in sorted(config.labels.items()):
         label_sets[source] = read_labels(path, schema, source)
-    if config.attributes_path is not None:
-        patients = read_attributes(config.attributes_path, config.strata)
+    if config.attributes is not None:
+        patients = read_attributes(config.attributes, list(config.strata))
     else:
         patients = {
             pid: {}
@@ -418,7 +458,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
     tol = config.tolerances
     cohort = sorted(dataset.patients)
     out: dict = {"status": "ok", "variables": {}, "derived": {}, "threshold_breaches": []}
-    for target in config.metric_targets:
+    for target in config.metrics.variables:
         llm_report = metrics_mod.variable_metrics(
             llm,
             reference,
@@ -435,7 +475,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
             tolerance_days=tol.date_tolerance_days,
             patients=cohort,
         )
-        if config.bootstrap:
+        if config.metrics.bootstrap:
             llm_report.ci = metrics_mod.bootstrap_variable_ci(
                 llm,
                 reference,
@@ -490,7 +530,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
                     }
                 )
         out["variables"][target.variable] = entry
-    for rule in config.derived_rules:
+    for rule in config.metrics.derived:
         e2e = metrics_mod.end_to_end_metrics(rule, llm, reference, a1, cohort=cohort)
         out["derived"][rule.name] = {
             "index_variable": rule.index_variable,
@@ -505,13 +545,13 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
 
 
 def _checks_pillar(config: RunConfig, dataset: CohortDataset) -> tuple[dict, list]:
-    if config.check_suite_path is not None:
-        suite = checks_mod.load_suite(config.check_suite_path, dataset.schema)
+    if config.check_suite is not None:
+        suite = checks_mod.load_suite(config.check_suite, dataset.schema)
     else:
         suite = checks_mod.load_suite(checks_mod.default_suite_path(), dataset.schema)
     previous = None
-    if config.previous_labels_path is not None:
-        previous = read_labels(config.previous_labels_path, dataset.schema, Source.LLM)
+    if config.previous_labels is not None:
+        previous = read_labels(config.previous_labels, dataset.schema, Source.LLM)
     report = checks_mod.run_all_checks(
         suite,
         dataset,
@@ -523,55 +563,23 @@ def _checks_pillar(config: RunConfig, dataset: CohortDataset) -> tuple[dict, lis
     return report.to_dict(), report.findings()
 
 
-def _parse_benchmark(doc: dict):
-    kind = doc.get("type", "direction")
-    if kind == "direction":
-        return DirectionBenchmark(
-            name=str(doc.get("name", "benchmark")),
-            higher=str(doc["higher"]),
-            lower=str(doc["lower"]),
-        )
-    if kind == "tolerance":
-        return ToleranceBenchmark(
-            name=str(doc.get("name", "benchmark")),
-            group=str(doc["group"]),
-            expected_median=float(doc["expected_median"]),
-            tolerance=float(doc["tolerance"]),
-        )
-    raise ConfigError(f"unknown benchmark type {kind!r}")
-
-
 def _reference_label_set(dataset: CohortDataset, reference) -> LabelSet | None:
     if reference is not None:
         return reference.labels
     return dataset.label_sets.get(Source.REFERENCE)
 
 
-def _survival_args(doc: dict) -> dict:
-    """The ``survival_records`` keyword arguments an analysis entry gives."""
-    max_days = doc.get("max_followup_days")
-    return {
-        "index_variable": str(doc["index_variable"]),
-        "event_variable": str(doc["event_variable"]),
-        "censor_variable": str(doc["censor_variable"]),
-        "event_positive": str(doc.get("event_positive", "yes")),
-        "max_followup_days": int(max_days) if max_days is not None else None,
-    }
-
-
-def _survival_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, reference, curves: dict) -> dict:
+def _survival_analysis(spec: SurvivalBenchmarkSpec, dataset: CohortDataset, reference, curves: dict) -> dict:
     llm = dataset.labels(Source.LLM)
-    group_by = doc.get("group_by")
-    name = str(doc.get("name", "survival_benchmark"))
-    survival_args = _survival_args(doc)
-    groups = dataset.strata(group_by) if group_by else {"all": sorted(dataset.patients)}
+    name = spec.name
+    groups = dataset.strata(spec.group_by) if spec.group_by else {"all": sorted(dataset.patients)}
     ref_labels = _reference_label_set(dataset, reference)
     result: dict = {"kind": "survival_benchmark", "name": name, "groups": {}}
     llm_medians: dict[str, float | None] = {}
     ref_medians: dict[str, float | None] = {}
     for group in sorted(groups):
         pids = groups[group]
-        cohort = survival_records(llm, patients=pids, **survival_args)
+        cohort = spec.cohort(llm, pids)
         entry: dict = {"llm_cohort": cohort.summary()}
         if cohort.n_included:
             curve = cohort.curve()
@@ -579,22 +587,20 @@ def _survival_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, ref
             entry["llm_median"] = curve.median()
             curves[f"{name}_{group}_llm"] = curve
             if ref_labels is not None:
-                ref_cohort = survival_records(ref_labels, patients=pids, **survival_args)
+                ref_cohort = spec.cohort(ref_labels, pids)
                 if ref_cohort.n_included:
                     ref_curve = ref_cohort.curve()
                     ref_medians[group] = ref_curve.median()
                     entry["reference_median"] = ref_curve.median()
                     curves[f"{name}_{group}_reference"] = ref_curve
-                    at_times = [float(t) for t in doc.get("at_times", [])]
                     entry["vs_reference"] = compare_curves(
-                        curve, ref_curve, at_times=at_times
+                        curve, ref_curve, at_times=spec.at_times
                     ).to_dict()
         else:
             llm_medians[group] = None
         result["groups"][group] = entry
-    bench = doc.get("benchmark")
-    if bench:
-        benchmark = _parse_benchmark(bench)
+    benchmark = spec.benchmark
+    if benchmark is not None:
         # a group the benchmark names but the cohort lacks has no median
         if isinstance(benchmark, ToleranceBenchmark):
             named = dict.fromkeys([benchmark.group])
@@ -613,17 +619,14 @@ def _not_applicable(kind: str, name: str, reason: str) -> dict:
     return {"kind": kind, "name": name, "status": "not_applicable", "reason": reason}
 
 
-def _distribution_analysis(doc: dict, dataset: CohortDataset) -> dict:
+def _distribution_analysis(spec: DistributionSpec, dataset: CohortDataset) -> dict:
     llm = dataset.labels(Source.LLM)
-    variable = str(doc["variable"])
-    reference_dist = {str(k): float(v) for k, v in (doc.get("reference") or {}).items()}
-    if not reference_dist:
-        raise ConfigError(f"distribution analysis for {variable} needs a reference map")
-    name = str(doc.get("name", f"distribution_{variable}"))
+    variable = spec.variable
+    name = spec.name or f"distribution_{variable}"
     observed = distribution_from_labels(llm, variable, sorted(dataset.patients))
     if not observed:
         return _not_applicable("distribution_vs_reference", name, f"no known {variable} value")
-    comparison = compare_distribution(observed, reference_dist)
+    comparison = compare_distribution(observed, spec.reference)
     return {
         "kind": "distribution_vs_reference",
         "name": name,
@@ -633,10 +636,10 @@ def _distribution_analysis(doc: dict, dataset: CohortDataset) -> dict:
     }
 
 
-def _trend_analysis(doc: dict, dataset: CohortDataset, reference) -> dict:
+def _trend_analysis(spec: TrendSpec, dataset: CohortDataset, reference) -> dict:
     llm = dataset.labels(Source.LLM)
-    variable = str(doc["variable"])
-    name = str(doc.get("name", f"trend_{variable}"))
+    variable = spec.variable
+    name = spec.name or f"trend_{variable}"
     llm_trend = trend_series(llm, variable)
     if not llm_trend.months:
         return _not_applicable("trend", name, f"no dated {variable} record to bucket by month")
@@ -650,24 +653,23 @@ def _trend_analysis(doc: dict, dataset: CohortDataset, reference) -> dict:
     return out
 
 
-def _equity_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, reference, curves: dict) -> dict:
+def _equity_analysis(spec: EquitySpec, config: RunConfig, dataset: CohortDataset, reference, curves: dict) -> dict:
     llm = dataset.labels(Source.LLM)
-    attr = str(doc["stratum_attribute"])
-    name = str(doc.get("name", f"equity_{attr}"))
-    survival_args = dict(_survival_args(doc), patients=sorted(dataset.patients))
+    attr = spec.stratum_attribute
+    name = spec.name or f"equity_{attr}"
+    patients = sorted(dataset.patients)
     stratum_of = {pid: dataset.attribute(pid, attr) for pid in dataset.patients}
-    benchmark = _parse_benchmark(doc["benchmark"]) if doc.get("benchmark") else None
 
     def replicate(cohort: SurvivalCohort) -> EquityReport:
         return equity_replication(
             cohort.records,
             stratum_of,
             stratum_attribute=attr,
-            benchmark=benchmark,
+            benchmark=spec.benchmark,
             min_stratum_n=config.tolerances.min_stratum_n,
         )
 
-    cohort = survival_records(llm, **survival_args)
+    cohort = spec.cohort(llm, patients)
     try:
         report = replicate(cohort)
     except ValueError as exc:  # every stratum falls below min_stratum_n
@@ -686,7 +688,7 @@ def _equity_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, refer
     }
     ref_labels = _reference_label_set(dataset, reference)
     if ref_labels is not None:
-        ref_cohort = survival_records(ref_labels, **survival_args)
+        ref_cohort = spec.cohort(ref_labels, patients)
         if ref_cohort.n_included:
             try:
                 ref_report = replicate(ref_cohort)
@@ -706,16 +708,15 @@ def _equity_analysis(doc: dict, config: RunConfig, dataset: CohortDataset, refer
 
 def _replication_pillar(config: RunConfig, dataset: CohortDataset, reference, curves: dict) -> dict:
     analyses = []
-    for doc in config.analyses:
-        kind = doc.get("kind")
-        if kind == "survival_benchmark":
-            analyses.append(_survival_analysis(doc, config, dataset, reference, curves))
-        elif kind == "distribution_vs_reference":
-            analyses.append(_distribution_analysis(doc, dataset))
-        elif kind == "trend":
-            analyses.append(_trend_analysis(doc, dataset, reference))
-        else:  # equity: load_run_config admits no other kind
-            analyses.append(_equity_analysis(doc, config, dataset, reference, curves))
+    for spec in config.analyses:
+        if isinstance(spec, SurvivalBenchmarkSpec):
+            analyses.append(_survival_analysis(spec, dataset, reference, curves))
+        elif isinstance(spec, DistributionSpec):
+            analyses.append(_distribution_analysis(spec, dataset))
+        elif isinstance(spec, TrendSpec):
+            analyses.append(_trend_analysis(spec, dataset, reference))
+        else:  # EquitySpec: the parser admits no other kind
+            analyses.append(_equity_analysis(spec, config, dataset, reference, curves))
     return {"analyses": analyses}
 
 
@@ -771,7 +772,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     curves: dict = {}
     worklist: list = []
     reference = None
-    need_reference = config.pillar("metrics") or config.pillar("replication")
+    need_reference = config.pillars.metrics or config.pillars.replication
     if need_reference:
         try:
             reference, llm_eval, a1_eval = assemble_reference(config, dataset)
@@ -780,15 +781,15 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         except AdjudicationError as exc:
             report["reference"] = {"status": "blocked", "reason": str(exc)}
             worklist = exc.worklist
-            if config.pillar("metrics"):
+            if config.pillars.metrics:
                 report["metrics"] = {"status": "blocked", "reason": str(exc)}
-    if config.pillar("metrics") and reference is not None:
+    if config.pillars.metrics and reference is not None:
         report["metrics"] = _metrics_pillar(config, dataset, reference, llm_eval, a1_eval)
-    if config.pillar("checks"):
+    if config.pillars.checks:
         checks_dict, findings = _checks_pillar(config, dataset)
         report["checks"] = checks_dict
         report["findings"] = [f.to_dict() for f in findings]
-    if config.pillar("replication"):
+    if config.pillars.replication:
         report["replication"] = _replication_pillar(config, dataset, reference, curves)
     issues = _collect_issues(report)
     report["issues"] = issues

@@ -371,27 +371,27 @@ def compare_trend(a: TrendSeries, b: TrendSeries) -> TrendComparison:
 # ---- benchmark concordance ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DirectionBenchmark:
-    """Published finding: the first group's median exceeds the second's."""
+    """Published finding: the ``higher`` group's median exceeds the ``lower`` one's."""
 
-    name: str
+    name: str = "benchmark"
     higher: str
     lower: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ToleranceBenchmark:
     """Published figure: one group's median, replicated within a tolerance."""
 
-    name: str
+    name: str = "benchmark"
     group: str
     expected_median: float
     tolerance: float
 
     def __post_init__(self) -> None:
         if self.tolerance < 0:
-            raise ValueError(f"{self.name}: tolerance must be non-negative")
+            raise ValueError(f"tolerance: must be non-negative in benchmark {self.name}, got {self.tolerance}")
 
 
 BenchmarkSpec = DirectionBenchmark | ToleranceBenchmark

@@ -66,28 +66,6 @@ class KMCurve:
                 return time
         return None
 
-    def confidence_band(self, alpha: float = 0.05) -> list[tuple[float, float]]:
-        """Pointwise log(-log) confidence intervals at the event times."""
-        from scipy.special import ndtri
-
-        z = ndtri(1 - alpha / 2)
-        out = []
-        for surv, se in zip(self.survival, self.std_err):
-            if surv <= 0.0:
-                out.append((0.0, 0.0))
-                continue
-            if surv >= 1.0:
-                out.append((1.0, 1.0))
-                continue
-            log_s = math.log(surv)
-            # se of log(-log S) via the delta method
-            se_loglog = se / (abs(log_s) * surv)
-            theta = math.log(-log_s)
-            lo = math.exp(-math.exp(theta + z * se_loglog))
-            hi = math.exp(-math.exp(theta - z * se_loglog))
-            out.append((lo, hi))
-        return out
-
     def to_rows(self) -> list[dict]:
         return [
             {

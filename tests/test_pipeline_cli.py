@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_schema, rec
 
@@ -19,6 +21,9 @@ from rwdval import Source, write_labels, save_schema
 from rwdval.cli import main
 from rwdval.pipeline import (
     ConfigError,
+    DistributionSpec,
+    RunConfig,
+    SurvivalBenchmarkSpec,
     _collect_issues,
     _summary_lines,
     config_hash,
@@ -511,6 +516,16 @@ def test_yaml_syntax_error_is_a_run_failure(tmp_path):
     assert "error: while parsing" in text(result)
 
 
+# a survival analysis over the small workspace's one date variable
+_SURVIVAL = {
+    "kind": "survival_benchmark",
+    "index_variable": "surgery",
+    "event_variable": "surgery",
+    "censor_variable": "surgery",
+}
+_EQUITY = {**_SURVIVAL, "kind": "equity", "stratum_attribute": "arm"}
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -551,6 +566,66 @@ def test_yaml_syntax_error_is_a_run_failure(tmp_path):
             )
             for w in (60, [60], [-60, 60, 90], [-60.0, 60], [-60, "60"], "-60, 60", [False, 60])
         ),
+        (
+            {"analyses": [{**_SURVIVAL, "benchmark": {"type": "tolerance", "group": "A", "tolerance": 30}}]},
+            "analyses[0].benchmark.expected_median: required",
+        ),
+        ({"thresholds": 5}, "thresholds: must be a mapping, got 5"),
+        ({"tolerances": {"seed": [1]}}, "tolerances.seed: must be an integer, got [1]"),
+        ({"analyses": [{**_SURVIVAL, "at_times": 365}]}, "analyses[0].at_times: must be a list of finite numbers"),
+        ({"analyses": [{**_SURVIVAL, "benchmark": ["A", "B"]}]}, "analyses[0].benchmark: must be a mapping"),
+        (
+            {
+                "metrics": {
+                    "derived": [
+                        {
+                            "name": "r",
+                            "index_variable": "surgery",
+                            "components": [{"variable": "er_result", "required": "negative"}],
+                            "window_days": [60, -60],
+                        }
+                    ]
+                }
+            },
+            "metrics.derived[0].window_days: lo must be <= hi",
+        ),
+        ({"tolerances": {"min_stratum_n": True}}, "tolerances.min_stratum_n: must be an integer, got True"),
+        (
+            {"tolerances": {"date_tolerance_days": 30.7}},
+            "tolerances.date_tolerance_days: must be an integer, got 30.7",
+        ),
+        ({"tolerances": {"seed": "abc"}}, "tolerances.seed: must be an integer, got 'abc'"),
+        ({"analyses": [{**_SURVIVAL, "at_times": "x"}]}, "analyses[0].at_times: must be a list of finite numbers"),
+        ({"analyses": [{**_SURVIVAL, "at_tims": [365]}]}, "analyses[0].at_tims: unknown key"),
+        (
+            {"analyses": [{"kind": "distribution_vs_reference", "variable": "stage", "reference": {"I": "x"}}]},
+            "analyses[0].reference.I: must be a finite number, got 'x'",
+        ),
+        (
+            {"analyses": [{"kind": "distribution_vs_reference", "variable": "stage", "reference": {}}]},
+            "analyses[0].reference: needs non-negative masses summing above 0",
+        ),
+        ({"thresholds": {"recall": "high"}}, "thresholds.recall: must be a finite number, got 'high'"),
+        ({"thresholds": {"recall": float("nan")}}, "thresholds.recall: must be a finite number, got nan"),
+        (
+            {"analyses": [{**_SURVIVAL, "at_times": [10**400]}]},
+            "analyses[0].at_times[0]: must be a finite number",
+        ),
+        ({"analyses": [{"kind": "trend", "variable": "stage", "nam": "x"}]}, "analyses[0].nam: unknown key"),
+        (
+            {"analyses": [{**_SURVIVAL, "max_followup_days": 1.5}]},
+            "analyses[0].max_followup_days: must be an integer, got 1.5",
+        ),
+        ({"analyses": [{**_SURVIVAL, "name": ["a", "b"]}]}, "analyses[0].name: must be a string"),
+        (
+            {"analyses": [{**_SURVIVAL, "group_by": "arm"}]},
+            "analyses[0].group_by: 'arm' is not declared under strata",
+        ),
+        ({"analyses": [_EQUITY]}, "analyses[0].stratum_attribute: 'arm' is not declared under strata"),
+        (
+            {"metrics": {"variables": [{"variable": "surgeryx"}]}},
+            "metrics.variables[0].variable: unknown variable 'surgeryx'",
+        ),
     ],
     ids=[
         "strata_not_a_list",
@@ -573,6 +648,28 @@ def test_yaml_syntax_error_is_a_run_failure(tmp_path):
         "derived_window_a_string_item",
         "derived_window_a_string",
         "derived_window_a_boolean_item",
+        "tolerance_benchmark_without_expected_median",
+        "thresholds_not_a_mapping",
+        "tolerance_seed_a_list",
+        "at_times_a_number",
+        "benchmark_a_list",
+        "derived_window_reversed",
+        "min_stratum_n_a_boolean",
+        "date_tolerance_days_a_float",
+        "tolerance_seed_a_string",
+        "at_times_a_string",
+        "unknown_analysis_key",
+        "distribution_reference_mass_a_string",
+        "distribution_reference_empty",
+        "threshold_not_a_number",
+        "threshold_nan",
+        "at_times_beyond_a_float",
+        "unknown_trend_key",
+        "max_followup_days_a_float",
+        "analysis_name_a_list",
+        "group_by_not_a_stratum",
+        "stratum_attribute_not_a_stratum",
+        "unknown_metric_variable",
     ],
 )
 def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, message):
@@ -584,6 +681,127 @@ def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, messa
     assert isinstance(result.exception, SystemExit)
     assert f"error: {message}" in text(result)
     assert "Traceback" not in text(result)
+
+
+@pytest.mark.parametrize(
+    "change, messages",
+    [
+        (
+            {
+                "tolerances": {"seed": "abc"},
+                "thresholds": {"recall": "high"},
+                "analyses": [{**_SURVIVAL, "at_tims": [365]}],
+            },
+            [
+                "tolerances.seed: must be an integer",
+                "thresholds.recall: must be a finite number",
+                "analyses[0].at_tims: unknown key",
+            ],
+        ),
+        (
+            {
+                "metrics": {
+                    "variables": [{"variable": "stagex"}],
+                    "derived": [
+                        {
+                            "name": "r",
+                            "index_variable": "surgeryx",
+                            "components": [{"variable": "er_resultx", "required": "negative"}],
+                        }
+                    ],
+                }
+            },
+            [
+                "metrics.variables[0].variable: unknown variable 'stagex'",
+                "metrics.derived[0].index_variable: unknown variable 'surgeryx'",
+                "metrics.derived[0].components[0].variable: unknown variable 'er_resultx'",
+            ],
+        ),
+    ],
+    ids=["malformed_keys", "unknown_variables"],
+)
+def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, change, messages):
+    cfg_path = small_workspace(tmp_path)
+    doc = {**yaml.safe_load(cfg_path.read_text()), **change}
+    doc["labels"] = {"llm": "missing_llm.csv", "abstractor_1": "missing_a1.csv"}
+    cfg_path.write_text(yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["--config", str(cfg_path), "run"])
+    assert result.exit_code == 2, text(result)
+    assert "error: 3 problems:" in text(result)
+    for message in messages:
+        assert f"\n  {message}" in text(result)
+    assert "missing_" not in text(result)
+    assert "Traceback" not in text(result)
+
+
+def test_shipped_run_configs_load(workspace):
+    simulated = load_run_config(workspace / "run.yaml")
+    assert [type(a) for a in simulated.analyses][:2] == [SurvivalBenchmarkSpec, DistributionSpec]
+    assert simulated.analyses[0].benchmark.higher == "A"
+    assert [tuple(c) for c in simulated.metrics.derived[0].components][0] == ("er_result", "negative")
+    demo = (Path(__file__).parents[1] / "demos" / "06_full_validation_run.py").read_text()
+    run_yaml = re.search(r'write_text\("""\\\n(.*?)"""\)', demo, re.S).group(1)
+    (workspace / "run_demo.yaml").write_text(run_yaml)
+    config = load_run_config(workspace / "run_demo.yaml")
+    assert config.thresholds == {"recall": 0.80}
+    assert config.tolerances.seed == 5
+
+
+_YAML_SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+_YAML_VALUES = st.recursive(
+    _YAML_SCALARS | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_YAML_SCALARS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """Every path into a YAML document: mapping keys and list indices."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_loader_returns_a_config_or_raises_config_error(workspace, data):
+    doc = yaml.safe_load((workspace / "run.yaml").read_text())
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        op = data.draw(st.sampled_from(["drop", "rename", "add", "swap"]), label="op")
+        if op == "swap":
+            path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+            value = data.draw(_YAML_VALUES, label="value")
+            if path:
+                _at(doc, path[:-1])[path[-1]] = value
+            else:
+                doc = value
+            continue
+        mappings = [p for p in _paths(doc) if isinstance(_at(doc, p), dict) and (op == "add" or _at(doc, p))]
+        if not mappings:
+            continue
+        node = _at(doc, data.draw(st.sampled_from(mappings), label="mapping"))
+        if op == "add":
+            node[data.draw(_YAML_SCALARS, label="key")] = data.draw(_YAML_VALUES, label="value")
+            continue
+        key = data.draw(st.sampled_from(list(node)), label="key")
+        value = node.pop(key)
+        if op == "rename":
+            node[data.draw(_YAML_SCALARS, label="new key")] = value
+    cfg_path = workspace / "run_fuzzed.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    try:
+        config = load_run_config(cfg_path)
+    except ConfigError as exc:
+        assert exc.problems and all(isinstance(p, str) for p in exc.problems)
+    else:
+        assert isinstance(config, RunConfig)
 
 
 _RATE_SUITE = """checks:
