@@ -1,0 +1,52 @@
+"""Pinned report bytes: speed work must not move one byte of a run's output.
+
+Each workspace is built by ``simulate``, run with ``rwdval run``, and the
+SHA-256 of ``report.json`` and ``findings.csv`` is compared with digests
+recorded before the per-patient label store, the compiled checks and the
+shared metric rows replaced the paths they optimise.
+"""
+
+import hashlib
+
+import pytest
+import yaml
+from click.testing import CliRunner
+
+from rwdval.cli import main
+
+GOLDEN = {
+    "bootstrap": {
+        "report.json": "db822d7bfacd8e2effd9d768b6a915a3c684d5c47fa5048b9f9b5e3758078c55",
+        "findings.csv": "cb06e55cb89fc4d76e172df602c2938bb03523b62ec3f5fd11d3206c32764b7b",
+    },
+    "refresh": {
+        "report.json": "895a1d0cbfd00e866edc8a2cef1c2a5a12bce643d534ef6ba976ef95144b5cb8",
+        "findings.csv": "cc49c50d4eb23ab9d119fb1e3504435a6ed5bb2d3630187c0859565513ad971d",
+    },
+}
+
+
+def _bootstrap_on(doc: dict) -> None:
+    doc["metrics"]["bootstrap"] = True
+    doc["tolerances"]["bootstrap_replicates"] = 200
+
+
+@pytest.mark.parametrize(
+    "name, flags, edit",
+    [("bootstrap", [], _bootstrap_on), ("refresh", ["--with-refresh"], None)],
+    ids=["bootstrap", "refresh"],
+)
+def test_run_output_bytes_are_pinned(tmp_path, name, flags, edit):
+    runner = CliRunner()
+    made = runner.invoke(main, ["--out", str(tmp_path), "--seed", "3", "simulate", "--n", "200", *flags])
+    assert made.exit_code == 0, made.output
+    cfg_path = tmp_path / "run.yaml"
+    if edit is not None:
+        doc = yaml.safe_load(cfg_path.read_text())
+        edit(doc)
+        cfg_path.write_text(yaml.safe_dump(doc))
+    result = runner.invoke(main, ["--config", str(cfg_path), "run"])
+    assert result.exit_code == 1, result.output  # every simulated cohort has check findings
+    out = tmp_path / "results"
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in GOLDEN[name]}
+    assert got == GOLDEN[name]
