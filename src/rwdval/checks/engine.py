@@ -32,7 +32,15 @@ from ..schema import (
     yaml_token,
 )
 from ..refstd import assertions_agree
-from .lang import Expr, Truth, evaluate, parse_check, referenced_variables, to_text
+from .lang import (
+    CompiledCheck,
+    Expr,
+    Truth,
+    compile_check,
+    parse_check,
+    referenced_variables,
+    to_text,
+)
 
 
 class CheckCategory(str, Enum):
@@ -51,15 +59,15 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-def evaluate_patient_check(expr: Expr, view: dict, schema: Schema) -> Truth:
-    """Outcome of one expression for one patient view: ``TRUE`` passes,
+def evaluate_patient_check(check: CompiledCheck, view: dict) -> Truth:
+    """Outcome of one compiled check for one patient view: ``TRUE`` passes,
     ``FALSE`` is a finding and ``UNKNOWN`` is not applicable.
 
     ``run_all_checks`` calls it once per patient and check through this
     module's name, where ``perfbench/spans.py`` wraps it to time patient
     evaluation; keep the name.
     """
-    return evaluate(expr, view, schema)
+    return check(view)
 
 
 @dataclass(frozen=True)
@@ -429,13 +437,11 @@ def _run_distribution(
     cohort: Sequence[str],
     result: CheckResult,
 ) -> None:
-    schema = labels.schema
+    keep = None if spec.filter_expr is None else compile_check(spec.filter_expr, labels.schema)
     eligible = []
     for pid in cohort:
-        if spec.filter_expr is not None:
-            view = patient_view(labels, patient_id=pid)
-            if evaluate(spec.filter_expr, view, schema) != Truth.TRUE:
-                continue
+        if keep is not None and keep(patient_view(labels, patient_id=pid)) is not Truth.TRUE:
+            continue
         value = _known_value(labels, pid, spec.variable)
         if value is not None:
             eligible.append(value)
@@ -554,9 +560,14 @@ def run_all_checks(
     strata = list(strata)
     cohort = sorted(dataset.patients)
     results = [CheckResult(check) for check in suite]
-    # (result, expression, sorted referenced variables, expected text), built once
+    # (result, compiled check, sorted referenced variables, expected text), built once
     patient_checks = [
-        (r, r.check.expr, sorted(referenced_variables(r.check.expr)), to_text(r.check.expr))
+        (
+            r,
+            compile_check(r.check.expr, schema),
+            sorted(referenced_variables(r.check.expr)),
+            to_text(r.check.expr),
+        )
         for r in results
         if r.check.expr is not None
     ]
@@ -570,8 +581,8 @@ def run_all_checks(
         for pid in cohort:
             view = patient_view(labels, patient_id=pid)
             stratum_values = [(attr, dataset.attribute(pid, attr)) for attr in strata]
-            for result, expr, variables, expected in patient_checks:
-                truth = evaluate_patient_check(expr, view, schema)
+            for result, check, variables, expected in patient_checks:
+                truth = evaluate_patient_check(check, view)
                 result.n_evaluated += 1
                 if truth is Truth.UNKNOWN:
                     result.n_not_applicable += 1
@@ -621,17 +632,30 @@ def _expected_ranges(doc: dict, check_id: str, kind: str) -> dict[str, tuple[flo
     return expected
 
 
+def _schema_variable(schema: Schema, name: str, where: str) -> str:
+    if name not in schema:
+        raise ValueError(f"{where}: unknown variable {name!r}")
+    return name
+
+
+def _parse_expr(text: str, schema: Schema, where: str) -> Expr:
+    try:
+        return parse_check(text, schema)
+    except ValueError as exc:  # a syntax or type error, or an unknown variable
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _cohort_spec_from_dict(doc: dict, check_id: str, schema: Schema) -> CohortCheckSpec:
     kind = doc.get("kind")
     variable = doc.get("variable")
     if not variable:
         raise ValueError(f"{check_id}: cohort check needs a variable")
-    schema[variable]
+    _schema_variable(schema, variable, f"{check_id}.variable")
     if kind == "distribution_range":
         expected = _expected_ranges(doc, check_id, kind)
         filter_expr = None
         if doc.get("filter"):
-            filter_expr = parse_check(doc["filter"], schema)
+            filter_expr = _parse_expr(doc["filter"], schema, f"{check_id}.filter")
         return DistributionRange(variable=variable, expected=expected, filter_expr=filter_expr)
     if kind == "monthly_count_stability":
         return MonthlyCountStability(
@@ -644,7 +668,7 @@ def _cohort_spec_from_dict(doc: dict, check_id: str, schema: Schema) -> CohortCh
         expected = _expected_ranges(doc, check_id, kind)
         by_variable = by.get("variable")
         if by_variable:
-            schema[by_variable]
+            _schema_variable(schema, by_variable, f"{check_id}.by.variable")
         return StratifiedRateRange(
             variable=variable,
             positive_value=str(yaml_token(doc["positive_value"], f"{check_id}.positive_value")),
@@ -671,7 +695,7 @@ def suite_from_dict(doc: dict, schema: Schema) -> CheckSuite:
         expr = None
         cohort = None
         if "expr" in entry:
-            expr = parse_check(entry["expr"], schema)
+            expr = _parse_expr(entry["expr"], schema, f"{check_id}.expr")
             level = CheckLevel(entry.get("level", "patient"))
         elif "cohort" in entry:
             cohort = _cohort_spec_from_dict(entry["cohort"], check_id, schema)

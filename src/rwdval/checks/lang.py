@@ -33,7 +33,7 @@ the signed day count b - a; durations are written like ``90d``.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime
@@ -593,6 +593,145 @@ def evaluate(expr: Expr, view: dict, schema: Schema) -> Truth:
             return Truth.TRUE
         consequent = evaluate(expr.consequent, view, schema)
         return _kleene((_NEGATION[antecedent], consequent), Truth.TRUE)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+# ---- compilation ----
+
+CompiledCheck = Callable[[Mapping[str, object]], Truth]
+_ABSENT = object()
+
+
+def _compile_known(var: str, schema: Schema, dates: bool) -> Callable[[Mapping], list]:
+    """``_operand_values`` of ``value(var)`` (or, with ``dates``, ``date(var)``),
+    with the variable's kind and unknown token bound once."""
+    spec = schema[var]
+    unknown, kind = spec.unknown_token, spec.kind
+    if kind == VariableKind.EVENT_LIST:
+        if dates:
+            def known(view):
+                entry = view.get(var, ())
+                return [d for v, d in entry if v != unknown and d is not None]
+        else:
+            def known(view):
+                entry = view.get(var, ())
+                return [v for v, _ in entry if v != unknown]
+    elif kind == VariableKind.DATE:
+        if dates:
+            def known(view):
+                entry = view.get(var, _ABSENT)
+                if entry is _ABSENT or entry[0] == unknown or entry[1] is None:
+                    return []
+                return [entry[1]]
+        else:
+            def known(view):
+                entry = view.get(var, _ABSENT)
+                return [] if entry is _ABSENT or entry[0] == unknown else [entry[0]]
+    elif dates:  # categorical and numeric entries carry no date
+        def known(view):
+            return []
+    else:
+        def known(view):
+            entry = view.get(var, _ABSENT)
+            return [] if entry is _ABSENT or entry == unknown else [entry]
+    return known
+
+
+def _compile_operand(op: Operand, schema: Schema) -> Callable[[Mapping], list]:
+    if isinstance(op, (Value, DateOf)):
+        return _compile_known(op.var, schema, isinstance(op, DateOf))
+    if isinstance(op, Lit):
+        v = op.value
+        values = [v.days if isinstance(v, Duration) else v]
+        return lambda view: values
+    if isinstance(op, DaysBetween):
+        left = _compile_operand(op.left, schema)
+        right = _compile_operand(op.right, schema)
+
+        def days_between(view):
+            lefts, rights = left(view), right(view)
+            return [(b - a).days for a in lefts for b in rights]
+
+        return days_between
+    raise TypeError(f"not an operand: {op!r}")
+
+
+def _compile_pairs(left_op: Operand, right_op: Operand, schema: Schema, holds) -> CompiledCheck:
+    """An atom that holds when some pair of documented known values satisfies ``holds``."""
+    left_values = _compile_operand(left_op, schema)
+    right_values = _compile_operand(right_op, schema)
+    TRUE, FALSE, UNKNOWN = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
+
+    def atom(view):
+        left = left_values(view)
+        right = right_values(view)
+        if not left or not right:
+            return UNKNOWN
+        for a in left:
+            for b in right:
+                if holds(a, b):
+                    return TRUE
+        return FALSE
+
+    return atom
+
+
+def compile_check(expr: Expr, schema: Schema) -> CompiledCheck:
+    """``expr`` as nested closures over a patient view, for repeated evaluation.
+
+    ``compile_check(expr, schema)(view)`` equals ``evaluate(expr, view,
+    schema)`` for every view; each variable's kind and unknown token are
+    looked up here, once, so a variable the schema lacks raises
+    ``SchemaError`` now rather than per patient.
+    """
+    TRUE, FALSE, UNKNOWN = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
+    if isinstance(expr, Cmp):
+        return _compile_pairs(expr.left, expr.right, schema, _CMP_FUNCS[expr.op])
+    if isinstance(expr, WithinDays):
+        days = expr.days.days
+        return _compile_pairs(
+            expr.left, expr.right, schema, lambda a, b: abs((b - a).days) <= days
+        )
+    if isinstance(expr, Exists):
+        var = expr.var
+        schema[var]
+        return lambda view: TRUE if var in view else FALSE
+    if isinstance(expr, Known):
+        values = _compile_known(expr.var, schema, dates=False)
+        return lambda view: TRUE if values(view) else FALSE
+    if isinstance(expr, Not):
+        item = compile_check(expr.item, schema)
+        return lambda view: _NEGATION[item(view)]
+    if isinstance(expr, (And, Or)):
+        items = tuple(compile_check(i, schema) for i in expr.items)
+        decisive = FALSE if isinstance(expr, And) else TRUE
+        otherwise = _NEGATION[decisive]
+
+        def fold(view):  # _kleene over the items, stopping at the first decisive one
+            out = otherwise
+            for item in items:
+                truth = item(view)
+                if truth is decisive:
+                    return decisive
+                if truth is UNKNOWN:
+                    out = UNKNOWN
+            return out
+
+        return fold
+    if isinstance(expr, Implies):
+        antecedent = compile_check(expr.antecedent, schema)
+        consequent = compile_check(expr.consequent, schema)
+
+        def implies(view):  # (not a) or b; a FALSE decides it without evaluating b
+            a = antecedent(view)
+            if a is FALSE:
+                return TRUE
+            b = consequent(view)
+            if b is TRUE:
+                return TRUE
+            return UNKNOWN if a is UNKNOWN or b is UNKNOWN else FALSE
+
+        return implies
     raise TypeError(f"not an expression: {expr!r}")
 
 

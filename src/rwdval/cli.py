@@ -27,6 +27,7 @@ from .pipeline import (
     load_run_config,
     run_pipeline,
     _load_dataset,
+    _load_schema,
     _summary_lines,
 )
 from .refstd import AdjudicationError, ReferenceMode, adjudicate_from_oracle, write_disagreements
@@ -48,7 +49,7 @@ class _Main(click.Group):
 
 @click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Run configuration YAML.")
-@click.option("--seed", type=int, default=None, help="Override the configured random seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the configured random seed.")
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="Output directory override.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", help="Stdout format.")
 @click.pass_context
@@ -128,7 +129,7 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
         config = _load_config(ctx)
         if mode:
             config = replace(config, reference_mode=ReferenceMode(mode))
-        dataset = _load_dataset(config)
+        dataset = _load_dataset(config, _load_schema(config))
         adjudications = None
         if adjudications_path:
             adjudications = read_labels(adjudications_path, dataset.schema, Source.ADJUDICATOR)

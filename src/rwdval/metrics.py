@@ -202,27 +202,35 @@ def _patient_rows(
     allowed = spec.allowed_values
     if positive_class is not None and allowed is not None and positive_class not in allowed:
         raise ValueError(f"{variable}: positive_class {positive_class!r} not in allowed values")
+    cohort = _cohort(pred, reference, patients)
+    sides = zip(pred._column(variable, cohort), ref_labels._column(variable, cohort))
+    # a record is known when its value is not the unknown token (a None token matches no value)
+    unknown = spec.unknown_token
     rows = []
-    for pid in _cohort(pred, reference, patients):
-        pred_recs = pred.get(pid, variable)
-        ref_recs = ref_labels.get(pid, variable)
-        known = _known(pred_recs, spec)
-        if spec.kind == VariableKind.EVENT_LIST:
+    if spec.kind == VariableKind.EVENT_LIST:
+        for pred_recs, ref_recs in sides:
             pred_events, pred_undated = _asserted_events(pred_recs, spec, positive_class)
             ref_events, ref_undated = _asserted_events(ref_recs, spec, positive_class)
             m = match_events(pred_events, ref_events, tol)
             fp = len(m.unmatched_pred) + pred_undated
             fn = len(m.unmatched_ref) + ref_undated
+            known = any(r.value != unknown for r in pred_recs)
             # every matched pair is dated and within tolerance by construction
             rows.append((m.n_matched, fp, fn, m.n_matched, m.n_matched, known))
-            continue
-        pred_rec = pred_recs[0] if known else None
-        ref_rec = ref_recs[0] if _known(ref_recs, spec) else None
+        return _as_rows(rows)
+    date_kind = spec.kind == VariableKind.DATE
+    # other kinds hold at most one record per patient, so its value decides ``known``
+    for pred_recs, ref_recs in sides:
+        pred_rec = pred_recs[0] if pred_recs and pred_recs[0].value != unknown else None
+        ref_rec = ref_recs[0] if ref_recs and ref_recs[0].value != unknown else None
+        known = pred_rec is not None
         ref_pos = None if ref_rec is None else ref_rec.value == positive_class
         tp, fp, fn = _one_vs_rest(ref_pos, known and pred_rec.value == positive_class)
-        dates = (pred_rec.event_date, ref_rec.event_date) if tp else (None, None)
-        dated = spec.kind == VariableKind.DATE and None not in dates
-        correct = dated and abs((dates[0] - dates[1]).days) <= tol
+        dated = (
+            date_kind and tp == 1
+            and pred_rec.event_date is not None and ref_rec.event_date is not None
+        )
+        correct = dated and abs((pred_rec.event_date - ref_rec.event_date).days) <= tol
         rows.append((tp, fp, fn, dated, correct, known))
     return _as_rows(rows)
 
@@ -511,6 +519,13 @@ def bootstrap_variable_ci(
     rows = _patient_rows(
         pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
     )
+    return _rows_ci(variable, positive_class, rows, n_replicates=n_replicates, seed=seed)
+
+
+def _rows_ci(
+    variable: str, positive_class: str | None, rows: np.ndarray, *, n_replicates: int, seed: int
+) -> dict[str, tuple[float, float]]:
+    """``bootstrap_variable_ci`` of the cohort the rows describe, one row per patient."""
 
     def statistic(sample_rows: np.ndarray) -> dict[str, float | None]:
         rep = _rows_report(variable, positive_class, sample_rows)
@@ -691,7 +706,6 @@ def stratified_metrics(
     others is the differential-error signal this view exists to surface.
     """
     cohort = sorted(dataset.patients)
-    position = {pid: i for i, pid in enumerate(cohort)}
     sides = [
         _patient_rows(
             labels, reference, variable, positive_class,
@@ -700,15 +714,31 @@ def stratified_metrics(
         for labels in (pred, abstraction)
         if labels is not None
     ]
+    return _strata_metrics(
+        variable, positive_class, sides, cohort, dataset.strata(stratum_key), min_stratum_n
+    )
+
+
+def _strata_metrics(
+    variable: str,
+    positive_class: str | None,
+    sides: Sequence[np.ndarray],
+    cohort: Sequence[str],
+    strata: Mapping[str, Sequence[str]],
+    min_stratum_n: int,
+) -> dict[str, StratumMetrics]:
+    """``stratified_metrics`` from each side's rows over ``cohort`` (llm
+    first, then abstraction if present) and the patients of each stratum."""
+    position = {pid: i for i, pid in enumerate(cohort)}
     out: dict[str, StratumMetrics] = {}
-    for stratum, pids in sorted(dataset.strata(stratum_key).items()):
+    for stratum, pids in sorted(strata.items()):
         if len(pids) < min_stratum_n:
             out[stratum] = StratumMetrics(stratum=stratum, n=len(pids), suppressed=True)
             continue
         take = [position[pid] for pid in pids]
         reports = [_rows_report(variable, positive_class, rows[take]) for rows in sides]
         entry = StratumMetrics(stratum=stratum, n=len(pids), suppressed=False, llm=reports[0])
-        if abstraction is not None:
+        if len(reports) == 2:
             entry.abstraction = reports[1]
             entry.relative = relative_difference(*reports)
         out[stratum] = entry

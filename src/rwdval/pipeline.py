@@ -52,7 +52,7 @@ from .replication import (
     survival_records,
     trend_series,
 )
-from .schema import CohortDataset, LabelSet, Source, yaml_token
+from .schema import CohortDataset, LabelSet, Schema, Source, yaml_token
 
 
 class ConfigError(ValueError):
@@ -82,12 +82,24 @@ Benchmark = Annotated[
 ]
 
 
+def _at_least(spec, minimum: int, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of the integer fields below ``minimum``."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and value < minimum:
+            raise ValueError(f"{name}: must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     date_tolerance_days: int = 30
     min_stratum_n: int = 20
     bootstrap_replicates: int = 2000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _at_least(self, 0, "date_tolerance_days", "min_stratum_n", "seed")
+        _at_least(self, 1, "bootstrap_replicates")
 
 
 @dataclass(frozen=True)
@@ -119,6 +131,9 @@ class _SurvivalEndpoint:
     censor_variable: str
     event_positive: str = "yes"
     max_followup_days: int | None = None
+
+    def __post_init__(self) -> None:
+        _at_least(self, 0, "max_followup_days")
 
     def cohort(self, labels: LabelSet, patients: list[str]) -> SurvivalCohort:
         # each field is a keyword argument of survival_records
@@ -302,18 +317,28 @@ def _parse(cls, value, path: str, problems: list[str]):
         return None
 
 
-def _named_variables(spec, path: str):
-    """(YAML path, name) of each schema variable a spec names: every field named ``*variable``."""
+def _nested_specs(spec, path: str):
+    """(YAML path, spec) of ``spec`` and of every spec nested in it."""
+    yield path, spec
     for f in fields(spec):
         value, where = getattr(spec, f.name), _key(path, f.name)
-        if f.name.endswith("variable"):
-            yield where, value
-        elif is_dataclass(value):
-            yield from _named_variables(value, where)
+        if is_dataclass(value):
+            yield from _nested_specs(value, where)
         elif isinstance(value, tuple):
             for i, item in enumerate(value):
                 if is_dataclass(item):
-                    yield from _named_variables(item, f"{where}[{i}]")
+                    yield from _nested_specs(item, f"{where}[{i}]")
+
+
+# Every field named ``*variable`` names a schema variable. Each row is a
+# spec type, its field holding a category token, and the field naming the
+# variable the token must be a known value of.
+_TOKENS = (
+    (MetricTarget, "positive_class", "variable"),
+    (metrics_mod.DerivedVariableRule, "index_positive", "index_variable"),
+    (metrics_mod.Component, "required", "variable"),
+    (_SurvivalEndpoint, "event_positive", "event_variable"),
+)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -400,12 +425,33 @@ class PipelineResult:
         return self.report["exit_code"]
 
 
-def _load_dataset(config: RunConfig) -> CohortDataset:
+def _load_schema(config: RunConfig) -> Schema:
+    """The run's schema; a ``ConfigError`` lists every variable the config
+    names that it lacks and every category token it names that its
+    variable cannot take."""
     schema = load_schema(config.schema)
-    named = _named_variables(config, "")
-    unknown = [f"{where}: unknown variable {name!r}" for where, name in named if name not in schema]
-    if unknown:
-        raise ConfigError(*unknown)
+    problems = []
+    for where, spec in _nested_specs(config, ""):
+        for f in fields(spec):
+            name = getattr(spec, f.name)
+            if f.name.endswith("variable") and name not in schema:
+                problems.append(f"{_key(where, f.name)}: unknown variable {name!r}")
+        for kind, token_key, variable_key in _TOKENS:
+            if not isinstance(spec, kind):
+                continue
+            token, variable = getattr(spec, token_key), getattr(spec, variable_key)
+            known = schema[variable].known_values if variable in schema else None
+            if token is not None and known is not None and token not in known:
+                problems.append(
+                    f"{_key(where, token_key)}: {variable} has no known value {token!r}; "
+                    f"known: {sorted(known)}"
+                )
+    if problems:
+        raise ConfigError(*problems)
+    return schema
+
+
+def _load_dataset(config: RunConfig, schema: Schema) -> CohortDataset:
     label_sets: dict[Source, LabelSet] = {}
     for source, path in sorted(config.labels.items()):
         label_sets[source] = read_labels(path, schema, source)
@@ -457,55 +503,45 @@ def assemble_reference(
 def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a1) -> dict:
     tol = config.tolerances
     cohort = sorted(dataset.patients)
+    strata = {attr: dataset.strata(attr) for attr in config.strata}
     out: dict = {"status": "ok", "variables": {}, "derived": {}, "threshold_breaches": []}
     for target in config.metrics.variables:
-        llm_report = metrics_mod.variable_metrics(
-            llm,
-            reference,
-            target.variable,
-            target.positive_class,
-            tolerance_days=tol.date_tolerance_days,
-            patients=cohort,
-        )
-        a1_report = metrics_mod.variable_metrics(
-            a1,
-            reference,
-            target.variable,
-            target.positive_class,
-            tolerance_days=tol.date_tolerance_days,
-            patients=cohort,
-        )
-        if config.metrics.bootstrap:
-            llm_report.ci = metrics_mod.bootstrap_variable_ci(
-                llm,
+        variable, positive_class = target.variable, target.positive_class
+        # each side's per-patient rows over the sorted cohort, built once: the
+        # point metrics, every stratum and the bootstrap all sum them
+        llm_rows, a1_rows = (
+            metrics_mod._patient_rows(
+                labels,
                 reference,
-                target.variable,
-                target.positive_class,
+                variable,
+                positive_class,
                 tolerance_days=tol.date_tolerance_days,
                 patients=cohort,
+            )
+            for labels in (llm, a1)
+        )
+        llm_report = metrics_mod._rows_report(variable, positive_class, llm_rows)
+        a1_report = metrics_mod._rows_report(variable, positive_class, a1_rows)
+        if config.metrics.bootstrap:
+            llm_report.ci = metrics_mod._rows_ci(
+                variable,
+                positive_class,
+                llm_rows,
                 n_replicates=tol.bootstrap_replicates,
                 seed=tol.seed,
             )
         relative = metrics_mod.relative_difference(llm_report, a1_report)
         entry = {
-            "positive_class": target.positive_class,
+            "positive_class": positive_class,
             "llm": llm_report.to_dict(),
             "abstraction": a1_report.to_dict(),
             "relative": [r.to_dict() for r in relative],
         }
         if config.strata:
             strat = {}
-            for attr in config.strata:
-                per = metrics_mod.stratified_metrics(
-                    llm,
-                    a1,
-                    reference,
-                    target.variable,
-                    target.positive_class,
-                    dataset,
-                    attr,
-                    tolerance_days=tol.date_tolerance_days,
-                    min_stratum_n=tol.min_stratum_n,
+            for attr, groups in strata.items():
+                per = metrics_mod._strata_metrics(
+                    variable, positive_class, (llm_rows, a1_rows), cohort, groups, tol.min_stratum_n
                 )
                 strat[attr] = {
                     name: {
@@ -523,13 +559,13 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
             if value is not None and value < floor:
                 out["threshold_breaches"].append(
                     {
-                        "variable": target.variable,
+                        "variable": variable,
                         "metric": metric,
                         "value": value,
                         "threshold": floor,
                     }
                 )
-        out["variables"][target.variable] = entry
+        out["variables"][variable] = entry
     for rule in config.metrics.derived:
         e2e = metrics_mod.end_to_end_metrics(rule, llm, reference, a1, cohort=cohort)
         out["derived"][rule.name] = {
@@ -544,11 +580,9 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
     return out
 
 
-def _checks_pillar(config: RunConfig, dataset: CohortDataset) -> tuple[dict, list]:
-    if config.check_suite is not None:
-        suite = checks_mod.load_suite(config.check_suite, dataset.schema)
-    else:
-        suite = checks_mod.load_suite(checks_mod.default_suite_path(), dataset.schema)
+def _checks_pillar(
+    config: RunConfig, dataset: CohortDataset, suite: checks_mod.CheckSuite
+) -> tuple[dict, list]:
     previous = None
     if config.previous_labels is not None:
         previous = read_labels(config.previous_labels, dataset.schema, Source.LLM)
@@ -757,7 +791,11 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     replication still run); the blockage is reported and drives a nonzero
     exit code.
     """
-    dataset = _load_dataset(config)
+    schema = _load_schema(config)
+    suite = None
+    if config.pillars.checks:  # checked against the schema before any label file is read
+        suite = checks_mod.load_suite(config.check_suite or checks_mod.default_suite_path(), schema)
+    dataset = _load_dataset(config, schema)
     report: dict = {
         "config_hash": config_hash(config),
         "reference_mode": config.reference_mode.value,
@@ -786,7 +824,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if config.pillars.metrics and reference is not None:
         report["metrics"] = _metrics_pillar(config, dataset, reference, llm_eval, a1_eval)
     if config.pillars.checks:
-        checks_dict, findings = _checks_pillar(config, dataset)
+        checks_dict, findings = _checks_pillar(config, dataset, suite)
         report["checks"] = checks_dict
         report["findings"] = [f.to_dict() for f in findings]
     if config.pillars.replication:

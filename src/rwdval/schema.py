@@ -20,6 +20,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from types import MappingProxyType
 
 
 MISSING_ATTRIBUTE = "missing"
@@ -181,6 +182,10 @@ def validate_record(record: LabelRecord, spec: VariableSpec) -> None:
         raise SchemaError(f"{spec.name}: event_list records need an event_date")
 
 
+# what a patient without records reads as; never written to
+_NO_RECORDS: Mapping[str, tuple[LabelRecord, ...]] = MappingProxyType({})
+
+
 def _record_sort_key(rec: LabelRecord):
     return (
         rec.patient_id,
@@ -214,17 +219,18 @@ def _restamped(
 
 
 class LabelSet:
-    """All label records from one source, keyed by (patient, variable).
+    """All label records from one source, held per patient and then per variable.
 
-    Non-event_list variables hold at most one record per key. Construction
-    and ``add`` validate every record against the schema; ingest and the
-    copy paths validate once at their boundary and build through
-    ``_from_buckets``. Each key's records are kept
-    in canonical order (dated before undated, then by date, then by value;
+    Non-event_list variables hold at most one record per (patient,
+    variable) key. Construction and ``add`` validate every record against
+    the schema; ingest and the copy paths validate once at their boundary
+    and build through ``_from_buckets``. Each key's records are kept in
+    canonical order (dated before undated, then by date, then by value;
     ties in insertion order), fixed when a record is added, so every reader
-    sees the same order whatever the order of addition. Equality compares
-    the source and the canonical record multiset, so write -> read
-    round-trips compare equal regardless of row order.
+    sees the same order whatever the order of addition. A patient with no
+    records has no entry. Equality compares the source and the canonical
+    record multiset, so write -> read round-trips compare equal regardless
+    of row order.
     """
 
     def __init__(
@@ -237,7 +243,7 @@ class LabelSet:
         self.schema = schema
         self.source = Source(source)
         self.refresh_id = refresh_id
-        self._by_key: dict[tuple[str, str], tuple[LabelRecord, ...]] = {}
+        self._by_patient: dict[str, dict[str, tuple[LabelRecord, ...]]] = {}
         for rec in records:
             self.add(rec)
 
@@ -249,17 +255,17 @@ class LabelSet:
                 f"record source {record.source.value!r} does not match "
                 f"label set source {self.source.value!r}"
             )
-        key = (record.patient_id, record.variable)
-        bucket = self._by_key.get(key)
+        own = self._by_patient.setdefault(record.patient_id, {})
+        bucket = own.get(record.variable)
         if bucket is None:
-            self._by_key[key] = (record,)
+            own[record.variable] = (record,)
             return
         if spec.kind != VariableKind.EVENT_LIST:
             raise SchemaError(
                 f"duplicate record for patient {record.patient_id!r}, "
                 f"variable {record.variable!r} ({spec.kind.value} admits one)"
             )
-        self._by_key[key] = tuple(sorted(bucket + (record,), key=_record_sort_key))
+        own[record.variable] = tuple(sorted(bucket + (record,), key=_record_sort_key))
 
     @classmethod
     def _from_buckets(
@@ -279,44 +285,55 @@ class LabelSet:
         bucket's order, as ``add`` keeps them). Empty buckets are skipped.
         """
         out = cls(schema, source, refresh_id=refresh_id)
-        by_key = out._by_key
-        for key, recs in buckets.items():
+        by_patient = out._by_patient
+        for (pid, var), recs in buckets.items():
             if not recs:
                 continue
-            if len(recs) == 1:
-                by_key[key] = tuple(recs)
-            else:
-                by_key[key] = tuple(sorted(recs, key=_record_sort_key))
+            own = by_patient.get(pid)
+            if own is None:
+                own = by_patient[pid] = {}
+            own[var] = tuple(recs) if len(recs) == 1 else tuple(sorted(recs, key=_record_sort_key))
         return out
 
     def remove(self, patient_id: str, variable: str) -> None:
         """Drop every record for one key; absent keys are a no-op."""
-        self._by_key.pop((patient_id, variable), None)
+        own = self._by_patient.get(patient_id)
+        if own is not None:
+            own.pop(variable, None)
+            if not own:
+                del self._by_patient[patient_id]
 
     def get(self, patient_id: str, variable: str) -> tuple[LabelRecord, ...]:
         """Records for one key in canonical order; empty tuple means missing."""
-        return self._by_key.get((patient_id, variable), ())
+        return self._by_patient.get(patient_id, _NO_RECORDS).get(variable, ())
 
     def get_single(self, patient_id: str, variable: str) -> LabelRecord | None:
         """The key's first record in canonical order; None means missing."""
-        recs = self._by_key.get((patient_id, variable))
+        recs = self._by_patient.get(patient_id, _NO_RECORDS).get(variable)
         return recs[0] if recs else None
 
+    def _column(self, variable: str, patients: Iterable[str]) -> list[tuple[LabelRecord, ...]]:
+        """``get(pid, variable)`` for each patient in order, in one call."""
+        by_patient = self._by_patient
+        return [by_patient.get(pid, _NO_RECORDS).get(variable, ()) for pid in patients]
+
     def keys(self) -> set[tuple[str, str]]:
-        return set(self._by_key)
+        return {(pid, var) for pid, own in self._by_patient.items() for var in own}
 
     @property
     def patients(self) -> set[str]:
-        return {pid for pid, _ in self._by_key}
+        return set(self._by_patient)
 
     @property
     def variables(self) -> set[str]:
-        return {var for _, var in self._by_key}
+        return {var for own in self._by_patient.values() for var in own}
 
     def records(self) -> list[LabelRecord]:
         out: list[LabelRecord] = []
-        for key in sorted(self._by_key):
-            out.extend(self._by_key[key])
+        for pid in sorted(self._by_patient):
+            own = self._by_patient[pid]
+            for var in sorted(own):
+                out.extend(own[var])
         return out
 
     def relabel(self, source: Source, refresh_id: str | None = None) -> "LabelSet":
@@ -325,15 +342,16 @@ class LabelSet:
         A ``refresh_id`` stamps the copy and each of its records; without
         one the records keep their own.
         """
-        source = Source(source)
-        buckets = {
-            key: _restamped(recs, source, refresh_id)
-            for key, recs in sorted(self._by_key.items())
+        out = LabelSet(self.schema, source, refresh_id=refresh_id)
+        # re-stamping keeps each bucket's canonical order, so nothing is re-sorted
+        out._by_patient = {
+            pid: {var: _restamped(recs, out.source, refresh_id) for var, recs in own.items()}
+            for pid, own in self._by_patient.items()
         }
-        return LabelSet._from_buckets(self.schema, source, buckets, refresh_id)
+        return out
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._by_key.values())
+        return sum(len(recs) for own in self._by_patient.values() for recs in own.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelSet):
@@ -393,13 +411,12 @@ def patient_view(labels: LabelSet, patient_id: str) -> dict[str, object]:
     included so the check engine can distinguish unknown from missing.
     """
     view: dict[str, object] = {}
-    for var, spec in labels.schema.items():
-        recs = labels.get(patient_id, var)
-        if not recs:
-            continue
-        if spec.kind == VariableKind.EVENT_LIST:
+    schema = labels.schema
+    for var, recs in labels._by_patient.get(patient_id, _NO_RECORDS).items():
+        kind = schema[var].kind
+        if kind == VariableKind.EVENT_LIST:
             view[var] = tuple((r.value, r.event_date) for r in recs)
-        elif spec.kind == VariableKind.DATE:
+        elif kind == VariableKind.DATE:
             view[var] = (recs[0].value, recs[0].event_date)
         else:
             view[var] = recs[0].value

@@ -109,13 +109,14 @@ def km_estimate(
         raise ValueError("durations and events must be 1-d arrays of equal length")
     if durations.size == 0:
         raise ValueError("need at least one subject")
-    if np.any(durations < 0):
-        raise ValueError("negative durations are not allowed")
+    if not np.all(durations >= 0):  # NaN fails the comparison too
+        raise ValueError("durations must be non-negative numbers")
     n_total = int(durations.size)
-    order = np.argsort(durations, kind="stable")
-    durations = durations[order]
-    events = events[order]
-    event_times = np.unique(durations[events])
+    # one sort: the subjects at risk at t are those whose duration is not
+    # below t, censored ones included, and np.unique counts the events at t
+    by_duration = np.sort(durations)
+    event_times, event_counts = np.unique(durations[events], return_counts=True)
+    at_risk = n_total - np.searchsorted(by_duration, event_times, side="left")
     times: list[float] = []
     n_at_risk: list[int] = []
     n_events: list[int] = []
@@ -123,17 +124,14 @@ def km_estimate(
     std_err: list[float] = []
     s = 1.0
     greenwood = 0.0
-    for t in event_times:
-        # subjects censored exactly at t are still at risk for the event at t
-        n_risk = int(np.sum(durations >= t))
-        d = int(np.sum((durations == t) & events))
+    for t, n_risk, d in zip(event_times.tolist(), at_risk.tolist(), event_counts.tolist()):
         s *= (n_risk - d) / n_risk
         if n_risk > d:
             greenwood += d / (n_risk * (n_risk - d))
             se = s * math.sqrt(greenwood)
         else:
             se = 0.0
-        times.append(float(t))
+        times.append(t)
         n_at_risk.append(n_risk)
         n_events.append(d)
         survival.append(s)

@@ -14,6 +14,7 @@ from rwdval import (
     Truth,
     VariableKind,
     breast_schema,
+    compile_check,
     default_suite_path,
     evaluate,
     load_suite,
@@ -294,12 +295,12 @@ def test_within_days_is_absolute(schema):
 
 
 def test_outcome_mapping(schema):
-    expr = parse_check("value(stage) = 'I'", schema)
+    check = compile_check(parse_check("value(stage) = 'I'", schema), schema)
     ok = view_of(schema, [rec("p1", "stage", "I")])
     bad = view_of(schema, [rec("p1", "stage", "II")])
-    assert evaluate_patient_check(expr, ok, schema) == Truth.TRUE
-    assert evaluate_patient_check(expr, bad, schema) == Truth.FALSE
-    assert evaluate_patient_check(expr, {}, schema) == Truth.UNKNOWN
+    assert evaluate_patient_check(check, ok) == Truth.TRUE
+    assert evaluate_patient_check(check, bad) == Truth.FALSE
+    assert evaluate_patient_check(check, {}) == Truth.UNKNOWN
 
 
 # The connectives as they were before they short-circuited: each copies its
@@ -423,6 +424,19 @@ def test_short_circuit_connectives_equal_the_list_oracle(expr, view):
     schema = make_schema()
     typecheck(expr, schema)
     assert evaluate(expr, view, schema) == _oracle_evaluate(expr, view, schema)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_typed_exprs(3), _views())
+def test_compiled_check_equals_the_interpreter(expr, view):
+    schema = make_schema()
+    typecheck(expr, schema)
+    assert compile_check(expr, schema)(view) == evaluate(expr, view, schema)
+
+
+def test_compiling_rejects_an_unknown_variable(schema):
+    with pytest.raises(SchemaError, match="unknown variable 'stagex'"):
+        compile_check(Cmp("=", Value("stagex"), Lit("I")), schema)
 
 
 def test_referenced_variables():

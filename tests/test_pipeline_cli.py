@@ -17,7 +17,16 @@ from hypothesis import strategies as st
 from conftest import make_schema, rec
 
 import rwdval
-from rwdval import Source, write_labels, save_schema
+from rwdval import (
+    Source,
+    default_suite_path,
+    load_schema,
+    load_suite,
+    metrics,
+    save_schema,
+    write_labels,
+)
+from rwdval.checks import engine as checks_engine
 from rwdval.cli import main
 from rwdval.pipeline import (
     ConfigError,
@@ -25,7 +34,10 @@ from rwdval.pipeline import (
     RunConfig,
     SurvivalBenchmarkSpec,
     _collect_issues,
+    _load_dataset,
+    _load_schema,
     _summary_lines,
+    assemble_reference,
     config_hash,
     load_run_config,
     run_from_config_file,
@@ -228,6 +240,87 @@ def test_bootstrap_run_brackets_every_point_and_is_deterministic(workspace):
     second = runner.invoke(main, args)
     assert second.exit_code == first.exit_code
     assert report_path.read_bytes() == first_bytes
+
+
+def _bootstrap_config(workspace):
+    doc = yaml.safe_load((workspace / "run.yaml").read_text())
+    doc["metrics"]["bootstrap"] = True
+    doc["tolerances"]["bootstrap_replicates"] = 50
+    config = workspace / "run_bootstrap_oracle.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    return load_run_config(config)
+
+
+def test_metrics_pillar_equals_the_public_oracles(workspace):
+    config = _bootstrap_config(workspace)
+    dataset = _load_dataset(config, _load_schema(config))
+    reference, llm, a1 = assemble_reference(config, dataset)
+    cohort = sorted(dataset.patients)
+    tol = config.tolerances
+    days = {"tolerance_days": tol.date_tolerance_days}
+    expected = {}
+    for target in config.metrics.variables:
+        args = (reference, target.variable, target.positive_class)
+        llm_report = metrics.variable_metrics(llm, *args, patients=cohort, **days)
+        a1_report = metrics.variable_metrics(a1, *args, patients=cohort, **days)
+        llm_report.ci = metrics.bootstrap_variable_ci(
+            llm, *args, patients=cohort, n_replicates=tol.bootstrap_replicates, seed=tol.seed, **days
+        )
+        strata = {}
+        for attr in config.strata:
+            per = metrics.stratified_metrics(
+                llm, a1, *args, dataset, attr, min_stratum_n=tol.min_stratum_n, **days
+            )
+            strata[attr] = {
+                name: {
+                    "n": sm.n,
+                    "suppressed": sm.suppressed,
+                    "llm": sm.llm.to_dict() if sm.llm else None,
+                    "abstraction": sm.abstraction.to_dict() if sm.abstraction else None,
+                    "relative": [r.to_dict() for r in sm.relative] if sm.relative else None,
+                }
+                for name, sm in per.items()
+            }
+        expected[target.variable] = {
+            "positive_class": target.positive_class,
+            "llm": llm_report.to_dict(),
+            "abstraction": a1_report.to_dict(),
+            "relative": [r.to_dict() for r in metrics.relative_difference(llm_report, a1_report)],
+            "stratified": strata,
+        }
+    got = run_pipeline(config).report["metrics"]["variables"]
+    assert all(entry["llm"]["ci"] for entry in got.values())
+    assert got == expected
+
+
+def test_each_side_of_each_target_is_scored_once_per_run(workspace, monkeypatch):
+    config = _bootstrap_config(workspace)
+    built = []
+    patient_rows = metrics._patient_rows
+
+    def counted(*args, **kwargs):
+        built.append(args[2])
+        return patient_rows(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_patient_rows", counted)
+    run_pipeline(config)
+    targets = [t.variable for t in config.metrics.variables]
+    assert sorted(built) == sorted(targets * 2)
+
+
+def test_each_suite_expression_compiles_once_per_run(workspace, monkeypatch):
+    config = load_run_config(workspace / "run.yaml")
+    compiled = []
+    compile_check = checks_engine.compile_check
+
+    def counted(expr, schema):
+        compiled.append(expr)
+        return compile_check(expr, schema)
+
+    monkeypatch.setattr(checks_engine, "compile_check", counted)
+    run_pipeline(config)
+    suite = load_suite(default_suite_path(), load_schema(config.schema))
+    assert compiled == [check.expr for check in suite if check.expr is not None]
 
 
 def test_equity_too_thin_is_not_applicable_and_the_run_goes_on(tmp_path):
@@ -524,6 +617,13 @@ _SURVIVAL = {
     "censor_variable": "surgery",
 }
 _EQUITY = {**_SURVIVAL, "kind": "equity", "stratum_attribute": "arm"}
+# a derived rule over the small workspace's date and event-list variables
+_RULE = {
+    "name": "r",
+    "index_variable": "surgery",
+    "components": [{"variable": "er_result", "required": "negative"}],
+}
+_BOGUS_REQUIRED = {"variable": "er_result", "required": "bogus"}
 
 
 @pytest.mark.parametrize(
@@ -626,6 +726,36 @@ _EQUITY = {**_SURVIVAL, "kind": "equity", "stratum_attribute": "arm"}
             {"metrics": {"variables": [{"variable": "surgeryx"}]}},
             "metrics.variables[0].variable: unknown variable 'surgeryx'",
         ),
+        (
+            {"metrics": {"variables": [{"variable": "stage", "positive_class": "IV"}]}},
+            "metrics.variables[0].positive_class: stage has no known value 'IV'",
+        ),
+        (
+            {"metrics": {"derived": [{**_RULE, "index_positive": "bogus"}]}},
+            "metrics.derived[0].index_positive: surgery has no known value 'bogus'",
+        ),
+        (
+            {"metrics": {"derived": [{**_RULE, "components": [_BOGUS_REQUIRED]}]}},
+            "metrics.derived[0].components[0].required: er_result has no known value 'bogus'",
+        ),
+        (
+            {"analyses": [{**_SURVIVAL, "event_positive": "bogus"}]},
+            "analyses[0].event_positive: surgery has no known value 'bogus'",
+        ),
+        (
+            {"tolerances": {"bootstrap_replicates": 0}},
+            "tolerances.bootstrap_replicates: must be >= 1, got 0",
+        ),
+        ({"tolerances": {"seed": -1}}, "tolerances.seed: must be >= 0, got -1"),
+        (
+            {"tolerances": {"date_tolerance_days": -5}},
+            "tolerances.date_tolerance_days: must be >= 0, got -5",
+        ),
+        ({"tolerances": {"min_stratum_n": -5}}, "tolerances.min_stratum_n: must be >= 0, got -5"),
+        (
+            {"analyses": [{**_SURVIVAL, "max_followup_days": -5}]},
+            "analyses[0].max_followup_days: must be >= 0, got -5",
+        ),
     ],
     ids=[
         "strata_not_a_list",
@@ -670,6 +800,15 @@ _EQUITY = {**_SURVIVAL, "kind": "equity", "stratum_attribute": "arm"}
         "group_by_not_a_stratum",
         "stratum_attribute_not_a_stratum",
         "unknown_metric_variable",
+        "positive_class_not_a_known_value",
+        "index_positive_not_a_known_value",
+        "component_required_not_a_known_value",
+        "event_positive_not_a_known_value",
+        "bootstrap_replicates_zero",
+        "seed_negative",
+        "date_tolerance_days_negative",
+        "min_stratum_n_negative",
+        "max_followup_days_negative",
     ],
 )
 def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, message):
@@ -717,8 +856,22 @@ def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, messa
                 "metrics.derived[0].components[0].variable: unknown variable 'er_resultx'",
             ],
         ),
+        (
+            {
+                "metrics": {
+                    "variables": [{"variable": "stage", "positive_class": "IV"}],
+                    "derived": [{**_RULE, "components": [_BOGUS_REQUIRED]}],
+                },
+                "analyses": [{**_SURVIVAL, "event_positive": "bogus"}],
+            },
+            [
+                "metrics.variables[0].positive_class: stage has no known value 'IV'",
+                "metrics.derived[0].components[0].required: er_result has no known value 'bogus'",
+                "analyses[0].event_positive: surgery has no known value 'bogus'",
+            ],
+        ),
     ],
-    ids=["malformed_keys", "unknown_variables"],
+    ids=["malformed_keys", "unknown_variables", "unknown_tokens"],
 )
 def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, change, messages):
     cfg_path = small_workspace(tmp_path)
@@ -731,6 +884,61 @@ def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, 
     for message in messages:
         assert f"\n  {message}" in text(result)
     assert "missing_" not in text(result)
+    assert "Traceback" not in text(result)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"expr": "value(stagex) = 'IV'"}, "c1.expr: unknown variable 'stagex'"),
+        ({"expr": "value(stage) = 'IV'"}, "c1.expr: stage: literal 'IV' is not an allowed value"),
+        ({"expr": "value(stage) ="}, "c1.expr: expected an operand, found 'end' (at position 14)"),
+        (
+            {"cohort": {"kind": "monthly_count_stability", "variable": "surgeryx"}},
+            "c1.variable: unknown variable 'surgeryx'",
+        ),
+        (
+            {
+                "cohort": {
+                    "kind": "distribution_range",
+                    "variable": "stage",
+                    "expected": {"I": [0.1, 0.9]},
+                    "filter": "known(surgeryx)",
+                }
+            },
+            "c1.filter: unknown variable 'surgeryx'",
+        ),
+    ],
+    ids=[
+        "expr_unknown_variable",
+        "expr_literal_not_allowed",
+        "expr_syntax",
+        "cohort_unknown_variable",
+        "filter_unknown_variable",
+    ],
+)
+def test_malformed_check_suite_exits_2_before_any_label_file_is_read(tmp_path, entry, message):
+    cfg_path = small_workspace(tmp_path)
+    (tmp_path / "suite.yaml").write_text(yaml.safe_dump({"checks": [{"id": "c1", **entry}]}))
+    doc = yaml.safe_load(cfg_path.read_text())
+    doc["pillars"]["checks"] = True
+    doc["check_suite"] = "suite.yaml"
+    doc["labels"] = {"llm": "missing_llm.csv", "abstractor_1": "missing_a1.csv"}
+    cfg_path.write_text(yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["--config", str(cfg_path), "run"])
+    assert result.exit_code == 2, text(result)
+    assert f"error: {message}" in text(result)
+    assert "missing_" not in text(result)
+    assert "Traceback" not in text(result)
+
+
+@pytest.mark.parametrize("command", [["run"], ["simulate", "--n", "5"]])
+def test_negative_seed_on_the_command_line_exits_2(workspace, tmp_path, command):
+    config = str(workspace / "run.yaml")
+    args = ["--config", config, "--out", str(tmp_path), "--seed", "-1", *command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, text(result)
+    assert "'--seed': -1 is not in the range x>=0" in text(result)
     assert "Traceback" not in text(result)
 
 

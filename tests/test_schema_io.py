@@ -209,6 +209,61 @@ def test_equality_ignores_insertion_order(schema):
     assert a != c
 
 
+_DAYS = st.integers(0, 40).map(lambda n: date(2020, 1, 1) + timedelta(days=n))
+_RECORDS = st.one_of(
+    st.tuples(st.just("stage"), st.sampled_from(["I", "II", "unknown"]), st.none()),
+    st.tuples(st.just("surgery"), st.sampled_from(["yes", "no"]), st.one_of(st.none(), _DAYS)),
+    st.tuples(st.just("er_result"), st.sampled_from(["positive", "negative"]), _DAYS),
+    st.tuples(st.just("er_result"), st.just("unknown"), st.one_of(st.none(), _DAYS)),
+)
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "remove"]), st.sampled_from(["p1", "p2", "p3"]), _RECORDS
+    ),
+    max_size=25,
+)
+
+
+def _apply(ops):
+    """The ops applied to a label set and to a flat {(patient, variable): records} model."""
+    schema = make_schema()
+    labels, model = LabelSet(schema, Source.LLM), {}
+    for op, pid, (var, value, day) in ops:
+        if op == "remove":
+            labels.remove(pid, var)
+            model.pop((pid, var), None)
+            continue
+        record = rec(pid, var, value, day)
+        bucket = model.get((pid, var), [])
+        if bucket and var != "er_result":
+            with pytest.raises(SchemaError):
+                labels.add(record)
+            continue
+        labels.add(record)
+        model[(pid, var)] = bucket + [record]
+    # canonical order: dated before undated, then by date, then by value; ties as added
+    canonical = lambda r: (r.event_date is None, r.event_date or date.min, str(r.value))
+    return labels, {key: tuple(sorted(recs, key=canonical)) for key, recs in model.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS, _OPS)
+def test_label_set_answers_as_a_flat_key_model(ops, other_ops):
+    labels, model = _apply(ops)
+    for pid in ("p1", "p2", "p3", "p4"):
+        for var in ("stage", "surgery", "er_result", "tumor_size_mm"):
+            assert labels.get(pid, var) == model.get((pid, var), ())
+            first = model[(pid, var)][0] if (pid, var) in model else None
+            assert labels.get_single(pid, var) == first
+    assert labels.keys() == set(model)
+    assert labels.patients == {pid for pid, _ in model}
+    assert labels.variables == {var for _, var in model}
+    assert labels.records() == [r for key in sorted(model) for r in model[key]]
+    assert len(labels) == sum(len(recs) for recs in model.values())
+    other, other_model = _apply(other_ops)
+    assert (labels == other) == (model == other_model)
+
+
 def test_patient_view_shapes(schema):
     labels = LabelSet(
         schema,

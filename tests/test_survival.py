@@ -73,6 +73,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         km_estimate([-1], [True])
     with pytest.raises(ValueError):
+        km_estimate([float("nan"), 2], [False, True])
+    with pytest.raises(ValueError):
         SurvivalRecord("p1", date(2020, 1, 2), date(2020, 1, 1), True)
 
 
@@ -92,6 +94,39 @@ def test_against_brute_force_oracle():
             assert cn == at_risk
             assert cd == d
             assert abs(cs - s) <= 1e-12, (trial, t)
+
+
+def _km_by_scanning(durations, events):
+    """The estimator as it scanned every subject at each event time: the
+    reference for the sorted counts, which must give the same floats."""
+    durations = np.asarray(durations, dtype=float)
+    events = np.asarray(events, dtype=bool)
+    s, greenwood, rows = 1.0, 0.0, []
+    for t in np.unique(durations[events]):
+        n_risk = int(np.sum(durations >= t))
+        d = int(np.sum((durations == t) & events))
+        s *= (n_risk - d) / n_risk
+        if n_risk > d:
+            greenwood += d / (n_risk * (n_risk - d))
+            se = s * math.sqrt(greenwood)
+        else:
+            se = 0.0
+        rows.append((float(t), n_risk, d, s, se))
+    return rows
+
+
+def test_sorted_counts_equal_the_scan_exactly():
+    rng = random.Random(11)
+    for trial in range(500):
+        n = rng.randint(1, 80)
+        if trial % 2:
+            durations = [rng.randint(0, 40) for _ in range(n)]
+        else:
+            durations = [rng.choice([0.5, 1.25, 7.0, 365.0, rng.uniform(0, 900)]) for _ in range(n)]
+        events = [rng.random() < 0.6 for _ in range(n)]
+        curve = km_estimate(durations, events)
+        got = list(zip(curve.times, curve.n_at_risk, curve.n_events, curve.survival, curve.std_err))
+        assert got == _km_by_scanning(durations, events), trial
 
 
 def test_survival_is_monotone_nonincreasing():
