@@ -417,9 +417,8 @@ def monthly_counts(labels: LabelSet, variable: str) -> tuple[list[str], list[int
         raise ValueError(f"{variable}: {spec.kind.value} variables carry no date")
     dates = [
         r.event_date
-        for pid, var in labels.keys()
-        if var == variable
-        for r in labels.get(pid, var)
+        for recs in labels._column(variable, labels.patients)
+        for r in recs
         if r.event_date is not None and r.is_known(spec)
     ]
     if not dates:

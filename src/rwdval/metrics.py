@@ -595,23 +595,26 @@ def derive_variable(
             raise ValueError(f"{rule.name}: {comp} has no known value {required!r}")
     patients = sorted(cohort) if cohort is not None else sorted(labels.patients)
     lo, hi = rule.window_days
+    index_column = labels._column(rule.index_variable, patients)
+    components = [
+        (schema[comp], required, labels._column(comp, patients)) for comp, required in rule.components
+    ]
     out: dict[str, str] = {}
-    for pid in patients:
-        index_rec = labels.get_single(pid, rule.index_variable)
+    for i, pid in enumerate(patients):
+        index_recs = index_column[i]
         if (
-            index_rec is None
-            or index_rec.value != rule.index_positive
-            or index_rec.event_date is None
+            not index_recs
+            or index_recs[0].value != rule.index_positive
+            or index_recs[0].event_date is None
         ):
             out[pid] = DERIVED_UNKNOWN
             continue
-        index = index_rec.event_date
+        index = index_recs[0].event_date
         verdict = DERIVED_POSITIVE
-        for comp, required in rule.components:
-            spec = schema[comp]
+        for spec, required, column in components:
             candidates = [
                 r
-                for r in labels.get(pid, comp)
+                for r in column[i]
                 if r.is_known(spec)
                 and r.event_date is not None
                 and lo <= (r.event_date - index).days <= hi

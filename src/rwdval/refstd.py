@@ -269,9 +269,8 @@ def build_duplicate_abstraction(
     """
     if len(abstractor_2) == 0:
         raise ValueError("abstractor_2 label set is empty; nothing to reference")
-    entries = [((pid, var), abstractor_2.get(pid, var)) for pid, var in sorted(abstractor_2.keys())]
-    labels = _as_reference(abstractor_2.schema, entries)
-    provenance = {key: Provenance.SINGLE_SOURCE for key, _ in entries}
+    labels = abstractor_2.relabel(Source.REFERENCE)
+    provenance = dict.fromkeys(sorted(abstractor_2.keys()), Provenance.SINGLE_SOURCE)
     rs = ReferenceStandard(
         mode=ReferenceMode.DUPLICATE_ABSTRACTION,
         labels=labels,

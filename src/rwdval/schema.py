@@ -255,7 +255,9 @@ class LabelSet:
                 f"record source {record.source.value!r} does not match "
                 f"label set source {self.source.value!r}"
             )
-        own = self._by_patient.setdefault(record.patient_id, {})
+        own = self._by_patient.get(record.patient_id)
+        if own is None:
+            own = self._by_patient[record.patient_id] = {}
         bucket = own.get(record.variable)
         if bucket is None:
             own[record.variable] = (record,)
