@@ -1,9 +1,10 @@
 """Pinned report bytes: speed work must not move one byte of a run's output.
 
 Each workspace is built by ``simulate``, run with ``rwdval run``, and the
-SHA-256 of ``report.json`` and ``findings.csv`` is compared with digests
-recorded before the per-patient label store, the compiled checks and the
-shared metric rows replaced the paths they optimise.
+SHA-256 of each pinned output file is compared with digests recorded
+before the code paths they cover were optimised: the per-patient label
+store, the compiled checks and the shared metric rows for the duplicate
+mode runs, and the reference assembly for the adjudicated runs.
 """
 
 import hashlib
@@ -12,7 +13,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from rwdval import adjudicate_from_oracle, find_disagreements
 from rwdval.cli import main
+from rwdval.labelio import load_schema, read_labels, write_labels
+from rwdval.schema import Source
 
 GOLDEN = {
     "bootstrap": {
@@ -23,18 +27,56 @@ GOLDEN = {
         "report.json": "895a1d0cbfd00e866edc8a2cef1c2a5a12bce643d534ef6ba976ef95144b5cb8",
         "findings.csv": "cc49c50d4eb23ab9d119fb1e3504435a6ed5bb2d3630187c0859565513ad971d",
     },
+    "triple": {
+        "report.json": "7609748726531c78569e1d210cf131e3595faa6e5ff71ef7b6df961b87b827d6",
+        "findings.csv": "cc49c50d4eb23ab9d119fb1e3504435a6ed5bb2d3630187c0859565513ad971d",
+        "disagreements.csv": "46550667ef611349297a35f63a60a48d27efdcdde3b250f97aa53757ea9e72b6",
+    },
+    "double": {
+        "report.json": "b70ce3286f2adf189dae7d85bffb747e0680eed36684c1c51f4d68516fdea32c",
+        "findings.csv": "cc49c50d4eb23ab9d119fb1e3504435a6ed5bb2d3630187c0859565513ad971d",
+        "disagreements.csv": "c093f5bdaf77c95aaccf287af6a5eef349312b5b7f570eafd1076b9615457d64",
+    },
 }
 
 
-def _bootstrap_on(doc: dict) -> None:
+def _bootstrap_on(ws, doc: dict) -> None:
     doc["metrics"]["bootstrap"] = True
     doc["tolerances"]["bootstrap_replicates"] = 200
 
 
+def _adjudicated(mode: str):
+    """Switch the run to ``mode`` and write an adjudicator file that copies
+    abstractor 2 (the simulated truth) onto every open case of that mode."""
+
+    def edit(ws, doc: dict) -> None:
+        schema = load_schema(ws / doc["schema"])
+
+        def read(source: Source):
+            return read_labels(ws / doc["labels"][source.value], schema, source)
+
+        a2 = read(Source.ABSTRACTOR_2)
+        compared = [read(Source.LLM), read(Source.ABSTRACTOR_1)]
+        if mode == "triple_adjudication":
+            compared.append(a2)
+        tolerance = doc["tolerances"]["date_tolerance_days"]
+        cases = find_disagreements(*compared, tolerance_days=tolerance)
+        write_labels(adjudicate_from_oracle(cases, a2), ws / "labels_adjudicator.csv")
+        doc["reference_mode"] = mode
+        doc["labels"]["adjudicator"] = "labels_adjudicator.csv"
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "name, flags, edit",
-    [("bootstrap", [], _bootstrap_on), ("refresh", ["--with-refresh"], None)],
-    ids=["bootstrap", "refresh"],
+    [
+        ("bootstrap", [], _bootstrap_on),
+        ("refresh", ["--with-refresh"], None),
+        ("triple", ["--with-refresh"], _adjudicated("triple_adjudication")),
+        ("double", ["--with-refresh"], _adjudicated("double_adjudication")),
+    ],
+    ids=["bootstrap", "refresh", "triple", "double"],
 )
 def test_run_output_bytes_are_pinned(tmp_path, name, flags, edit):
     runner = CliRunner()
@@ -43,7 +85,7 @@ def test_run_output_bytes_are_pinned(tmp_path, name, flags, edit):
     cfg_path = tmp_path / "run.yaml"
     if edit is not None:
         doc = yaml.safe_load(cfg_path.read_text())
-        edit(doc)
+        edit(tmp_path, doc)
         cfg_path.write_text(yaml.safe_dump(doc))
     result = runner.invoke(main, ["--config", str(cfg_path), "run"])
     assert result.exit_code == 1, result.output  # every simulated cohort has check findings
