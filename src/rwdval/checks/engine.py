@@ -31,7 +31,7 @@ from ..schema import (
     patient_view,
     yaml_token,
 )
-from ..refstd import assertions_agree
+from ..refstd import _agreement
 from .lang import (
     CompiledCheck,
     Expr,
@@ -352,15 +352,15 @@ def refresh_stability(
         raise ValueError(
             f"refresh ids must be strictly increasing, got {v1!r} then {v2!r}"
         )
-    schema = labels_v1.schema
-    spec = schema[variable]
+    spec = labels_v1.schema[variable]
     kind = spec.kind
     changed: list[RefreshChange] = []
     added: list[str] = []
-    patients = {p for p, v in labels_v1.keys() | labels_v2.keys() if v == variable}
-    for pid in sorted(patients):
-        before = labels_v1.get(pid, variable)
-        after = labels_v2.get(pid, variable)
+    agree = _agreement(spec, tolerance_days)
+    patients = sorted(set(labels_v1._holders(variable)).union(labels_v2._holders(variable)))
+    for pid, before, after in zip(
+        patients, labels_v1._column(variable, patients), labels_v2._column(variable, patients)
+    ):
         if not before and after:
             added.append(pid)
             continue
@@ -369,7 +369,7 @@ def refresh_stability(
                 RefreshChange(pid, "removed", _describe(before), _describe(after))
             )
             continue
-        if assertions_agree(schema, variable, before, after, tolerance_days):
+        if agree(before, after):
             continue
         if kind == VariableKind.EVENT_LIST:
             reason = "events_changed"
@@ -527,7 +527,7 @@ def _run_refresh(
     delta = refresh_stability(
         previous, labels, spec.variable, tolerance_days=spec.tolerance_days
     )
-    result.n_evaluated += sum(1 for _, v in previous.keys() if v == spec.variable)
+    result.n_evaluated += len(previous._holders(spec.variable))
     expected = f"stable across refreshes (tolerance {spec.tolerance_days}d)"
     for change in delta.changed:
         result.flag(

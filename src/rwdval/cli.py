@@ -121,7 +121,8 @@ def ingest(ctx, label_file, schema_path, source_name, refresh_id):
 @click.option("--adjudications", "adjudications_path", type=click.Path(exists=True), default=None,
               help="Adjudicator label file (overrides the config).")
 @click.option("--oracle", "oracle_path", type=click.Path(exists=True), default=None,
-              help="Resolve open disagreements by copying these labels (simulation aid).")
+              help="Resolve open disagreements by copying these labels (simulation aid). "
+                   "Rows must carry source 'reference' or an empty source cell.")
 @click.pass_context
 def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
     """Assemble the reference standard; emit a worklist when blocked."""

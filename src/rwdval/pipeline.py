@@ -52,7 +52,7 @@ from .replication import (
     survival_records,
     trend_series,
 )
-from .schema import CohortDataset, LabelSet, Schema, Source, yaml_token
+from .schema import CohortDataset, LabelSet, Schema, Source, VariableKind, yaml_token
 
 
 class ConfigError(ValueError):
@@ -427,8 +427,9 @@ class PipelineResult:
 
 def _load_schema(config: RunConfig) -> Schema:
     """The run's schema; a ``ConfigError`` lists every variable the config
-    names that it lacks and every category token it names that its
-    variable cannot take."""
+    names that it lacks, every category token it names that its variable
+    cannot take, and every metric target that needs a ``positive_class``
+    (any kind but event_list) and lacks one."""
     schema = load_schema(config.schema)
     problems = []
     for where, spec in _nested_specs(config, ""):
@@ -436,6 +437,14 @@ def _load_schema(config: RunConfig) -> Schema:
             name = getattr(spec, f.name)
             if f.name.endswith("variable") and name not in schema:
                 problems.append(f"{_key(where, f.name)}: unknown variable {name!r}")
+        if (
+            isinstance(spec, MetricTarget)
+            and spec.positive_class is None
+            and spec.variable in schema
+            and schema[spec.variable].kind != VariableKind.EVENT_LIST
+        ):
+            kind = schema[spec.variable].kind.value
+            problems.append(f"{_key(where, 'positive_class')}: required for {spec.variable}, a {kind} variable")
         for kind, token_key, variable_key in _TOKENS:
             if not isinstance(spec, kind):
                 continue

@@ -16,22 +16,30 @@ allowed to contain:
 The assembled reference never contains a value absent from its inputs:
 every label traces to a source or the adjudicator, and the provenance map
 records which.
+
+Two sources agree on an event list when, per value token, their dated
+events pair off one-to-one within the date tolerance and their undated
+counts are equal. On a line, a one-to-one pairing within a threshold
+exists iff pairing the dates in sorted order works (uncrossing two pairs
+never widens the larger gap), so each token's dates are compared k-th
+with k-th in the bucket's canonical order, in linear time.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .metrics import match_events
 from .schema import (
+    _NO_RECORDS,
     LabelRecord,
     LabelSet,
     Schema,
     SchemaError,
     Source,
     VariableKind,
+    VariableSpec,
     _restamped,
     effective_tolerance,
     validate_record,
@@ -59,13 +67,6 @@ class Provenance(str, Enum):
 class CaseStatus(str, Enum):
     OPEN = "open"
     RESOLVED = "resolved"
-
-
-_PAIR_SOURCES = {
-    Pair.LLM_VS_A1: (Source.LLM, Source.ABSTRACTOR_1),
-    Pair.LLM_VS_A2: (Source.LLM, Source.ABSTRACTOR_2),
-    Pair.A1_VS_A2: (Source.ABSTRACTOR_1, Source.ABSTRACTOR_2),
-}
 
 
 @dataclass
@@ -148,6 +149,64 @@ class ReferenceStandard:
         }
 
 
+def _agreement(
+    spec: VariableSpec, tolerance_days: int
+) -> Callable[[tuple[LabelRecord, ...], tuple[LabelRecord, ...]], bool]:
+    """The agreement test of ``assertions_agree`` for one variable.
+
+    Both sides are buckets of a label set over the variable's schema:
+    canonical, and single for kinds that admit one.
+    """
+    tol = effective_tolerance(spec, tolerance_days)
+
+    def single(a: LabelRecord, b: LabelRecord) -> bool:
+        if a.value != b.value:
+            return False
+        da, db = a.event_date, b.event_date
+        if da is None or db is None:
+            return da is db
+        return abs((da - db).days) <= tol
+
+    if spec.kind != VariableKind.EVENT_LIST:
+
+        def agree(recs_a, recs_b):
+            if recs_a and recs_b:
+                return single(recs_a[0], recs_b[0])
+            return not recs_a and not recs_b
+
+        return agree
+
+    def agree_events(recs_a, recs_b):
+        # agreeing lists hold as many events per token, so as many in all
+        n = len(recs_a)
+        if n != len(recs_b):
+            return False
+        if n < 2:
+            return n == 0 or single(recs_a[0], recs_b[0])
+        by_token: dict = {}
+        for r in recs_a:
+            by_token.setdefault(r.value, []).append(r.event_date)
+        other: dict = {}
+        for r in recs_b:
+            other.setdefault(r.value, []).append(r.event_date)
+        if by_token.keys() != other.keys():
+            return False
+        for token, dates_a in by_token.items():
+            dates_b = other[token]
+            if len(dates_a) != len(dates_b):
+                return False
+            # canonical order puts each token's dated events first, by date
+            for da, db in zip(dates_a, dates_b):
+                if da is None or db is None:
+                    if da is not db:
+                        return False
+                elif abs((da - db).days) > tol:
+                    return False
+        return True
+
+    return agree_events
+
+
 def assertions_agree(
     schema: Schema,
     variable: str,
@@ -161,37 +220,21 @@ def assertions_agree(
     missing, documented-unknown only with documented-unknown. Dated values
     agree when values match and dates fall within tolerance; a date present
     on exactly one side is a disagreement. Event lists agree when, per
-    value token, the dated events match one-to-one within tolerance and
-    undated counts coincide.
+    value token, the undated counts coincide and the dated events match
+    one-to-one within tolerance, which holds iff the k-th earliest date on
+    one side lies within tolerance of the k-th earliest on the other.
+    Both sides must be label-set buckets (canonical order).
     """
-    spec = schema[variable]
-    tol = effective_tolerance(spec, tolerance_days)
-    if not recs_a and not recs_b:
-        return True
-    if bool(recs_a) != bool(recs_b):
-        return False
-    if spec.kind == VariableKind.EVENT_LIST:
-        tokens = {r.value for r in recs_a} | {r.value for r in recs_b}
-        for token in tokens:
-            dated_a = [r.event_date for r in recs_a if r.value == token and r.event_date]
-            dated_b = [r.event_date for r in recs_b if r.value == token and r.event_date]
-            undated_a = sum(1 for r in recs_a if r.value == token and not r.event_date)
-            undated_b = sum(1 for r in recs_b if r.value == token and not r.event_date)
-            if undated_a != undated_b:
-                return False
-            m = match_events(dated_a, dated_b, tol)
-            if m.unmatched_pred or m.unmatched_ref:
-                return False
-        return True
-    a, b = recs_a[0], recs_b[0]
-    if a.value != b.value:
-        return False
-    if spec.kind == VariableKind.DATE:
-        if (a.event_date is None) != (b.event_date is None):
-            return False
-        if a.event_date is not None and abs((a.event_date - b.event_date).days) > tol:
-            return False
-    return True
+    return _agreement(schema[variable], tolerance_days)(recs_a, recs_b)
+
+
+def _patient_union(*label_sets: LabelSet | None) -> list[str]:
+    """The patients of every given label set, sorted."""
+    out: set[str] = set()
+    for labels in label_sets:
+        if labels is not None:
+            out.update(labels._by_patient)
+    return sorted(out)
 
 
 def find_disagreements(
@@ -207,52 +250,25 @@ def find_disagreements(
     with three, all three pairs are. Cases are ordered by patient,
     variable, then pair.
     """
-    by_source = {Source.LLM: llm, Source.ABSTRACTOR_1: abstractor_1}
-    pairs = [Pair.LLM_VS_A1]
+    agreement = {name: _agreement(spec, tolerance_days) for name, spec in llm.schema.items()}
+    store_l, store_1 = llm._by_patient, abstractor_1._by_patient
+    store_2 = abstractor_2._by_patient if abstractor_2 is not None else {}
+    # (pair, index of its first source, of its second) into (llm, a1, a2)
+    pairs = [(Pair.LLM_VS_A1, 0, 1)]
     if abstractor_2 is not None:
-        by_source[Source.ABSTRACTOR_2] = abstractor_2
-        pairs += [Pair.LLM_VS_A2, Pair.A1_VS_A2]
-    schema = llm.schema
-    keys = set().union(*(labels.keys() for labels in by_source.values()))
+        pairs += [(Pair.LLM_VS_A2, 0, 2), (Pair.A1_VS_A2, 1, 2)]
     cases: list[DisagreementCase] = []
-    for pid, var in sorted(keys):
-        recs = {src: labels.get(pid, var) for src, labels in by_source.items()}
-        for pair in pairs:
-            src_a, src_b = _PAIR_SOURCES[pair]
-            if assertions_agree(schema, var, recs[src_a], recs[src_b], tolerance_days):
-                continue
-            cases.append(
-                DisagreementCase(
-                    patient_id=pid,
-                    variable=var,
-                    pair=pair,
-                    llm=recs[Source.LLM],
-                    abstractor_1=recs[Source.ABSTRACTOR_1],
-                    abstractor_2=recs.get(Source.ABSTRACTOR_2, ()),
-                )
-            )
+    for pid in _patient_union(llm, abstractor_1, abstractor_2):
+        own_l = store_l.get(pid, _NO_RECORDS)
+        own_1 = store_1.get(pid, _NO_RECORDS)
+        own_2 = store_2.get(pid, _NO_RECORDS)
+        for var in sorted(own_l.keys() | own_1.keys() | own_2.keys()):
+            recs = (own_l.get(var, ()), own_1.get(var, ()), own_2.get(var, ()))
+            agree = agreement[var]
+            for pair, a, b in pairs:
+                if not agree(recs[a], recs[b]):
+                    cases.append(DisagreementCase(pid, var, pair, *recs))
     return cases
-
-
-def _as_reference(
-    schema: Schema,
-    entries: Iterable[tuple[tuple[str, str], tuple[LabelRecord, ...]]],
-) -> LabelSet:
-    """The reference set holding each entry's records, re-attributed.
-
-    Entries name distinct keys and hold one bucket of a label set over
-    ``schema``: valid, canonical, and single for kinds that admit one.
-    """
-    buckets = {key: _restamped(recs, Source.REFERENCE) for key, recs in entries}
-    return LabelSet._from_buckets(schema, Source.REFERENCE, buckets)
-
-
-def _all_patients(*label_sets: LabelSet | None) -> frozenset[str]:
-    out: set[str] = set()
-    for ls in label_sets:
-        if ls is not None:
-            out |= ls.patients
-    return frozenset(out)
 
 
 def build_duplicate_abstraction(
@@ -275,14 +291,15 @@ def build_duplicate_abstraction(
         mode=ReferenceMode.DUPLICATE_ABSTRACTION,
         labels=labels,
         provenance=provenance,
-        patients=_all_patients(llm, abstractor_1, abstractor_2),
+        patients=frozenset(_patient_union(llm, abstractor_1, abstractor_2)),
     )
     return rs, (llm, abstractor_1)
 
 
 def _check_adjudications(
     cases: list[DisagreementCase], adjudications: LabelSet
-) -> None:
+) -> set[tuple[str, str]]:
+    """The cases' keys, which the adjudications must cover exactly."""
     if adjudications.source != Source.ADJUDICATOR:
         raise SchemaError(
             f"adjudication labels must come from source "
@@ -295,6 +312,7 @@ def _check_adjudications(
     if uncovered or stale:
         open_keys = set(uncovered)
         raise AdjudicationError(uncovered, stale, [c for c in cases if c.key in open_keys])
+    return case_keys
 
 
 def _build_adjudicated(
@@ -308,27 +326,40 @@ def _build_adjudicated(
     cases = find_disagreements(
         llm, abstractor_1, abstractor_2, tolerance_days=tolerance_days
     )
-    _check_adjudications(cases, adjudications)
-    case_keys = {c.key for c in cases}
-    entries = []
+    case_keys = _check_adjudications(cases, adjudications)
+    # One walk in (patient, variable) order: a disputed key takes the
+    # adjudicator's records, every other key abstractor 1's. An agreed key
+    # is never missing from abstractor 1, and every adjudicated key is a
+    # case key, so the adjudicator adds no patient.
+    store_l, store_1 = llm._by_patient, abstractor_1._by_patient
+    store_2 = abstractor_2._by_patient if abstractor_2 is not None else {}
+    store_adj = adjudications._by_patient
+    patients = _patient_union(llm, abstractor_1, abstractor_2)
+    by_patient: dict[str, dict[str, tuple[LabelRecord, ...]]] = {}
     provenance: dict[tuple[str, str], Provenance] = {}
-    all_keys = llm.keys() | abstractor_1.keys()
-    if abstractor_2 is not None:
-        all_keys |= abstractor_2.keys()
-    for key in sorted(all_keys):
-        if key in case_keys:
-            entries.append((key, adjudications.get(*key)))
-            provenance[key] = Provenance.ADJUDICATED
-        else:
-            entries.append((key, abstractor_1.get(*key)))
-            provenance[key] = Provenance.AGREED
+    for pid in patients:
+        own_1 = store_1.get(pid, _NO_RECORDS)
+        variables = store_l.get(pid, _NO_RECORDS).keys() | own_1.keys()
+        variables |= store_2.get(pid, _NO_RECORDS).keys()
+        own = by_patient[pid] = {}
+        for var in sorted(variables):
+            key = (pid, var)
+            if key in case_keys:
+                recs = store_adj[pid][var]
+                provenance[key] = Provenance.ADJUDICATED
+            else:
+                recs = own_1[var]
+                provenance[key] = Provenance.AGREED
+            own[var] = _restamped(recs, Source.REFERENCE)
+    labels = LabelSet(llm.schema, Source.REFERENCE)
+    labels._by_patient = by_patient
     for case in cases:
         case.status = CaseStatus.RESOLVED
     return ReferenceStandard(
         mode=mode,
-        labels=_as_reference(llm.schema, entries),
+        labels=labels,
         provenance=provenance,
-        patients=_all_patients(llm, abstractor_1, abstractor_2, adjudications),
+        patients=frozenset(patients),
         cases=tuple(cases),
     )
 

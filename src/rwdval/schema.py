@@ -205,7 +205,7 @@ def _restamped(
     Neither field is part of the canonical sort key, so a bucket that was
     canonical stays canonical, and a valid record stays valid.
     """
-    return tuple(
+    return tuple([
         LabelRecord(
             r.patient_id,
             r.variable,
@@ -215,7 +215,7 @@ def _restamped(
             r.refresh_id if refresh_id is None else refresh_id,
         )
         for r in recs
-    )
+    ])
 
 
 class LabelSet:
@@ -318,6 +318,10 @@ class LabelSet:
         """``get(pid, variable)`` for each patient in order, in one call."""
         by_patient = self._by_patient
         return [by_patient.get(pid, _NO_RECORDS).get(variable, ()) for pid in patients]
+
+    def _holders(self, variable: str) -> list[str]:
+        """The patients with records for ``variable``, in store order."""
+        return [pid for pid, own in self._by_patient.items() if variable in own]
 
     def keys(self) -> set[tuple[str, str]]:
         return {(pid, var) for pid, own in self._by_patient.items() for var in own}

@@ -60,6 +60,29 @@ def label_set(schema: Schema, source: Source, records) -> LabelSet:
     return LabelSet(schema, source, records)
 
 
+def adjudicate_simulated(ws, doc: dict, mode: str) -> None:
+    """Switch a ``simulate`` workspace's run config ``doc`` to ``mode`` and
+    write an adjudicator file that copies abstractor 2 (the simulated
+    truth) onto every open case of that mode."""
+    from rwdval import adjudicate_from_oracle, find_disagreements
+    from rwdval.labelio import load_schema, read_labels, write_labels
+
+    schema = load_schema(ws / doc["schema"])
+
+    def read(source: Source) -> LabelSet:
+        return read_labels(ws / doc["labels"][source.value], schema, source)
+
+    a2 = read(Source.ABSTRACTOR_2)
+    compared = [read(Source.LLM), read(Source.ABSTRACTOR_1)]
+    if mode == "triple_adjudication":
+        compared.append(a2)
+    tolerance = doc["tolerances"]["date_tolerance_days"]
+    cases = find_disagreements(*compared, tolerance_days=tolerance)
+    write_labels(adjudicate_from_oracle(cases, a2), ws / "labels_adjudicator.csv")
+    doc["reference_mode"] = mode
+    doc["labels"]["adjudicator"] = "labels_adjudicator.csv"
+
+
 # Acceptance tests register one PASS/FAIL line each; the summary hook
 # repeats them at the end of the run so they are visible without -s.
 ACCEPTANCE_LINES: list[str] = []

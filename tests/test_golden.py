@@ -13,10 +13,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from rwdval import adjudicate_from_oracle, find_disagreements
 from rwdval.cli import main
-from rwdval.labelio import load_schema, read_labels, write_labels
-from rwdval.schema import Source
+
+from conftest import adjudicate_simulated
 
 GOLDEN = {
     "bootstrap": {
@@ -46,26 +45,7 @@ def _bootstrap_on(ws, doc: dict) -> None:
 
 
 def _adjudicated(mode: str):
-    """Switch the run to ``mode`` and write an adjudicator file that copies
-    abstractor 2 (the simulated truth) onto every open case of that mode."""
-
-    def edit(ws, doc: dict) -> None:
-        schema = load_schema(ws / doc["schema"])
-
-        def read(source: Source):
-            return read_labels(ws / doc["labels"][source.value], schema, source)
-
-        a2 = read(Source.ABSTRACTOR_2)
-        compared = [read(Source.LLM), read(Source.ABSTRACTOR_1)]
-        if mode == "triple_adjudication":
-            compared.append(a2)
-        tolerance = doc["tolerances"]["date_tolerance_days"]
-        cases = find_disagreements(*compared, tolerance_days=tolerance)
-        write_labels(adjudicate_from_oracle(cases, a2), ws / "labels_adjudicator.csv")
-        doc["reference_mode"] = mode
-        doc["labels"]["adjudicator"] = "labels_adjudicator.csv"
-
-    return edit
+    return lambda ws, doc: adjudicate_simulated(ws, doc, mode)
 
 
 @pytest.mark.parametrize(

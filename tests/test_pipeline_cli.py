@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_schema, rec
+from conftest import adjudicate_simulated, make_schema, rec
 
 import rwdval
 from rwdval import (
@@ -321,6 +321,30 @@ def test_each_suite_expression_compiles_once_per_run(workspace, monkeypatch):
     run_pipeline(config)
     suite = load_suite(default_suite_path(), load_schema(config.schema))
     assert compiled == [check.expr for check in suite if check.expr is not None]
+
+
+def test_an_adjudicated_run_with_a_refresh_makes_no_label_set_get_call(tmp_path, monkeypatch):
+    made = CliRunner().invoke(
+        main, ["--out", str(tmp_path), "--seed", "3", "simulate", "--n", "60", "--with-refresh"]
+    )
+    assert made.exit_code == 0, text(made)
+    cfg_path = tmp_path / "run.yaml"
+    doc = yaml.safe_load(cfg_path.read_text())
+    adjudicate_simulated(tmp_path, doc, "triple_adjudication")
+    cfg_path.write_text(yaml.safe_dump(doc))
+    calls = []
+    get = rwdval.LabelSet.get
+
+    def counted(self, patient_id, variable):
+        calls.append((patient_id, variable))
+        return get(self, patient_id, variable)
+
+    monkeypatch.setattr(rwdval.LabelSet, "get", counted)
+    report = run_pipeline(load_run_config(cfg_path)).report
+    assert calls == []
+    # the run did assemble an adjudicated reference and compare the refreshes
+    assert report["reference"]["disagreements"]["total"] > 0
+    assert report["checks"]["checks"]["metastatic_refresh_stable"]["n_evaluated"] > 0
 
 
 def test_equity_too_thin_is_not_applicable_and_the_run_goes_on(tmp_path):
@@ -870,8 +894,26 @@ def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, messa
                 "analyses[0].event_positive: surgery has no known value 'bogus'",
             ],
         ),
+        (
+            # an event_list target is scored per event and takes none
+            {
+                "metrics": {
+                    "variables": [
+                        {"variable": "surgery"},
+                        {"variable": "stage"},
+                        {"variable": "er_result"},
+                        {"variable": "tumor_size_mm"},
+                    ]
+                }
+            },
+            [
+                "metrics.variables[0].positive_class: required for surgery, a date variable",
+                "metrics.variables[1].positive_class: required for stage, a categorical variable",
+                "metrics.variables[3].positive_class: required for tumor_size_mm, a numeric variable",
+            ],
+        ),
     ],
-    ids=["malformed_keys", "unknown_variables", "unknown_tokens"],
+    ids=["malformed_keys", "unknown_variables", "unknown_tokens", "missing_positive_class"],
 )
 def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, change, messages):
     cfg_path = small_workspace(tmp_path)

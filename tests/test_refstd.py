@@ -14,19 +14,62 @@ from rwdval import (
     LabelRecord,
     LabelSet,
     ReferenceMode,
+    Schema,
     SchemaError,
     Source,
+    VariableKind,
+    VariableSpec,
     adjudicate_from_oracle,
     build_double_adjudication,
     build_duplicate_abstraction,
     build_triple_adjudication,
     find_disagreements,
+    match_events,
     variable_metrics,
     write_disagreements,
 )
-from rwdval.refstd import CaseStatus, Pair, Provenance, _as_reference, assertions_agree
+from rwdval.refstd import CaseStatus, Pair, Provenance, _agreement, assertions_agree
+from rwdval.schema import _restamped, effective_tolerance
 
 from conftest import make_schema, rec
+
+
+def _assertions_agree_dp(schema, variable, recs_a, recs_b, tolerance_days):
+    """``assertions_agree`` with event lists matched by the exact DP matcher."""
+    spec = schema[variable]
+    tol = effective_tolerance(spec, tolerance_days)
+    if not recs_a and not recs_b:
+        return True
+    if bool(recs_a) != bool(recs_b):
+        return False
+    if spec.kind == VariableKind.EVENT_LIST:
+        tokens = {r.value for r in recs_a} | {r.value for r in recs_b}
+        for token in tokens:
+            dated_a = [r.event_date for r in recs_a if r.value == token and r.event_date]
+            dated_b = [r.event_date for r in recs_b if r.value == token and r.event_date]
+            undated_a = sum(1 for r in recs_a if r.value == token and not r.event_date)
+            undated_b = sum(1 for r in recs_b if r.value == token and not r.event_date)
+            if undated_a != undated_b:
+                return False
+            m = match_events(dated_a, dated_b, tol)
+            if m.unmatched_pred or m.unmatched_ref:
+                return False
+        return True
+    a, b = recs_a[0], recs_b[0]
+    if a.value != b.value:
+        return False
+    if spec.kind == VariableKind.DATE:
+        if (a.event_date is None) != (b.event_date is None):
+            return False
+        if a.event_date is not None and abs((a.event_date - b.event_date).days) > tol:
+            return False
+    return True
+
+
+def _as_reference(schema, entries):
+    """The reference set holding each ((pid, var), records) entry, re-attributed."""
+    buckets = {key: _restamped(recs, Source.REFERENCE) for key, recs in entries}
+    return LabelSet._from_buckets(schema, Source.REFERENCE, buckets)
 
 
 def two_sets(schema, llm_records, a1_records):
@@ -114,6 +157,98 @@ def test_event_list_undated_counts_must_match(schema):
     assert not assertions_agree(schema, "er_result", a, b, 30)
 
 
+# Per-variable overrides: a date and an event list whose own tolerance
+# replaces the one the caller passes.
+_AGREE_SCHEMA = Schema(
+    [
+        *make_schema().values(),
+        VariableSpec(
+            "surgery_7d",
+            VariableKind.DATE,
+            allowed_values=frozenset({"yes", "no", "unknown"}),
+            unknown_token="unknown",
+            date_tolerance_days=7,
+        ),
+        VariableSpec(
+            "er_result_5d",
+            VariableKind.EVENT_LIST,
+            allowed_values=frozenset({"positive", "negative", "unknown"}),
+            unknown_token="unknown",
+            date_tolerance_days=5,
+        ),
+    ]
+)
+
+
+@st.composite
+def _bucket_pairs(draw):
+    """One variable, a caller tolerance, and two canonical buckets whose
+    dates sit on the tolerance edge, one day past it, or far from it; the
+    second bucket is drawn on its own or shifted from the first."""
+    variable = draw(st.sampled_from(sorted(_AGREE_SCHEMA)))
+    tolerance = draw(st.sampled_from([0, 1, 30]))
+    spec = _AGREE_SCHEMA[variable]
+    tol = effective_tolerance(spec, tolerance)
+    base = date(2020, 1, 1)
+    day = st.sampled_from([0, 1, tol, tol + 1, 2 * tol + 1, 90]).map(lambda d: base + timedelta(days=d))
+    values = [10.0, 12.5] if spec.kind == VariableKind.NUMERIC else sorted(spec.allowed_values)
+
+    def drawn(source):
+        if spec.kind != VariableKind.EVENT_LIST:
+            if not draw(st.booleans()):
+                return []
+            when = draw(st.none() | day) if spec.kind.has_dates else None
+            return [LabelRecord("p1", variable, draw(st.sampled_from(values)), when, source)]
+        out = []
+        for token in values:
+            for _ in range(draw(st.integers(0, 5))):
+                when = draw(st.none() | day) if token == spec.unknown_token else draw(day)
+                out.append(LabelRecord("p1", variable, token, when, source))
+        return out
+
+    records_a = drawn(Source.LLM)
+    if draw(st.booleans()):
+        records_b = drawn(Source.ABSTRACTOR_1)
+    else:
+        # shifts within tolerance keep some pairing (maybe a crossed one) in
+        # range; a shift one day past it may or may not break agreement
+        shift = st.sampled_from([-tol, 0, tol] + ([-tol - 1, tol + 1] if draw(st.booleans()) else []))
+        records_b = [
+            LabelRecord(
+                "p1",
+                variable,
+                r.value,
+                r.event_date and r.event_date + timedelta(days=draw(shift)),
+                Source.ABSTRACTOR_1,
+            )
+            for r in records_a
+        ]
+        if not draw(st.integers(0, 3)):
+            records_b = records_b[: draw(st.integers(0, len(records_b)))]
+        # a swapped token keeps the list's length but not its per-token counts
+        flips = {"positive": "negative", "negative": "positive"}
+        if spec.kind == VariableKind.EVENT_LIST and records_b and draw(st.booleans()):
+            i = draw(st.integers(0, len(records_b) - 1))
+            r = records_b[i]
+            records_b[i] = replace(r, value=flips.get(r.value, r.value))
+
+    def bucket(source, records):
+        return LabelSet(_AGREE_SCHEMA, source, draw(st.permutations(records))).get("p1", variable)
+
+    return variable, tolerance, bucket(Source.LLM, records_a), bucket(Source.ABSTRACTOR_1, records_b)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_bucket_pairs())
+def test_sorted_pairing_agrees_with_the_exact_matcher(drawn):
+    variable, tolerance, recs_a, recs_b = drawn
+    want = _assertions_agree_dp(_AGREE_SCHEMA, variable, recs_a, recs_b, tolerance)
+    agree = _agreement(_AGREE_SCHEMA[variable], tolerance)
+    assert agree(recs_a, recs_b) == want
+    assert agree(recs_b, recs_a) == want
+    assert assertions_agree(_AGREE_SCHEMA, variable, recs_a, recs_b, tolerance) == want
+
+
 # --- find_disagreements ---
 
 
@@ -153,7 +288,7 @@ def _find_disagreements_oracle(llm, abstractor_1, abstractor_2=None, *, toleranc
     for pair, (set_a, set_b) in pairs.items():
         for pid, var in sorted(set_a.keys() | set_b.keys()):
             recs_a, recs_b = set_a.get(pid, var), set_b.get(pid, var)
-            if assertions_agree(llm.schema, var, recs_a, recs_b, tolerance_days):
+            if _assertions_agree_dp(llm.schema, var, recs_a, recs_b, tolerance_days):
                 continue
             cases.append(
                 DisagreementCase(
@@ -264,6 +399,62 @@ def test_bulk_copies_equal_the_validating_add(drawn, refresh_id):
             adjudicate_from_oracle(cases, oracle)
         return
     assert adjudicate_from_oracle(cases, oracle) == want
+
+
+def _assemble_oracle(llm, abstractor_1, abstractor_2, adjudications, tolerance):
+    """The adjudicated assembly as a sorted key union, one ``get`` per key
+    and source, and a regroup through ``_as_reference``."""
+    cases = _find_disagreements_oracle(llm, abstractor_1, abstractor_2, tolerance_days=tolerance)
+    case_keys = {c.key for c in cases}
+    keys = llm.keys() | abstractor_1.keys()
+    if abstractor_2 is not None:
+        keys |= abstractor_2.keys()
+    entries, provenance = [], {}
+    for key in sorted(keys):
+        if key in case_keys:
+            entries.append((key, adjudications.get(*key)))
+            provenance[key] = Provenance.ADJUDICATED
+        else:
+            entries.append((key, abstractor_1.get(*key)))
+            provenance[key] = Provenance.AGREED
+    patients = set()
+    for labels in (llm, abstractor_1, abstractor_2, adjudications):
+        if labels is not None:
+            patients |= labels.patients
+    return _as_reference(llm.schema, entries), provenance, cases, frozenset(patients)
+
+
+def _covering_adjudications(cases, sets):
+    """For each case key, the records of the last set that holds any."""
+    buckets = {}
+    for case in cases:
+        holder = next(labels for labels in reversed(sets) if labels.get(*case.key))
+        buckets[case.key] = _restamped(holder.get(*case.key), Source.ADJUDICATOR)
+    return LabelSet._from_buckets(_SCHEMA, Source.ADJUDICATOR, buckets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_compared_sets())
+def test_adjudicated_builds_equal_the_key_union_assembly(drawn):
+    sets, tolerance = drawn
+    adjudications = _covering_adjudications(find_disagreements(*sets, tolerance_days=tolerance), sets)
+    if len(sets) == 2:
+        got = build_double_adjudication(*sets, adjudications, tolerance_days=tolerance)
+        labels, provenance, cases, patients = _assemble_oracle(*sets, None, adjudications, tolerance)
+    else:
+        got = build_triple_adjudication(*sets, adjudications, tolerance_days=tolerance)
+        labels, provenance, cases, patients = _assemble_oracle(*sets, adjudications, tolerance)
+
+    def stored(labels):
+        return labels.source, [(pid, list(own.items())) for pid, own in labels._by_patient.items()]
+
+    assert got.labels == labels
+    assert stored(got.labels) == stored(labels)
+    assert list(got.provenance.items()) == list(provenance.items())
+    assert [(c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2, c.status) for c in got.cases] == [
+        (c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2, CaseStatus.RESOLVED) for c in cases
+    ]
+    assert got.patients == patients
 
 
 # --- duplicate abstraction ---
