@@ -437,14 +437,13 @@ def _load_schema(config: RunConfig) -> Schema:
             name = getattr(spec, f.name)
             if f.name.endswith("variable") and name not in schema:
                 problems.append(f"{_key(where, f.name)}: unknown variable {name!r}")
-        if (
-            isinstance(spec, MetricTarget)
-            and spec.positive_class is None
-            and spec.variable in schema
-            and schema[spec.variable].kind != VariableKind.EVENT_LIST
-        ):
-            kind = schema[spec.variable].kind.value
-            problems.append(f"{_key(where, 'positive_class')}: required for {spec.variable}, a {kind} variable")
+        if isinstance(spec, MetricTarget) and spec.positive_class is None and spec.variable in schema:
+            target_kind = schema[spec.variable].kind
+            if target_kind != VariableKind.EVENT_LIST:
+                problems.append(
+                    f"{_key(where, 'positive_class')}: required for {spec.variable}, "
+                    f"a {target_kind.value} variable"
+                )
         for kind, token_key, variable_key in _TOKENS:
             if not isinstance(spec, kind):
                 continue

@@ -205,7 +205,7 @@ def _restamped(
     Neither field is part of the canonical sort key, so a bucket that was
     canonical stays canonical, and a valid record stays valid.
     """
-    return tuple([
+    return tuple(
         LabelRecord(
             r.patient_id,
             r.variable,
@@ -215,7 +215,7 @@ def _restamped(
             r.refresh_id if refresh_id is None else refresh_id,
         )
         for r in recs
-    ])
+    )
 
 
 class LabelSet:

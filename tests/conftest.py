@@ -4,7 +4,17 @@ from datetime import date
 
 import pytest
 
-from rwdval import LabelRecord, LabelSet, Schema, Source, VariableKind, VariableSpec
+from rwdval import (
+    LabelRecord,
+    LabelSet,
+    Schema,
+    Source,
+    VariableKind,
+    VariableSpec,
+    adjudicate_from_oracle,
+    find_disagreements,
+)
+from rwdval.labelio import load_schema, read_labels, write_labels
 
 
 def make_schema() -> Schema:
@@ -64,9 +74,6 @@ def adjudicate_simulated(ws, doc: dict, mode: str) -> None:
     """Switch a ``simulate`` workspace's run config ``doc`` to ``mode`` and
     write an adjudicator file that copies abstractor 2 (the simulated
     truth) onto every open case of that mode."""
-    from rwdval import adjudicate_from_oracle, find_disagreements
-    from rwdval.labelio import load_schema, read_labels, write_labels
-
     schema = load_schema(ws / doc["schema"])
 
     def read(source: Source) -> LabelSet:
