@@ -19,6 +19,7 @@ from datetime import date
 from enum import Enum
 from pathlib import Path
 from statistics import median
+from typing import Annotated, get_args
 
 import yaml
 
@@ -29,9 +30,9 @@ from ..schema import (
     Source,
     VariableKind,
     patient_view,
-    yaml_token,
 )
 from ..refstd import _agreement
+from ..yamlspec import ConfigError, OneOf, Parsed, at_least, read_spec, schema_problems, token_of
 from .lang import (
     CompiledCheck,
     Expr,
@@ -40,6 +41,7 @@ from .lang import (
     parse_check,
     referenced_variables,
     to_text,
+    typecheck,
 )
 
 
@@ -70,15 +72,31 @@ def evaluate_patient_check(check: CompiledCheck, view: dict) -> Truth:
     return check(view)
 
 
+# check expression text: its syntax is checked when read, its types against the schema
+CheckExpr = Annotated[Expr, Parsed(parse_check, typecheck)]
+
+
+def _check_ranges(expected: dict[str, tuple[float, float]]) -> None:
+    """Raise ``ValueError`` unless ``expected`` holds ranges, each with lo <= hi."""
+    if not expected:
+        raise ValueError("expected: needs at least one range")
+    for key, (lo, hi) in expected.items():
+        if lo > hi:
+            raise ValueError(f"expected.{key}: lo {lo} exceeds hi {hi}")
+
+
 @dataclass(frozen=True)
 class DistributionRange:
     """Observed category fractions must sit inside expected ranges."""
 
     variable: str
-    expected: dict[str, tuple[float, float]]
-    filter_expr: Expr | None = None
+    expected: dict[str, tuple[float, float]] = token_of("variable")
+    filter_expr: CheckExpr | None = field(default=None, metadata={"yaml": "filter"})
 
     kind = "distribution_range"
+
+    def __post_init__(self) -> None:
+        _check_ranges(self.expected)
 
 
 @dataclass(frozen=True)
@@ -101,24 +119,28 @@ class MonthlyCountStability:
 
     kind = "monthly_count_stability"
 
+    def __post_init__(self) -> None:
+        at_least(self, 2, "window_months")
+        if not self.mad_k > 0:
+            raise ValueError(f"mad_k: must be > 0, got {self.mad_k}")
+
 
 @dataclass(frozen=True)
 class StratifiedRateRange:
     """Rate of a positive value per stratum must sit inside expected ranges."""
 
     variable: str
-    positive_value: str
-    by_variable: str | None = None
-    by_attribute: str | None = None
+    positive_value: str = token_of("variable")
+    by_variable: str | None = field(default=None, metadata={"yaml": ("by", "variable")})
+    by_attribute: str | None = field(default=None, metadata={"yaml": ("by", "attribute")})
     expected: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     kind = "stratified_rate_range"
 
     def __post_init__(self) -> None:
         if bool(self.by_variable) == bool(self.by_attribute):
-            raise ValueError(
-                f"{self.variable}: exactly one of by_variable/by_attribute required"
-            )
+            raise ValueError("by: needs exactly one of variable and attribute")
+        _check_ranges(self.expected)
 
 
 @dataclass(frozen=True)
@@ -136,27 +158,36 @@ class RefreshStability:
 
     kind = "refresh_stability"
 
+    def __post_init__(self) -> None:
+        at_least(self, 0, "tolerance_days")
+
 
 CohortCheckSpec = DistributionRange | MonthlyCountStability | StratifiedRateRange | RefreshStability
+CohortCheck = Annotated[CohortCheckSpec, OneOf("kind", {spec.kind: spec for spec in get_args(CohortCheckSpec)})]
 
 
 @dataclass
 class CheckDefinition:
+    """One check: a patient-level ``expr`` or a ``cohort`` body; ``level`` defaults to the body's."""
+
     id: str
-    category: CheckCategory
-    level: CheckLevel
-    severity: Severity
-    description: str
-    expr: Expr | None = None
-    cohort: CohortCheckSpec | None = None
+    category: CheckCategory = CheckCategory.PLAUSIBILITY
+    level: CheckLevel | None = None
+    severity: Severity = Severity.WARNING
+    description: str = ""
+    expr: CheckExpr | None = None
+    cohort: CohortCheck | None = None
 
     def __post_init__(self) -> None:
+        if not self.id:
+            raise ValueError("id: must be non-empty")
         if (self.expr is None) == (self.cohort is None):
-            raise ValueError(f"{self.id}: exactly one of expr/cohort required")
-        if self.expr is not None and self.level != CheckLevel.PATIENT:
-            raise ValueError(f"{self.id}: expression checks are patient-level")
-        if self.cohort is not None and self.level != CheckLevel.COHORT:
-            raise ValueError(f"{self.id}: {self.cohort.kind} checks are cohort-level")
+            raise ValueError(f"expr: check {self.id} needs exactly one of expr and cohort")
+        needed = CheckLevel.PATIENT if self.expr is not None else CheckLevel.COHORT
+        self.level = self.level or needed
+        if self.level != needed:
+            body = "an expression" if self.expr is not None else f"a {self.cohort.kind}"
+            raise ValueError(f"level: must be {needed.value} for {body} check, got {self.level.value}")
 
 
 @dataclass
@@ -165,9 +196,11 @@ class CheckSuite:
 
     def __post_init__(self) -> None:
         ids = [c.id for c in self.checks]
+        if not ids:
+            raise ValueError("checks: needs at least one check")
         dupes = {i for i in ids if ids.count(i) > 1}
         if dupes:
-            raise ValueError(f"duplicate check ids: {sorted(dupes)}")
+            raise ValueError(f"checks: duplicate ids {sorted(dupes)}")
 
     def __iter__(self):
         return iter(self.checks)
@@ -457,8 +490,6 @@ def _run_distribution(
 
 def _run_monthly(spec: MonthlyCountStability, labels: LabelSet, result: CheckResult) -> None:
     w = spec.window_months
-    if w < 2:
-        raise ValueError(f"{result.check_id}: window_months must be >= 2")
     months, counts = monthly_counts(labels, spec.variable)
     if w > len(counts):  # no dated record, or a series shorter than one window
         result.n_evaluated += 1
@@ -612,116 +643,27 @@ def run_all_checks(
 # ---- suite loading ----
 
 
-def _parse_range(raw, where: str) -> tuple[float, float]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ValueError(f"{where}: expected [lo, hi], got {raw!r}")
-    lo, hi = float(raw[0]), float(raw[1])
-    if lo > hi:
-        raise ValueError(f"{where}: lo {lo} exceeds hi {hi}")
-    return lo, hi
-
-
-def _expected_ranges(doc: dict, check_id: str, kind: str) -> dict[str, tuple[float, float]]:
-    expected = {
-        str(yaml_token(token, f"{check_id}.expected")): _parse_range(rng, f"{check_id}:{token}")
-        for token, rng in (doc.get("expected") or {}).items()
-    }
-    if not expected:
-        raise ValueError(f"{check_id}: {kind} needs expected ranges")
-    return expected
-
-
-def _schema_variable(schema: Schema, name: str, where: str) -> str:
-    if name not in schema:
-        raise ValueError(f"{where}: unknown variable {name!r}")
-    return name
-
-
-def _parse_expr(text: str, schema: Schema, where: str) -> Expr:
-    try:
-        return parse_check(text, schema)
-    except ValueError as exc:  # a syntax or type error, or an unknown variable
-        raise ValueError(f"{where}: {exc}") from None
-
-
-def _cohort_spec_from_dict(doc: dict, check_id: str, schema: Schema) -> CohortCheckSpec:
-    kind = doc.get("kind")
-    variable = doc.get("variable")
-    if not variable:
-        raise ValueError(f"{check_id}: cohort check needs a variable")
-    _schema_variable(schema, variable, f"{check_id}.variable")
-    if kind == "distribution_range":
-        expected = _expected_ranges(doc, check_id, kind)
-        filter_expr = None
-        if doc.get("filter"):
-            filter_expr = _parse_expr(doc["filter"], schema, f"{check_id}.filter")
-        return DistributionRange(variable=variable, expected=expected, filter_expr=filter_expr)
-    if kind == "monthly_count_stability":
-        return MonthlyCountStability(
-            variable=variable,
-            window_months=int(doc.get("window_months", 12)),
-            mad_k=float(doc.get("mad_k", 5.0)),
-        )
-    if kind == "stratified_rate_range":
-        by = doc.get("by") or {}
-        expected = _expected_ranges(doc, check_id, kind)
-        by_variable = by.get("variable")
-        if by_variable:
-            _schema_variable(schema, by_variable, f"{check_id}.by.variable")
-        return StratifiedRateRange(
-            variable=variable,
-            positive_value=str(yaml_token(doc["positive_value"], f"{check_id}.positive_value")),
-            by_variable=by_variable,
-            by_attribute=by.get("attribute"),
-            expected=expected,
-        )
-    if kind == "refresh_stability":
-        return RefreshStability(
-            variable=variable, tolerance_days=int(doc.get("tolerance_days", 0))
-        )
-    raise ValueError(f"{check_id}: unknown cohort check kind {kind!r}")
-
-
 def suite_from_dict(doc: dict, schema: Schema) -> CheckSuite:
-    entries = doc.get("checks")
-    if not entries:
-        raise ValueError("check suite needs a non-empty 'checks' list")
-    checks = []
-    for entry in entries:
-        check_id = entry.get("id")
-        if not check_id:
-            raise ValueError("every check needs an id")
-        expr = None
-        cohort = None
-        if "expr" in entry:
-            expr = _parse_expr(entry["expr"], schema, f"{check_id}.expr")
-            level = CheckLevel(entry.get("level", "patient"))
-        elif "cohort" in entry:
-            cohort = _cohort_spec_from_dict(entry["cohort"], check_id, schema)
-            level = CheckLevel(entry.get("level", "cohort"))
-        else:
-            raise ValueError(f"{check_id}: needs either expr or cohort")
-        checks.append(
-            CheckDefinition(
-                id=check_id,
-                category=CheckCategory(entry.get("category", "plausibility")),
-                level=level,
-                severity=Severity(entry.get("severity", "warning")),
-                description=entry.get("description", ""),
-                expr=expr,
-                cohort=cohort,
-            )
-        )
-    return CheckSuite(checks=checks)
+    """The check suite in the YAML document ``doc``, checked against
+    ``schema``; a ``ConfigError`` (a ``ValueError``) lists every problem
+    with its YAML path."""
+    suite = read_spec(CheckSuite, doc)
+    problems = schema_problems(suite, schema)
+    if problems:
+        raise ConfigError(*problems)
+    return suite
 
 
 def load_suite(path: str | Path, schema: Schema) -> CheckSuite:
-    """Load and validate a YAML check suite against a schema."""
+    """Load a YAML check suite and check it against a schema; a
+    ``ConfigError`` lists every problem, each with the file and its YAML
+    path."""
     with open(path) as fh:
         doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: suite file must be a mapping")
-    return suite_from_dict(doc, schema)
+    try:
+        return suite_from_dict(doc, schema)
+    except ConfigError as exc:
+        raise exc.in_file(path) from None
 
 
 def default_suite_path() -> Path:

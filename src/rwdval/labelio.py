@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 
@@ -25,8 +26,8 @@ from .schema import (
     VariableKind,
     VariableSpec,
     validate_record,
-    yaml_token,
 )
+from .yamlspec import ConfigError, read_spec
 
 LABEL_COLUMNS = ["patient_id", "variable", "value", "event_date", "source", "refresh_id"]
 
@@ -286,58 +287,41 @@ def write_attributes(attributes: dict[str, dict[str, str]], path: str | Path) ->
             writer.writerow([pid] + [attributes[pid].get(s, "") for s in strata])
 
 
+@dataclass(frozen=True)
+class _SchemaFile:
+    """``schema.yaml``: one ``VariableSpec`` per mapping under ``variables``."""
+
+    variables: tuple[VariableSpec, ...]
+    schema: Schema = field(init=False, metadata={"yaml": False})
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "schema", Schema(self.variables))
+
+
 def load_schema(path: str | Path) -> Schema:
-    """Load a schema from YAML: a list of variable definitions."""
+    """Load a schema from YAML; a ``SchemaError`` lists every problem, each
+    with the file and its YAML path."""
     with open(path) as fh:
         doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "variables" not in doc:
-        raise SchemaError(f"{path}: schema file needs a top-level 'variables' list")
-    specs = []
-    for i, entry in enumerate(doc["variables"]):
-        for key in ("name", "kind"):
-            if key not in entry:
-                raise SchemaError(f"{path}: variables[{i}] has no {key!r}")
-        where = f"{path}: {entry['name']}"
-        allowed = entry.get("allowed_values")
-        if allowed is not None and not isinstance(allowed, list):
-            raise SchemaError(f"{where}.allowed_values: must be a list of tokens, got {allowed!r}")
-        for token in allowed or ():
-            yaml_token(token, f"{where}.allowed_values", SchemaError)
-        specs.append(
-            VariableSpec(
-                name=entry["name"],
-                kind=VariableKind(entry["kind"]),
-                allowed_values=frozenset(allowed) if allowed else None,
-                unknown_token=yaml_token(
-                    entry.get("unknown_token"), f"{where}.unknown_token", SchemaError
-                ),
-                date_tolerance_days=entry.get("date_tolerance_days"),
-            )
-        )
-    return Schema(specs)
+    try:
+        return read_spec(_SchemaFile, doc).schema
+    except ConfigError as exc:
+        raise SchemaError(str(exc.in_file(path))) from None
 
 
 def save_schema(schema: Schema, path: str | Path) -> None:
-    doc = {
-        "variables": [
-            {
-                "name": spec.name,
-                "kind": spec.kind.value,
-                **(
-                    {"allowed_values": sorted(spec.allowed_values)}
-                    if spec.allowed_values is not None
-                    else {}
-                ),
-                **({"unknown_token": spec.unknown_token} if spec.unknown_token else {}),
-                **(
-                    {"date_tolerance_days": spec.date_tolerance_days}
-                    if spec.date_tolerance_days is not None
-                    else {}
-                ),
-            }
-            for spec in schema.values()
-        ]
-    }
+    """Write ``schema`` as ``load_schema`` reads it, leaving out each unset key."""
+    variables = [
+        {
+            "name": spec.name,
+            "kind": spec.kind.value,
+            "allowed_values": None if spec.allowed_values is None else sorted(spec.allowed_values),
+            "unknown_token": spec.unknown_token or None,
+            "date_tolerance_days": spec.date_tolerance_days,
+        }
+        for spec in schema.values()
+    ]
+    doc = {"variables": [{k: v for k, v in entry.items() if v is not None} for entry in variables]}
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)

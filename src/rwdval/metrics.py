@@ -32,6 +32,7 @@ from .schema import (
     VariableSpec,
     effective_tolerance,
 )
+from .yamlspec import token_of
 
 EVENT_PRESENCE = None  # positive_class sentinel for event_list variables
 
@@ -541,7 +542,7 @@ class Component:
     """One component test of a derived rule: ``variable`` must read ``required``."""
 
     variable: str
-    required: str
+    required: str = token_of("variable")
 
     def __iter__(self):
         return iter((self.variable, self.required))
@@ -566,7 +567,7 @@ class DerivedVariableRule:
     index_variable: str
     components: tuple[Component, ...] = ()
     window_days: tuple[int, int] = (-60, 60)
-    index_positive: str = "yes"
+    index_positive: str = token_of("index_variable", default="yes")
 
     def __post_init__(self) -> None:
         if self.window_days[0] > self.window_days[1]:

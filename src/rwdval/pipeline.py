@@ -16,12 +16,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import Annotated, Union, get_args, get_origin, get_type_hints
+from typing import Annotated
 
 import yaml
 
@@ -52,42 +49,17 @@ from .replication import (
     survival_records,
     trend_series,
 )
-from .schema import CohortDataset, LabelSet, Schema, Source, VariableKind, yaml_token
+from .schema import CohortDataset, LabelSet, Schema, Source, VariableKind
+from .yamlspec import ConfigError, OneOf, at_least, read_spec, schema_problems, token_of
 
 
-class ConfigError(ValueError):
-    """The run configuration is malformed or references missing inputs; ``problems`` lists each."""
-
-    def __init__(self, *problems: str):
-        self.problems = list(problems)
-        head = f"{len(problems)} problems:\n  " if len(problems) > 1 else ""
-        super().__init__(head + "\n  ".join(problems))
-
-
-# ---- the run config: one frozen spec per YAML mapping, read by _parse ----
-
-
-@dataclass(frozen=True, eq=False)  # hashed by identity, as typing.Union hashes its members
-class _OneOf:
-    """A mapping that names its spec under ``key``; absent, the key reads ``default``."""
-
-    key: str
-    specs: dict[str, type]
-    default: str | None = None
+# ---- the run config: one frozen spec per YAML mapping, read by read_spec ----
 
 
 Benchmark = Annotated[
     BenchmarkSpec,
-    _OneOf("type", {"direction": DirectionBenchmark, "tolerance": ToleranceBenchmark}, "direction"),
+    OneOf("type", {"direction": DirectionBenchmark, "tolerance": ToleranceBenchmark}, "direction"),
 ]
-
-
-def _at_least(spec, minimum: int, *names: str) -> None:
-    """Raise ``ValueError`` naming the first of the integer fields below ``minimum``."""
-    for name in names:
-        value = getattr(spec, name)
-        if value is not None and value < minimum:
-            raise ValueError(f"{name}: must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -98,14 +70,14 @@ class Tolerances:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _at_least(self, 0, "date_tolerance_days", "min_stratum_n", "seed")
-        _at_least(self, 1, "bootstrap_replicates")
+        at_least(self, 0, "date_tolerance_days", "min_stratum_n", "seed")
+        at_least(self, 1, "bootstrap_replicates")
 
 
 @dataclass(frozen=True)
 class MetricTarget:
     variable: str
-    positive_class: str | None = None
+    positive_class: str | None = token_of("variable", default=None)
 
 
 @dataclass(frozen=True)
@@ -129,11 +101,11 @@ class _SurvivalEndpoint:
     index_variable: str
     event_variable: str
     censor_variable: str
-    event_positive: str = "yes"
+    event_positive: str = token_of("event_variable", default="yes")
     max_followup_days: int | None = None
 
     def __post_init__(self) -> None:
-        _at_least(self, 0, "max_followup_days")
+        at_least(self, 0, "max_followup_days")
 
     def cohort(self, labels: LabelSet, patients: list[str]) -> SurvivalCohort:
         # each field is a keyword argument of survival_records
@@ -176,8 +148,8 @@ class TrendSpec:
 
 Analysis = Annotated[
     SurvivalBenchmarkSpec | EquitySpec | DistributionSpec | TrendSpec,
-    _OneOf("kind", {"survival_benchmark": SurvivalBenchmarkSpec, "equity": EquitySpec,
-                    "distribution_vs_reference": DistributionSpec, "trend": TrendSpec}),
+    OneOf("kind", {"survival_benchmark": SurvivalBenchmarkSpec, "equity": EquitySpec,
+                   "distribution_vs_reference": DistributionSpec, "trend": TrendSpec}),
 ]
 
 
@@ -205,142 +177,6 @@ class RunConfig:
     raw: dict = field(default_factory=dict, compare=False, metadata={"yaml": False})
 
 
-def _key(path: str, key) -> str:
-    return f"{path}.{key}" if path else str(key)
-
-
-# what a message says a type accepts, in the singular and the plural
-_ACCEPTS = {
-    str: ("a string", "strings"),
-    Path: ("a path", "paths"),
-    int: ("an integer", "integers"),
-    float: ("a finite number", "finite numbers"),
-    bool: ("true or false", "booleans"),
-}
-
-
-def _accepts(hint, plural: bool = False) -> str:
-    if get_origin(hint) is tuple:
-        items = _accepts(get_args(hint)[0], plural=True)
-        # every fixed-length tuple in the specs is a pair
-        return f"a list of {items}" if get_args(hint)[-1] is Ellipsis else f"a list of two {items}"
-    if hint in _ACCEPTS:
-        return _ACCEPTS[hint][plural]
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return f"one of {', '.join(m.value for m in hint)}"
-    return "mappings" if plural else "a mapping"
-
-
-def _value(hint, value, path: str, problems: list[str]):
-    """``value`` read as the type ``hint``; on a problem, record it and return None."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):  # X | None: a null value never gets here
-        (hint,) = [a for a in args if a is not NoneType]
-        return _value(hint, value, path, problems)
-    if origin is Annotated:  # one of several specs, named under a tag key
-        choice = hint.__metadata__[0]
-        if isinstance(value, dict):
-            tag = value.get(choice.key, choice.default)
-            if isinstance(tag, str) and tag in choice.specs:
-                rest = {k: v for k, v in value.items() if k != choice.key}
-                return _parse(choice.specs[tag], rest, path, problems)
-            problems.append(f"{path}.{choice.key}: must be one of {', '.join(choice.specs)}, got {tag!r}")
-            return None
-    elif is_dataclass(hint):
-        if isinstance(value, dict):
-            return _parse(hint, value, path, problems)
-    elif origin is tuple:
-        fixed = args[-1] is not Ellipsis
-        if isinstance(value, list) and (not fixed or len(value) == len(args)):
-            # a fixed-length tuple is reported whole, a list item by item
-            found = [] if fixed else problems
-            types = args if fixed else args[:1] * len(value)
-            items = tuple(_value(t, v, f"{path}[{i}]", found) for i, (t, v) in enumerate(zip(types, value)))
-            if not (fixed and found):
-                return items
-    elif origin is dict:
-        if isinstance(value, dict):
-            return {
-                _value(args[0], k, path, problems): _value(args[1], v, _key(path, k), problems)
-                for k, v in value.items()
-            }
-    elif hint is bool:
-        if isinstance(value, bool):
-            return value
-    elif hint is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-    elif hint is float:  # NaN fails the comparison; an int too large for a float fails it too
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
-            return float(value)
-    else:  # a token: str, Path or an Enum of str
-        try:
-            yaml_token(value, path, ConfigError)
-        except ConfigError as exc:
-            problems.append(str(exc))
-            return None
-        if isinstance(value, (str, int, float)):
-            try:
-                return hint(str(value))
-            except ValueError:  # not a member of the Enum
-                pass
-    problems.append(f"{path}: must be {_accepts(hint)}, got {value!r}")
-    return None
-
-
-def _parse(cls, value, path: str, problems: list[str]):
-    """The spec ``cls`` read from the mapping ``value`` at YAML ``path``.
-
-    Every unknown key, missing required key (a field with no default) and
-    ill-typed value is recorded in ``problems`` with its YAML path, and
-    None is returned. A null value reads as the field's default. A spec's
-    own check raises ``ValueError`` naming the field first.
-    """
-    known = {f.name: f for f in fields(cls) if f.metadata.get("yaml", True)}
-    hints = get_type_hints(cls, include_extras=True)
-    before = len(problems)
-    for key in value:
-        if key not in known:
-            problems.append(f"{_key(path, key)}: unknown key; {path or 'a run config'} takes {', '.join(known)}")
-    kwargs = {}
-    for name, f in known.items():
-        if value.get(name) is not None:
-            kwargs[name] = _value(hints[name], value[name], _key(path, name), problems)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            problems.append(f"{_key(path, name)}: required")
-    if len(problems) > before:
-        return None
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        problems.append(_key(path, exc))
-        return None
-
-
-def _nested_specs(spec, path: str):
-    """(YAML path, spec) of ``spec`` and of every spec nested in it."""
-    yield path, spec
-    for f in fields(spec):
-        value, where = getattr(spec, f.name), _key(path, f.name)
-        if is_dataclass(value):
-            yield from _nested_specs(value, where)
-        elif isinstance(value, tuple):
-            for i, item in enumerate(value):
-                if is_dataclass(item):
-                    yield from _nested_specs(item, f"{where}[{i}]")
-
-
-# Every field named ``*variable`` names a schema variable. Each row is a
-# spec type, its field holding a category token, and the field naming the
-# variable the token must be a known value of.
-_TOKENS = (
-    (MetricTarget, "positive_class", "variable"),
-    (metrics_mod.DerivedVariableRule, "index_positive", "index_variable"),
-    (metrics_mod.Component, "required", "variable"),
-    (_SurvivalEndpoint, "event_positive", "event_variable"),
-)
-
-
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse ``run.yaml``; a ``ConfigError`` lists every problem before any input is read."""
     path = Path(path)
@@ -349,21 +185,16 @@ def load_run_config(path: str | Path) -> RunConfig:
             doc = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: run config must be a mapping")
-    problems: list[str] = []
-    config = _parse(RunConfig, doc, "", problems)
-    if config is not None:
-        if Source.LLM not in config.labels:
-            problems.append("labels.llm: required")
-        unknown = sorted(set(config.thresholds) - set(metrics_mod.METRIC_NAMES))
-        if unknown:
-            problems.append(f"thresholds: unknown metric(s) {unknown}; known: {list(metrics_mod.METRIC_NAMES)}")
-        for i, analysis in enumerate(config.analyses):
-            for key in ("group_by", "stratum_attribute"):
-                attribute = getattr(analysis, key, None)
-                if attribute is not None and attribute not in config.strata:
-                    problems.append(f"analyses[{i}].{key}: {attribute!r} is not declared under strata")
+    config = read_spec(RunConfig, doc)
+    problems = [] if Source.LLM in config.labels else ["labels.llm: required"]
+    unknown = sorted(set(config.thresholds) - set(metrics_mod.METRIC_NAMES))
+    if unknown:
+        problems.append(f"thresholds: unknown metric(s) {unknown}; known: {list(metrics_mod.METRIC_NAMES)}")
+    for i, analysis in enumerate(config.analyses):
+        for key in ("group_by", "stratum_attribute"):
+            attribute = getattr(analysis, key, None)
+            if attribute is not None and attribute not in config.strata:
+                problems.append(f"analyses[{i}].{key}: {attribute!r} is not declared under strata")
     if problems:
         raise ConfigError(*problems)
 
@@ -431,29 +262,13 @@ def _load_schema(config: RunConfig) -> Schema:
     cannot take, and every metric target that needs a ``positive_class``
     (any kind but event_list) and lacks one."""
     schema = load_schema(config.schema)
-    problems = []
-    for where, spec in _nested_specs(config, ""):
-        for f in fields(spec):
-            name = getattr(spec, f.name)
-            if f.name.endswith("variable") and name not in schema:
-                problems.append(f"{_key(where, f.name)}: unknown variable {name!r}")
-        if isinstance(spec, MetricTarget) and spec.positive_class is None and spec.variable in schema:
-            target_kind = schema[spec.variable].kind
-            if target_kind != VariableKind.EVENT_LIST:
-                problems.append(
-                    f"{_key(where, 'positive_class')}: required for {spec.variable}, "
-                    f"a {target_kind.value} variable"
-                )
-        for kind, token_key, variable_key in _TOKENS:
-            if not isinstance(spec, kind):
-                continue
-            token, variable = getattr(spec, token_key), getattr(spec, variable_key)
-            known = schema[variable].known_values if variable in schema else None
-            if token is not None and known is not None and token not in known:
-                problems.append(
-                    f"{_key(where, token_key)}: {variable} has no known value {token!r}; "
-                    f"known: {sorted(known)}"
-                )
+    problems = schema_problems(config, schema)
+    for i, target in enumerate(config.metrics.variables):
+        kind = schema[target.variable].kind if target.variable in schema else VariableKind.EVENT_LIST
+        if target.positive_class is None and kind != VariableKind.EVENT_LIST:
+            problems.append(
+                f"metrics.variables[{i}].positive_class: required for {target.variable}, a {kind.value} variable"
+            )
     if problems:
         raise ConfigError(*problems)
     return schema

@@ -69,21 +69,21 @@ class VariableSpec:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise SchemaError("variable name must be non-empty")
-        if self.allowed_values is not None:
-            object.__setattr__(self, "allowed_values", frozenset(self.allowed_values))
+            raise SchemaError("name: must be non-empty")
+        if self.allowed_values is not None:  # an empty set reads as none
+            object.__setattr__(self, "allowed_values", frozenset(self.allowed_values) or None)
         kind = self.kind
         if kind == VariableKind.CATEGORICAL and not self.allowed_values:
-            raise SchemaError(f"{self.name}: categorical variables need allowed_values")
+            raise SchemaError(f"allowed_values: required for {self.name}, a categorical variable")
         if kind == VariableKind.NUMERIC and self.allowed_values:
-            raise SchemaError(f"{self.name}: numeric variables take no allowed_values")
+            raise SchemaError(f"allowed_values: {self.name} is numeric and takes none")
         if self.unknown_token is not None and self.allowed_values is not None:
             if self.unknown_token not in self.allowed_values:
                 raise SchemaError(
-                    f"{self.name}: unknown_token {self.unknown_token!r} not in allowed_values"
+                    f"unknown_token: {self.unknown_token!r} is not in the allowed_values of {self.name}"
                 )
         if self.date_tolerance_days is not None and self.date_tolerance_days < 0:
-            raise SchemaError(f"{self.name}: date_tolerance_days must be >= 0")
+            raise SchemaError(f"date_tolerance_days: must be >= 0, got {self.date_tolerance_days}")
 
     @property
     def known_values(self) -> frozenset[str] | None:
@@ -103,7 +103,7 @@ class Schema(Mapping[str, VariableSpec]):
         names = [s.name for s in specs]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
-            raise SchemaError(f"duplicate variable names: {sorted(dupes)}")
+            raise SchemaError(f"variables: duplicate names {sorted(dupes)}")
         self._by_name: dict[str, VariableSpec] = {s.name: s for s in specs}
 
     def __getitem__(self, name: str) -> VariableSpec:
@@ -436,15 +436,3 @@ def effective_tolerance(spec: VariableSpec, default_days: int) -> int:
 
 def shift_date(d: date, days: int) -> date:
     return d + timedelta(days=days)
-
-
-def yaml_token(value, where: str, error: type[ValueError] = ValueError):
-    """``value`` from a YAML file where a category token belongs.
-
-    PyYAML reads a bare yes, no, on, off, true or false as a boolean, which
-    ``str`` turns into "True" or "False", a token no label carries; so a
-    boolean raises ``error`` naming ``where``.
-    """
-    if isinstance(value, bool):
-        raise error(f"{where}: YAML reads {value} as a boolean; quote the token")
-    return value

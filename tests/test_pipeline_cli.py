@@ -932,12 +932,12 @@ def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, 
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ({"expr": "value(stagex) = 'IV'"}, "c1.expr: unknown variable 'stagex'"),
-        ({"expr": "value(stage) = 'IV'"}, "c1.expr: stage: literal 'IV' is not an allowed value"),
-        ({"expr": "value(stage) ="}, "c1.expr: expected an operand, found 'end' (at position 14)"),
+        ({"expr": "value(stagex) = 'IV'"}, "checks[0].expr: unknown variable 'stagex'"),
+        ({"expr": "value(stage) = 'IV'"}, "checks[0].expr: stage: literal 'IV' is not an allowed value"),
+        ({"expr": "value(stage) ="}, "checks[0].expr: expected an operand, found 'end' (at position 14)"),
         (
             {"cohort": {"kind": "monthly_count_stability", "variable": "surgeryx"}},
-            "c1.variable: unknown variable 'surgeryx'",
+            "checks[0].cohort.variable: unknown variable 'surgeryx'",
         ),
         (
             {
@@ -948,7 +948,7 @@ def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, 
                     "filter": "known(surgeryx)",
                 }
             },
-            "c1.filter: unknown variable 'surgeryx'",
+            "checks[0].cohort.filter: unknown variable 'surgeryx'",
         ),
     ],
     ids=[
@@ -969,7 +969,132 @@ def test_malformed_check_suite_exits_2_before_any_label_file_is_read(tmp_path, e
     cfg_path.write_text(yaml.safe_dump(doc))
     result = CliRunner().invoke(main, ["--config", str(cfg_path), "run"])
     assert result.exit_code == 2, text(result)
-    assert f"error: {message}" in text(result)
+    assert f"error: {(tmp_path / 'suite.yaml').resolve()}: {message}" in text(result)
+    assert "missing_" not in text(result)
+    assert "Traceback" not in text(result)
+
+
+_REGIMEN_RANGES = {
+    "anthracycline_taxane": [0.30, 0.40],
+    "taxane_platinum": [0.20, 0.30],
+    "cdk46_inhibitor_ai": [0.20, 0.30],
+}
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "target, changes, message",
+    [
+        ("suite", {("checks", 10, "cohort", "positive_value"): _DROP}, "checks[10].cohort.positive_value: required"),
+        ("suite", {("checks", 0): "de_novo_stage_iv"}, "checks[0]: must be a mapping, got 'de_novo_stage_iv'"),
+        (
+            "suite",
+            {("checks",): {"id": "de_novo_stage_iv"}},
+            "checks: must be a list of mappings, got {'id': 'de_novo_stage_iv'}",
+        ),
+        ("suite", {("checks", 8, "cohort"): 5}, "checks[8].cohort: must be a mapping, got 5"),
+        (
+            "suite",
+            {("checks", 0, "expr"): 5},
+            "checks[0].expr: expected a comparison operator, found 'end' (at position 1)",
+        ),
+        ("suite", {("checks", 10, "cohort", "by"): "stage"}, "checks[10].cohort.by: must be a mapping, got 'stage'"),
+        ("suite", {("checks", 9, "cohort", "expected"): [1, 2]}, "checks[9].cohort.expected: must be a mapping, got [1, 2]"),
+        (
+            "suite",
+            {("checks", 0, "severty"): "error"},
+            "checks[0].severty: unknown key; checks[0] takes id, category, level, severity, description, expr, cohort",
+        ),
+        (
+            "suite",
+            {("checks", 8, "cohort", "tolerence_days"): 30},
+            "checks[8].cohort.tolerence_days: unknown key; checks[8].cohort takes variable, tolerance_days",
+        ),
+        (
+            "suite",
+            {("checks", 11, "cohort", "window_months"): 2.7},
+            "checks[11].cohort.window_months: must be an integer, got 2.7",
+        ),
+        (
+            "suite",
+            {("checks", 10, "cohort", "positive_value"): "yess"},
+            "checks[10].cohort.positive_value: surgery has no known value 'yess'; known: ['no', 'yes']",
+        ),
+        (
+            "suite",
+            {("checks", 9, "cohort", "expected"): {**_REGIMEN_RANGES, "capecitabin": [0.10, 0.20]}},
+            "checks[9].cohort.expected.capecitabin: first_line_regimen has no known value 'capecitabin'; "
+            "known: ['anthracycline_taxane', 'capecitabine', 'cdk46_inhibitor_ai', 'taxane_platinum']",
+        ),
+        ("suite", {("checks", 11, "cohort", "window_months"): 1}, "checks[11].cohort.window_months: must be >= 2, got 1"),
+        ("suite", {("checks", 11, "cohort", "mad_k"): -1}, "checks[11].cohort.mad_k: must be > 0, got -1.0"),
+        (
+            "suite",
+            {("checks", 8, "cohort", "tolerance_days"): -1},
+            "checks[8].cohort.tolerance_days: must be >= 0, got -1",
+        ),
+        ("schema", {("variables",): 5}, "variables: must be a list of mappings, got 5"),
+        ("schema", {("variables", 1): 1}, "variables[1]: must be a mapping, got 1"),
+        (
+            "schema",
+            {("variables", 0, "date_tolerance_days"): "abc"},
+            "variables[0].date_tolerance_days: must be an integer, got 'abc'",
+        ),
+        (
+            "schema",
+            {("variables", 0, "unknown_token"): _DROP, ("variables", 0, "unknown_tokn"): "unknown"},
+            "variables[0].unknown_tokn: unknown key; "
+            "variables[0] takes name, kind, allowed_values, unknown_token, date_tolerance_days",
+        ),
+        (
+            "schema",
+            {("variables", 0, "date_tolerance_days"): True},
+            "variables[0].date_tolerance_days: must be an integer, got True",
+        ),
+    ],
+    ids=[
+        "suite_positive_value_missing",
+        "suite_check_a_string",
+        "suite_checks_a_mapping",
+        "suite_cohort_a_number",
+        "suite_expr_a_number",
+        "suite_by_a_string",
+        "suite_expected_a_list",
+        "suite_unknown_check_key",
+        "suite_unknown_cohort_key",
+        "suite_window_months_a_float",
+        "suite_positive_value_typo",
+        "suite_expected_token_typo",
+        "suite_window_months_below_two",
+        "suite_mad_k_negative",
+        "suite_tolerance_days_negative",
+        "schema_variables_a_number",
+        "schema_variable_a_number",
+        "schema_date_tolerance_days_a_string",
+        "schema_unknown_variable_key",
+        "schema_date_tolerance_days_a_boolean",
+    ],
+)
+def test_malformed_schema_or_suite_exits_2_naming_file_and_yaml_path(workspace, tmp_path, target, changes, message):
+    source = workspace / "schema.yaml" if target == "schema" else default_suite_path()
+    doc = yaml.safe_load(source.read_text())
+    for path, value in changes.items():
+        if value is _DROP:
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            _at(doc, path[:-1])[path[-1]] = value
+    malformed = tmp_path / f"{target}.yaml"
+    malformed.write_text(yaml.safe_dump(doc, sort_keys=False))
+    run = yaml.safe_load((workspace / "run.yaml").read_text())
+    run["schema"] = str(workspace / "schema.yaml")
+    run["schema" if target == "schema" else "check_suite"] = str(malformed)
+    run["labels"] = {"llm": "missing_llm.csv", "abstractor_1": "missing_a1.csv"}
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({**run, "output_dir": str(tmp_path)}, sort_keys=False))
+    result = CliRunner().invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 2, text(result)
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {malformed}: {message}\n" in text(result)
     assert "missing_" not in text(result)
     assert "Traceback" not in text(result)
 
@@ -1019,10 +1144,9 @@ def _at(doc, path):
     return doc
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_loader_returns_a_config_or_raises_config_error(workspace, data):
-    doc = yaml.safe_load((workspace / "run.yaml").read_text())
+def _mutated(doc, data):
+    """``doc`` after one to three drawn mutations: a key dropped, renamed or
+    added, or any node swapped for a drawn YAML value."""
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         op = data.draw(st.sampled_from(["drop", "rename", "add", "swap"]), label="op")
         if op == "swap":
@@ -1044,6 +1168,13 @@ def test_loader_returns_a_config_or_raises_config_error(workspace, data):
         value = node.pop(key)
         if op == "rename":
             node[data.draw(_YAML_SCALARS, label="new key")] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_loader_returns_a_config_or_raises_config_error(workspace, data):
+    doc = _mutated(yaml.safe_load((workspace / "run.yaml").read_text()), data)
     cfg_path = workspace / "run_fuzzed.yaml"
     cfg_path.write_text(yaml.safe_dump(doc, sort_keys=False))
     try:
@@ -1052,6 +1183,53 @@ def test_loader_returns_a_config_or_raises_config_error(workspace, data):
         assert exc.problems and all(isinstance(p, str) for p in exc.problems)
     else:
         assert isinstance(config, RunConfig)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_schema_and_suite_loaders_raise_only_their_error_types(workspace, data):
+    schema_doc = _mutated(yaml.safe_load((workspace / "schema.yaml").read_text()), data)
+    schema_path = workspace / "schema_fuzzed.yaml"
+    schema_path.write_text(yaml.safe_dump(schema_doc, sort_keys=False))
+    try:
+        load_schema(schema_path)
+    except rwdval.SchemaError as exc:
+        lines = str(exc).split("\n  ")
+        assert all(line.startswith(f"{schema_path}: ") for line in lines[len(lines) > 1:])
+    schema = load_schema(workspace / "schema.yaml")
+    suite_doc = _mutated(yaml.safe_load(default_suite_path().read_text()), data)
+    try:
+        suite = checks_engine.suite_from_dict(suite_doc, schema)
+    except ConfigError as exc:
+        assert exc.problems and all(isinstance(p, str) for p in exc.problems)
+    else:
+        assert len(suite) >= 1
+
+
+@pytest.fixture(scope="module")
+def tiny_workspace(tmp_path_factory):
+    ws = tmp_path_factory.mktemp("tiny")
+    result = CliRunner().invoke(main, ["--out", str(ws), "--seed", "3", "simulate", "--n", "20"])
+    assert result.exit_code == 0, text(result)
+    return ws
+
+
+@pytest.mark.parametrize("target", ["schema", "suite"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_fuzzed_schema_or_suite_runs_or_exits_2_without_a_traceback(tiny_workspace, target, data):
+    source = tiny_workspace / "schema.yaml" if target == "schema" else default_suite_path()
+    fuzzed = tiny_workspace / f"{target}_fuzzed.yaml"
+    fuzzed.write_text(yaml.safe_dump(_mutated(yaml.safe_load(source.read_text()), data), sort_keys=False))
+    run = yaml.safe_load((tiny_workspace / "run.yaml").read_text())
+    run["schema" if target == "schema" else "check_suite"] = str(fuzzed)
+    run["output_dir"] = str(tiny_workspace / "fuzzed_out")
+    config = tiny_workspace / "run_fuzzed.yaml"
+    config.write_text(yaml.safe_dump(run, sort_keys=False))
+    result = CliRunner().invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code in (0, 1, 2), text(result)
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in text(result)
 
 
 _RATE_SUITE = """checks:
@@ -1104,8 +1282,9 @@ _DISTRIBUTION_SUITE = """checks:
             "analyses[0].benchmark.group",
         ),
         ("      anthracycline_taxane: 0.35", "      yes: 0.35", None, "analyses[1].reference"),
-        ("", "", _RATE_SUITE, "surgery_rate_by_stage.positive_value"),
-        ("", "", _DISTRIBUTION_SUITE, "metastatic_mix.expected"),
+        ("", "", _RATE_SUITE, "{suite}: checks[0].cohort.positive_value"),
+        # both keys are booleans, and each is listed
+        ("", "", _DISTRIBUTION_SUITE, "2 problems:\n  {suite}: checks[0].cohort.expected"),
     ],
     ids=[
         "event_positive",
@@ -1135,28 +1314,32 @@ def test_yaml_boolean_where_a_token_belongs_exits_2_naming_the_key(
     result = CliRunner().invoke(main, ["--config", str(config), "run"])
     assert result.exit_code == 2, text(result)
     assert isinstance(result.exception, SystemExit)
-    assert f"error: {message}: YAML reads " in text(result)
+    assert f"error: {message.format(suite=tmp_path / 'suite.yaml')}: YAML reads " in text(result)
     assert "Traceback" not in text(result)
 
 
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("  - 'yes'\n", "  - yes\n", "allowed_values: YAML reads True as a boolean; quote the token"),
+        (
+            "  - 'yes'\n",
+            "  - yes\n",
+            "variables[0].allowed_values[1]: YAML reads True as a boolean; quote the token",
+        ),
         (
             "  unknown_token: unknown\n",
             "  unknown_token: no\n",
-            "unknown_token: YAML reads False as a boolean; quote the token",
+            "variables[0].unknown_token: YAML reads False as a boolean; quote the token",
         ),
         (
             "  allowed_values:\n  - unknown\n  - 'yes'\n",
             "  allowed_values: yes\n",
-            "allowed_values: must be a list of tokens, got True",
+            "variables[0].allowed_values: must be a list of strings, got True",
         ),
         (
             "  allowed_values:\n  - unknown\n  - 'yes'\n",
             "  allowed_values: unknown yes\n",
-            "allowed_values: must be a list of tokens, got 'unknown yes'",
+            "variables[0].allowed_values: must be a list of strings, got 'unknown yes'",
         ),
     ],
     ids=["allowed_values", "unknown_token", "allowed_values_a_boolean", "allowed_values_a_string"],
@@ -1175,7 +1358,10 @@ def test_malformed_schema_token_exits_2_naming_the_variable(
     result = CliRunner().invoke(main, ["--config", str(config), "run"])
     assert result.exit_code == 2, text(result)
     assert isinstance(result.exception, SystemExit)
-    assert f"error: {schema_path}: initial_dx.{message}" in text(result)
+    # each replaced line is one problem, and every problem is listed
+    n = schema_yaml.count(old)
+    head = f"{n} problems:\n  " if n > 1 else ""
+    assert f"error: {head}{schema_path}: {message}" in text(result)
     assert "Traceback" not in text(result)
 
 

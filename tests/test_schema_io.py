@@ -1,6 +1,7 @@
 """Schema validation, label set semantics, and CSV/YAML round trips."""
 
 import csv
+import re
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -514,7 +515,7 @@ def test_schema_entry_without_name_names_its_index(tmp_path):
         "  - {name: tumor_size_mm, kind: numeric}\n"
         "  - {kind: numeric}\n"
     )
-    with pytest.raises(SchemaError, match=r"variables\[1\] has no 'name'"):
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: variables[1].name: required")):
         load_schema(path)
 
 
