@@ -24,6 +24,7 @@ from typing import Annotated, get_args
 import yaml
 
 from ..schema import (
+    MISSING_ATTRIBUTE,
     CohortDataset,
     LabelSet,
     Schema,
@@ -32,7 +33,16 @@ from ..schema import (
     patient_view,
 )
 from ..refstd import _agreement
-from ..yamlspec import ConfigError, OneOf, Parsed, at_least, read_spec, schema_problems, token_of
+from ..yamlspec import (
+    ConfigError,
+    OneOf,
+    Parsed,
+    at_least,
+    dated_variable,
+    read_spec,
+    schema_problems,
+    token_of,
+)
 from .lang import (
     CompiledCheck,
     Expr,
@@ -113,7 +123,7 @@ class MonthlyCountStability:
     MAD alone is zero) far above threshold.
     """
 
-    variable: str
+    variable: str = dated_variable()
     window_months: int = 12
     mad_k: float = 5.0
 
@@ -133,7 +143,10 @@ class StratifiedRateRange:
     positive_value: str = token_of("variable")
     by_variable: str | None = field(default=None, metadata={"yaml": ("by", "variable")})
     by_attribute: str | None = field(default=None, metadata={"yaml": ("by", "attribute")})
-    expected: dict[str, tuple[float, float]] = field(default_factory=dict)
+    # a by-variable stratum is one of its known values, or missing
+    expected: dict[str, tuple[float, float]] = token_of(
+        "by_variable", default_factory=dict, also=frozenset({MISSING_ATTRIBUTE})
+    )
 
     kind = "stratified_rate_range"
 
@@ -352,15 +365,15 @@ def _refresh_order_key(refresh_id: str):
         return (1, 0, refresh_id)
 
 
-def _describe(recs) -> str:
-    if not recs:
+def _describe(rows) -> str:
+    if not rows:
         return "absent"
     parts = []
-    for r in recs:
-        if r.event_date is not None:
-            parts.append(f"{r.value}@{r.event_date.isoformat()}")
+    for value, event_date, _ in rows:
+        if event_date is not None:
+            parts.append(f"{value}@{event_date.isoformat()}")
         else:
-            parts.append(str(r.value))
+            parts.append(str(value))
     return "; ".join(parts)
 
 
@@ -406,7 +419,7 @@ def refresh_stability(
             continue
         if kind == VariableKind.EVENT_LIST:
             reason = "events_changed"
-        elif before[0].value != after[0].value:
+        elif before[0][0] != after[0][0]:
             reason = "value_changed"
         else:
             reason = "date_moved"
@@ -417,12 +430,9 @@ def refresh_stability(
 # ---- cohort check execution ----
 
 
-def _known_value(labels: LabelSet, pid: str, variable: str) -> str | None:
-    spec = labels.schema[variable]
-    rec = labels.get_single(pid, variable)
-    if rec is not None and rec.is_known(spec):
-        return rec.value  # type: ignore[return-value]
-    return None
+def _known_values(labels: LabelSet, variable: str, patients: Sequence[str]) -> list[str | None]:
+    """Each patient's known value of a single-valued variable; None when unknown or missing."""
+    return [None if row is None else row[0] for row in labels._known_firsts(variable, patients)]
 
 
 def _month_key(d: date) -> str:
@@ -448,11 +458,12 @@ def monthly_counts(labels: LabelSet, variable: str) -> tuple[list[str], list[int
     spec = labels.schema[variable]
     if not spec.kind.has_dates:
         raise ValueError(f"{variable}: {spec.kind.value} variables carry no date")
+    unknown = spec.unknown_token
     dates = [
-        r.event_date
-        for recs in labels._column(variable, labels.patients)
-        for r in recs
-        if r.event_date is not None and r.is_known(spec)
+        event_date
+        for rows in labels._column(variable, labels.patients)
+        for value, event_date, _ in rows
+        if event_date is not None and value != unknown
     ]
     if not dates:
         return [], []
@@ -471,10 +482,9 @@ def _run_distribution(
 ) -> None:
     keep = None if spec.filter_expr is None else compile_check(spec.filter_expr, labels.schema)
     eligible = []
-    for pid in cohort:
+    for pid, value in zip(cohort, _known_values(labels, spec.variable, cohort)):
         if keep is not None and keep(patient_view(labels, patient_id=pid)) is not Truth.TRUE:
             continue
-        value = _known_value(labels, pid, spec.variable)
         if value is not None:
             eligible.append(value)
     n = len(eligible)
@@ -521,20 +531,17 @@ def _run_stratified_rate(
     cohort: Sequence[str],
     result: CheckResult,
 ) -> None:
+    if spec.by_attribute:
+        keys = [dataset.attribute(pid, spec.by_attribute) for pid in cohort]
+    else:
+        keys = [v or MISSING_ATTRIBUTE for v in _known_values(labels, spec.by_variable, cohort)]
     groups: dict[str, list[str]] = {}
-    for pid in cohort:
-        if spec.by_attribute:
-            key = dataset.attribute(pid, spec.by_attribute)
-        else:
-            key = _known_value(labels, pid, spec.by_variable) or "missing"
-        groups.setdefault(key, []).append(pid)
+    for key, value in zip(keys, _known_values(labels, spec.variable, cohort)):
+        if value is not None:
+            groups.setdefault(key, []).append(value)
     for stratum, (lo, hi) in sorted(spec.expected.items()):
         result.n_evaluated += 1
-        values = [
-            v
-            for pid in groups.get(stratum, [])
-            if (v := _known_value(labels, pid, spec.variable)) is not None
-        ]
+        values = groups.get(stratum, [])
         if not values:
             result.n_not_applicable += 1
             continue

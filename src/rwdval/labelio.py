@@ -25,6 +25,7 @@ from .schema import (
     Source,
     VariableKind,
     VariableSpec,
+    _canonical,
     validate_record,
 )
 from .yamlspec import ConfigError, read_spec
@@ -110,8 +111,9 @@ def read_labels(
     (variable, value) is parsed once, each distinct
     date string is parsed once, and ``validate_record`` runs once per
     distinct (variable, value, dated, empty patient_id) -- the only parts
-    of a row its verdict depends on. Valid rows are grouped by key while
-    reading and the set is built in bulk.
+    of a row its verdict depends on -- on a probe record. Valid rows are
+    written straight into the set's per-patient store; only event-list
+    keys that hold more than one row are sorted at the end.
     """
     source = Source(source)
     source_value = source.value
@@ -119,11 +121,12 @@ def read_labels(
     problems: list[str] = []
     refresh_ids: set[str] = set()
     specs = dict(schema.items())
+    event_lists = {name for name, spec in specs.items() if spec.kind == VariableKind.EVENT_LIST}
     values: dict[tuple[str, str], str | float | None] = {}
     dates: dict[str, date | None] = {}
     verdicts: dict[tuple[str, str, bool, bool], str | None] = {}
-    buckets: dict[tuple[str, str], list[LabelRecord]] = {}
-    pids: dict[str, str] = {}
+    by_patient: dict[str, dict[str, tuple]] = {}
+    unsorted: list[tuple[dict[str, tuple], str]] = []  # event-list keys that grew past one row
     n_cells = len(LABEL_COLUMNS)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -177,20 +180,25 @@ def read_labels(
                 if event_date is None:
                     problems.append(f"row {lineno}: {var}: bad date {date_text!r} (want YYYY-MM-DD)")
                     continue
-            pid = pids.setdefault(pid, pid)  # a patient's records share one string
-            rec = LabelRecord(pid, var, value, event_date, source, refresh or None)
+            refresh = refresh or None
             verdict_key = (var, value_text, event_date is None, not pid)
             problem = verdicts.get(verdict_key, _UNSEEN)
             if problem is _UNSEEN:
-                problem = verdicts[verdict_key] = _schema_problem(rec, spec)
+                probe = LabelRecord(pid, var, value, event_date, source, refresh)
+                problem = verdicts[verdict_key] = _schema_problem(probe, spec)
             if problem is not None:
                 problems.append(f"row {lineno}: {problem}")
                 continue
-            bucket = buckets.get((pid, var))
-            if bucket is None:
-                buckets[pid, var] = [rec]
-            elif spec.kind == VariableKind.EVENT_LIST:
-                bucket.append(rec)
+            own = by_patient.get(pid)
+            if own is None:
+                by_patient[pid] = {var: ((value, event_date, refresh),)}
+            elif var not in own:
+                own[var] = ((value, event_date, refresh),)
+            elif var in event_lists:
+                rows = own[var]
+                if len(rows) == 1:
+                    unsorted.append((own, var))
+                own[var] = rows + ((value, event_date, refresh),)
             else:
                 problems.append(
                     f"row {lineno}: duplicate record for patient {pid!r}, "
@@ -201,10 +209,11 @@ def read_labels(
                 refresh_ids.add(refresh)
     if problems:
         raise IngestError(path, problems)
-    labels = LabelSet._from_buckets(schema, source, buckets, refresh_id=expected_refresh_id)
+    for own, var in unsorted:
+        own[var] = _canonical(own[var])
     if expected_refresh_id is None and len(refresh_ids) == 1:
-        labels.refresh_id = refresh_ids.pop()
-    return labels
+        expected_refresh_id = refresh_ids.pop()
+    return LabelSet._from_store(schema, source, by_patient, expected_refresh_id)
 
 
 def _format_value(value: str | float) -> str:
@@ -220,17 +229,22 @@ def write_labels(labels: LabelSet, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_COLUMNS)
-        for rec in labels.records():
-            writer.writerow(
-                [
-                    rec.patient_id,
-                    rec.variable,
-                    _format_value(rec.value),
-                    rec.event_date.isoformat() if rec.event_date else "",
-                    rec.source.value,
-                    rec.refresh_id or "",
-                ]
-            )
+        source = labels.source.value
+        by_patient = labels._by_patient
+        for pid in sorted(by_patient):
+            own = by_patient[pid]
+            for var in sorted(own):
+                writer.writerows(
+                    [
+                        pid,
+                        var,
+                        _format_value(value),
+                        event_date.isoformat() if event_date else "",
+                        source,
+                        refresh_id or "",
+                    ]
+                    for value, event_date, refresh_id in own[var]
+                )
 
 
 def read_attributes(path: str | Path, declared_strata: list[str]) -> dict[str, dict[str, str]]:

@@ -17,7 +17,7 @@ number of percentage points serializes as exactly that number).
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
@@ -26,10 +26,9 @@ import numpy as np
 
 from .schema import (
     CohortDataset,
-    LabelRecord,
     LabelSet,
+    Row,
     VariableKind,
-    VariableSpec,
     effective_tolerance,
 )
 from .yamlspec import token_of
@@ -151,11 +150,6 @@ def _cohort(pred: LabelSet, reference, patients: Iterable[str] | None) -> list[s
     return sorted(universe)
 
 
-def _known(records: Sequence[LabelRecord], spec: VariableSpec) -> bool:
-    """A documented known value; documented-unknown and missing are not."""
-    return any(r.is_known(spec) for r in records)
-
-
 def _one_vs_rest(ref_pos: bool | None, pred_pos: bool) -> tuple[int, int, int]:
     """(tp, fp, fn) of one patient; a reference of None (unknown) is excluded."""
     if ref_pos is None:
@@ -164,13 +158,13 @@ def _one_vs_rest(ref_pos: bool | None, pred_pos: bool) -> tuple[int, int, int]:
 
 
 def _asserted_events(
-    records: Sequence[LabelRecord], spec: VariableSpec, positive_class: str | None
+    rows: Sequence[Row], unknown: str | None, positive_class: str | None
 ) -> tuple[list[date], int]:
     """(dated events, number undated) among one side's known assertions."""
     hits = [
-        r.event_date
-        for r in records
-        if r.is_known(spec) and (positive_class is None or r.value == positive_class)
+        event_date
+        for value, event_date, _ in rows
+        if value != unknown and (positive_class is None or value == positive_class)
     ]
     dated = [d for d in hits if d is not None]
     return dated, len(hits) - len(dated)
@@ -204,34 +198,32 @@ def _patient_rows(
     if positive_class is not None and allowed is not None and positive_class not in allowed:
         raise ValueError(f"{variable}: positive_class {positive_class!r} not in allowed values")
     cohort = _cohort(pred, reference, patients)
-    sides = zip(pred._column(variable, cohort), ref_labels._column(variable, cohort))
-    # a record is known when its value is not the unknown token (a None token matches no value)
-    unknown = spec.unknown_token
     rows = []
     if spec.kind == VariableKind.EVENT_LIST:
-        for pred_recs, ref_recs in sides:
-            pred_events, pred_undated = _asserted_events(pred_recs, spec, positive_class)
-            ref_events, ref_undated = _asserted_events(ref_recs, spec, positive_class)
+        # a row is known when its value is not the unknown token (a None token matches no value)
+        unknown = spec.unknown_token
+        for pred_rows, ref_rows in zip(
+            pred._column(variable, cohort), ref_labels._column(variable, cohort)
+        ):
+            pred_events, pred_undated = _asserted_events(pred_rows, unknown, positive_class)
+            ref_events, ref_undated = _asserted_events(ref_rows, unknown, positive_class)
             m = match_events(pred_events, ref_events, tol)
             fp = len(m.unmatched_pred) + pred_undated
             fn = len(m.unmatched_ref) + ref_undated
-            known = any(r.value != unknown for r in pred_recs)
+            known = any(r[0] != unknown for r in pred_rows)
             # every matched pair is dated and within tolerance by construction
             rows.append((m.n_matched, fp, fn, m.n_matched, m.n_matched, known))
         return _as_rows(rows)
     date_kind = spec.kind == VariableKind.DATE
-    # other kinds hold at most one record per patient, so its value decides ``known``
-    for pred_recs, ref_recs in sides:
-        pred_rec = pred_recs[0] if pred_recs and pred_recs[0].value != unknown else None
-        ref_rec = ref_recs[0] if ref_recs and ref_recs[0].value != unknown else None
-        known = pred_rec is not None
-        ref_pos = None if ref_rec is None else ref_rec.value == positive_class
-        tp, fp, fn = _one_vs_rest(ref_pos, known and pred_rec.value == positive_class)
-        dated = (
-            date_kind and tp == 1
-            and pred_rec.event_date is not None and ref_rec.event_date is not None
-        )
-        correct = dated and abs((pred_rec.event_date - ref_rec.event_date).days) <= tol
+    # other kinds hold at most one row per patient, so its value decides ``known``
+    for pred_row, ref_row in zip(
+        pred._known_firsts(variable, cohort), ref_labels._known_firsts(variable, cohort)
+    ):
+        known = pred_row is not None
+        ref_pos = None if ref_row is None else ref_row[0] == positive_class
+        tp, fp, fn = _one_vs_rest(ref_pos, known and pred_row[0] == positive_class)
+        dated = date_kind and tp == 1 and pred_row[1] is not None and ref_row[1] is not None
+        correct = dated and abs((pred_row[1] - ref_row[1]).days) <= tol
         rows.append((tp, fp, fn, dated, correct, known))
     return _as_rows(rows)
 
@@ -376,11 +368,12 @@ def completeness(
     Documented-unknown and missing both count as not known. Raises on an
     empty cohort (zero denominator).
     """
-    spec = labels.schema[variable]
+    unknown = labels.schema[variable].unknown_token
     cohort = list(cohort)
     if not cohort:
         raise ValueError(f"{variable}: empty cohort for completeness")
-    return sum(_known(labels.get(pid, variable), spec) for pid in cohort), len(cohort)
+    column = labels._column(variable, cohort)
+    return sum(any(r[0] != unknown for r in rows) for rows in column), len(cohort)
 
 
 def relative_difference(
@@ -457,32 +450,6 @@ def _percentile_intervals(point, replicates: Iterable):
         return {k: ci for k, ci in intervals.items() if ci is not None}
     values = [float(v) for v in replicates if v is not None]
     return interval(values, None if point is None else float(point))
-
-
-def bootstrap_ci(
-    statistic: Callable[[Sequence[str]], Mapping[str, float | None] | float | None],
-    patients: Sequence[str],
-    *,
-    n_replicates: int = 2000,
-    seed: int = 0,
-):
-    """95 % percentile bootstrap over patient-level resamples.
-
-    ``statistic`` receives a patient list (with repeats) and returns either
-    a float or a mapping of named floats; undefined replicate values are
-    dropped before taking percentiles. Resample indices come from one
-    generator seeded with ``seed``, one replicate's row at a time (the same
-    stream as drawing the whole ``(n_replicates, n)`` array at once, without
-    holding it), so results are reproducible. Intervals are clamped to
-    bracket the point estimate.
-    """
-    patients = list(patients)
-    resamples = _resamples(len(patients), n_replicates, seed)
-    point = statistic(patients)
-    replicates = (
-        statistic([patients[i] for i in sample.tolist()]) for sample in resamples
-    )
-    return _percentile_intervals(point, replicates)
 
 
 def variable_metrics(
@@ -598,36 +565,31 @@ def derive_variable(
     lo, hi = rule.window_days
     index_column = labels._column(rule.index_variable, patients)
     components = [
-        (schema[comp], required, labels._column(comp, patients)) for comp, required in rule.components
+        (schema[comp].unknown_token, required, labels._column(comp, patients))
+        for comp, required in rule.components
     ]
     out: dict[str, str] = {}
     for i, pid in enumerate(patients):
-        index_recs = index_column[i]
-        if (
-            not index_recs
-            or index_recs[0].value != rule.index_positive
-            or index_recs[0].event_date is None
-        ):
+        index_rows = index_column[i]
+        if not index_rows or index_rows[0][0] != rule.index_positive or index_rows[0][1] is None:
             out[pid] = DERIVED_UNKNOWN
             continue
-        index = index_recs[0].event_date
+        index = index_rows[0][1]
         verdict = DERIVED_POSITIVE
-        for spec, required, column in components:
+        for unknown, required, column in components:
             candidates = [
-                r
-                for r in column[i]
-                if r.is_known(spec)
-                and r.event_date is not None
-                and lo <= (r.event_date - index).days <= hi
+                (value, event_date)
+                for value, event_date, _ in column[i]
+                if value != unknown
+                and event_date is not None
+                and lo <= (event_date - index).days <= hi
             ]
             if not candidates:
                 if verdict == DERIVED_POSITIVE:
                     verdict = DERIVED_UNKNOWN
                 continue
-            nearest = min(
-                candidates, key=lambda r: (abs((r.event_date - index).days), r.event_date)
-            )
-            if nearest.value != required:
+            nearest = min(candidates, key=lambda c: (abs((c[1] - index).days), c[1]))
+            if nearest[0] != required:
                 verdict = DERIVED_NEGATIVE
                 break
         out[pid] = verdict

@@ -32,15 +32,17 @@ from enum import Enum
 from pathlib import Path
 
 from .schema import (
-    _NO_RECORDS,
+    _NO_ROWS,
     LabelRecord,
     LabelSet,
+    Row,
     Schema,
     SchemaError,
     Source,
     VariableKind,
     VariableSpec,
-    _restamped,
+    _records,
+    _row,
     effective_tolerance,
     validate_record,
 )
@@ -151,18 +153,18 @@ class ReferenceStandard:
 
 def _agreement(
     spec: VariableSpec, tolerance_days: int
-) -> Callable[[tuple[LabelRecord, ...], tuple[LabelRecord, ...]], bool]:
+) -> Callable[[tuple[Row, ...], tuple[Row, ...]], bool]:
     """The agreement test of ``assertions_agree`` for one variable.
 
-    Both sides are buckets of a label set over the variable's schema:
-    canonical, and single for kinds that admit one.
+    Both sides are one key's rows in a label set over the variable's
+    schema: canonical, and single for kinds that admit one.
     """
     tol = effective_tolerance(spec, tolerance_days)
 
-    def single(a: LabelRecord, b: LabelRecord) -> bool:
-        if a.value != b.value:
+    def single(a: Row, b: Row) -> bool:
+        if a[0] != b[0]:
             return False
-        da, db = a.event_date, b.event_date
+        da, db = a[1], b[1]
         if da is None or db is None:
             return da is db
         return abs((da - db).days) <= tol
@@ -184,11 +186,11 @@ def _agreement(
         if n < 2:
             return n == 0 or single(recs_a[0], recs_b[0])
         by_token: dict = {}
-        for r in recs_a:
-            by_token.setdefault(r.value, []).append(r.event_date)
+        for value, event_date, _ in recs_a:
+            by_token.setdefault(value, []).append(event_date)
         other: dict = {}
-        for r in recs_b:
-            other.setdefault(r.value, []).append(r.event_date)
+        for value, event_date, _ in recs_b:
+            other.setdefault(value, []).append(event_date)
         if by_token.keys() != other.keys():
             return False
         for token, dates_a in by_token.items():
@@ -223,9 +225,11 @@ def assertions_agree(
     value token, the undated counts coincide and the dated events match
     one-to-one within tolerance, which holds iff the k-th earliest date on
     one side lies within tolerance of the k-th earliest on the other.
-    Both sides must be label-set buckets (canonical order).
+    Both sides must be one key's records as a label set holds them
+    (canonical order).
     """
-    return _agreement(schema[variable], tolerance_days)(recs_a, recs_b)
+    rows_a, rows_b = tuple(map(_row, recs_a)), tuple(map(_row, recs_b))
+    return _agreement(schema[variable], tolerance_days)(rows_a, rows_b)
 
 
 def _patient_union(*label_sets: LabelSet | None) -> list[str]:
@@ -252,21 +256,27 @@ def find_disagreements(
     """
     agreement = {name: _agreement(spec, tolerance_days) for name, spec in llm.schema.items()}
     store_l, store_1 = llm._by_patient, abstractor_1._by_patient
-    store_2 = abstractor_2._by_patient if abstractor_2 is not None else {}
+    store_2, source_2 = {}, None  # an absent abstractor 2 holds no rows to attribute
+    if abstractor_2 is not None:
+        store_2, source_2 = abstractor_2._by_patient, abstractor_2.source
+    sources = (llm.source, abstractor_1.source, source_2)
     # (pair, index of its first source, of its second) into (llm, a1, a2)
     pairs = [(Pair.LLM_VS_A1, 0, 1)]
     if abstractor_2 is not None:
         pairs += [(Pair.LLM_VS_A2, 0, 2), (Pair.A1_VS_A2, 1, 2)]
     cases: list[DisagreementCase] = []
     for pid in _patient_union(llm, abstractor_1, abstractor_2):
-        own_l = store_l.get(pid, _NO_RECORDS)
-        own_1 = store_1.get(pid, _NO_RECORDS)
-        own_2 = store_2.get(pid, _NO_RECORDS)
+        own_l = store_l.get(pid, _NO_ROWS)
+        own_1 = store_1.get(pid, _NO_ROWS)
+        own_2 = store_2.get(pid, _NO_ROWS)
         for var in sorted(own_l.keys() | own_1.keys() | own_2.keys()):
-            recs = (own_l.get(var, ()), own_1.get(var, ()), own_2.get(var, ()))
+            rows = (own_l.get(var, ()), own_1.get(var, ()), own_2.get(var, ()))
             agree = agreement[var]
+            recs = None  # records are built for a key with a case, once
             for pair, a, b in pairs:
-                if not agree(recs[a], recs[b]):
+                if not agree(rows[a], rows[b]):
+                    if recs is None:
+                        recs = [_records(pid, var, r, s) for r, s in zip(rows, sources)]
                     cases.append(DisagreementCase(pid, var, pair, *recs))
     return cases
 
@@ -286,7 +296,10 @@ def build_duplicate_abstraction(
     if len(abstractor_2) == 0:
         raise ValueError("abstractor_2 label set is empty; nothing to reference")
     labels = abstractor_2.relabel(Source.REFERENCE)
-    provenance = dict.fromkeys(sorted(abstractor_2.keys()), Provenance.SINGLE_SOURCE)
+    store = abstractor_2._by_patient
+    provenance = {
+        (pid, var): Provenance.SINGLE_SOURCE for pid in sorted(store) for var in sorted(store[pid])
+    }
     rs = ReferenceStandard(
         mode=ReferenceMode.DUPLICATE_ABSTRACTION,
         labels=labels,
@@ -327,32 +340,30 @@ def _build_adjudicated(
         llm, abstractor_1, abstractor_2, tolerance_days=tolerance_days
     )
     case_keys = _check_adjudications(cases, adjudications)
-    # One walk in (patient, variable) order: a disputed key takes the
-    # adjudicator's records, every other key abstractor 1's. An agreed key
-    # is never missing from abstractor 1, and every adjudicated key is a
-    # case key, so the adjudicator adds no patient.
+    # One walk in (patient, variable) order: a disputed key shares the
+    # adjudicator's rows, every other key abstractor 1's. An agreed key is
+    # never missing from abstractor 1, and every adjudicated key is a case
+    # key, so the adjudicator adds no patient.
     store_l, store_1 = llm._by_patient, abstractor_1._by_patient
     store_2 = abstractor_2._by_patient if abstractor_2 is not None else {}
     store_adj = adjudications._by_patient
     patients = _patient_union(llm, abstractor_1, abstractor_2)
-    by_patient: dict[str, dict[str, tuple[LabelRecord, ...]]] = {}
+    by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
     provenance: dict[tuple[str, str], Provenance] = {}
     for pid in patients:
-        own_1 = store_1.get(pid, _NO_RECORDS)
-        variables = store_l.get(pid, _NO_RECORDS).keys() | own_1.keys()
-        variables |= store_2.get(pid, _NO_RECORDS).keys()
+        own_1 = store_1.get(pid, _NO_ROWS)
+        variables = store_l.get(pid, _NO_ROWS).keys() | own_1.keys()
+        variables |= store_2.get(pid, _NO_ROWS).keys()
         own = by_patient[pid] = {}
         for var in sorted(variables):
             key = (pid, var)
             if key in case_keys:
-                recs = store_adj[pid][var]
+                own[var] = store_adj[pid][var]
                 provenance[key] = Provenance.ADJUDICATED
             else:
-                recs = own_1[var]
+                own[var] = own_1[var]
                 provenance[key] = Provenance.AGREED
-            own[var] = _restamped(recs, Source.REFERENCE)
-    labels = LabelSet(llm.schema, Source.REFERENCE)
-    labels._by_patient = by_patient
+    labels = LabelSet._from_store(llm.schema, Source.REFERENCE, by_patient)
     for case in cases:
         case.status = CaseStatus.RESOLVED
     return ReferenceStandard(
@@ -451,13 +462,15 @@ def adjudicate_from_oracle(
     format cannot express adjudication-to-absent), which requires the
     variable to declare an unknown token.
     """
-    buckets: dict[tuple[str, str], tuple[LabelRecord, ...]] = {}
+    by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
+    store = oracle._by_patient
     for case in cases:
-        if case.key in buckets:
+        own = by_patient.setdefault(case.patient_id, {})
+        if case.variable in own:
             continue
-        recs = oracle.get(*case.key)
-        if recs:
-            buckets[case.key] = _restamped(recs, Source.ADJUDICATOR)
+        rows = store.get(case.patient_id, _NO_ROWS).get(case.variable)
+        if rows:
+            own[case.variable] = rows
             continue
         spec = oracle.schema[case.variable]
         if spec.unknown_token is None:
@@ -472,5 +485,5 @@ def adjudicate_from_oracle(
             source=Source.ADJUDICATOR,
         )
         validate_record(stand_in, spec)
-        buckets[case.key] = (stand_in,)
-    return LabelSet._from_buckets(oracle.schema, Source.ADJUDICATOR, buckets)
+        own[case.variable] = (_row(stand_in),)
+    return LabelSet._from_store(oracle.schema, Source.ADJUDICATOR, by_patient)

@@ -72,36 +72,27 @@ def survival_records(
             raise ValueError(f"{var}: survival endpoints need a dated variable")
     pool = sorted(patients) if patients is not None else sorted(labels.patients)
     cohort = SurvivalCohort(records=[])
-    for pid in pool:
-        index_rec = labels.get_single(pid, index_variable)
-        if (
-            index_rec is None
-            or not index_rec.is_known(schema[index_variable])
-            or index_rec.event_date is None
-        ):
+    for pid, index_row, event_row, censor_row in zip(
+        pool,
+        labels._known_firsts(index_variable, pool),
+        labels._known_firsts(event_variable, pool),
+        labels._known_firsts(censor_variable, pool),
+    ):
+        if index_row is None or index_row[1] is None:
             cohort.n_no_index += 1
             continue
-        index_date = index_rec.event_date
-        event_rec = labels.get_single(pid, event_variable)
-        had_event = event_rec is not None and event_rec.is_known(
-            schema[event_variable]
-        ) and event_rec.value == event_positive
-        if had_event:
-            if event_rec.event_date is None:
+        index_date = index_row[1]
+        if event_row is not None and event_row[0] == event_positive:
+            if event_row[1] is None:
                 cohort.n_undated_event += 1
                 continue
-            last_date = event_rec.event_date
+            last_date = event_row[1]
             event = True
         else:
-            censor_rec = labels.get_single(pid, censor_variable)
-            if (
-                censor_rec is None
-                or not censor_rec.is_known(schema[censor_variable])
-                or censor_rec.event_date is None
-            ):
+            if censor_row is None or censor_row[1] is None:
                 cohort.n_no_followup += 1
                 continue
-            last_date = censor_rec.event_date
+            last_date = censor_row[1]
             event = False
         if last_date < index_date:
             cohort.n_negative_duration += 1
@@ -224,10 +215,10 @@ def distribution_from_labels(
         raise ValueError(f"{variable}: distributions need a single-valued variable")
     pool = patients if patients is not None else sorted(labels.patients)
     counts: dict[str, int] = {}
-    for pid in pool:
-        rec = labels.get_single(pid, variable)
-        if rec is not None and rec.is_known(spec):
-            counts[str(rec.value)] = counts.get(str(rec.value), 0) + 1
+    for row in labels._known_firsts(variable, pool):
+        if row is not None:
+            value = str(row[0])
+            counts[value] = counts.get(value, 0) + 1
     return counts
 
 

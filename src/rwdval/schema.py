@@ -182,55 +182,52 @@ def validate_record(record: LabelRecord, spec: VariableSpec) -> None:
         raise SchemaError(f"{spec.name}: event_list records need an event_date")
 
 
-# what a patient without records reads as; never written to
-_NO_RECORDS: Mapping[str, tuple[LabelRecord, ...]] = MappingProxyType({})
+# A row is a record less its key and source: (value, event_date, refresh_id).
+Row = tuple[str | float, date | None, str | None]
+
+# what a patient without rows reads as; never written to
+_NO_ROWS: Mapping[str, tuple[Row, ...]] = MappingProxyType({})
 
 
-def _record_sort_key(rec: LabelRecord):
-    return (
-        rec.patient_id,
-        rec.variable,
-        rec.event_date is None,
-        rec.event_date or date.min,
-        str(rec.value),
-    )
+def _row_sort_key(row: Row):
+    """A key's canonical order: dated before undated, then by date, then by value."""
+    event_date = row[1]
+    return (event_date is None, event_date or date.min, str(row[0]))
 
 
-def _restamped(
-    recs: Sequence[LabelRecord], source: Source, refresh_id: str | None = None
+def _canonical(rows: Sequence[Row]) -> tuple[Row, ...]:
+    """``rows`` in canonical order; ties keep their order."""
+    return tuple(rows) if len(rows) < 2 else tuple(sorted(rows, key=_row_sort_key))
+
+
+def _records(
+    patient_id: str, variable: str, rows: Iterable[Row], source: Source
 ) -> tuple[LabelRecord, ...]:
-    """Records re-attributed to ``source``, in the same order.
+    """The records one key's rows stand for, from ``source``."""
+    return tuple(LabelRecord(patient_id, variable, v, d, source, r) for v, d, r in rows)
 
-    A ``refresh_id`` stamps every record; without one each keeps its own.
-    Neither field is part of the canonical sort key, so a bucket that was
-    canonical stays canonical, and a valid record stays valid.
-    """
-    return tuple(
-        LabelRecord(
-            r.patient_id,
-            r.variable,
-            r.value,
-            r.event_date,
-            source,
-            r.refresh_id if refresh_id is None else refresh_id,
-        )
-        for r in recs
-    )
+
+def _row(record: LabelRecord) -> Row:
+    return (record.value, record.event_date, record.refresh_id)
 
 
 class LabelSet:
-    """All label records from one source, held per patient and then per variable.
+    """All labels from one source, held as rows per patient and then per variable.
 
-    Non-event_list variables hold at most one record per (patient,
-    variable) key. Construction and ``add`` validate every record against
-    the schema; ingest and the copy paths validate once at their boundary
-    and build through ``_from_buckets``. Each key's records are kept in
-    canonical order (dated before undated, then by date, then by value;
-    ties in insertion order), fixed when a record is added, so every reader
-    sees the same order whatever the order of addition. A patient with no
-    records has no entry. Equality compares the source and the canonical
-    record multiset, so write -> read round-trips compare equal regardless
-    of row order.
+    The set keeps its ``source`` once; each key holds a tuple of rows
+    ``(value, event_date, refresh_id)``, and a ``LabelRecord`` is built
+    only when one is read (``get``, ``get_single``, ``records``). Non-event_list
+    variables hold at most one row per (patient, variable) key.
+    Construction and ``add`` validate every record against the schema and
+    check its source; ingest and the copy paths validate once at their
+    boundary and write rows straight into the store. Each key's rows are
+    kept in canonical order (dated before undated, then by date, then by
+    value; ties in insertion order), fixed when a row is added, so every
+    reader sees the same order whatever the order of addition. A patient
+    with no rows has no entry. Copies share the (immutable) row tuples of
+    their source, never its per-patient dicts. Equality compares the source
+    and the canonical record lists, so write -> read round-trips compare
+    equal regardless of row order.
     """
 
     def __init__(
@@ -243,9 +240,28 @@ class LabelSet:
         self.schema = schema
         self.source = Source(source)
         self.refresh_id = refresh_id
-        self._by_patient: dict[str, dict[str, tuple[LabelRecord, ...]]] = {}
+        self._by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
         for rec in records:
             self.add(rec)
+
+    @classmethod
+    def _from_store(
+        cls,
+        schema: Schema,
+        source: Source,
+        by_patient: dict[str, dict[str, tuple[Row, ...]]],
+        refresh_id: str | None = None,
+    ) -> "LabelSet":
+        """A label set over ``by_patient``, taken as is.
+
+        Nothing is validated or copied; the caller guarantees that every
+        row is valid for its variable's spec, that each key's rows are
+        canonical and non-empty (exactly one unless its variable is an
+        event_list), and that no patient's dict is empty.
+        """
+        out = cls(schema, source, refresh_id=refresh_id)
+        out._by_patient = by_patient
+        return out
 
     def add(self, record: LabelRecord) -> None:
         spec = self.schema[record.variable]
@@ -258,44 +274,16 @@ class LabelSet:
         own = self._by_patient.get(record.patient_id)
         if own is None:
             own = self._by_patient[record.patient_id] = {}
-        bucket = own.get(record.variable)
-        if bucket is None:
-            own[record.variable] = (record,)
+        rows = own.get(record.variable)
+        if rows is None:
+            own[record.variable] = (_row(record),)
             return
         if spec.kind != VariableKind.EVENT_LIST:
             raise SchemaError(
                 f"duplicate record for patient {record.patient_id!r}, "
                 f"variable {record.variable!r} ({spec.kind.value} admits one)"
             )
-        own[record.variable] = tuple(sorted(bucket + (record,), key=_record_sort_key))
-
-    @classmethod
-    def _from_buckets(
-        cls,
-        schema: Schema,
-        source: Source,
-        buckets: Mapping[tuple[str, str], Sequence[LabelRecord]],
-        refresh_id: str | None = None,
-    ) -> "LabelSet":
-        """Build a label set from records already grouped by (patient, variable).
-
-        Nothing is validated here; the caller guarantees that every record
-        is valid for its variable's spec (``validate_record`` passes), that
-        every record carries ``source``, and that a key whose variable is
-        not an event_list holds exactly one record. Each multi-record bucket
-        is sorted once into canonical order (stable, so ties keep the
-        bucket's order, as ``add`` keeps them). Empty buckets are skipped.
-        """
-        out = cls(schema, source, refresh_id=refresh_id)
-        by_patient = out._by_patient
-        for (pid, var), recs in buckets.items():
-            if not recs:
-                continue
-            own = by_patient.get(pid)
-            if own is None:
-                own = by_patient[pid] = {}
-            own[var] = tuple(recs) if len(recs) == 1 else tuple(sorted(recs, key=_record_sort_key))
-        return out
+        own[record.variable] = _canonical(rows + (_row(record),))
 
     def remove(self, patient_id: str, variable: str) -> None:
         """Drop every record for one key; absent keys are a no-op."""
@@ -307,17 +295,29 @@ class LabelSet:
 
     def get(self, patient_id: str, variable: str) -> tuple[LabelRecord, ...]:
         """Records for one key in canonical order; empty tuple means missing."""
-        return self._by_patient.get(patient_id, _NO_RECORDS).get(variable, ())
+        rows = self._by_patient.get(patient_id, _NO_ROWS).get(variable, ())
+        return _records(patient_id, variable, rows, self.source)
 
     def get_single(self, patient_id: str, variable: str) -> LabelRecord | None:
         """The key's first record in canonical order; None means missing."""
-        recs = self._by_patient.get(patient_id, _NO_RECORDS).get(variable)
-        return recs[0] if recs else None
+        rows = self._by_patient.get(patient_id, _NO_ROWS).get(variable)
+        if not rows:
+            return None
+        value, event_date, refresh_id = rows[0]
+        return LabelRecord(patient_id, variable, value, event_date, self.source, refresh_id)
 
-    def _column(self, variable: str, patients: Iterable[str]) -> list[tuple[LabelRecord, ...]]:
-        """``get(pid, variable)`` for each patient in order, in one call."""
+    def _column(self, variable: str, patients: Iterable[str]) -> list[tuple[Row, ...]]:
+        """The rows of ``variable`` for each patient in order, in one call."""
         by_patient = self._by_patient
-        return [by_patient.get(pid, _NO_RECORDS).get(variable, ()) for pid in patients]
+        return [by_patient.get(pid, _NO_ROWS).get(variable, ()) for pid in patients]
+
+    def _known_firsts(self, variable: str, patients: Iterable[str]) -> list[Row | None]:
+        """Each patient's first row of ``variable``; None when missing or documented unknown."""
+        unknown = self.schema[variable].unknown_token
+        return [
+            rows[0] if rows and rows[0][0] != unknown else None
+            for rows in self._column(variable, patients)
+        ]
 
     def _holders(self, variable: str) -> list[str]:
         """The patients with records for ``variable``, in store order."""
@@ -336,33 +336,43 @@ class LabelSet:
 
     def records(self) -> list[LabelRecord]:
         out: list[LabelRecord] = []
+        source = self.source
         for pid in sorted(self._by_patient):
             own = self._by_patient[pid]
             for var in sorted(own):
-                out.extend(own[var])
+                out.extend(_records(pid, var, own[var], source))
         return out
 
     def relabel(self, source: Source, refresh_id: str | None = None) -> "LabelSet":
         """Copy with every record re-attributed to another source.
 
-        A ``refresh_id`` stamps the copy and each of its records; without
-        one the records keep their own.
+        The copy shares this set's row tuples and has its own per-patient
+        dicts, so ``add`` or ``remove`` on either never shows in the other.
+        A ``refresh_id`` stamps the copy and each of its rows; without one
+        the rows keep their own.
         """
-        out = LabelSet(self.schema, source, refresh_id=refresh_id)
-        # re-stamping keeps each bucket's canonical order, so nothing is re-sorted
-        out._by_patient = {
-            pid: {var: _restamped(recs, out.source, refresh_id) for var, recs in own.items()}
-            for pid, own in self._by_patient.items()
-        }
-        return out
+        if refresh_id is None:
+            by_patient = {pid: own.copy() for pid, own in self._by_patient.items()}
+        else:
+            # the refresh id is not part of the sort key, so the order holds
+            by_patient = {
+                pid: {
+                    var: tuple((v, d, refresh_id) for v, d, _ in rows)
+                    for var, rows in own.items()
+                }
+                for pid, own in self._by_patient.items()
+            }
+        return LabelSet._from_store(self.schema, source, by_patient, refresh_id)
 
     def __len__(self) -> int:
-        return sum(len(recs) for own in self._by_patient.values() for recs in own.values())
+        return sum(len(rows) for own in self._by_patient.values() for rows in own.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelSet):
             return NotImplemented
-        return self.source == other.source and self.records() == other.records()
+        # both stores are canonical and hold no empty entry, so equal stores
+        # are exactly equal record lists
+        return self.source == other.source and self._by_patient == other._by_patient
 
     def __repr__(self) -> str:
         return (
@@ -418,14 +428,14 @@ def patient_view(labels: LabelSet, patient_id: str) -> dict[str, object]:
     """
     view: dict[str, object] = {}
     schema = labels.schema
-    for var, recs in labels._by_patient.get(patient_id, _NO_RECORDS).items():
+    for var, rows in labels._by_patient.get(patient_id, _NO_ROWS).items():
         kind = schema[var].kind
         if kind == VariableKind.EVENT_LIST:
-            view[var] = tuple((r.value, r.event_date) for r in recs)
+            view[var] = tuple((value, event_date) for value, event_date, _ in rows)
         elif kind == VariableKind.DATE:
-            view[var] = (recs[0].value, recs[0].event_date)
+            view[var] = rows[0][:2]
         else:
-            view[var] = recs[0].value
+            view[var] = rows[0][0]
     return view
 
 

@@ -23,14 +23,16 @@ import numpy as np
 
 from .metrics import DerivedVariableRule
 from .schema import (
+    _NO_ROWS,
     CohortDataset,
     LabelRecord,
     LabelSet,
+    Row,
     Schema,
     Source,
     VariableKind,
     VariableSpec,
-    _restamped,
+    _canonical,
     shift_date,
 )
 
@@ -205,26 +207,29 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     receptor positivity, and every death is dated and terminal.
     """
     schema = breast_schema()
-    # valid by construction, so the set is built once at the end
-    buckets: dict[tuple[str, str], list[LabelRecord]] = {}
+    # valid by construction, so rows go straight into the set's store
+    by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
     patients: dict[str, dict[str, str]] = {}
     width = max(6, len(str(config.n_patients - 1)))
+    include = config.include
 
-    def emit(pid, variable, value, event_date=None):
-        if config.include is not None and variable not in config.include:
+    def emit(variable, value, event_date=None):
+        if include is not None and variable not in include:
             return
-        record = LabelRecord(pid, variable, value, event_date, Source.REFERENCE)
-        buckets.setdefault((pid, variable), []).append(record)
+        row = (value, event_date, None)
+        rows = own.get(variable)
+        own[variable] = (row,) if rows is None else _canonical(rows + (row,))
 
     for i in range(config.n_patients):
         rng = _patient_rng(_TRUTH_SALT, seed, i)
         pid = f"P{i:0{width}d}"
+        own: dict[str, tuple[Row, ...]] = {}
         attrs = {attr: _choice(rng, probs) for attr, probs in sorted(config.strata.items())}
         attrs["treatment_arm"] = _choice(rng, config.arms)
         patients[pid] = attrs
 
         initial = shift_date(_DIAGNOSIS_START, int(rng.integers(0, _DIAGNOSIS_SPAN_DAYS)))
-        emit(pid, "initial_dx", "yes", initial)
+        emit("initial_dx", "yes", initial)
 
         metastatic = rng.random() < config.metastatic_fraction
         met_date = None
@@ -236,41 +241,39 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
             else:
                 met_date = shift_date(initial, _uniform_days(rng, _MET_DELAY_DAYS))
                 stage = _choice(rng, _STAGE_PROBS)
-            emit(pid, "metastatic_dx", "yes", met_date)
+            emit("metastatic_dx", "yes", met_date)
         else:
             stage = _choice(rng, _STAGE_PROBS)
-            emit(pid, "metastatic_dx", "no")
-        emit(pid, "stage", stage)
+            emit("metastatic_dx", "no")
+        emit("stage", stage)
 
         surgery_date = None
         if rng.random() < _SURGERY_BY_STAGE[stage]:
             surgery_date = shift_date(initial, _uniform_days(rng, _SURGERY_DELAY_DAYS))
-            emit(pid, "surgery", "yes", surgery_date)
+            emit("surgery", "yes", surgery_date)
         else:
-            emit(pid, "surgery", "no")
+            emit("surgery", "no")
 
         if surgery_date is not None and rng.random() < _RADIATION_GIVEN_SURGERY:
             emit(
-                pid,
                 "radiation",
                 "yes",
                 shift_date(surgery_date, _uniform_days(rng, _RADIATION_DELAY_DAYS)),
             )
         else:
-            emit(pid, "radiation", "no")
+            emit("radiation", "no")
 
         if surgery_date is not None and rng.random() < _ADJUVANT_GIVEN_SURGERY:
             emit(
-                pid,
                 "adjuvant_start",
                 "yes",
                 shift_date(surgery_date, _uniform_days(rng, _ADJUVANT_DELAY_DAYS)),
             )
         else:
-            emit(pid, "adjuvant_start", "no")
+            emit("adjuvant_start", "no")
 
         if metastatic:
-            emit(pid, "first_line_regimen", _choice(rng, REGIMENS))
+            emit("first_line_regimen", _choice(rng, REGIMENS))
 
         signs = {}
         for marker in _BIOMARKERS:
@@ -285,20 +288,19 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
             while len(offsets) < n_tests:
                 offsets.add(_uniform_days(rng, _BIOMARKER_WINDOW_DAYS))
             for off in sorted(offsets):
-                emit(pid, marker, signs[marker], shift_date(initial, off))
+                emit(marker, signs[marker], shift_date(initial, off))
 
         hr = "positive" if "positive" in (signs["er_result"], signs["pr_result"]) else "negative"
-        emit(pid, "hr_status", hr)
+        emit("hr_status", hr)
 
         if hr == "positive" and rng.random() < _ENDOCRINE_GIVEN_HR_POSITIVE:
             emit(
-                pid,
                 "endocrine_therapy",
                 "yes",
                 shift_date(initial, _uniform_days(rng, _ENDOCRINE_DELAY_DAYS)),
             )
         else:
-            emit(pid, "endocrine_therapy", "no")
+            emit("endocrine_therapy", "no")
 
         anchor = met_date if met_date is not None else initial
         death_date = None
@@ -308,19 +310,21 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
             if duration <= _FOLLOWUP_DAYS:
                 death_date = shift_date(anchor, max(duration, 1))
         if death_date is not None:
-            emit(pid, "death", "yes", death_date)
-            emit(pid, "last_contact", "yes", death_date)
+            emit("death", "yes", death_date)
+            emit("last_contact", "yes", death_date)
         else:
-            emit(pid, "death", "no")
-            emit(pid, "last_contact", "yes", shift_date(anchor, _FOLLOWUP_DAYS))
+            emit("death", "no")
+            emit("last_contact", "yes", shift_date(anchor, _FOLLOWUP_DAYS))
 
         if config.unknown_rate > 0:
             # downgrade some documented values to documented-unknown
             for variable in ("stage", "hr_status", "first_line_regimen"):
                 if rng.random() < config.unknown_rate:
-                    _make_unknown(buckets, pid, variable, schema)
+                    _make_unknown(own, variable, schema)
+        if own:
+            by_patient[pid] = own
 
-    labels = LabelSet._from_buckets(schema, Source.REFERENCE, buckets)
+    labels = LabelSet._from_store(schema, Source.REFERENCE, by_patient)
     dataset = CohortDataset(
         schema=schema, patients=patients, label_sets={Source.REFERENCE: labels}
     )
@@ -328,16 +332,12 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     return dataset
 
 
-def _make_unknown(
-    buckets: dict[tuple[str, str], list[LabelRecord]], pid: str, variable: str, schema: Schema
-) -> None:
-    """Replace a documented key's records with one documented-unknown record."""
+def _make_unknown(own: dict[str, tuple[Row, ...]], variable: str, schema: Schema) -> None:
+    """Replace a documented key's rows with one documented-unknown row."""
     spec = schema[variable]
-    if spec.unknown_token is None or not buckets.pop((pid, variable), None):
+    if spec.unknown_token is None or not own.pop(variable, None):
         return
-    buckets[pid, variable] = [
-        LabelRecord(pid, variable, spec.unknown_token, None, Source.REFERENCE)
-    ]
+    own[variable] = ((spec.unknown_token, None, None),)
 
 
 # ---- error model ----
@@ -452,20 +452,22 @@ def corrupt(
     """
     truth = dataset.labels(Source.REFERENCE)
     schema = dataset.schema
-    # each record is a truth record with its value flipped to another known
-    # value or its date moved, or a known value hallucinated where the truth
-    # has none: all valid by construction, so the set is built once at the end
-    buckets: dict[tuple[str, str], list[LabelRecord]] = {}
+    variables = [(name, schema[name]) for name in sorted(schema.keys())]
+    # each row is a truth row with its value flipped to another known value
+    # or its date moved, or a known value hallucinated where the truth has
+    # none: all valid by construction, so rows go straight into the store
+    by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
     for index, pid in enumerate(sorted(dataset.patients)):
         rng = _patient_rng(_CORRUPT_SALT, seed, index)
         attrs = dataset.patients[pid]
-        anchor_rec = truth.get_single(pid, "initial_dx") if "initial_dx" in schema else None
-        anchor = anchor_rec.event_date if anchor_rec is not None else None
-        for variable in sorted(schema.keys()):
-            spec = schema[variable]
+        truth_own = truth._by_patient.get(pid, _NO_ROWS)
+        anchor_rows = truth_own.get("initial_dx")
+        anchor = anchor_rows[0][1] if anchor_rows else None
+        own: dict[str, tuple[Row, ...]] = {}
+        for variable, spec in variables:
             rates = model.rates_for(variable, attrs)
-            records = truth.get(pid, variable)
-            if not records:
+            rows = truth_own.get(variable)
+            if not rows:
                 if (
                     rates.hallucinate > 0
                     and spec.known_values
@@ -477,25 +479,25 @@ def corrupt(
                     event_date = _hallucinated_date(rng, spec, anchor)
                     if spec.kind == VariableKind.EVENT_LIST and event_date is None:
                         continue
-                    buckets[pid, variable] = [
-                        LabelRecord(pid, variable, value, event_date, source, refresh_id)
-                    ]
+                    own[variable] = ((value, event_date, refresh_id),)
                 continue
             if rng.random() < rates.miss:
                 continue
-            bucket = buckets[pid, variable] = []
-            for rec in records:
-                value = rec.value
-                event_date = rec.event_date
-                if rec.is_known(spec) and not isinstance(value, float):
+            unknown = spec.unknown_token
+            out = []
+            for value, event_date, _ in rows:
+                if value != unknown and not isinstance(value, float):
                     if rng.random() < rates.flip:
                         value = _flip_value(rng, spec, value)
                 if event_date is not None and rates.date_shift_rate > 0:
                     if rng.random() < rates.date_shift_rate:
                         sign = 1 if rng.random() < 0.5 else -1
                         event_date = shift_date(event_date, sign * rates.date_shift_days)
-                bucket.append(LabelRecord(pid, variable, value, event_date, source, refresh_id))
-    return LabelSet._from_buckets(schema, source, buckets, refresh_id)
+                out.append((value, event_date, refresh_id))
+            own[variable] = _canonical(out)
+        if own:
+            by_patient[pid] = own
+    return LabelSet._from_store(schema, source, by_patient, refresh_id)
 
 
 def refresh_snapshot(
@@ -515,22 +517,23 @@ def refresh_snapshot(
     """
     schema = labels.schema
     source = labels.source
-    # mutations keep records valid (see corrupt); the set is built once
-    buckets: dict[tuple[str, str], list[LabelRecord]] = {}
+    variables = [(name, schema[name], model.rates_for(name)) for name in sorted(schema.keys())]
+    # mutations keep rows valid (see corrupt), so they go straight into the store
+    by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
     for index, pid in enumerate(sorted(labels.patients)):
         rng = _patient_rng(_REFRESH_SALT, seed, index)
-        for variable in sorted(schema.keys()):
-            spec = schema[variable]
-            rates = model.rates_for(variable)
-            records = labels.get(pid, variable)
-            if records:
-                bucket = buckets[pid, variable] = []
-            for rec in records:
-                value = rec.value
-                event_date = rec.event_date
+        labels_own = labels._by_patient[pid]
+        own = by_patient[pid] = {}
+        for variable, spec, rates in variables:
+            rows = labels_own.get(variable)
+            if not rows:
+                continue
+            unknown = spec.unknown_token
+            out = []
+            for value, event_date, _ in rows:
                 if rates.instability > 0 and rng.random() < rates.instability:
                     flipped = None
-                    if rec.is_known(spec) and not isinstance(value, float):
+                    if value != unknown and not isinstance(value, float):
                         flipped = _flip_value(rng, spec, value)
                     if flipped is not None and flipped != value:
                         value = flipped
@@ -538,16 +541,23 @@ def refresh_snapshot(
                         shift = rates.date_shift_days or 30
                         sign = 1 if rng.random() < 0.5 else -1
                         event_date = shift_date(event_date, sign * shift)
-                bucket.append(LabelRecord(pid, variable, value, event_date, source, refresh_id))
+                out.append((value, event_date, refresh_id))
+            own[variable] = _canonical(out)
     if additions is not None:
         overlap = additions.patients & labels.patients
         if overlap:
             raise ValueError(f"additions overlap existing patients: {sorted(overlap)[:5]}")
         # additions may carry another schema, so they go through the validating add
-        checked = LabelSet(schema, source, _restamped(additions.records(), source, refresh_id))
-        for rec in checked.records():
-            buckets.setdefault((rec.patient_id, rec.variable), []).append(rec)
-    return LabelSet._from_buckets(schema, source, buckets, refresh_id)
+        checked = LabelSet(
+            schema,
+            source,
+            (
+                LabelRecord(r.patient_id, r.variable, r.value, r.event_date, source, refresh_id)
+                for r in additions.records()
+            ),
+        )
+        by_patient.update(checked._by_patient)
+    return LabelSet._from_store(schema, source, by_patient, refresh_id)
 
 
 # ---- closed-form expectations ----
@@ -596,20 +606,20 @@ def expected_metrics(
     n_known = 0
     n_absent = 0
     n_pos_dated = 0
-    for pid in patients:
-        rec = labels.get_single(pid, variable)
-        if rec is None:
+    for rows in labels._column(variable, patients):
+        if not rows:
             n_absent += 1
             continue
-        if not rec.is_known(spec):
+        value, event_date, _ = rows[0]
+        if value == spec.unknown_token:
             continue
         n_known += 1
-        if rec.value == positive_class:
+        if value == positive_class:
             n_pos += 1
-            if rec.event_date is not None:
+            if event_date is not None:
                 n_pos_dated += 1
         else:
-            n_other[str(rec.value)] = n_other.get(str(rec.value), 0) + 1
+            n_other[str(value)] = n_other.get(str(value), 0) + 1
     keep = 1.0 - rates.miss
     intact = keep * (1.0 - rates.flip)
     k = len(spec.known_values)
@@ -657,28 +667,3 @@ def expected_end_to_end_recall(model: ErrorModel, rule: DerivedVariableRule) -> 
         rates = model.rates_for(variable)
         result *= (1.0 - rates.miss) * (1.0 - rates.flip)
     return result
-
-
-def simulate_validation_inputs(
-    config: GeneratorConfig,
-    *,
-    seed: int = 0,
-    llm_model: ErrorModel,
-    abstractor_model: ErrorModel | None = None,
-) -> CohortDataset:
-    """Truth plus corrupted extraction outputs in one dataset.
-
-    The reference labels are the generated truth; the llm label set (and,
-    when a second model is given, an abstractor set) are corruptions of it
-    with independent seeds.
-    """
-    dataset = generate_truth(config, seed)
-    dataset.label_sets[Source.LLM] = corrupt(
-        dataset, llm_model, source=Source.LLM, seed=seed + 1
-    )
-    if abstractor_model is not None:
-        dataset.label_sets[Source.ABSTRACTOR_1] = corrupt(
-            dataset, abstractor_model, source=Source.ABSTRACTOR_1, seed=seed + 2
-        )
-    dataset.validate()
-    return dataset

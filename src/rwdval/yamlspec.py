@@ -70,10 +70,19 @@ class Parsed:
             return None
 
 
-def token_of(variable: str, default=MISSING) -> Field:
+def token_of(
+    variable: str, default=MISSING, *, default_factory=MISSING, also: frozenset[str] = frozenset()
+) -> Field:
     """A field holding a category token, or a mapping keyed by tokens; each
-    must be a known value of the variable that the field ``variable`` names."""
-    return field(default=default, metadata={"token_of": variable})
+    must be a known value of the variable that the field ``variable`` names,
+    or one of ``also``."""
+    metadata = {"token_of": variable, "also": also}
+    return field(default=default, default_factory=default_factory, metadata=metadata)
+
+
+def dated_variable() -> Field:
+    """A required field naming a variable that must carry dates (date or event_list)."""
+    return field(metadata={"dated": True})
 
 
 def at_least(spec, minimum: int, *names: str) -> None:
@@ -240,7 +249,8 @@ def _nested_specs(spec, path: str = "") -> Iterator[tuple[str, object]]:
 
 def schema_problems(spec, schema: Schema) -> list[str]:
     """Every problem of a read ``spec`` against ``schema``, with its YAML path: a ``*variable``
-    field naming no variable, a ``Parsed`` value its ``check`` rejects, a ``token_of`` unknown token."""
+    field naming no variable, a ``dated_variable`` naming one without dates, a ``Parsed`` value
+    its ``check`` rejects, a ``token_of`` unknown token."""
     problems = []
     for where, item in _nested_specs(spec):
         for key, (f, hint) in _yaml_fields(type(item)).items():
@@ -249,6 +259,9 @@ def schema_problems(spec, schema: Schema) -> list[str]:
                 continue
             if f.name.endswith("variable") and value not in schema:
                 problems.append(f"{at}: unknown variable {value!r}")
+            elif f.metadata.get("dated") and not schema[value].kind.has_dates:
+                kind = schema[value].kind.value
+                problems.append(f"{at}: {value} is a {kind} variable, which carries no date")
             elif hook is not None:
                 try:
                     hook.check(value, schema)
@@ -257,6 +270,8 @@ def schema_problems(spec, schema: Schema) -> list[str]:
             elif "token_of" in f.metadata:
                 variable = getattr(item, f.metadata["token_of"])
                 known = schema[variable].known_values if variable in schema else None
+                if known is not None:
+                    known |= f.metadata["also"]
                 tokens = {_key(at, t): t for t in value} if isinstance(value, dict) else {at: value}
                 problems += [
                     f"{p}: {variable} has no known value {t!r}; known: {sorted(known)}"

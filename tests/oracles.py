@@ -1,0 +1,214 @@
+"""Slow reference implementations that the library's fast paths are tested against.
+
+* ``RecordLabelSet`` is the record-backed label set that ``LabelSet``'s row
+  store replaced: every key holds ``LabelRecord``s, and ``relabel``
+  restamps each one. ``write_records`` writes its records as a label file.
+* ``bootstrap_ci`` is the generic patient bootstrap: it re-runs a statistic
+  on every resampled patient list. ``metrics._rows_ci`` re-sums patient
+  rows instead and must give the same intervals.
+* ``simulate_validation_inputs`` builds a truth cohort plus corrupted
+  extraction and abstraction label sets in one call.
+"""
+from __future__ import annotations
+
+import csv
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from datetime import date
+from pathlib import Path
+
+from rwdval import (
+    CohortDataset,
+    ErrorModel,
+    GeneratorConfig,
+    LabelRecord,
+    Schema,
+    SchemaError,
+    Source,
+    VariableKind,
+    corrupt,
+    generate_truth,
+)
+from rwdval.labelio import LABEL_COLUMNS
+from rwdval.metrics import _percentile_intervals, _resamples
+from rwdval.schema import validate_record
+
+
+def _record_sort_key(rec: LabelRecord):
+    return (
+        rec.patient_id,
+        rec.variable,
+        rec.event_date is None,
+        rec.event_date or date.min,
+        str(rec.value),
+    )
+
+
+class RecordLabelSet:
+    """All label records from one source, held per patient and then per variable.
+
+    Each key's records are kept sorted by ``_record_sort_key`` (ties in
+    insertion order); equality compares the source and the sorted record
+    lists.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        source: Source,
+        records: Iterable[LabelRecord] = (),
+        refresh_id: str | None = None,
+    ):
+        self.schema = schema
+        self.source = Source(source)
+        self.refresh_id = refresh_id
+        self._by_patient: dict[str, dict[str, tuple[LabelRecord, ...]]] = {}
+        for rec in records:
+            self.add(rec)
+
+    def add(self, record: LabelRecord) -> None:
+        spec = self.schema[record.variable]
+        validate_record(record, spec)
+        if record.source != self.source:
+            raise SchemaError(
+                f"record source {record.source.value!r} does not match "
+                f"label set source {self.source.value!r}"
+            )
+        own = self._by_patient.setdefault(record.patient_id, {})
+        bucket = own.get(record.variable)
+        if bucket is None:
+            own[record.variable] = (record,)
+            return
+        if spec.kind != VariableKind.EVENT_LIST:
+            raise SchemaError(
+                f"duplicate record for patient {record.patient_id!r}, "
+                f"variable {record.variable!r} ({spec.kind.value} admits one)"
+            )
+        own[record.variable] = tuple(sorted(bucket + (record,), key=_record_sort_key))
+
+    def remove(self, patient_id: str, variable: str) -> None:
+        own = self._by_patient.get(patient_id)
+        if own is not None:
+            own.pop(variable, None)
+            if not own:
+                del self._by_patient[patient_id]
+
+    def get(self, patient_id: str, variable: str) -> tuple[LabelRecord, ...]:
+        return self._by_patient.get(patient_id, {}).get(variable, ())
+
+    def get_single(self, patient_id: str, variable: str) -> LabelRecord | None:
+        recs = self.get(patient_id, variable)
+        return recs[0] if recs else None
+
+    def keys(self) -> set[tuple[str, str]]:
+        return {(pid, var) for pid, own in self._by_patient.items() for var in own}
+
+    @property
+    def patients(self) -> set[str]:
+        return set(self._by_patient)
+
+    @property
+    def variables(self) -> set[str]:
+        return {var for own in self._by_patient.values() for var in own}
+
+    def records(self) -> list[LabelRecord]:
+        out: list[LabelRecord] = []
+        for pid in sorted(self._by_patient):
+            own = self._by_patient[pid]
+            for var in sorted(own):
+                out.extend(own[var])
+        return out
+
+    def relabel(self, source: Source, refresh_id: str | None = None) -> "RecordLabelSet":
+        """Copy with every record restamped with ``source`` (and ``refresh_id``, if given)."""
+        out = RecordLabelSet(self.schema, source, refresh_id=refresh_id)
+        out._by_patient = {
+            pid: {
+                var: tuple(
+                    LabelRecord(
+                        r.patient_id,
+                        r.variable,
+                        r.value,
+                        r.event_date,
+                        out.source,
+                        r.refresh_id if refresh_id is None else refresh_id,
+                    )
+                    for r in recs
+                )
+                for var, recs in own.items()
+            }
+            for pid, own in self._by_patient.items()
+        }
+        return out
+
+    def __len__(self) -> int:
+        return sum(len(recs) for own in self._by_patient.values() for recs in own.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordLabelSet):
+            return NotImplemented
+        return self.source == other.source and self.records() == other.records()
+
+
+def write_records(records: Iterable[LabelRecord], path: str | Path) -> None:
+    """A label file holding ``records`` in the given order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABEL_COLUMNS)
+        for rec in records:
+            writer.writerow(
+                [
+                    rec.patient_id,
+                    rec.variable,
+                    repr(rec.value) if isinstance(rec.value, float) else str(rec.value),
+                    rec.event_date.isoformat() if rec.event_date else "",
+                    rec.source.value,
+                    rec.refresh_id or "",
+                ]
+            )
+
+
+def bootstrap_ci(
+    statistic: Callable[[Sequence[str]], Mapping[str, float | None] | float | None],
+    patients: Sequence[str],
+    *,
+    n_replicates: int = 2000,
+    seed: int = 0,
+):
+    """95 % percentile bootstrap over patient-level resamples.
+
+    ``statistic`` receives a patient list (with repeats) and returns either
+    a float or a mapping of named floats; undefined replicate values are
+    dropped before taking percentiles. Resample indices come from one
+    generator seeded with ``seed``, one replicate's row at a time (the same
+    stream as drawing the whole ``(n_replicates, n)`` array at once), so
+    results are reproducible. Intervals are clamped to bracket the point
+    estimate.
+    """
+    patients = list(patients)
+    resamples = _resamples(len(patients), n_replicates, seed)
+    point = statistic(patients)
+    replicates = (statistic([patients[i] for i in sample.tolist()]) for sample in resamples)
+    return _percentile_intervals(point, replicates)
+
+
+def simulate_validation_inputs(
+    config: GeneratorConfig,
+    *,
+    seed: int = 0,
+    llm_model: ErrorModel,
+    abstractor_model: ErrorModel | None = None,
+) -> CohortDataset:
+    """Truth plus corrupted extraction outputs in one dataset.
+
+    The reference labels are the generated truth; the llm label set (and,
+    when a second model is given, an abstractor set) are corruptions of it
+    with independent seeds.
+    """
+    dataset = generate_truth(config, seed)
+    dataset.label_sets[Source.LLM] = corrupt(dataset, llm_model, source=Source.LLM, seed=seed + 1)
+    if abstractor_model is not None:
+        dataset.label_sets[Source.ABSTRACTOR_1] = corrupt(
+            dataset, abstractor_model, source=Source.ABSTRACTOR_1, seed=seed + 2
+        )
+    dataset.validate()
+    return dataset

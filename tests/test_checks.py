@@ -833,6 +833,38 @@ def test_suite_from_dict_bad_range(schema):
         suite_from_dict(doc, schema)
 
 
+def _rate_by_stage(expected):
+    cohort = {
+        "kind": "stratified_rate_range",
+        "variable": "surgery",
+        "positive_value": "yes",
+        "by": {"variable": "stage"},
+        "expected": expected,
+    }
+    return {"checks": [{"id": "x", "cohort": cohort}]}
+
+
+def test_by_variable_strata_are_its_known_values_or_missing(schema):
+    suite = suite_from_dict(_rate_by_stage({"I": [0.0, 1.0], "missing": [0.0, 1.0]}), schema)
+    assert set(suite.checks[0].cohort.expected) == {"I", "missing"}
+    with pytest.raises(ValueError, match=r"checks\[0\]\.cohort\.expected\.IIII: stage has no known value 'IIII'"):
+        suite_from_dict(_rate_by_stage({"I": [0.0, 1.0], "IIII": [0.0, 1.0]}), schema)
+    # the documented-unknown token is no stratum: its patients fall under missing
+    with pytest.raises(ValueError, match=r"expected\.unknown: stage has no known value 'unknown'"):
+        suite_from_dict(_rate_by_stage({"unknown": [0.0, 1.0]}), schema)
+
+
+@pytest.mark.parametrize("variable, dated", [("stage", False), ("tumor_size_mm", False), ("surgery", True), ("er_result", True)])
+def test_monthly_count_stability_needs_a_dated_variable(schema, variable, dated):
+    doc = {"checks": [{"id": "x", "cohort": {"kind": "monthly_count_stability", "variable": variable}}]}
+    if dated:
+        assert suite_from_dict(doc, schema).checks[0].cohort.variable == variable
+        return
+    kind = schema[variable].kind.value
+    with pytest.raises(ValueError, match=rf"checks\[0\]\.cohort\.variable: {variable} is a {kind} variable"):
+        suite_from_dict(doc, schema)
+
+
 def test_packaged_default_suite_loads():
     suite = load_suite(default_suite_path(), breast_schema())
     assert len(suite) == 12

@@ -30,7 +30,6 @@ from rwdval import (
     VariableKind,
     VariableSpec,
     Schema,
-    bootstrap_ci,
     bootstrap_variable_ci,
     completeness,
     corrupt,
@@ -47,6 +46,7 @@ from rwdval import (
 from rwdval.metrics import EVENT_PRESENCE, METRIC_NAMES, MetricReport
 
 from conftest import make_schema, rec
+from oracles import bootstrap_ci
 
 
 D0 = date(2020, 1, 1)

@@ -1033,6 +1033,20 @@ _DROP = object()
             {("checks", 8, "cohort", "tolerance_days"): -1},
             "checks[8].cohort.tolerance_days: must be >= 0, got -1",
         ),
+        (
+            "suite",
+            {("checks", 11, "cohort", "variable"): "stage"},
+            "checks[11].cohort.variable: stage is a categorical variable, which carries no date",
+        ),
+        (
+            "suite",
+            {
+                ("checks", 10, "cohort", "expected", "III"): _DROP,
+                ("checks", 10, "cohort", "expected", "IIII"): [0.72, 0.88],
+            },
+            "checks[10].cohort.expected.IIII: stage has no known value 'IIII'; "
+            "known: ['I', 'II', 'III', 'IV', 'missing']",
+        ),
         ("schema", {("variables",): 5}, "variables: must be a list of mappings, got 5"),
         ("schema", {("variables", 1): 1}, "variables[1]: must be a mapping, got 1"),
         (
@@ -1068,6 +1082,8 @@ _DROP = object()
         "suite_window_months_below_two",
         "suite_mad_k_negative",
         "suite_tolerance_days_negative",
+        "suite_monthly_variable_without_dates",
+        "suite_by_variable_stratum_typo",
         "schema_variables_a_number",
         "schema_variable_a_number",
         "schema_date_tolerance_days_a_string",

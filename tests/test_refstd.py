@@ -29,7 +29,7 @@ from rwdval import (
     write_disagreements,
 )
 from rwdval.refstd import CaseStatus, Pair, Provenance, _agreement, assertions_agree
-from rwdval.schema import _restamped, effective_tolerance
+from rwdval.schema import _row, effective_tolerance
 
 from conftest import make_schema, rec
 
@@ -67,9 +67,13 @@ def _assertions_agree_dp(schema, variable, recs_a, recs_b, tolerance_days):
 
 
 def _as_reference(schema, entries):
-    """The reference set holding each ((pid, var), records) entry, re-attributed."""
-    buckets = {key: _restamped(recs, Source.REFERENCE) for key, recs in entries}
-    return LabelSet._from_buckets(schema, Source.REFERENCE, buckets)
+    """The reference set holding each ((pid, var), records) entry, re-attributed:
+    a store of the entries' rows, which ``get`` gave in canonical order."""
+    by_patient = {}
+    for (pid, var), recs in entries:
+        if recs:
+            by_patient.setdefault(pid, {})[var] = tuple(map(_row, recs))
+    return LabelSet._from_store(schema, Source.REFERENCE, by_patient)
 
 
 def two_sets(schema, llm_records, a1_records):
@@ -244,8 +248,9 @@ def test_sorted_pairing_agrees_with_the_exact_matcher(drawn):
     variable, tolerance, recs_a, recs_b = drawn
     want = _assertions_agree_dp(_AGREE_SCHEMA, variable, recs_a, recs_b, tolerance)
     agree = _agreement(_AGREE_SCHEMA[variable], tolerance)
-    assert agree(recs_a, recs_b) == want
-    assert agree(recs_b, recs_a) == want
+    rows_a, rows_b = tuple(map(_row, recs_a)), tuple(map(_row, recs_b))
+    assert agree(rows_a, rows_b) == want
+    assert agree(rows_b, rows_a) == want
     assert assertions_agree(_AGREE_SCHEMA, variable, recs_a, recs_b, tolerance) == want
 
 
@@ -426,11 +431,11 @@ def _assemble_oracle(llm, abstractor_1, abstractor_2, adjudications, tolerance):
 
 def _covering_adjudications(cases, sets):
     """For each case key, the records of the last set that holds any."""
-    buckets = {}
+    records = {}
     for case in cases:
         holder = next(labels for labels in reversed(sets) if labels.get(*case.key))
-        buckets[case.key] = _restamped(holder.get(*case.key), Source.ADJUDICATOR)
-    return LabelSet._from_buckets(_SCHEMA, Source.ADJUDICATOR, buckets)
+        records[case.key] = [replace(r, source=Source.ADJUDICATOR) for r in holder.get(*case.key)]
+    return LabelSet(_SCHEMA, Source.ADJUDICATOR, [r for recs in records.values() for r in recs])
 
 
 @settings(max_examples=300, deadline=None)

@@ -22,10 +22,11 @@ from rwdval import (
     refresh_snapshot,
     refresh_stability,
     run_all_checks,
-    simulate_validation_inputs,
     variable_metrics,
 )
 from rwdval.cli import main
+
+from oracles import simulate_validation_inputs
 
 SEED = 20260801
 
