@@ -20,6 +20,7 @@ import yaml
 from .schema import (
     LabelRecord,
     LabelSet,
+    Row,
     Schema,
     SchemaError,
     Source,
@@ -107,13 +108,19 @@ def read_labels(
     first check it fails, in that order: cell count, source, refresh id,
     variable, numeric value, date, ``validate_record``, duplicate.
 
-    Values and dates repeat heavily across rows, so each distinct
-    (variable, value) is parsed once, each distinct
-    date string is parsed once, and ``validate_record`` runs once per
-    distinct (variable, value, dated, empty patient_id) -- the only parts
-    of a row its verdict depends on -- on a probe record. Valid rows are
-    written straight into the set's per-patient store; only event-list
-    keys that hold more than one row are sorted at the end.
+    Rows repeat heavily, so a row with a patient id is looked up by its
+    variable and its value, date and refresh id cell texts, and all valid
+    rows with equal texts share one ``((value, event_date, refresh_id),)``
+    leaf. The texts decide the value, the date and ``validate_record``'s
+    verdict, so a repeat skips all three. The table is keyed on text,
+    never on the parsed value, so ``-0.0`` and ``0.0`` stay apart, and it
+    lives for this one call. For a row not seen before, each distinct
+    (variable, value) is parsed once, each distinct date string is parsed
+    once, and ``validate_record`` runs once per distinct (variable, value,
+    dated, empty patient_id) -- the only parts of a row its verdict
+    depends on -- on a probe record. Valid rows are written straight into
+    the set's per-patient store; only event-list keys that hold more than
+    one row are sorted at the end.
     """
     source = Source(source)
     source_value = source.value
@@ -125,6 +132,9 @@ def read_labels(
     values: dict[tuple[str, str], str | float | None] = {}
     dates: dict[str, date | None] = {}
     verdicts: dict[tuple[str, str, bool, bool], str | None] = {}
+    # per variable, (value, date, refresh id) cell texts -> the one leaf
+    # every such row shares
+    leaves: dict[str, dict[tuple[str, str, str | None], tuple[Row]]] = {name: {} for name in specs}
     by_patient: dict[str, dict[str, tuple]] = {}
     unsorted: list[tuple[dict[str, tuple], str]] = []  # event-list keys that grew past one row
     n_cells = len(LABEL_COLUMNS)
@@ -161,44 +171,53 @@ def read_labels(
                     f"{expected_refresh_id!r}"
                 )
                 continue
+            refresh = refresh or None
             spec = specs.get(var)
             if spec is None:
                 problems.append(f"row {lineno}: unknown variable {var!r}")
                 continue
             var = spec.name
-            value = values.get((var, value_text), _UNSEEN)
-            if value is _UNSEEN:
-                value = values[var, value_text] = _parse_value(spec, value_text)
-            if value is None:
-                problems.append(f"row {lineno}: {var}: non-numeric value {value_text!r}")
-                continue
-            event_date = None
-            if date_text:
-                event_date = dates.get(date_text, _UNSEEN)
-                if event_date is _UNSEEN:
-                    event_date = dates[date_text] = _parse_date(date_text)
-                if event_date is None:
-                    problems.append(f"row {lineno}: {var}: bad date {date_text!r} (want YYYY-MM-DD)")
+            shared = leaves[var]
+            texts = (value_text, date_text, refresh)
+            # an empty patient id changes validate_record's verdict, so such a
+            # row never takes a shared leaf (nor, failing, ever makes one)
+            leaf = shared.get(texts) if pid else None
+            if leaf is None:
+                value = values.get((var, value_text), _UNSEEN)
+                if value is _UNSEEN:
+                    value = values[var, value_text] = _parse_value(spec, value_text)
+                if value is None:
+                    problems.append(f"row {lineno}: {var}: non-numeric value {value_text!r}")
                     continue
-            refresh = refresh or None
-            verdict_key = (var, value_text, event_date is None, not pid)
-            problem = verdicts.get(verdict_key, _UNSEEN)
-            if problem is _UNSEEN:
-                probe = LabelRecord(pid, var, value, event_date, source, refresh)
-                problem = verdicts[verdict_key] = _schema_problem(probe, spec)
-            if problem is not None:
-                problems.append(f"row {lineno}: {problem}")
-                continue
+                event_date = None
+                if date_text:
+                    event_date = dates.get(date_text, _UNSEEN)
+                    if event_date is _UNSEEN:
+                        event_date = dates[date_text] = _parse_date(date_text)
+                    if event_date is None:
+                        problems.append(
+                            f"row {lineno}: {var}: bad date {date_text!r} (want YYYY-MM-DD)"
+                        )
+                        continue
+                verdict_key = (var, value_text, event_date is None, not pid)
+                problem = verdicts.get(verdict_key, _UNSEEN)
+                if problem is _UNSEEN:
+                    probe = LabelRecord(pid, var, value, event_date, source, refresh)
+                    problem = verdicts[verdict_key] = _schema_problem(probe, spec)
+                if problem is not None:
+                    problems.append(f"row {lineno}: {problem}")
+                    continue
+                leaf = shared[texts] = ((value, event_date, refresh),)
             own = by_patient.get(pid)
             if own is None:
-                by_patient[pid] = {var: ((value, event_date, refresh),)}
+                by_patient[pid] = {var: leaf}
             elif var not in own:
-                own[var] = ((value, event_date, refresh),)
+                own[var] = leaf
             elif var in event_lists:
                 rows = own[var]
                 if len(rows) == 1:
                     unsorted.append((own, var))
-                own[var] = rows + ((value, event_date, refresh),)
+                own[var] = rows + leaf
             else:
                 problems.append(
                     f"row {lineno}: duplicate record for patient {pid!r}, "

@@ -236,35 +236,6 @@ def _rows_report(variable: str, positive_class: str | None, rows: np.ndarray) ->
     return compute_metrics(counts, completeness=(known, n) if n else None, n_patients=n)
 
 
-def confusion(
-    pred: LabelSet,
-    reference,
-    variable: str,
-    positive_class: str | None,
-    *,
-    tolerance_days: int = 30,
-    patients: Iterable[str] | None = None,
-) -> ConfusionCounts:
-    """One-vs-rest confusion counts for one variable.
-
-    ``reference`` may be a LabelSet or an assembled reference standard.
-    ``patients`` fixes the evaluation cohort (duplicates allowed, so
-    bootstrap resamples weight patients by multiplicity); by default it is
-    the union of patients seen by either side.
-
-    For event_list variables the counts are per event: matched events are
-    true positives, unmatched predicted events false positives, unmatched
-    reference events false negatives. ``positive_class`` of None counts
-    every documented known event (event presence); a token restricts both
-    sides to events with that value. Undated known events cannot be matched
-    and therefore count as unmatched assertions.
-    """
-    rows = _patient_rows(
-        pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
-    )
-    return _rows_report(variable, positive_class, rows).counts
-
-
 @dataclass
 class RelativePerformance:
     """Extraction-minus-abstraction gap for one metric, in percentage points."""
@@ -461,7 +432,20 @@ def variable_metrics(
     tolerance_days: int = 30,
     patients: Iterable[str] | None = None,
 ) -> MetricReport:
-    """Confusion + completeness in one pass for one variable."""
+    """One-vs-rest confusion counts plus completeness for one variable, in one pass.
+
+    ``reference`` may be a LabelSet or an assembled reference standard.
+    ``patients`` fixes the evaluation cohort (duplicates allowed, so
+    bootstrap resamples weight patients by multiplicity); by default it is
+    the union of patients seen by either side.
+
+    For event_list variables the counts are per event: matched events are
+    true positives, unmatched predicted events false positives, unmatched
+    reference events false negatives. ``positive_class`` of None counts
+    every documented known event (event presence); a token restricts both
+    sides to events with that value. Undated known events cannot be matched
+    and therefore count as unmatched assertions.
+    """
     rows = _patient_rows(
         pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
     )

@@ -14,8 +14,11 @@ allowed to contain:
   vote); unanimous keys keep the abstractors' agreed label.
 
 The assembled reference never contains a value absent from its inputs:
-every label traces to a source or the adjudicator, and the provenance map
-records which.
+every label traces to a source or the adjudicator. Each reference key
+shares the row tuples of the source it came from (and ingest already
+makes equal rows of one label file one object). Besides its labels the
+reference keeps only its disputed keys; ``provenance`` is a read-only
+view that derives each key's origin from the mode and that set.
 
 Two sources agree on an event list when, per value token, their dated
 events pair off one-to-one within the date tolerance and their undated
@@ -26,17 +29,18 @@ with k-th in the bucket's canonical order, in linear time.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+import csv
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .labelio import _format_value
 from .schema import (
     _NO_ROWS,
     LabelRecord,
     LabelSet,
     Row,
-    Schema,
     SchemaError,
     Source,
     VariableKind,
@@ -71,25 +75,83 @@ class CaseStatus(str, Enum):
     RESOLVED = "resolved"
 
 
-@dataclass
 class DisagreementCase:
     """One (patient, variable) where two sources assert different things.
 
     An absent assertion on one side is itself a disagreement when the other
     side asserts something, including a documented unknown.
+
+    A case keeps each side's rows and source, and ``llm``, ``abstractor_1``
+    and ``abstractor_2`` build that side's ``LabelRecord``s when read. Given
+    records, each side must be the key's records from one source.
     """
 
-    patient_id: str
-    variable: str
-    pair: Pair
-    llm: tuple[LabelRecord, ...] = ()
-    abstractor_1: tuple[LabelRecord, ...] = ()
-    abstractor_2: tuple[LabelRecord, ...] = ()
-    status: CaseStatus = CaseStatus.OPEN
+    __slots__ = ("patient_id", "variable", "pair", "status", "_rows", "_sources")
+
+    def __init__(
+        self,
+        patient_id: str,
+        variable: str,
+        pair: Pair,
+        llm: tuple[LabelRecord, ...] = (),
+        abstractor_1: tuple[LabelRecord, ...] = (),
+        abstractor_2: tuple[LabelRecord, ...] = (),
+        status: CaseStatus = CaseStatus.OPEN,
+    ):
+        sides = (llm, abstractor_1, abstractor_2)
+        self.patient_id, self.variable, self.pair, self.status = patient_id, variable, pair, status
+        self._rows = tuple(tuple(map(_row, recs)) for recs in sides)
+        self._sources = tuple(recs[0].source if recs else None for recs in sides)
+
+    @classmethod
+    def _of_rows(
+        cls,
+        patient_id: str,
+        variable: str,
+        pair: Pair,
+        rows: tuple[tuple[Row, ...], ...],
+        sources: tuple[Source | None, ...],
+    ) -> "DisagreementCase":
+        """An open case over the (llm, abstractor 1, abstractor 2) sides' rows
+        and sources, taken as is."""
+        case = cls.__new__(cls)
+        case.patient_id, case.variable, case.pair, case.status = (
+            patient_id, variable, pair, CaseStatus.OPEN
+        )
+        case._rows, case._sources = rows, sources
+        return case
+
+    def _side(self, side: int) -> tuple[LabelRecord, ...]:
+        return _records(self.patient_id, self.variable, self._rows[side], self._sources[side])
+
+    @property
+    def llm(self) -> tuple[LabelRecord, ...]:
+        return self._side(0)
+
+    @property
+    def abstractor_1(self) -> tuple[LabelRecord, ...]:
+        return self._side(1)
+
+    @property
+    def abstractor_2(self) -> tuple[LabelRecord, ...]:
+        return self._side(2)
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.patient_id, self.variable)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DisagreementCase):
+            return NotImplemented
+        fields = lambda c: (c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2, c.status)
+        return fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        return (
+            f"DisagreementCase(patient_id={self.patient_id!r}, variable={self.variable!r}, "
+            f"pair={self.pair!r}, llm={self.llm!r}, abstractor_1={self.abstractor_1!r}, "
+            f"abstractor_2={self.abstractor_2!r}, status={self.status!r})"
+        )
 
 
 class AdjudicationError(ValueError):
@@ -125,37 +187,90 @@ class AdjudicationError(ValueError):
         super().__init__("; ".join(parts))
 
 
+class _ProvenanceView(Mapping[tuple[str, str], Provenance]):
+    """Each reference key's provenance, in (patient, variable) order.
+
+    Read-only and derived: a duplicate-abstraction key is single_source,
+    an adjudicated reference's key adjudicated when disputed and agreed
+    otherwise.
+    """
+
+    def __init__(self, ref: "ReferenceStandard"):
+        self._ref = ref
+
+    def __getitem__(self, key: tuple[str, str]) -> Provenance:
+        ref = self._ref
+        pid, var = key
+        if var not in ref.labels._by_patient.get(pid, _NO_ROWS):
+            raise KeyError(key)
+        if ref.mode == ReferenceMode.DUPLICATE_ABSTRACTION:
+            return Provenance.SINGLE_SOURCE
+        return Provenance.ADJUDICATED if key in ref.disputed else Provenance.AGREED
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        store = self._ref.labels._by_patient
+        return ((pid, var) for pid in sorted(store) for var in sorted(store[pid]))
+
+    def __len__(self) -> int:
+        return sum(map(len, self._ref.labels._by_patient.values()))
+
+
 @dataclass
 class ReferenceStandard:
-    """The assembled reference labels plus per-key provenance."""
+    """The assembled reference labels plus the keys the adjudicator decided.
+
+    ``provenance`` is a read-only view over the reference's keys, derived
+    from the mode and ``disputed`` rather than stored per key.
+    """
 
     mode: ReferenceMode
     labels: LabelSet
-    provenance: dict[tuple[str, str], Provenance]
     patients: frozenset[str]
+    disputed: frozenset[tuple[str, str]] = frozenset()
     cases: tuple[DisagreementCase, ...] = ()
+
+    @property
+    def provenance(self) -> Mapping[tuple[str, str], Provenance]:
+        return _ProvenanceView(self)
 
     def summary(self) -> dict:
         by_pair: dict[str, int] = {}
         for case in self.cases:
             by_pair[case.pair.value] = by_pair.get(case.pair.value, 0) + 1
-        by_prov: dict[str, int] = {}
-        for prov in self.provenance.values():
-            by_prov[prov.value] = by_prov.get(prov.value, 0) + 1
+        # the provenance counts in the order a walk of the keys meets them:
+        # the first key's provenance comes first
+        store = self.labels._by_patient
+        n_keys = len(self.provenance)
+        if self.mode == ReferenceMode.DUPLICATE_ABSTRACTION:
+            counts = [(Provenance.SINGLE_SOURCE, n_keys)]
+        else:
+            n_disputed = len(self.disputed)
+            counts = [(Provenance.AGREED, n_keys - n_disputed), (Provenance.ADJUDICATED, n_disputed)]
+            if store:
+                first = min(store)
+                if (first, min(store[first])) in self.disputed:
+                    counts.reverse()
         return {
             "mode": self.mode.value,
             "n_labels": len(self.labels),
             "n_patients": len(self.patients),
             "disagreements": {"total": len(self.cases), "by_pair": by_pair},
-            "provenance": by_prov,
+            "provenance": {prov.value: n for prov, n in counts if n},
         }
 
 
 def _agreement(
     spec: VariableSpec, tolerance_days: int
 ) -> Callable[[tuple[Row, ...], tuple[Row, ...]], bool]:
-    """The agreement test of ``assertions_agree`` for one variable.
+    """Whether two sources' rows for one key of one variable agree.
 
+    Agreement is strict about assertion state: missing agrees only with
+    missing, documented-unknown only with documented-unknown. Dated values
+    agree when values match and dates fall within tolerance; a date present
+    on exactly one side is a disagreement. Event lists agree when, per
+    value token, the undated counts coincide and the dated events match
+    one-to-one within tolerance, which holds iff the k-th earliest date on
+    one side lies within tolerance of the k-th earliest on the other.
     Both sides are one key's rows in a label set over the variable's
     schema: canonical, and single for kinds that admit one.
     """
@@ -209,29 +324,6 @@ def _agreement(
     return agree_events
 
 
-def assertions_agree(
-    schema: Schema,
-    variable: str,
-    recs_a: tuple[LabelRecord, ...],
-    recs_b: tuple[LabelRecord, ...],
-    tolerance_days: int,
-) -> bool:
-    """Whether two sources' assertions for one key agree.
-
-    Agreement is strict about assertion state: missing agrees only with
-    missing, documented-unknown only with documented-unknown. Dated values
-    agree when values match and dates fall within tolerance; a date present
-    on exactly one side is a disagreement. Event lists agree when, per
-    value token, the undated counts coincide and the dated events match
-    one-to-one within tolerance, which holds iff the k-th earliest date on
-    one side lies within tolerance of the k-th earliest on the other.
-    Both sides must be one key's records as a label set holds them
-    (canonical order).
-    """
-    rows_a, rows_b = tuple(map(_row, recs_a)), tuple(map(_row, recs_b))
-    return _agreement(schema[variable], tolerance_days)(rows_a, rows_b)
-
-
 def _patient_union(*label_sets: LabelSet | None) -> list[str]:
     """The patients of every given label set, sorted."""
     out: set[str] = set()
@@ -272,12 +364,9 @@ def find_disagreements(
         for var in sorted(own_l.keys() | own_1.keys() | own_2.keys()):
             rows = (own_l.get(var, ()), own_1.get(var, ()), own_2.get(var, ()))
             agree = agreement[var]
-            recs = None  # records are built for a key with a case, once
             for pair, a, b in pairs:
                 if not agree(rows[a], rows[b]):
-                    if recs is None:
-                        recs = [_records(pid, var, r, s) for r, s in zip(rows, sources)]
-                    cases.append(DisagreementCase(pid, var, pair, *recs))
+                    cases.append(DisagreementCase._of_rows(pid, var, pair, rows, sources))
     return cases
 
 
@@ -288,22 +377,16 @@ def build_duplicate_abstraction(
 ) -> tuple[ReferenceStandard, tuple[LabelSet, LabelSet]]:
     """Second abstraction as reference; evaluands are the extraction and A1.
 
-    The reference is abstractor 2 verbatim (provenance single_source for
-    every key). Scoring abstractor 2 against it is the identity and is
-    reported as such, which is why the evaluands returned are the
-    extraction and abstractor 1.
+    The reference is abstractor 2 verbatim (no key disputed, so every
+    key's provenance is single_source). Scoring abstractor 2 against it is
+    the identity and is reported as such, which is why the evaluands
+    returned are the extraction and abstractor 1.
     """
     if len(abstractor_2) == 0:
         raise ValueError("abstractor_2 label set is empty; nothing to reference")
-    labels = abstractor_2.relabel(Source.REFERENCE)
-    store = abstractor_2._by_patient
-    provenance = {
-        (pid, var): Provenance.SINGLE_SOURCE for pid in sorted(store) for var in sorted(store[pid])
-    }
     rs = ReferenceStandard(
         mode=ReferenceMode.DUPLICATE_ABSTRACTION,
-        labels=labels,
-        provenance=provenance,
+        labels=abstractor_2.relabel(Source.REFERENCE),
         patients=frozenset(_patient_union(llm, abstractor_1, abstractor_2)),
     )
     return rs, (llm, abstractor_1)
@@ -349,28 +432,21 @@ def _build_adjudicated(
     store_adj = adjudications._by_patient
     patients = _patient_union(llm, abstractor_1, abstractor_2)
     by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
-    provenance: dict[tuple[str, str], Provenance] = {}
     for pid in patients:
         own_1 = store_1.get(pid, _NO_ROWS)
         variables = store_l.get(pid, _NO_ROWS).keys() | own_1.keys()
         variables |= store_2.get(pid, _NO_ROWS).keys()
         own = by_patient[pid] = {}
         for var in sorted(variables):
-            key = (pid, var)
-            if key in case_keys:
-                own[var] = store_adj[pid][var]
-                provenance[key] = Provenance.ADJUDICATED
-            else:
-                own[var] = own_1[var]
-                provenance[key] = Provenance.AGREED
+            own[var] = store_adj[pid][var] if (pid, var) in case_keys else own_1[var]
     labels = LabelSet._from_store(llm.schema, Source.REFERENCE, by_patient)
     for case in cases:
         case.status = CaseStatus.RESOLVED
     return ReferenceStandard(
         mode=mode,
         labels=labels,
-        provenance=provenance,
         patients=frozenset(patients),
+        disputed=frozenset(case_keys),
         cases=tuple(cases),
     )
 
@@ -424,10 +500,9 @@ def write_disagreements(cases: Iterable[DisagreementCase], path: str | Path) -> 
 
     Each case contributes one row per contributing record so external
     abstraction tooling can round-trip the content; an absent side simply
-    has no rows for that pair.
+    has no rows for that pair. Values are written as ``write_labels``
+    writes them.
     """
-    import csv
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -436,19 +511,20 @@ def write_disagreements(cases: Iterable[DisagreementCase], path: str | Path) -> 
             ["patient_id", "variable", "value", "event_date", "source", "refresh_id", "pair"]
         )
         for case in cases:
-            for recs in (case.llm, case.abstractor_1, case.abstractor_2):
-                for rec in recs:
-                    writer.writerow(
-                        [
-                            rec.patient_id,
-                            rec.variable,
-                            rec.value if isinstance(rec.value, str) else repr(rec.value),
-                            rec.event_date.isoformat() if rec.event_date else "",
-                            rec.source.value,
-                            rec.refresh_id or "",
-                            case.pair.value,
-                        ]
-                    )
+            pid, var, pair = case.patient_id, case.variable, case.pair.value
+            for rows, source in zip(case._rows, case._sources):
+                writer.writerows(
+                    [
+                        pid,
+                        var,
+                        _format_value(value),
+                        event_date.isoformat() if event_date else "",
+                        source.value,
+                        refresh_id or "",
+                        pair,
+                    ]
+                    for value, event_date, refresh_id in rows
+                )
 
 
 def adjudicate_from_oracle(

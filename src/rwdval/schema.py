@@ -225,7 +225,9 @@ class LabelSet:
     value; ties in insertion order), fixed when a row is added, so every
     reader sees the same order whatever the order of addition. A patient
     with no rows has no entry. Copies share the (immutable) row tuples of
-    their source, never its per-patient dicts. Equality compares the source
+    their source, never its per-patient dicts, and ingest makes the rows
+    of one file with equal cell texts one object; every change replaces a
+    key's tuple, so sharing never shows. Equality compares the source
     and the canonical record lists, so write -> read round-trips compare
     equal regardless of row order.
     """

@@ -9,6 +9,7 @@ median is undefined (None).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 
@@ -50,14 +51,13 @@ class KMCurve:
     max_followup: float
 
     def survival_at(self, t: float) -> float:
-        """S(t): right-continuous step function, S=1 before the first event."""
-        s = 1.0
-        for time, surv in zip(self.times, self.survival):
-            if time <= t:
-                s = surv
-            else:
-                break
-        return s
+        """S(t): right-continuous step function, S=1 before the first event.
+
+        ``times`` ascend, so the step in force is found by bisection. A NaN
+        ``t`` precedes no event time and reads 1.0.
+        """
+        i = bisect_right(self.times, t)
+        return self.survival[i - 1] if i and not math.isnan(t) else 1.0
 
     def median(self) -> float | None:
         """Smallest event time with S(t) <= 0.5, or None if never reached."""

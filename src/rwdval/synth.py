@@ -494,7 +494,9 @@ def corrupt(
                         sign = 1 if rng.random() < 0.5 else -1
                         event_date = shift_date(event_date, sign * rates.date_shift_days)
                 out.append((value, event_date, refresh_id))
-            own[variable] = _canonical(out)
+            # a key that no draw changed shares the truth's rows (float values
+            # are never flipped, so equal rows are written alike)
+            own[variable] = rows if out == list(rows) else _canonical(out)
         if own:
             by_patient[pid] = own
     return LabelSet._from_store(schema, source, by_patient, refresh_id)

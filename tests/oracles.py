@@ -8,6 +8,10 @@
   rows instead and must give the same intervals.
 * ``simulate_validation_inputs`` builds a truth cohort plus corrupted
   extraction and abstraction label sets in one call.
+* ``confusion`` is ``variable_metrics``'s confusion counts alone, and
+  ``assertions_agree`` is ``refstd._agreement`` over two keys' records.
+* ``survival_at`` is the linear scan of a Kaplan-Meier step function that
+  ``KMCurve.survival_at``'s bisection must match float for float.
 """
 from __future__ import annotations
 
@@ -18,19 +22,24 @@ from pathlib import Path
 
 from rwdval import (
     CohortDataset,
+    ConfusionCounts,
     ErrorModel,
     GeneratorConfig,
+    KMCurve,
     LabelRecord,
+    LabelSet,
     Schema,
     SchemaError,
     Source,
     VariableKind,
     corrupt,
     generate_truth,
+    variable_metrics,
 )
 from rwdval.labelio import LABEL_COLUMNS
 from rwdval.metrics import _percentile_intervals, _resamples
-from rwdval.schema import validate_record
+from rwdval.refstd import _agreement
+from rwdval.schema import _row, validate_record
 
 
 def _record_sort_key(rec: LabelRecord):
@@ -212,3 +221,45 @@ def simulate_validation_inputs(
         )
     dataset.validate()
     return dataset
+
+
+def confusion(
+    pred: LabelSet,
+    reference,
+    variable: str,
+    positive_class: str | None,
+    *,
+    tolerance_days: int = 30,
+    patients: Iterable[str] | None = None,
+) -> ConfusionCounts:
+    """One-vs-rest confusion counts for one variable, as ``variable_metrics`` scores them."""
+    return variable_metrics(
+        pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
+    ).counts
+
+
+def assertions_agree(
+    schema: Schema,
+    variable: str,
+    recs_a: tuple[LabelRecord, ...],
+    recs_b: tuple[LabelRecord, ...],
+    tolerance_days: int,
+) -> bool:
+    """Whether two sources' records for one key agree, by ``refstd._agreement``.
+
+    Both sides must be one key's records as a label set holds them
+    (canonical order).
+    """
+    rows_a, rows_b = tuple(map(_row, recs_a)), tuple(map(_row, recs_b))
+    return _agreement(schema[variable], tolerance_days)(rows_a, rows_b)
+
+
+def survival_at(curve: KMCurve, t: float) -> float:
+    """S(t) by scanning the curve's steps in order, S=1 before the first event."""
+    s = 1.0
+    for time, surv in zip(curve.times, curve.survival):
+        if time <= t:
+            s = surv
+        else:
+            break
+    return s

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwdval import (
+    IngestError,
     LabelSet,
     SchemaError,
     Source,
@@ -118,6 +119,51 @@ def test_relabel_shares_rows_and_copies_patients(ops):
     stamped = labels.relabel(Source.REFERENCE, refresh_id="7")
     assert all(r.refresh_id == "7" for r in stamped.records())
     assert stamped.refresh_id == "7"
+
+
+def test_equal_rows_of_one_file_are_one_object(tmp_path, schema):
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        "patient_id,variable,value,event_date,source,refresh_id\n"
+        "p1,stage,II,,,\n"
+        "p2,stage, II ,,llm,\n"
+        "p1,er_result,positive,2020-01-05,,\n"
+        "p2,er_result,negative,2020-03-01,,\n"
+        "p2,er_result,positive,2020-01-05,,\n"
+        "p3,stage,II,,,r1\n"
+    )
+    labels = read_labels(path, schema, Source.LLM)
+    store = labels._by_patient
+    assert store["p1"]["stage"] is store["p2"]["stage"]
+    assert store["p3"]["stage"] is not store["p1"]["stage"]  # another refresh id
+    assert store["p2"]["er_result"][0] is store["p1"]["er_result"][0]
+    # each read has its own table, so two reads share nothing
+    other = read_labels(path, schema, Source.LLM)
+    assert other._by_patient["p1"]["stage"] is not store["p1"]["stage"]
+    assert other == labels
+
+    kept = other.records()
+    labels.add(rec("p1", "er_result", "negative", date(2021, 1, 1)))
+    labels.remove("p2", "stage")
+    assert [r.value for r in labels.get("p2", "er_result")] == ["positive", "negative"]
+    assert labels.get_single("p1", "stage").value == "II"
+    assert other.records() == kept
+    other.remove("p1", "stage")
+    other.add(rec("p2", "er_result", "unknown"))
+    assert labels.get_single("p1", "stage").value == "II"
+    assert [r.value for r in labels.get("p2", "er_result")] == ["positive", "negative"]
+
+
+def test_an_empty_patient_id_never_takes_a_shared_row(tmp_path, schema):
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        "patient_id,variable,value,event_date,source,refresh_id\n"
+        "p1,stage,II,,,\n"
+        ",stage,II,,,\n"
+    )
+    with pytest.raises(IngestError) as exc:
+        read_labels(path, schema, Source.LLM)
+    assert exc.value.problems == ["row 3: stage: empty patient_id"]
 
 
 def _sources(schema):

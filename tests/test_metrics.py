@@ -34,7 +34,6 @@ from rwdval import (
     completeness,
     corrupt,
     compute_metrics,
-    confusion,
     derive_variable,
     end_to_end_metrics,
     generate_truth,
@@ -46,7 +45,7 @@ from rwdval import (
 from rwdval.metrics import EVENT_PRESENCE, METRIC_NAMES, MetricReport
 
 from conftest import make_schema, rec
-from oracles import bootstrap_ci
+from oracles import bootstrap_ci, confusion
 
 
 D0 = date(2020, 1, 1)

@@ -1,11 +1,14 @@
 """Reference standard assembly: agreement, disagreement, adjudication."""
 
+import csv
 import random
+import tempfile
 from dataclasses import replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwdval import (
@@ -28,10 +31,12 @@ from rwdval import (
     variable_metrics,
     write_disagreements,
 )
-from rwdval.refstd import CaseStatus, Pair, Provenance, _agreement, assertions_agree
+from rwdval import refstd
+from rwdval.refstd import CaseStatus, Pair, Provenance, _agreement
 from rwdval.schema import _row, effective_tolerance
 
 from conftest import make_schema, rec
+from oracles import assertions_agree
 
 
 def _assertions_agree_dp(schema, variable, recs_a, recs_b, tolerance_days):
@@ -356,10 +361,52 @@ def test_find_disagreements_equals_the_per_pair_oracle(drawn):
     got = find_disagreements(*sets, tolerance_days=tolerance)
     want = _find_disagreements_oracle(*sets, tolerance_days=tolerance)
 
-    def rows(cases):
-        return [(c.patient_id, c.variable, c.pair, c.llm, c.abstractor_1, c.abstractor_2) for c in cases]
+    # lazy cases against cases built from records: equal fields, equal worklist rows
+    assert got == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "worklist.csv"
+        write_disagreements(got, path)
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == _worklist_rows(want)
 
-    assert rows(got) == rows(want)
+
+def _worklist_rows(cases):
+    """The worklist rows of ``cases``, formatted from each side's records."""
+    return [
+        [
+            r.patient_id,
+            r.variable,
+            r.value if isinstance(r.value, str) else repr(r.value),
+            r.event_date.isoformat() if r.event_date else "",
+            r.source.value,
+            r.refresh_id or "",
+            c.pair.value,
+        ]
+        for c in cases
+        for recs in (c.llm, c.abstractor_1, c.abstractor_2)
+        for r in recs
+    ]
+
+
+def test_cases_build_records_only_when_a_side_is_read(schema, tmp_path, monkeypatch):
+    llm, a1 = two_sets(
+        schema,
+        [rec("p1", "stage", "I"), rec("p2", "er_result", "positive", date(2020, 1, 1))],
+        [rec("p1", "stage", "II")],
+    )
+    built = []
+    real = refstd._records
+    monkeypatch.setattr(refstd, "_records", lambda *args: built.append(args) or real(*args))
+    cases = find_disagreements(llm, a1)
+    with pytest.raises(AdjudicationError) as exc:
+        build_double_adjudication(llm, a1, LabelSet(schema, Source.ADJUDICATOR))
+    write_disagreements(exc.value.worklist, tmp_path / "worklist.csv")
+    adj = adjudicate_from_oracle(cases, llm.relabel(Source.REFERENCE))
+    ref = build_double_adjudication(llm, a1, adj)
+    write_disagreements(ref.cases, tmp_path / "disagreements.csv")
+    assert built == []
+    assert [r.value for r in ref.cases[0].abstractor_1] == ["II"]
+    assert len(built) == 1
 
 
 def _adjudicate_per_record(cases, oracle):
@@ -438,6 +485,22 @@ def _covering_adjudications(cases, sets):
     return LabelSet(_SCHEMA, Source.ADJUDICATOR, [r for recs in records.values() for r in recs])
 
 
+def _assert_provenance_is(ref, provenance):
+    """``ref.provenance`` reads as the per-key map ``provenance``, in its
+    order, and ``summary()`` counts it as a walk of that map would."""
+    view = ref.provenance
+    assert list(view.items()) == list(provenance.items())
+    assert len(view) == len(provenance)
+    assert all(view[key] == prov and key in view for key, prov in provenance.items())
+    assert ("p9", "stage") not in view
+    with pytest.raises(KeyError):
+        view[("p9", "stage")]
+    counted = {}
+    for prov in provenance.values():
+        counted[prov.value] = counted.get(prov.value, 0) + 1
+    assert list(ref.summary()["provenance"].items()) == list(counted.items())
+
+
 @settings(max_examples=300, deadline=None)
 @given(_compared_sets())
 def test_adjudicated_builds_equal_the_key_union_assembly(drawn):
@@ -455,11 +518,22 @@ def test_adjudicated_builds_equal_the_key_union_assembly(drawn):
 
     assert got.labels == labels
     assert stored(got.labels) == stored(labels)
-    assert list(got.provenance.items()) == list(provenance.items())
+    _assert_provenance_is(got, provenance)
     assert [(c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2, c.status) for c in got.cases] == [
         (c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2, CaseStatus.RESOLVED) for c in cases
     ]
     assert got.patients == patients
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compared_sets())
+def test_duplicate_provenance_equals_the_per_key_map(drawn):
+    sets, _ = drawn
+    llm, a1, a2 = sets[0], sets[1], sets[-1]
+    assume(len(a2))
+    ref, _ = build_duplicate_abstraction(llm, a1, a2)
+    assert ref.disputed == frozenset()
+    _assert_provenance_is(ref, {key: Provenance.SINGLE_SOURCE for key in sorted(a2.keys())})
 
 
 # --- duplicate abstraction ---
@@ -539,7 +613,23 @@ def test_double_adjudication_resolves_disagreements(schema):
     assert all(c.status == CaseStatus.RESOLVED for c in ref.cases)
     summ = ref.summary()
     assert summ["disagreements"]["total"] == 1
-    assert summ["provenance"] == {"adjudicated": 1, "agreed": 2}
+    # summary.txt prints the counts in order: the first key, p1/stage, is disputed
+    assert list(summ["provenance"].items()) == [("adjudicated", 1), ("agreed", 2)]
+
+
+def test_summary_lists_the_first_keys_provenance_first(schema):
+    llm, a1 = two_sets(
+        schema,
+        [rec("p1", "stage", "II"), rec("p2", "stage", "I")],
+        [rec("p1", "stage", "II"), rec("p2", "stage", "II")],
+    )
+    adj = LabelSet(schema, Source.ADJUDICATOR, [rec("p2", "stage", "I", source=Source.ADJUDICATOR)])
+    summ = build_double_adjudication(llm, a1, adj).summary()
+    assert list(summ["provenance"].items()) == [("agreed", 1), ("adjudicated", 1)]
+    # a count of zero is left out
+    llm, a1 = two_sets(schema, [rec("p1", "stage", "I")], [rec("p1", "stage", "II")])
+    adj = LabelSet(schema, Source.ADJUDICATOR, [rec("p1", "stage", "I", source=Source.ADJUDICATOR)])
+    assert build_double_adjudication(llm, a1, adj).summary()["provenance"] == {"adjudicated": 1}
 
 
 def test_uncovered_disagreement_aborts_with_full_list(schema):

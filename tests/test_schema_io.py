@@ -349,6 +349,25 @@ def test_write_read_round_trip(tmp_path, schema):
     assert back == labels
 
 
+def test_signed_zeros_and_nan_are_written_as_read(tmp_path, schema):
+    # ingest shares one row per distinct cell text; a table keyed on the
+    # parsed value would merge 0.0 into the -0.0 read before it
+    cells = ["-0.0", "0.0", "-0", "nan", "0.0", "-0.0", "-0"]
+    path = tmp_path / "labels.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABEL_COLUMNS)
+        writer.writerows([f"p{i}", "tumor_size_mm", cell, "", "", ""] for i, cell in enumerate(cells))
+    back = tmp_path / "back.csv"
+    write_labels(read_labels(path, schema, Source.LLM), back)
+    with open(back, newline="") as fh:
+        written = {row[0]: row[2] for row in list(csv.reader(fh))[1:]}
+    assert written == {f"p{i}": repr(float(cell)) for i, cell in enumerate(cells)}
+    again = tmp_path / "again.csv"
+    write_labels(read_labels(back, schema, Source.LLM), again)
+    assert again.read_bytes() == back.read_bytes()
+
+
 def test_row_order_never_changes_what_a_label_set_answers(tmp_path, schema):
     # Each patient's er_result list has two values on one date, a later
     # date and an undated unknown, so its first row as written and as

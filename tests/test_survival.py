@@ -6,8 +6,12 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwdval import KMCurve, SurvivalRecord, km_estimate, km_from_records, median_survival
+
+from oracles import survival_at
 
 
 def brute_force_km(durations, events):
@@ -162,3 +166,18 @@ def test_km_from_records_uses_day_durations():
     curve = km_from_records(records)
     assert curve.times == (60.0,)
     assert curve.survival_at(60) == 0.5
+
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 3.0, 7.25, 365.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_TIMES, st.booleans()), min_size=1, max_size=12),
+    st.lists(_TIMES | st.floats(-10, 400) | st.just(math.nan) | st.just(math.inf), max_size=8),
+)
+def test_survival_at_returns_the_linear_scans_float(follow_up, points):
+    curve = km_estimate([t for t, _ in follow_up], [e for _, e in follow_up])
+    for t in [*points, *curve.times, -math.inf]:
+        assert curve.survival_at(t) == survival_at(curve, t), t
+    assert curve.survival_at(math.nan) == 1.0

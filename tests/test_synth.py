@@ -139,7 +139,18 @@ def test_error_model_validation_and_lookup():
 def test_zero_error_corruption_is_identity():
     ds = generate_truth(small_config(200), seed=SEED)
     got = corrupt(ds, ErrorModel(), source=Source.LLM, seed=123)
-    assert got == ds.labels(Source.REFERENCE).relabel(Source.LLM)
+    truth = ds.labels(Source.REFERENCE)
+    assert got == truth.relabel(Source.LLM)
+    # a key no draw changed shares the truth's rows; a stamp changes every row
+    assert all(
+        rows is truth._by_patient[pid][var]
+        for pid, own in got._by_patient.items()
+        for var, rows in own.items()
+    )
+    stamped = corrupt(ds, ErrorModel(), source=Source.LLM, seed=123, refresh_id="1")
+    assert stamped == truth.relabel(Source.LLM, refresh_id="1")
+    got.remove("P000000", "stage")
+    assert truth.get_single("P000000", "stage") is not None
 
 
 def test_corruption_is_deterministic():
