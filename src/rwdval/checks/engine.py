@@ -27,6 +27,7 @@ from ..schema import (
     MISSING_ATTRIBUTE,
     CohortDataset,
     LabelSet,
+    RowView,
     Schema,
     Source,
     VariableKind,
@@ -71,7 +72,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-def evaluate_patient_check(check: CompiledCheck, view: dict) -> Truth:
+def evaluate_patient_check(check: CompiledCheck, view: RowView) -> Truth:
     """Outcome of one compiled check for one patient view: ``TRUE`` passes,
     ``FALSE`` is a finding and ``UNKNOWN`` is not applicable.
 
@@ -576,6 +577,14 @@ def _run_refresh(
 # ---- suite execution ----
 
 
+def _printed(rows, kind: VariableKind):
+    """One key's rows as a finding's ``observed`` text prints them: the value, a
+    (value, date) pair for a date variable, a tuple of such pairs for an event list."""
+    if kind == VariableKind.EVENT_LIST:
+        return tuple(row[:2] for row in rows)
+    return rows[0][:2] if kind == VariableKind.DATE else rows[0][0]
+
+
 def run_all_checks(
     suite: CheckSuite,
     dataset: CohortDataset,
@@ -625,7 +634,7 @@ def run_all_checks(
                     result.n_not_applicable += 1
                 elif truth is Truth.FALSE:
                     observed = "; ".join(
-                        f"{var}={view[var]!r}" for var in variables if var in view
+                        f"{var}={_printed(view[var], schema[var].kind)!r}" for var in variables if var in view
                     )
                     result.flag(pid, observed or "no documented values", expected)
                 for attr, value in stratum_values:

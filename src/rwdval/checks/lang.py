@@ -33,13 +33,13 @@ the signed day count b - a; durations are written like ``90d``.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime
 from enum import Enum
 
-from ..schema import Schema, VariableKind
+from ..schema import RowView, Schema, VariableKind
 
 
 class CheckSyntaxError(ValueError):
@@ -501,26 +501,13 @@ def to_text(expr: Expr) -> str:
 # ---- evaluation ----
 
 
-def _known_entries(view: dict, schema: Schema, var: str) -> list[tuple[str | float, object]]:
+def _known_entries(view: RowView, schema: Schema, var: str) -> list[tuple[str | float, object]]:
     """Documented, non-unknown (value, date) entries for one variable."""
-    if var not in view:
-        return []
-    spec = schema[var]
-    entry = view[var]
-    if spec.kind == VariableKind.EVENT_LIST:
-        pairs = list(entry)
-    elif spec.kind == VariableKind.DATE:
-        pairs = [entry]
-    else:
-        pairs = [(entry, None)]
-    return [
-        (v, d)
-        for v, d in pairs
-        if not (spec.unknown_token is not None and v == spec.unknown_token)
-    ]
+    unknown = schema[var].unknown_token
+    return [(v, d) for v, d, _ in view.get(var, ()) if v != unknown]
 
 
-def _operand_values(op: Operand, view: dict, schema: Schema) -> list:
+def _operand_values(op: Operand, view: RowView, schema: Schema) -> list:
     if isinstance(op, Value):
         return [v for v, _ in _known_entries(view, schema, op.var)]
     if isinstance(op, DateOf):
@@ -553,8 +540,9 @@ def _exists_truth(found: bool, left: list, right: list) -> Truth:
     return Truth.TRUE if found else Truth.FALSE
 
 
-def evaluate(expr: Expr, view: dict, schema: Schema) -> Truth:
-    """Three-valued truth of an expression over one patient view.
+def evaluate(expr: Expr, view: RowView, schema: Schema) -> Truth:
+    """Three-valued truth of an expression over one patient's rows, as
+    ``patient_view`` returns them (refresh ids are ignored).
 
     Comparison atoms hold when some pair of documented known values
     satisfies them; they are indeterminate when either side has no
@@ -598,46 +586,24 @@ def evaluate(expr: Expr, view: dict, schema: Schema) -> Truth:
 
 # ---- compilation ----
 
-CompiledCheck = Callable[[Mapping[str, object]], Truth]
-_ABSENT = object()
+# A compiled check: the truth of one expression over one patient's row view.
+CompiledCheck = Callable[[RowView], Truth]
 
 
-def _compile_known(var: str, schema: Schema, dates: bool) -> Callable[[Mapping], list]:
+def _compile_known(var: str, schema: Schema, dates: bool) -> Callable[[RowView], list]:
     """``_operand_values`` of ``value(var)`` (or, with ``dates``, ``date(var)``),
-    with the variable's kind and unknown token bound once."""
-    spec = schema[var]
-    unknown, kind = spec.unknown_token, spec.kind
-    if kind == VariableKind.EVENT_LIST:
-        if dates:
-            def known(view):
-                entry = view.get(var, ())
-                return [d for v, d in entry if v != unknown and d is not None]
-        else:
-            def known(view):
-                entry = view.get(var, ())
-                return [v for v, _ in entry if v != unknown]
-    elif kind == VariableKind.DATE:
-        if dates:
-            def known(view):
-                entry = view.get(var, _ABSENT)
-                if entry is _ABSENT or entry[0] == unknown or entry[1] is None:
-                    return []
-                return [entry[1]]
-        else:
-            def known(view):
-                entry = view.get(var, _ABSENT)
-                return [] if entry is _ABSENT or entry[0] == unknown else [entry[0]]
-    elif dates:  # categorical and numeric entries carry no date
+    with the variable's unknown token bound once."""
+    unknown = schema[var].unknown_token
+    if dates:  # rows of categorical and numeric variables carry no date
         def known(view):
-            return []
+            return [d for v, d, _ in view.get(var, ()) if v != unknown and d is not None]
     else:
         def known(view):
-            entry = view.get(var, _ABSENT)
-            return [] if entry is _ABSENT or entry == unknown else [entry]
+            return [v for v, _, _ in view.get(var, ()) if v != unknown]
     return known
 
 
-def _compile_operand(op: Operand, schema: Schema) -> Callable[[Mapping], list]:
+def _compile_operand(op: Operand, schema: Schema) -> Callable[[RowView], list]:
     if isinstance(op, (Value, DateOf)):
         return _compile_known(op.var, schema, isinstance(op, DateOf))
     if isinstance(op, Lit):
@@ -677,10 +643,11 @@ def _compile_pairs(left_op: Operand, right_op: Operand, schema: Schema, holds) -
 
 
 def compile_check(expr: Expr, schema: Schema) -> CompiledCheck:
-    """``expr`` as nested closures over a patient view, for repeated evaluation.
+    """``expr`` as nested closures over a patient's row view, for repeated evaluation.
 
     ``compile_check(expr, schema)(view)`` equals ``evaluate(expr, view,
-    schema)`` for every view; each variable's kind and unknown token are
+    schema)`` for every view of ``(value, event_date, refresh_id)`` rows,
+    as ``patient_view`` returns them; each variable's unknown token is
     looked up here, once, so a variable the schema lacks raises
     ``SchemaError`` now rather than per patient.
     """

@@ -9,8 +9,10 @@ all with row numbers rather than stopping at the first.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -81,6 +83,36 @@ def _parse_date(text: str) -> date | None:
         return None
 
 
+def _undecodable_line(path: Path, encoding: str) -> int:
+    """The number of the first line of ``path`` that is not ``encoding`` text."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode(encoding)
+            except UnicodeDecodeError:
+                break
+    return lineno
+
+
+def _numbered_rows(path: Path, fh, problems: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each row of the open CSV file ``fh`` with its row number, the header
+    being row 1. A row the csv module cannot read (such as a cell over its
+    field size limit) or bytes that are not text in the file's encoding
+    stop the read: an ``IngestError`` lists ``problems`` and then that one,
+    with its row (or, for bytes, its line) number."""
+    lineno = 0
+    try:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            yield lineno, row
+    except csv.Error as exc:
+        raise IngestError(path, [*problems, f"row {lineno + 1}: {exc}"]) from None
+    except UnicodeDecodeError:
+        encoding = codecs.lookup(fh.encoding).name
+        line = _undecodable_line(path, encoding)
+        raise IngestError(path, [*problems, f"line {line}: not {encoding} text"]) from None
+
+
 def _schema_problem(record: LabelRecord, spec: VariableSpec) -> str | None:
     """``validate_record``'s complaint about a record, or None when it is valid."""
     try:
@@ -139,17 +171,16 @@ def read_labels(
     unsorted: list[tuple[dict[str, tuple], str]] = []  # event-list keys that grew past one row
     n_cells = len(LABEL_COLUMNS)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(path, ["file is empty (no header row)"]) from None
+        rows = _numbered_rows(path, fh, problems)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise IngestError(path, ["file is empty (no header row)"])
         if header != LABEL_COLUMNS:
             raise IngestError(
                 path,
                 [f"header must be {','.join(LABEL_COLUMNS)}; got {','.join(header)}"],
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if len(row) != n_cells:
                 # a blank row is skipped whatever its cell count
                 if "".join(row).strip():
@@ -269,28 +300,30 @@ def write_labels(labels: LabelSet, path: str | Path) -> None:
 def read_attributes(path: str | Path, declared_strata: list[str]) -> dict[str, dict[str, str]]:
     """Read the patient attribute file.
 
-    Columns beyond patient_id must be declared strata; duplicated patients
-    are errors. Patients absent from the file simply fall back to the
-    missing attribute value at lookup time.
+    Columns beyond patient_id must be declared strata, each at most once;
+    duplicated patients are errors. Patients absent from the file simply
+    fall back to the missing attribute value at lookup time.
     """
     path = Path(path)
     problems: list[str] = []
     out: dict[str, dict[str, str]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(path, ["file is empty (no header row)"]) from None
+        rows = _numbered_rows(path, fh, problems)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise IngestError(path, ["file is empty (no header row)"])
         header = [h.strip() for h in header]
         if not header or header[0] != "patient_id":
             raise IngestError(path, ["first column must be patient_id"])
         undeclared = [c for c in header[1:] if c not in declared_strata]
         if undeclared:
-            raise IngestError(
-                path, [f"undeclared attribute column(s): {undeclared} (declared: {declared_strata})"]
-            )
-        for lineno, row in enumerate(reader, start=2):
+            problems.append(f"undeclared attribute column(s): {undeclared} (declared: {declared_strata})")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            problems.append(f"duplicate column(s): {repeated}")
+        if problems:
+            raise IngestError(path, problems)
+        for lineno, row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):

@@ -50,7 +50,16 @@ from .replication import (
     trend_series,
 )
 from .schema import CohortDataset, LabelSet, Schema, Source, VariableKind
-from .yamlspec import ConfigError, OneOf, at_least, read_spec, schema_problems, token_of
+from .yamlspec import (
+    ConfigError,
+    OneOf,
+    at_least,
+    dated_variable,
+    read_spec,
+    schema_problems,
+    single_valued_variable,
+    token_of,
+)
 
 
 # ---- the run config: one frozen spec per YAML mapping, read by read_spec ----
@@ -98,9 +107,9 @@ class Pillars:
 class _SurvivalEndpoint:
     """The keys a survival analysis builds its cohort from."""
 
-    index_variable: str
-    event_variable: str
-    censor_variable: str
+    index_variable: str = dated_variable()
+    event_variable: str = dated_variable()
+    censor_variable: str = dated_variable()
     event_positive: str = token_of("event_variable", default="yes")
     max_followup_days: int | None = None
 
@@ -130,7 +139,7 @@ class EquitySpec(_SurvivalEndpoint):
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    variable: str
+    variable: str = single_valued_variable()
     reference: dict[str, float]
     name: str | None = None  # distribution_<variable>
 
@@ -142,7 +151,7 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class TrendSpec:
-    variable: str
+    variable: str = dated_variable()
     name: str | None = None  # trend_<variable>
 
 

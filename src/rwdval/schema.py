@@ -184,9 +184,11 @@ def validate_record(record: LabelRecord, spec: VariableSpec) -> None:
 
 # A row is a record less its key and source: (value, event_date, refresh_id).
 Row = tuple[str | float, date | None, str | None]
+# one patient's rows from one source, by variable
+RowView = Mapping[str, tuple[Row, ...]]
 
 # what a patient without rows reads as; never written to
-_NO_ROWS: Mapping[str, tuple[Row, ...]] = MappingProxyType({})
+_NO_ROWS: RowView = MappingProxyType({})
 
 
 def _row_sort_key(row: Row):
@@ -419,26 +421,13 @@ class CohortDataset:
             raise SchemaError(f"no label set for source {Source(source).value!r}") from None
 
 
-def patient_view(labels: LabelSet, patient_id: str) -> dict[str, object]:
-    """Flatten one patient's labels from one source for check evaluation.
-
-    Returns a map variable -> entry where the entry is the value for
-    categorical/numeric kinds, a (value, event_date) pair for date kinds,
-    and a date-sorted tuple of (value, event_date) pairs for event lists.
-    Only documented variables appear; documented-unknown records are
-    included so the check engine can distinguish unknown from missing.
-    """
-    view: dict[str, object] = {}
-    schema = labels.schema
-    for var, rows in labels._by_patient.get(patient_id, _NO_ROWS).items():
-        kind = schema[var].kind
-        if kind == VariableKind.EVENT_LIST:
-            view[var] = tuple((value, event_date) for value, event_date, _ in rows)
-        elif kind == VariableKind.DATE:
-            view[var] = rows[0][:2]
-        else:
-            view[var] = rows[0][0]
-    return view
+def patient_view(labels: LabelSet, patient_id: str) -> RowView:
+    """One patient's labels from one source, for check evaluation: a read-only
+    view, not a copy, of the store's map variable -> ``(value, event_date,
+    refresh_id)`` rows, the same shape for every kind. Only documented
+    variables appear; documented-unknown rows are included so the check
+    engine can distinguish unknown from missing."""
+    return MappingProxyType(labels._by_patient.get(patient_id, _NO_ROWS))
 
 
 def effective_tolerance(spec: VariableSpec, default_days: int) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
-from .schema import Schema
+from .schema import Schema, VariableKind
 
 
 class ConfigError(ValueError):
@@ -83,6 +83,11 @@ def token_of(
 def dated_variable() -> Field:
     """A required field naming a variable that must carry dates (date or event_list)."""
     return field(metadata={"dated": True})
+
+
+def single_valued_variable() -> Field:
+    """A required field naming a variable with one value per patient (any kind but event_list)."""
+    return field(metadata={"single_valued": True})
 
 
 def at_least(spec, minimum: int, *names: str) -> None:
@@ -249,8 +254,9 @@ def _nested_specs(spec, path: str = "") -> Iterator[tuple[str, object]]:
 
 def schema_problems(spec, schema: Schema) -> list[str]:
     """Every problem of a read ``spec`` against ``schema``, with its YAML path: a ``*variable``
-    field naming no variable, a ``dated_variable`` naming one without dates, a ``Parsed`` value
-    its ``check`` rejects, a ``token_of`` unknown token."""
+    field naming no variable, a ``dated_variable`` naming one without dates, a
+    ``single_valued_variable`` naming an event list, a ``Parsed`` value its ``check`` rejects,
+    a ``token_of`` unknown token."""
     problems = []
     for where, item in _nested_specs(spec):
         for key, (f, hint) in _yaml_fields(type(item)).items():
@@ -262,6 +268,8 @@ def schema_problems(spec, schema: Schema) -> list[str]:
             elif f.metadata.get("dated") and not schema[value].kind.has_dates:
                 kind = schema[value].kind.value
                 problems.append(f"{at}: {value} is a {kind} variable, which carries no date")
+            elif f.metadata.get("single_valued") and schema[value].kind == VariableKind.EVENT_LIST:
+                problems.append(f"{at}: {value} is an event_list variable, which holds many values per patient")
             elif hook is not None:
                 try:
                     hook.check(value, schema)

@@ -1,6 +1,7 @@
 """Check expression language and suite execution."""
 
 from datetime import date, timedelta
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -396,26 +397,29 @@ def _typed_exprs(depth):
 
 @st.composite
 def _views(draw):
-    """A patient view as ``patient_view`` builds it; any variable may be
-    undocumented or documented unknown."""
+    """A patient's row view as ``patient_view`` returns it; any variable may
+    be undocumented or documented unknown, and every row draws any refresh
+    id, which evaluation ignores."""
+    refresh_ids = st.one_of(st.none(), st.text(max_size=3))
     view = {}
     if draw(st.booleans()):
-        view["stage"] = draw(st.sampled_from(["I", "II", "III", "unknown"]))
+        value = draw(st.sampled_from(["I", "II", "III", "unknown"]))
+        view["stage"] = ((value, None, draw(refresh_ids)),)
     if draw(st.booleans()):
         value = draw(st.sampled_from(["yes", "no", "unknown"]))
-        view["surgery"] = (value, draw(st.one_of(st.none(), _dates)))
+        view["surgery"] = ((value, draw(st.one_of(st.none(), _dates)), draw(refresh_ids)),)
     if draw(st.booleans()):
         events = draw(
             st.lists(
-                st.tuples(st.sampled_from(["positive", "negative", "unknown"]), _dates),
+                st.tuples(st.sampled_from(["positive", "negative", "unknown"]), _dates, refresh_ids),
                 min_size=1,
                 max_size=3,
             )
         )
         view["er_result"] = tuple(sorted(events, key=lambda e: e[1]))
     if draw(st.booleans()):
-        view["tumor_size_mm"] = draw(st.integers(0, 60))
-    return view
+        view["tumor_size_mm"] = ((draw(st.integers(0, 60)), None, draw(refresh_ids)),)
+    return MappingProxyType(view)
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,9 +1,11 @@
 """End-to-end pipeline runs and the command-line interface."""
 
 import csv
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -648,6 +650,7 @@ _RULE = {
     "components": [{"variable": "er_result", "required": "negative"}],
 }
 _BOGUS_REQUIRED = {"variable": "er_result", "required": "bogus"}
+_DISTRIBUTION = {"kind": "distribution_vs_reference", "variable": "stage", "reference": {"I": 1.0}}
 
 
 @pytest.mark.parametrize(
@@ -780,6 +783,22 @@ _BOGUS_REQUIRED = {"variable": "er_result", "required": "bogus"}
             {"analyses": [{**_SURVIVAL, "max_followup_days": -5}]},
             "analyses[0].max_followup_days: must be >= 0, got -5",
         ),
+        (
+            {"analyses": [{"kind": "trend", "variable": "stage"}]},
+            "analyses[0].variable: stage is a categorical variable, which carries no date",
+        ),
+        (
+            {"analyses": [{**_SURVIVAL, "censor_variable": "stage"}]},
+            "analyses[0].censor_variable: stage is a categorical variable, which carries no date",
+        ),
+        (
+            {"strata": ["arm"], "analyses": [{**_EQUITY, "index_variable": "tumor_size_mm"}]},
+            "analyses[0].index_variable: tumor_size_mm is a numeric variable, which carries no date",
+        ),
+        (
+            {"analyses": [{**_DISTRIBUTION, "variable": "er_result"}]},
+            "analyses[0].variable: er_result is an event_list variable, which holds many values per patient",
+        ),
     ],
     ids=[
         "strata_not_a_list",
@@ -833,6 +852,10 @@ _BOGUS_REQUIRED = {"variable": "er_result", "required": "bogus"}
         "date_tolerance_days_negative",
         "min_stratum_n_negative",
         "max_followup_days_negative",
+        "trend_on_an_undated_variable",
+        "survival_censor_on_an_undated_variable",
+        "equity_index_on_an_undated_variable",
+        "distribution_on_an_event_list",
     ],
 )
 def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, message):
@@ -912,8 +935,22 @@ def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, messa
                 "metrics.variables[3].positive_class: required for tumor_size_mm, a numeric variable",
             ],
         ),
+        (
+            {
+                "analyses": [
+                    {"kind": "trend", "variable": "tumor_size_mm"},
+                    {**_SURVIVAL, "event_variable": "stage", "event_positive": "I"},
+                    {**_DISTRIBUTION, "variable": "er_result"},
+                ]
+            },
+            [
+                "analyses[0].variable: tumor_size_mm is a numeric variable, which carries no date",
+                "analyses[1].event_variable: stage is a categorical variable, which carries no date",
+                "analyses[2].variable: er_result is an event_list variable, which holds many values per patient",
+            ],
+        ),
     ],
-    ids=["malformed_keys", "unknown_variables", "unknown_tokens", "missing_positive_class"],
+    ids=["malformed_keys", "unknown_variables", "unknown_tokens", "missing_positive_class", "wrong_kinds"],
 )
 def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, change, messages):
     cfg_path = small_workspace(tmp_path)
@@ -1246,6 +1283,109 @@ def test_a_fuzzed_schema_or_suite_runs_or_exits_2_without_a_traceback(tiny_works
     assert result.exit_code in (0, 1, 2), text(result)
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
     assert "Traceback" not in text(result)
+
+
+# one character past the csv module's default field size limit (131072)
+_OVERSIZED = "x" * 131073
+# byte sequences that are not UTF-8: a stray continuation byte, a cut
+# two-byte sequence, an encoded surrogate
+_NOT_UTF8 = [b"\xff", b"\xc3(", b"\xed\xa0\x80"]
+# the problems a CSV file has as a whole, which no row number locates
+_WHOLE_FILE = ("file is empty", "header must be", "first column must be", "undeclared attribute", "duplicate column")
+
+
+def _mutated_csv(rows: list[list[str]], data) -> bytes:
+    """The CSV file ``rows`` after one to three drawn mutations: a cell
+    (header cells too) set to drawn text, to another cell's text or to an
+    oversized cell, a header cell duplicated or dropped, a blank row
+    inserted, or a row repeated elsewhere; then, maybe, bytes that are not
+    UTF-8 inserted anywhere."""
+    cells = st.one_of(st.text(max_size=8), st.sampled_from([c for row in rows for c in row]))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        op = data.draw(st.sampled_from(["cell", "oversized", "header", "blank", "repeat"]), label="op")
+        if op in ("cell", "oversized"):
+            row = rows[data.draw(st.integers(0, len(rows) - 1), label="row")]
+            if row:
+                at = data.draw(st.integers(0, len(row) - 1), label="column")
+                row[at] = _OVERSIZED if op == "oversized" else data.draw(cells, label="text")
+        elif op == "header" and rows[0]:
+            header = rows[0]
+            at = data.draw(st.integers(0, len(header) - 1), label="column")
+            if data.draw(st.booleans(), label="drop"):
+                del header[at]
+            else:
+                header.append(header[at])
+        elif op == "blank":
+            blank = data.draw(st.sampled_from([[], [""], ["", "", ""], ["  "]]), label="blank")
+            rows.insert(data.draw(st.integers(1, len(rows)), label="at"), blank)
+        elif op == "repeat":
+            row = rows[data.draw(st.integers(1, len(rows) - 1), label="row")]
+            rows.insert(data.draw(st.integers(1, len(rows)), label="at"), list(row))
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    raw = out.getvalue().encode()
+    if data.draw(st.sampled_from([False, False, True]), label="bytes"):
+        at = data.draw(st.integers(0, len(raw)), label="offset")
+        raw = raw[:at] + data.draw(st.sampled_from(_NOT_UTF8), label="not utf-8") + raw[at:]
+    return raw
+
+
+@pytest.mark.parametrize("name", ["labels_llm.csv", "attributes.csv"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [(_OVERSIZED, "row 4: field larger than field limit (131072)"), ("\udcff", "line 4: not utf-8 text")],
+    ids=["oversized_cell", "not_utf8"],
+)
+def test_an_unreadable_cell_exits_2_naming_the_file_and_row(tiny_workspace, tmp_path, name, bad, message):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    for path in [*tiny_workspace.glob("labels_*.csv"), *(tiny_workspace / n for n in ("attributes.csv", "schema.yaml", "run.yaml"))]:
+        shutil.copy(path, ws)
+    with open(ws / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][1] = bad
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    # a lone surrogate escapes to the byte it stands for, which is not UTF-8
+    (ws / name).write_bytes(out.getvalue().encode("utf-8", "surrogateescape"))
+    result = CliRunner().invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exit_code == 2, text(result)
+    assert isinstance(result.exception, SystemExit)
+    assert f"{(ws / name).resolve()}: 1 problem(s)\n  {message}" in text(result)
+    assert "Traceback" not in text(result)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_fuzzed_label_or_attribute_file_runs_or_exits_2_naming_the_row(tiny_workspace, data):
+    name = data.draw(st.sampled_from(["labels_llm.csv", "labels_abstractor_1.csv", "attributes.csv"]), label="file")
+    with open(tiny_workspace / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    fuzzed = tiny_workspace / f"fuzzed_{name}"
+    fuzzed.write_bytes(_mutated_csv(rows, data))
+    run = yaml.safe_load((tiny_workspace / "run.yaml").read_text())
+    if name == "attributes.csv":
+        run["attributes"] = str(fuzzed)
+    else:
+        run["labels"][name[len("labels_"):-len(".csv")]] = str(fuzzed)
+    config = tiny_workspace / "run_fuzzed.yaml"
+    config.write_text(yaml.safe_dump(run, sort_keys=False))
+    reports = []
+    for out_dir in ("fuzzed_a", "fuzzed_b"):
+        shutil.rmtree(tiny_workspace / out_dir, ignore_errors=True)
+        result = CliRunner().invoke(main, ["--config", str(config), "--out", str(tiny_workspace / out_dir), "run"])
+        out = text(result)
+        assert result.exit_code in (0, 1, 2), out
+        assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+        assert "Traceback" not in out
+        if result.exit_code != 2:
+            reports.append((tiny_workspace / out_dir / "report.json").read_bytes())
+        elif "outside the cohort" not in out:  # a labelled patient the attributes file lacks
+            # the file, then each of its problems with its row (or, for bytes, line) number
+            assert out.startswith(f"error: {fuzzed}: "), out
+            for problem in re.findall(r"^  (.*)$", out, re.MULTILINE):
+                assert re.match(r"(row|line) \d+: |\.\.\. and \d+ more", problem) or problem.startswith(_WHOLE_FILE), out
+    assert len(reports) in (0, 2) and len(set(reports)) <= 1
 
 
 _RATE_SUITE = """checks:

@@ -271,21 +271,32 @@ def test_patient_view_shapes(schema):
         Source.LLM,
         [
             rec("p1", "stage", "II"),
-            rec("p1", "surgery", "yes", date(2020, 2, 1)),
-            rec("p1", "er_result", "positive", date(2020, 1, 10)),
+            rec("p1", "surgery", "yes", date(2020, 2, 1), refresh_id="r2"),
             rec("p1", "er_result", "negative", date(2021, 1, 10)),
+            rec("p1", "er_result", "positive", date(2020, 1, 10)),
             rec("p1", "tumor_size_mm", 22.0),
+            rec("p2", "stage", "unknown"),
         ],
     )
     view = patient_view(labels, patient_id="p1")
-    assert view["stage"] == "II"
-    assert view["surgery"] == ("yes", date(2020, 2, 1))
-    assert view["er_result"] == (
-        ("positive", date(2020, 1, 10)),
-        ("negative", date(2021, 1, 10)),
-    )
-    assert view["tumor_size_mm"] == 22.0
-    assert "death" not in view
+    # every kind reads as its (value, event_date, refresh_id) rows, in canonical order
+    assert dict(view) == {
+        "stage": (("II", None, None),),
+        "surgery": (("yes", date(2020, 2, 1), "r2"),),
+        "er_result": (
+            ("positive", date(2020, 1, 10), None),
+            ("negative", date(2021, 1, 10), None),
+        ),
+        "tumor_size_mm": ((22.0, None, None),),
+    }
+    # a documented unknown is included; an undocumented variable is absent
+    unknown = patient_view(labels, patient_id="p2")
+    assert unknown["stage"] == (("unknown", None, None),)
+    assert "er_result" not in unknown and "er_result" not in patient_view(labels, "p3")
+    with pytest.raises(TypeError):
+        view["stage"] = (("I", None, None),)
+    with pytest.raises(TypeError):
+        patient_view(labels, "p3")["stage"] = (("I", None, None),)
 
 
 def test_effective_tolerance_and_shift():
@@ -509,6 +520,13 @@ def test_attributes_undeclared_column_rejected(tmp_path):
     path.write_text("patient_id,race\np1,groupA\n")
     with pytest.raises(IngestError):
         read_attributes(path, ["site"])
+
+
+def test_attributes_duplicate_column_rejected(tmp_path):
+    path = tmp_path / "attrs.csv"
+    path.write_text("patient_id,race_ethnicity,race_ethnicity\nP1,groupA,groupB\n")
+    with pytest.raises(IngestError, match=r"duplicate column\(s\): \['race_ethnicity'\]"):
+        read_attributes(path, ["race_ethnicity"])
 
 
 def test_attributes_duplicate_patient_rejected(tmp_path):
