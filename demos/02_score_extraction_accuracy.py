@@ -17,6 +17,7 @@ from rwdval import (
     corrupt,
     generate_truth,
     match_events,
+    patient_rows,
     relative_difference,
     variable_metrics,
 )
@@ -49,9 +50,11 @@ m_llm = variable_metrics(llm, truth, "surgery", "yes", patients=cohort)
 print(f"\nsurgery date accuracy, llm: {m_llm.date_accuracy:.3f} "
       f"(shifted dates fall outside the 30-day window)")
 
-# uncertainty: patient-resampled bootstrap intervals
-ci = bootstrap_variable_ci(llm, truth, "surgery", "yes", patients=cohort,
-                           n_replicates=500, seed=0)
+# uncertainty: patient-resampled bootstrap intervals. Each patient's
+# contribution to the counts is computed once; every replicate re-sums the
+# contributions of its resample instead of re-scoring labels.
+rows = patient_rows(llm, truth, "surgery", "yes", patients=cohort)
+ci = bootstrap_variable_ci(rows, n_replicates=500, seed=0)
 lo, hi = ci["recall"]
 print(f"surgery recall 95% CI: [{lo:.3f}, {hi:.3f}]")
 

@@ -20,6 +20,7 @@ from rwdval import (
     expected_end_to_end_recall,
     expected_metrics,
     generate_truth,
+    patient_rows,
     stratified_metrics,
 )
 
@@ -38,7 +39,12 @@ a1_model = ErrorModel(per_variable={"surgery": ErrorRates(flip=0.05)})
 llm = corrupt(dataset, llm_model, source=Source.LLM, seed=32)
 a1 = corrupt(dataset, a1_model, source=Source.ABSTRACTOR_1, seed=33)
 
-strat = stratified_metrics(llm, a1, truth, "surgery", "yes", dataset, "race_ethnicity")
+cohort = sorted(dataset.patients)
+strat = stratified_metrics(
+    patient_rows(llm, truth, "surgery", "yes", patients=cohort),
+    patient_rows(a1, truth, "surgery", "yes", patients=cohort),
+    dataset.strata("race_ethnicity"),
+)
 for name, entry in sorted(strat.items()):
     want = expected_metrics(llm_model, dataset, "surgery", "yes", stratum_value=name)
     print(f"{name} (n={entry.n}): llm recall {entry.llm.recall:.3f} "

@@ -42,6 +42,7 @@ from ..yamlspec import (
     dated_variable,
     read_spec,
     schema_problems,
+    single_valued_variable,
     token_of,
 )
 from .lang import (
@@ -100,7 +101,7 @@ def _check_ranges(expected: dict[str, tuple[float, float]]) -> None:
 class DistributionRange:
     """Observed category fractions must sit inside expected ranges."""
 
-    variable: str
+    variable: str = single_valued_variable()
     expected: dict[str, tuple[float, float]] = token_of("variable")
     filter_expr: CheckExpr | None = field(default=None, metadata={"yaml": "filter"})
 
@@ -140,9 +141,9 @@ class MonthlyCountStability:
 class StratifiedRateRange:
     """Rate of a positive value per stratum must sit inside expected ranges."""
 
-    variable: str
+    variable: str = single_valued_variable()
     positive_value: str = token_of("variable")
-    by_variable: str | None = field(default=None, metadata={"yaml": ("by", "variable")})
+    by_variable: str | None = single_valued_variable(None, yaml=("by", "variable"))
     by_attribute: str | None = field(default=None, metadata={"yaml": ("by", "attribute")})
     # a by-variable stratum is one of its known values, or missing
     expected: dict[str, tuple[float, float]] = token_of(

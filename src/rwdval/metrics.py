@@ -17,7 +17,7 @@ number of percentage points serializes as exactly that number).
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from .schema import (
-    CohortDataset,
     LabelSet,
     Row,
     VariableKind,
@@ -141,13 +140,9 @@ def _reference_labels(reference) -> LabelSet:
     return labels
 
 
-def _cohort(pred: LabelSet, reference, patients: Iterable[str] | None) -> list[str]:
-    if patients is not None:
-        return list(patients)
-    universe = getattr(reference, "patients", None)
-    if universe is None:
-        universe = _reference_labels(reference).patients | pred.patients
-    return sorted(universe)
+def _cohort(reference, patients: Iterable[str] | None) -> list[str]:
+    """``patients`` as given, else the reference's patients in sorted order."""
+    return list(patients) if patients is not None else sorted(reference.patients)
 
 
 def _one_vs_rest(ref_pos: bool | None, pred_pos: bool) -> tuple[int, int, int]:
@@ -170,25 +165,47 @@ def _asserted_events(
     return dated, len(hits) - len(dated)
 
 
-def _as_rows(rows: list[tuple[int, ...]]) -> np.ndarray:
-    return np.array(rows, dtype=np.int64).reshape(-1, 6)
+@dataclass(frozen=True, eq=False)
+class PatientRows:
+    """Each patient's contribution to one variable's counts, in cohort order.
+
+    Row ``i`` holds ``patients[i]``'s true and false positives, false
+    negatives, dated and date-correct matches, and whether it documents a
+    known value, as an (n, 6) int64 array. ``report`` sums the rows of any
+    cohort, stratum or resample.
+    """
+
+    variable: str
+    positive_class: str | None
+    patients: tuple[str, ...]
+    rows: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "patients", tuple(self.patients))
+        object.__setattr__(self, "rows", np.array(self.rows, dtype=np.int64).reshape(-1, 6))
+
+    def report(self, take=slice(None)) -> MetricReport:
+        """Point metrics of the patients at positions ``take`` (a slice or an
+        index sequence, repeats allowed); by default the whole cohort."""
+        rows = self.rows[take]
+        tp, fp, fn, with_date, date_ok, known = (int(v) for v in rows.sum(axis=0))
+        counts = ConfusionCounts(self.variable, self.positive_class, tp, fp, fn, with_date, date_ok)
+        n = len(rows)
+        return compute_metrics(counts, completeness=(known, n) if n else None, n_patients=n)
 
 
-def _patient_rows(
+def patient_rows(
     pred: LabelSet,
     reference,
     variable: str,
     positive_class: str | None,
     *,
-    tolerance_days: int,
-    patients: Iterable[str] | None,
-) -> np.ndarray:
-    """Per-patient contribution rows for one variable, in cohort order.
-
-    A row is ``(tp, fp, fn, n_matched_with_date, n_date_correct, known)``;
-    every count over a cohort, a stratum or a bootstrap resample is a sum
-    of these rows.
-    """
+    tolerance_days: int = 30,
+    patients: Iterable[str] | None = None,
+) -> PatientRows:
+    """The ``PatientRows`` of ``pred`` against ``reference``, which
+    ``variable_metrics`` describes; raises ``ValueError`` on a
+    ``positive_class`` the variable cannot take."""
     ref_labels = _reference_labels(reference)
     spec = pred.schema[variable]
     tol = effective_tolerance(spec, tolerance_days)
@@ -197,7 +214,7 @@ def _patient_rows(
     allowed = spec.allowed_values
     if positive_class is not None and allowed is not None and positive_class not in allowed:
         raise ValueError(f"{variable}: positive_class {positive_class!r} not in allowed values")
-    cohort = _cohort(pred, reference, patients)
+    cohort = _cohort(reference, patients)
     rows = []
     if spec.kind == VariableKind.EVENT_LIST:
         # a row is known when its value is not the unknown token (a None token matches no value)
@@ -213,7 +230,7 @@ def _patient_rows(
             known = any(r[0] != unknown for r in pred_rows)
             # every matched pair is dated and within tolerance by construction
             rows.append((m.n_matched, fp, fn, m.n_matched, m.n_matched, known))
-        return _as_rows(rows)
+        return PatientRows(variable, positive_class, cohort, rows)
     date_kind = spec.kind == VariableKind.DATE
     # other kinds hold at most one row per patient, so its value decides ``known``
     for pred_row, ref_row in zip(
@@ -225,15 +242,7 @@ def _patient_rows(
         dated = date_kind and tp == 1 and pred_row[1] is not None and ref_row[1] is not None
         correct = dated and abs((pred_row[1] - ref_row[1]).days) <= tol
         rows.append((tp, fp, fn, dated, correct, known))
-    return _as_rows(rows)
-
-
-def _rows_report(variable: str, positive_class: str | None, rows: np.ndarray) -> MetricReport:
-    """Point metrics of the cohort the rows describe, one row per patient."""
-    tp, fp, fn, with_date, date_ok, known = (int(v) for v in rows.sum(axis=0))
-    counts = ConfusionCounts(variable, positive_class, tp, fp, fn, with_date, date_ok)
-    n = len(rows)
-    return compute_metrics(counts, completeness=(known, n) if n else None, n_patients=n)
+    return PatientRows(variable, positive_class, cohort, rows)
 
 
 @dataclass
@@ -288,12 +297,6 @@ class MetricReport:
         return out
 
 
-def _ratio(num: int, den: int) -> tuple[float, tuple[int, int]] | tuple[None, None]:
-    if den <= 0:
-        return None, None
-    return num / den, (num, den)
-
-
 def compute_metrics(
     counts: ConfusionCounts,
     *,
@@ -308,43 +311,21 @@ def compute_metrics(
     value-matched pairs that both carry a date. Zero denominators leave the
     metric undefined rather than zero.
     """
-    report = MetricReport(
-        variable=counts.variable, n_patients=n_patients, ci=ci, counts=counts
-    )
-    report.recall, r = _ratio(counts.tp, counts.tp + counts.fn)
-    if r:
-        report.ratios["recall"] = r
-    report.precision, r = _ratio(counts.tp, counts.tp + counts.fp)
-    if r:
-        report.ratios["precision"] = r
-    if report.recall is not None and report.precision is not None:
-        report.f1, r = _ratio(2 * counts.tp, 2 * counts.tp + counts.fp + counts.fn)
-        if r:
-            report.ratios["f1"] = r
-    report.date_accuracy, r = _ratio(counts.n_date_correct, counts.n_matched_with_date)
-    if r:
-        report.ratios["date_accuracy"] = r
-    if completeness is not None:
-        report.completeness, r = _ratio(*completeness)
-        if r:
-            report.ratios["completeness"] = r
+    tp, fp, fn = counts.tp, counts.fp, counts.fn
+    fractions = {
+        "recall": (tp, tp + fn),
+        "precision": (tp, tp + fp),
+        # f1 is defined only where recall and precision both are
+        "f1": (2 * tp, 2 * tp + fp + fn) if tp + fn and tp + fp else (0, 0),
+        "date_accuracy": (counts.n_date_correct, counts.n_matched_with_date),
+        "completeness": completeness or (0, 0),
+    }
+    report = MetricReport(variable=counts.variable, n_patients=n_patients, ci=ci, counts=counts)
+    for name, (num, den) in fractions.items():
+        if den > 0:
+            setattr(report, name, num / den)
+            report.ratios[name] = (num, den)
     return report
-
-
-def completeness(
-    labels: LabelSet, variable: str, cohort: Iterable[str]
-) -> tuple[int, int]:
-    """(numerator, denominator) of patients with a documented known value.
-
-    Documented-unknown and missing both count as not known. Raises on an
-    empty cohort (zero denominator).
-    """
-    unknown = labels.schema[variable].unknown_token
-    cohort = list(cohort)
-    if not cohort:
-        raise ValueError(f"{variable}: empty cohort for completeness")
-    column = labels._column(variable, cohort)
-    return sum(any(r[0] != unknown for r in rows) for rows in column), len(cohort)
 
 
 def relative_difference(
@@ -352,8 +333,8 @@ def relative_difference(
 ) -> list[RelativePerformance]:
     """Per-metric (llm - abstraction) deltas in signed percentage points.
 
-    Only metrics defined on both sides appear. When both reports carry the
-    exact integer ratios the delta is computed rationally, so integral
+    Only metrics defined on both sides appear. The delta is computed
+    rationally from the reports' exact integer ratios, so integral
     percentage-point gaps come out exact. The two reports must describe the
     same cohort.
     """
@@ -366,61 +347,11 @@ def relative_difference(
         a, b = llm.value(name), abstraction.value(name)
         if a is None or b is None:
             continue
-        ra, rb = llm.ratios.get(name), abstraction.ratios.get(name)
-        if ra and rb:
-            delta = float(100 * (Fraction(*ra) - Fraction(*rb)))
-        else:
-            delta = 100.0 * (a - b)
+        delta = float(100 * (Fraction(*llm.ratios[name]) - Fraction(*abstraction.ratios[name])))
         out.append(
             RelativePerformance(metric=name, llm_value=a, abstraction_value=b, delta_pp=delta)
         )
     return out
-
-
-def _resamples(n: int, n_replicates: int, seed: int) -> Iterator[np.ndarray]:
-    """Resample index arrays, one replicate at a time; bad arguments raise now.
-
-    Rows come from one generator seeded with ``seed``: the same stream as
-    drawing the whole ``(n_replicates, n)`` array at once, without holding it.
-    """
-    if n == 0:
-        raise ValueError("bootstrap needs a non-empty cohort")
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be >= 1")
-    rng = np.random.default_rng(seed)
-    return (rng.integers(0, n, size=n) for _ in range(n_replicates))
-
-
-_CI_PERCENTILES = (2.5, 97.5)
-
-
-def _percentile_intervals(point, replicates: Iterable):
-    """95 % percentile intervals of replicate statistics, clamped to bracket ``point``.
-
-    ``point`` and each replicate are a float or a mapping of named floats
-    (None when undefined); undefined replicate values are dropped, and a
-    name without any defined replicate gets no interval.
-    """
-
-    def interval(values: list[float], center: float | None):
-        if not values:
-            return None
-        lo, hi = np.percentile(values, _CI_PERCENTILES)
-        if center is not None:
-            lo, hi = min(lo, center), max(hi, center)
-        return (float(lo), float(hi))
-
-    if isinstance(point, Mapping):
-        reps: dict[str, list[float]] = {k: [] for k in point}
-        for rep in replicates:
-            for k in reps:
-                v = rep.get(k) if isinstance(rep, Mapping) else None
-                if v is not None:
-                    reps[k].append(float(v))
-        intervals = {k: interval(reps[k], point.get(k)) for k in point}
-        return {k: ci for k, ci in intervals.items() if ci is not None}
-    values = [float(v) for v in replicates if v is not None]
-    return interval(values, None if point is None else float(point))
 
 
 def variable_metrics(
@@ -435,9 +366,9 @@ def variable_metrics(
     """One-vs-rest confusion counts plus completeness for one variable, in one pass.
 
     ``reference`` may be a LabelSet or an assembled reference standard.
-    ``patients`` fixes the evaluation cohort (duplicates allowed, so
-    bootstrap resamples weight patients by multiplicity); by default it is
-    the union of patients seen by either side.
+    ``patients`` fixes the evaluation cohort (duplicates allowed, so a
+    resample weights patients by multiplicity); by default it is the
+    reference's patients. This is ``patient_rows(...).report()``.
 
     For event_list variables the counts are per event: matched events are
     true positives, unmatched predicted events false positives, unmatched
@@ -446,46 +377,45 @@ def variable_metrics(
     sides to events with that value. Undated known events cannot be matched
     and therefore count as unmatched assertions.
     """
-    rows = _patient_rows(
+    return patient_rows(
         pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
-    )
-    return _rows_report(variable, positive_class, rows)
+    ).report()
 
 
 def bootstrap_variable_ci(
-    pred: LabelSet,
-    reference,
-    variable: str,
-    positive_class: str | None,
-    *,
-    tolerance_days: int = 30,
-    patients: Iterable[str] | None = None,
-    n_replicates: int = 2000,
-    seed: int = 0,
+    rows: PatientRows, *, n_replicates: int = 2000, seed: int = 0
 ) -> dict[str, tuple[float, float]]:
-    """95 % bootstrap intervals for every defined metric of one variable.
+    """95 % percentile bootstrap intervals for every defined metric of the rows.
 
-    Each replicate re-sums the patient rows of its resample, which gives
-    exactly ``variable_metrics`` on that resample.
+    Replicate ``k`` re-sums the rows of the ``k``-th draw of
+    ``default_rng(seed).integers(0, n, size=n)``, which gives exactly
+    ``variable_metrics`` on that patient resample. Undefined replicate
+    values are dropped, a metric with no defined replicate gets no
+    interval, and each interval is widened to bracket the point estimate.
     """
-    rows = _patient_rows(
-        pred, reference, variable, positive_class, tolerance_days=tolerance_days, patients=patients
-    )
-    return _rows_ci(variable, positive_class, rows, n_replicates=n_replicates, seed=seed)
-
-
-def _rows_ci(
-    variable: str, positive_class: str | None, rows: np.ndarray, *, n_replicates: int, seed: int
-) -> dict[str, tuple[float, float]]:
-    """``bootstrap_variable_ci`` of the cohort the rows describe, one row per patient."""
-
-    def statistic(sample_rows: np.ndarray) -> dict[str, float | None]:
-        rep = _rows_report(variable, positive_class, sample_rows)
-        return {name: rep.value(name) for name in METRIC_NAMES}
-
-    resamples = _resamples(len(rows), n_replicates, seed)
-    replicates = (statistic(rows[sample]) for sample in resamples)
-    return _percentile_intervals(statistic(rows), replicates)
+    n = len(rows.patients)
+    if n == 0:
+        raise ValueError("bootstrap needs a non-empty cohort")
+    if n_replicates < 1:
+        raise ValueError("n_replicates must be >= 1")
+    rng = np.random.default_rng(seed)
+    drawn: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
+    for _ in range(n_replicates):
+        replicate = rows.report(rng.integers(0, n, size=n))
+        for name, values in drawn.items():
+            value = replicate.value(name)
+            if value is not None:
+                values.append(value)
+    point = rows.report()
+    intervals = {}
+    for name, values in drawn.items():
+        if values:
+            lo, hi = np.percentile(values, (2.5, 97.5))
+            center = point.value(name)
+            if center is not None:
+                lo, hi = min(lo, center), max(hi, center)
+            intervals[name] = (float(lo), float(hi))
+    return intervals
 
 
 @dataclass(frozen=True)
@@ -605,7 +535,7 @@ def end_to_end_metrics(
     compound: with independent per-component accuracy p over k required
     components, end-to-end accuracy approaches p**k.
     """
-    cohort_list = sorted(_cohort(pred, reference, cohort))
+    cohort_list = sorted(_cohort(reference, cohort))
     derived_ref = derive_variable(rule, _reference_labels(reference), cohort=cohort_list)
 
     def score(labels: LabelSet) -> MetricReport:
@@ -616,7 +546,7 @@ def end_to_end_metrics(
             ref_pos = None if r == DERIVED_UNKNOWN else r == DERIVED_POSITIVE
             tp, fp, fn = _one_vs_rest(ref_pos, p == DERIVED_POSITIVE)
             rows.append((tp, fp, fn, 0, 0, p != DERIVED_UNKNOWN))
-        return _rows_report(rule.name, DERIVED_POSITIVE, _as_rows(rows))
+        return PatientRows(rule.name, DERIVED_POSITIVE, cohort_list, rows).report()
 
     result = EndToEndMetrics(rule=rule, llm=score(pred))
     if abstraction is not None:
@@ -636,60 +566,45 @@ class StratumMetrics:
     abstraction: MetricReport | None = None
     relative: list[RelativePerformance] | None = None
 
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "suppressed": self.suppressed,
+            "llm": self.llm.to_dict() if self.llm is not None else None,
+            "abstraction": self.abstraction.to_dict() if self.abstraction is not None else None,
+            "relative": [r.to_dict() for r in self.relative] if self.relative else None,
+        }
+
 
 def stratified_metrics(
-    pred: LabelSet,
-    abstraction: LabelSet | None,
-    reference,
-    variable: str,
-    positive_class: str | None,
-    dataset: CohortDataset,
-    stratum_key: str,
+    llm: PatientRows,
+    abstraction: PatientRows | None,
+    strata: Mapping[str, Sequence[str]],
     *,
-    tolerance_days: int = 30,
     min_stratum_n: int = 20,
 ) -> dict[str, StratumMetrics]:
-    """Metrics per attribute stratum, with small strata suppressed.
+    """Metrics per stratum, with small strata suppressed.
 
-    Strata with fewer than ``min_stratum_n`` patients report only their
-    size. A widening llm-vs-abstraction gap in one stratum relative to the
-    others is the differential-error signal this view exists to surface.
+    ``strata`` maps each stratum to its patients, every one of which the
+    rows cover (``CohortDataset.strata`` gives such a mapping). The
+    abstraction side, when given, must cover the same patients in the same
+    order. Strata with fewer than ``min_stratum_n`` patients report only
+    their size. A widening llm-vs-abstraction gap in one stratum relative
+    to the others is the differential-error signal this view exists to
+    surface.
     """
-    cohort = sorted(dataset.patients)
-    sides = [
-        _patient_rows(
-            labels, reference, variable, positive_class,
-            tolerance_days=tolerance_days, patients=cohort,
-        )
-        for labels in (pred, abstraction)
-        if labels is not None
-    ]
-    return _strata_metrics(
-        variable, positive_class, sides, cohort, dataset.strata(stratum_key), min_stratum_n
-    )
-
-
-def _strata_metrics(
-    variable: str,
-    positive_class: str | None,
-    sides: Sequence[np.ndarray],
-    cohort: Sequence[str],
-    strata: Mapping[str, Sequence[str]],
-    min_stratum_n: int,
-) -> dict[str, StratumMetrics]:
-    """``stratified_metrics`` from each side's rows over ``cohort`` (llm
-    first, then abstraction if present) and the patients of each stratum."""
-    position = {pid: i for i, pid in enumerate(cohort)}
+    if abstraction is not None and abstraction.patients != llm.patients:
+        raise ValueError("llm and abstraction rows must cover the same patients in the same order")
+    position = {pid: i for i, pid in enumerate(llm.patients)}
     out: dict[str, StratumMetrics] = {}
     for stratum, pids in sorted(strata.items()):
         if len(pids) < min_stratum_n:
             out[stratum] = StratumMetrics(stratum=stratum, n=len(pids), suppressed=True)
             continue
         take = [position[pid] for pid in pids]
-        reports = [_rows_report(variable, positive_class, rows[take]) for rows in sides]
-        entry = StratumMetrics(stratum=stratum, n=len(pids), suppressed=False, llm=reports[0])
-        if len(reports) == 2:
-            entry.abstraction = reports[1]
-            entry.relative = relative_difference(*reports)
+        entry = StratumMetrics(stratum=stratum, n=len(pids), suppressed=False, llm=llm.report(take))
+        if abstraction is not None:
+            entry.abstraction = abstraction.report(take)
+            entry.relative = relative_difference(entry.llm, entry.abstraction)
         out[stratum] = entry
     return out

@@ -24,7 +24,7 @@ import yaml
 
 from . import checks as checks_mod
 from . import metrics as metrics_mod
-from .labelio import load_schema, read_attributes, read_labels
+from .labelio import IngestError, load_schema, read_attributes, read_labels
 from .refstd import (
     AdjudicationError,
     ReferenceMode,
@@ -289,6 +289,16 @@ def _load_dataset(config: RunConfig, schema: Schema) -> CohortDataset:
         label_sets[source] = read_labels(path, schema, source)
     if config.attributes is not None:
         patients = read_attributes(config.attributes, list(config.strata))
+        for source, labels in label_sets.items():
+            stray = labels.patients - patients.keys()
+            if stray:  # only now read the file again, for each stray patient's first row
+                first: dict[str, int] = {}
+                with open(config.labels[source], newline="") as fh:
+                    for n, row in enumerate(csv.reader(fh), start=1):
+                        if n > 1 and row and row[0].strip() in stray:
+                            first.setdefault(row[0].strip(), n)
+                missing = [f"row {n}: patient {pid!r} is not in {config.attributes.name}" for pid, n in first.items()]
+                raise IngestError(config.labels[source], missing)
     else:
         patients = {
             pid: {}
@@ -342,7 +352,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
         # each side's per-patient rows over the sorted cohort, built once: the
         # point metrics, every stratum and the bootstrap all sum them
         llm_rows, a1_rows = (
-            metrics_mod._patient_rows(
+            metrics_mod.patient_rows(
                 labels,
                 reference,
                 variable,
@@ -352,15 +362,10 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
             )
             for labels in (llm, a1)
         )
-        llm_report = metrics_mod._rows_report(variable, positive_class, llm_rows)
-        a1_report = metrics_mod._rows_report(variable, positive_class, a1_rows)
+        llm_report, a1_report = llm_rows.report(), a1_rows.report()
         if config.metrics.bootstrap:
-            llm_report.ci = metrics_mod._rows_ci(
-                variable,
-                positive_class,
-                llm_rows,
-                n_replicates=tol.bootstrap_replicates,
-                seed=tol.seed,
+            llm_report.ci = metrics_mod.bootstrap_variable_ci(
+                llm_rows, n_replicates=tol.bootstrap_replicates, seed=tol.seed
             )
         relative = metrics_mod.relative_difference(llm_report, a1_report)
         entry = {
@@ -370,22 +375,15 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a
             "relative": [r.to_dict() for r in relative],
         }
         if config.strata:
-            strat = {}
-            for attr, groups in strata.items():
-                per = metrics_mod._strata_metrics(
-                    variable, positive_class, (llm_rows, a1_rows), cohort, groups, tol.min_stratum_n
-                )
-                strat[attr] = {
-                    name: {
-                        "n": sm.n,
-                        "suppressed": sm.suppressed,
-                        "llm": sm.llm.to_dict() if sm.llm else None,
-                        "abstraction": sm.abstraction.to_dict() if sm.abstraction else None,
-                        "relative": [r.to_dict() for r in sm.relative] if sm.relative else None,
-                    }
-                    for name, sm in sorted(per.items())
+            entry["stratified"] = {
+                attr: {
+                    name: sm.to_dict()
+                    for name, sm in metrics_mod.stratified_metrics(
+                        llm_rows, a1_rows, groups, min_stratum_n=tol.min_stratum_n
+                    ).items()
                 }
-            entry["stratified"] = strat
+                for attr, groups in strata.items()
+            }
         for metric, floor in sorted(config.thresholds.items()):
             value = llm_report.value(metric)
             if value is not None and value < floor:

@@ -85,9 +85,12 @@ def dated_variable() -> Field:
     return field(metadata={"dated": True})
 
 
-def single_valued_variable() -> Field:
-    """A required field naming a variable with one value per patient (any kind but event_list)."""
-    return field(metadata={"single_valued": True})
+def single_valued_variable(default=MISSING, *, yaml=None) -> Field:
+    """A field naming a variable with one value per patient (any kind but
+    event_list); required unless given a ``default``. ``yaml`` is the
+    field's YAML key, when not its name."""
+    metadata = {"single_valued": True} if yaml is None else {"single_valued": True, "yaml": yaml}
+    return field(default=default, metadata=metadata)
 
 
 def at_least(spec, minimum: int, *names: str) -> None:

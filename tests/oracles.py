@@ -4,8 +4,11 @@
   store replaced: every key holds ``LabelRecord``s, and ``relabel``
   restamps each one. ``write_records`` writes its records as a label file.
 * ``bootstrap_ci`` is the generic patient bootstrap: it re-runs a statistic
-  on every resampled patient list. ``metrics._rows_ci`` re-sums patient
-  rows instead and must give the same intervals.
+  on every resampled patient list, with its own resample stream,
+  percentiles and clamp. ``metrics.bootstrap_variable_ci`` re-sums patient
+  rows instead and must give the same intervals with
+  ``rescoring_oracle``, the statistic that re-scores the labels of each
+  resample with ``variable_metrics``.
 * ``simulate_validation_inputs`` builds a truth cohort plus corrupted
   extraction and abstraction label sets in one call.
 * ``confusion`` is ``variable_metrics``'s confusion counts alone, and
@@ -19,6 +22,8 @@ import csv
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from rwdval import (
     CohortDataset,
@@ -37,7 +42,7 @@ from rwdval import (
     variable_metrics,
 )
 from rwdval.labelio import LABEL_COLUMNS
-from rwdval.metrics import _percentile_intervals, _resamples
+from rwdval.metrics import METRIC_NAMES
 from rwdval.refstd import _agreement
 from rwdval.schema import _row, validate_record
 
@@ -194,10 +199,44 @@ def bootstrap_ci(
     estimate.
     """
     patients = list(patients)
-    resamples = _resamples(len(patients), n_replicates, seed)
+    n = len(patients)
+    if n == 0:
+        raise ValueError("bootstrap needs a non-empty cohort")
+    if n_replicates < 1:
+        raise ValueError("n_replicates must be >= 1")
+    rng = np.random.default_rng(seed)
     point = statistic(patients)
-    replicates = (statistic([patients[i] for i in sample.tolist()]) for sample in resamples)
-    return _percentile_intervals(point, replicates)
+    replicates = [
+        statistic([patients[i] for i in rng.integers(0, n, size=n).tolist()])
+        for _ in range(n_replicates)
+    ]
+
+    def interval(values: list, center):
+        values = [float(v) for v in values if v is not None]
+        if not values:
+            return None
+        lo, hi = np.quantile(values, [0.025, 0.975])
+        if center is not None:
+            lo, hi = min(lo, center), max(hi, center)
+        return (float(lo), float(hi))
+
+    if not isinstance(point, Mapping):
+        return interval(replicates, point)
+    intervals = {k: interval([rep.get(k) for rep in replicates], point[k]) for k in point}
+    return {k: ci for k, ci in intervals.items() if ci is not None}
+
+
+def rescoring_oracle(pred, reference, variable, positive_class, seen=None, **kwargs):
+    """The bootstrap statistic that re-scores labels on every resample;
+    ``seen``, when given, collects each ``MetricReport``."""
+
+    def stat(sample):
+        rep = variable_metrics(pred, reference, variable, positive_class, patients=sample, **kwargs)
+        if seen is not None:
+            seen.append(rep)
+        return {name: rep.value(name) for name in METRIC_NAMES}
+
+    return stat
 
 
 def simulate_validation_inputs(

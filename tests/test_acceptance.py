@@ -44,6 +44,7 @@ from rwdval import (
     load_schema,
     load_suite,
     match_events,
+    patient_rows,
     read_labels,
     relative_difference,
     run_all_checks,
@@ -690,7 +691,12 @@ def test_ac7_bias_detection():
     a1_model = ErrorModel(per_variable={"surgery": ErrorRates(flip=0.05)})
     llm = corrupt(ds, llm_model, source=Source.LLM, seed=SEED + 1)
     a1 = corrupt(ds, a1_model, source=Source.ABSTRACTOR_1, seed=SEED + 2)
-    strat = stratified_metrics(llm, a1, truth, "surgery", "yes", ds, "race_ethnicity")
+    cohort = sorted(ds.patients)
+    strat = stratified_metrics(
+        patient_rows(llm, truth, "surgery", "yes", patients=cohort),
+        patient_rows(a1, truth, "surgery", "yes", patients=cohort),
+        ds.strata("race_ethnicity"),
+    )
 
     want_a = expected_metrics(llm_model, ds, "surgery", "yes", stratum_value="groupA")["recall"]
     want_b = expected_metrics(llm_model, ds, "surgery", "yes", stratum_value="groupB")["recall"]

@@ -31,21 +31,21 @@ from rwdval import (
     VariableSpec,
     Schema,
     bootstrap_variable_ci,
-    completeness,
     corrupt,
     compute_metrics,
     derive_variable,
     end_to_end_metrics,
     generate_truth,
     match_events,
+    patient_rows,
     relative_difference,
     stratified_metrics,
     variable_metrics,
 )
-from rwdval.metrics import EVENT_PRESENCE, METRIC_NAMES, MetricReport
+from rwdval.metrics import EVENT_PRESENCE, MetricReport
 
 from conftest import make_schema, rec
-from oracles import bootstrap_ci, confusion
+from oracles import bootstrap_ci, confusion, rescoring_oracle
 
 
 D0 = date(2020, 1, 1)
@@ -343,15 +343,32 @@ def test_metric_formulas():
     assert report.ratios["date_accuracy"] == (68, 80)
 
 
+
+@pytest.mark.parametrize(
+    "tp, fp, fn, recall, precision",
+    [(0, 0, 3, 0.0, None), (0, 2, 0, None, 0.0), (0, 0, 0, None, None), (0, 1, 1, 0.0, 0.0)],
+)
+def test_f1_is_undefined_unless_recall_and_precision_both_are(tp, fp, fn, recall, precision):
+    report = compute_metrics(ConfusionCounts("stage", "I", tp=tp, fp=fp, fn=fn), completeness=(0, 0))
+    assert (report.recall, report.precision) == (recall, precision)
+    defined = recall is not None and precision is not None
+    assert report.f1 == (0.0 if defined else None)
+    assert set(report.ratios) == {"recall", "precision", "f1"} & {
+        name for name in ("recall", "precision", "f1") if report.value(name) is not None
+    }
+    assert report.completeness is None
+
 def test_completeness_counts_documented_known(schema):
     labels = LabelSet(
         schema,
         Source.LLM,
         [rec("p1", "stage", "I"), rec("p2", "stage", "unknown")],
     )
-    assert completeness(labels, "stage", ["p1", "p2", "p3"]) == (1, 3)
-    with pytest.raises(ValueError):
-        completeness(labels, "stage", [])
+    ref = LabelSet(schema, Source.REFERENCE)
+    report = variable_metrics(labels, ref, "stage", "I", patients=["p1", "p2", "p3"])
+    assert report.ratios["completeness"] == (1, 3)
+    empty = variable_metrics(labels, ref, "stage", "I", patients=[])
+    assert empty.completeness is None and "completeness" not in empty.ratios
 
 
 def test_relative_difference_is_exact(schema):
@@ -460,18 +477,6 @@ def scored_cohort():
     return dataset, llm, a1
 
 
-def rescoring_oracle(pred, ref, variable, positive, seen=None):
-    """The bootstrap statistic that re-scores labels on every resample."""
-
-    def stat(sample):
-        rep = variable_metrics(pred, ref, variable, positive, patients=sample)
-        if seen is not None:
-            seen.append(rep)
-        return {name: rep.value(name) for name in METRIC_NAMES}
-
-    return stat
-
-
 ROW_TARGETS = [
     ("stage", "III"),  # categorical
     ("surgery", "yes"),  # date
@@ -487,7 +492,7 @@ def test_bootstrap_variable_ci_equals_the_rescoring_oracle(scored_cohort, variab
     cohort = sorted(dataset.patients)
     for patients in (cohort, cohort[:9] * 3):  # the second repeats every patient
         got = bootstrap_variable_ci(
-            llm, ref, variable, positive, patients=patients, n_replicates=60, seed=2
+            patient_rows(llm, ref, variable, positive, patients=patients), n_replicates=60, seed=2
         )
         want = bootstrap_ci(
             rescoring_oracle(llm, ref, variable, positive), patients, n_replicates=60, seed=2
@@ -495,6 +500,26 @@ def test_bootstrap_variable_ci_equals_the_rescoring_oracle(scored_cohort, variab
         assert got, (variable, positive)
         assert got == want
 
+
+
+@pytest.mark.parametrize("variable,positive", ROW_TARGETS)
+def test_bootstrap_variable_ci_brackets_the_point_with_few_replicates(scored_cohort, variable, positive):
+    """One to three replicates rarely bracket the point, so the clamp decides the interval."""
+    dataset, llm, _ = scored_cohort
+    ref = dataset.labels(Source.REFERENCE)
+    cohort = sorted(dataset.patients)[:12]
+    rows = patient_rows(llm, ref, variable, positive, patients=cohort)
+    point = rows.report()
+    for n_replicates in (1, 2, 3):
+        for seed in range(4):
+            got = bootstrap_variable_ci(rows, n_replicates=n_replicates, seed=seed)
+            want = bootstrap_ci(
+                rescoring_oracle(llm, ref, variable, positive), cohort, n_replicates=n_replicates, seed=seed
+            )
+            assert got == want
+            for name, (lo, hi) in got.items():
+                if point.value(name) is not None:
+                    assert lo <= point.value(name) <= hi, (name, lo, hi)
 
 def test_bootstrap_variable_ci_drops_undefined_precision_like_the_oracle(schema):
     ref = LabelSet(
@@ -513,7 +538,7 @@ def test_bootstrap_variable_ci_drops_undefined_precision_like_the_oracle(schema)
     )
     assert any(rep.precision is None for rep in seen)
     assert "precision" in want
-    got = bootstrap_variable_ci(pred, ref, "stage", "I", patients=cohort, n_replicates=80, seed=1)
+    got = bootstrap_variable_ci(patient_rows(pred, ref, "stage", "I", patients=cohort), n_replicates=80, seed=1)
     assert got == want
 
 
@@ -521,8 +546,10 @@ def test_bootstrap_variable_ci_drops_undefined_precision_like_the_oracle(schema)
 def test_stratified_metrics_equal_variable_metrics_per_stratum(scored_cohort, variable, positive):
     dataset, llm, a1 = scored_cohort
     ref = dataset.labels(Source.REFERENCE)
+    cohort = sorted(dataset.patients)
+    llm_rows, a1_rows = (patient_rows(side, ref, variable, positive, patients=cohort) for side in (llm, a1))
     for attr in ("race_ethnicity", "treatment_arm"):
-        got = stratified_metrics(llm, a1, ref, variable, positive, dataset, attr, min_stratum_n=10)
+        got = stratified_metrics(llm_rows, a1_rows, dataset.strata(attr), min_stratum_n=10)
         strata = dataset.strata(attr)
         assert set(got) == set(strata)
         for stratum, entry in got.items():
@@ -532,6 +559,38 @@ def test_stratified_metrics_equal_variable_metrics_per_stratum(scored_cohort, va
             assert entry.llm == variable_metrics(llm, ref, variable, positive, patients=pids)
             assert entry.abstraction == variable_metrics(a1, ref, variable, positive, patients=pids)
             assert entry.relative == relative_difference(entry.llm, entry.abstraction)
+
+
+
+@pytest.mark.parametrize("variable,positive", ROW_TARGETS)
+def test_patient_rows_report_equals_variable_metrics_on_the_patients_taken(scored_cohort, variable, positive):
+    dataset, llm, _ = scored_cohort
+    ref = dataset.labels(Source.REFERENCE)
+    cohort = sorted(dataset.patients)
+    rows = patient_rows(llm, ref, variable, positive, patients=cohort)
+    assert rows.patients == tuple(cohort)
+    assert (rows.variable, rows.positive_class) == (variable, positive)
+    assert rows.report() == variable_metrics(llm, ref, variable, positive, patients=cohort)
+    picks = np.random.default_rng(7).integers(0, len(cohort), size=len(cohort))
+    for take in (slice(5, 30), [3, 3, 0, 41], picks, []):
+        pids = [cohort[i] for i in np.arange(len(cohort))[take]]
+        assert rows.report(take) == variable_metrics(llm, ref, variable, positive, patients=pids)
+
+
+def test_stratified_metrics_rejects_sides_over_different_patients(schema):
+    ref = LabelSet(schema, Source.REFERENCE, [LabelRecord("p1", "stage", "I", None, Source.REFERENCE)])
+    llm = patient_rows(ref, ref, "stage", "I", patients=["p1", "p2"])
+    a1 = patient_rows(ref, ref, "stage", "I", patients=["p2", "p1"])
+    with pytest.raises(ValueError, match="same patients"):
+        stratified_metrics(llm, a1, {"all": ["p1", "p2"]}, min_stratum_n=1)
+
+
+def test_bootstrap_variable_ci_rejects_an_empty_cohort_or_no_replicates(schema):
+    ref = LabelSet(schema, Source.REFERENCE, [LabelRecord("p1", "stage", "I", None, Source.REFERENCE)])
+    with pytest.raises(ValueError, match="non-empty cohort"):
+        bootstrap_variable_ci(patient_rows(ref, ref, "stage", "I", patients=[]))
+    with pytest.raises(ValueError, match="n_replicates"):
+        bootstrap_variable_ci(patient_rows(ref, ref, "stage", "I"), n_replicates=0)
 
 
 # --- derived variables ---
@@ -648,7 +707,7 @@ def test_stratified_metrics_suppresses_small_strata(schema):
     pred = LabelSet(schema, Source.LLM, [rec(pid, "stage", "I") for pid in patients])
     ds = CohortDataset(schema=schema, patients=patients, label_sets={})
     got = stratified_metrics(
-        pred, None, ref, "stage", "I", ds, "race", min_stratum_n=3
+        patient_rows(pred, ref, "stage", "I", patients=sorted(ds.patients)), None, ds.strata("race"), min_stratum_n=3
     )
     assert got["groupA"].suppressed is False
     assert got["groupA"].llm.recall == 1.0

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import adjudicate_simulated, make_schema, rec
+from oracles import bootstrap_ci, rescoring_oracle
 
 import rwdval
 from rwdval import (
@@ -254,57 +256,61 @@ def _bootstrap_config(workspace):
 
 
 def test_metrics_pillar_equals_the_public_oracles(workspace):
+    """Point metrics and every stratum re-score the labels of their patients
+    with ``variable_metrics``; the intervals re-score each resample."""
     config = _bootstrap_config(workspace)
+    # each attribute has a stratum of 113 patients, suppressed, and one of 127
+    config = replace(config, tolerances=replace(config.tolerances, min_stratum_n=120))
     dataset = _load_dataset(config, _load_schema(config))
     reference, llm, a1 = assemble_reference(config, dataset)
     cohort = sorted(dataset.patients)
     tol = config.tolerances
     days = {"tolerance_days": tol.date_tolerance_days}
-    expected = {}
-    for target in config.metrics.variables:
-        args = (reference, target.variable, target.positive_class)
-        llm_report = metrics.variable_metrics(llm, *args, patients=cohort, **days)
-        a1_report = metrics.variable_metrics(a1, *args, patients=cohort, **days)
-        llm_report.ci = metrics.bootstrap_variable_ci(
-            llm, *args, patients=cohort, n_replicates=tol.bootstrap_replicates, seed=tol.seed, **days
-        )
-        strata = {}
-        for attr in config.strata:
-            per = metrics.stratified_metrics(
-                llm, a1, *args, dataset, attr, min_stratum_n=tol.min_stratum_n, **days
-            )
-            strata[attr] = {
-                name: {
-                    "n": sm.n,
-                    "suppressed": sm.suppressed,
-                    "llm": sm.llm.to_dict() if sm.llm else None,
-                    "abstraction": sm.abstraction.to_dict() if sm.abstraction else None,
-                    "relative": [r.to_dict() for r in sm.relative] if sm.relative else None,
-                }
-                for name, sm in per.items()
-            }
-        expected[target.variable] = {
-            "positive_class": target.positive_class,
+
+    def scored(args, pids):
+        llm_report = metrics.variable_metrics(llm, *args, patients=pids, **days)
+        a1_report = metrics.variable_metrics(a1, *args, patients=pids, **days)
+        return {
             "llm": llm_report.to_dict(),
             "abstraction": a1_report.to_dict(),
             "relative": [r.to_dict() for r in metrics.relative_difference(llm_report, a1_report)],
-            "stratified": strata,
         }
+
+    expected = {}
+    for target in config.metrics.variables:
+        args = (reference, target.variable, target.positive_class)
+        entry = {"positive_class": target.positive_class, **scored(args, cohort)}
+        ci = bootstrap_ci(
+            rescoring_oracle(llm, *args, **days), cohort, n_replicates=tol.bootstrap_replicates, seed=tol.seed
+        )
+        entry["llm"]["ci"] = {name: list(interval) for name, interval in ci.items()}
+        entry["stratified"] = {
+            attr: {
+                name: {"n": len(pids), "suppressed": True, "llm": None, "abstraction": None, "relative": None}
+                if len(pids) < tol.min_stratum_n
+                else {"n": len(pids), "suppressed": False, **scored(args, pids)}
+                for name, pids in dataset.strata(attr).items()
+            }
+            for attr in config.strata
+        }
+        expected[target.variable] = entry
     got = run_pipeline(config).report["metrics"]["variables"]
     assert all(entry["llm"]["ci"] for entry in got.values())
+    shown = {s["suppressed"] for entry in got.values() for per in entry["stratified"].values() for s in per.values()}
+    assert shown == {False, True}
     assert got == expected
 
 
 def test_each_side_of_each_target_is_scored_once_per_run(workspace, monkeypatch):
     config = _bootstrap_config(workspace)
     built = []
-    patient_rows = metrics._patient_rows
+    patient_rows = metrics.patient_rows
 
     def counted(*args, **kwargs):
         built.append(args[2])
         return patient_rows(*args, **kwargs)
 
-    monkeypatch.setattr(metrics, "_patient_rows", counted)
+    monkeypatch.setattr(metrics, "patient_rows", counted)
     run_pipeline(config)
     targets = [t.variable for t in config.metrics.variables]
     assert sorted(built) == sorted(targets * 2)
@@ -987,6 +993,34 @@ def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, 
             },
             "checks[0].cohort.filter: unknown variable 'surgeryx'",
         ),
+        (
+            {"cohort": {"kind": "distribution_range", "variable": "er_result", "expected": {"positive": [0.1, 0.9]}}},
+            "checks[0].cohort.variable: er_result is an event_list variable, which holds many values per patient",
+        ),
+        (
+            {
+                "cohort": {
+                    "kind": "stratified_rate_range",
+                    "variable": "er_result",
+                    "positive_value": "positive",
+                    "by": {"attribute": "race"},
+                    "expected": {"groupA": [0.1, 0.9]},
+                }
+            },
+            "checks[0].cohort.variable: er_result is an event_list variable, which holds many values per patient",
+        ),
+        (
+            {
+                "cohort": {
+                    "kind": "stratified_rate_range",
+                    "variable": "surgery",
+                    "positive_value": "yes",
+                    "by": {"variable": "er_result"},
+                    "expected": {"positive": [0.1, 0.9]},
+                }
+            },
+            "checks[0].cohort.by.variable: er_result is an event_list variable, which holds many values per patient",
+        ),
     ],
     ids=[
         "expr_unknown_variable",
@@ -994,6 +1028,9 @@ def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, 
         "expr_syntax",
         "cohort_unknown_variable",
         "filter_unknown_variable",
+        "distribution_on_event_list",
+        "rate_on_event_list",
+        "rate_by_event_list",
     ],
 )
 def test_malformed_check_suite_exits_2_before_any_label_file_is_read(tmp_path, entry, message):
@@ -1355,6 +1392,31 @@ def test_an_unreadable_cell_exits_2_naming_the_file_and_row(tiny_workspace, tmp_
     assert "Traceback" not in text(result)
 
 
+@pytest.mark.parametrize("name", ["labels_llm.csv", "labels_abstractor_1.csv"])
+def test_a_label_patient_missing_from_attributes_exits_2_naming_the_file_and_row(tiny_workspace, tmp_path, name):
+    ws = tmp_path / "ws"
+    shutil.copytree(tiny_workspace, ws, ignore=shutil.ignore_patterns("fuzzed*", "run_*", "results*"))
+    with open(ws / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # the first and the last of P000003's rows, and P000005's first row
+    renamed = [i for i, row in enumerate(rows) if row[0] == "P000003"]
+    rows[renamed[0]][0] = rows[renamed[-1]][0] = "P999999"
+    moved = next(i for i, row in enumerate(rows) if row[0] == "P000005")
+    rows[moved][0] = " P777777 "
+    with open(ws / name, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    result = CliRunner().invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exit_code == 2, text(result)
+    first, second = sorted([renamed[0] + 1, moved + 1])
+    pids = {renamed[0] + 1: "P999999", moved + 1: "P777777"}
+    assert (
+        f"error: {(ws / name).resolve()}: 2 problem(s)\n"
+        f"  row {first}: patient {pids[first]!r} is not in attributes.csv\n"
+        f"  row {second}: patient {pids[second]!r} is not in attributes.csv\n"
+    ) in text(result)
+    assert "Traceback" not in text(result)
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_a_fuzzed_label_or_attribute_file_runs_or_exits_2_naming_the_row(tiny_workspace, data):
@@ -1380,9 +1442,13 @@ def test_a_fuzzed_label_or_attribute_file_runs_or_exits_2_naming_the_row(tiny_wo
         assert "Traceback" not in out
         if result.exit_code != 2:
             reports.append((tiny_workspace / out_dir / "report.json").read_bytes())
-        elif "outside the cohort" not in out:  # a labelled patient the attributes file lacks
-            # the file, then each of its problems with its row (or, for bytes, line) number
-            assert out.startswith(f"error: {fuzzed}: "), out
+        else:
+            # the file, then each of its problems with its row (or, for bytes, line) number;
+            # a labelled patient that a fuzzed attributes file lacks is named at its label row
+            named = [fuzzed]
+            if name == "attributes.csv":
+                named += [(tiny_workspace / label_file).resolve() for label_file in run["labels"].values()]
+            assert any(out.startswith(f"error: {path}: ") for path in named), out
             for problem in re.findall(r"^  (.*)$", out, re.MULTILINE):
                 assert re.match(r"(row|line) \d+: |\.\.\. and \d+ more", problem) or problem.startswith(_WHOLE_FILE), out
     assert len(reports) in (0, 2) and len(set(reports)) <= 1
