@@ -70,9 +70,9 @@ a2 = labels(Source.ABSTRACTOR_2, [
 # ---- mode 1: duplicate abstraction ----
 # The second abstraction IS the reference; the extraction and the first
 # abstractor are both scored against it on the same footing.
-ref, (llm_eval, a1_eval) = build_duplicate_abstraction(llm, a1, a2)
+ref = build_duplicate_abstraction(llm, a1, a2)
 print("duplicate abstraction:", ref.summary())
-for name, side in (("llm", llm_eval), ("abstractor_1", a1_eval)):
+for name, side in (("llm", llm), ("abstractor_1", a1)):
     report = variable_metrics(side, ref, "surgery", "yes")
     print(f"  {name}: recall={report.recall} precision={report.precision}")
 

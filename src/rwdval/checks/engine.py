@@ -601,9 +601,12 @@ def run_all_checks(
     ``strata`` lists attribute keys for per-stratum outcome tallies on
     patient-level checks (strata smaller than ``min_stratum_n`` are
     suppressed). Results keep suite order; findings are ordered by patient.
+    A suite that does not fit the dataset's schema, such as one built in
+    code, raises ``ConfigError`` listing every problem before any check runs.
     """
-    labels = dataset.labels(source)
     schema = dataset.schema
+    _check_against(suite, schema)
+    labels = dataset.labels(source)
     strata = list(strata)
     cohort = sorted(dataset.patients)
     results = [CheckResult(check) for check in suite]
@@ -665,10 +668,15 @@ def suite_from_dict(doc: dict, schema: Schema) -> CheckSuite:
     ``schema``; a ``ConfigError`` (a ``ValueError``) lists every problem
     with its YAML path."""
     suite = read_spec(CheckSuite, doc)
+    _check_against(suite, schema)
+    return suite
+
+
+def _check_against(suite: CheckSuite, schema: Schema) -> None:
+    """Raise ``ConfigError`` listing every problem of ``suite`` against ``schema``."""
     problems = schema_problems(suite, schema)
     if problems:
         raise ConfigError(*problems)
-    return suite
 
 
 def load_suite(path: str | Path, schema: Schema) -> CheckSuite:

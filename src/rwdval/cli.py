@@ -10,14 +10,16 @@ subcommand's run error in one place.
 """
 from __future__ import annotations
 
+import csv
 import sys
 from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 
 import click
 import yaml
 
-from .labelio import IngestError, load_schema, read_labels, save_schema, write_attributes, write_labels
+from .labelio import LABEL_COLUMNS, IngestError, load_schema, read_labels, save_schema, write_attributes, write_labels
 from .pipeline import (
     ConfigError,
     Pillars,
@@ -113,6 +115,20 @@ def ingest(ctx, label_file, schema_path, source_name, refresh_id):
     )
 
 
+def _named_source(path) -> Source:
+    """The source a label file's first data row names; an empty source cell,
+    or one naming no source, reads as ``reference``. Ingest then holds every
+    row to that source."""
+    try:
+        with open(path, newline="") as fh:
+            rows = islice(csv.reader(fh), 1, None)
+            first = next((row for row in rows if "".join(row).strip()), [])
+    except (csv.Error, UnicodeDecodeError):
+        first = []  # ingest reports the file's fault
+    cell = dict(zip(LABEL_COLUMNS, first)).get("source", "").strip()
+    return Source(cell) if cell in {s.value for s in Source} else Source.REFERENCE
+
+
 @main.command()
 @click.option("--mode", type=click.Choice([m.value for m in ReferenceMode]), default=None,
               help="Override the configured reference mode.")
@@ -122,7 +138,7 @@ def ingest(ctx, label_file, schema_path, source_name, refresh_id):
               help="Adjudicator label file (overrides the config).")
 @click.option("--oracle", "oracle_path", type=click.Path(exists=True), default=None,
               help="Resolve open disagreements by copying these labels (simulation aid). "
-                   "Rows must carry source 'reference' or an empty source cell.")
+                   "Rows carry the source the first row names; an empty cell reads as 'reference'.")
 @click.pass_context
 def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
     """Assemble the reference standard; emit a worklist when blocked."""
@@ -136,13 +152,13 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
             adjudications = read_labels(adjudications_path, dataset.schema, Source.ADJUDICATOR)
         if oracle_path:
             # assembling with no adjudications yields the active mode's open cases
-            oracle = read_labels(oracle_path, dataset.schema, Source.REFERENCE)
+            oracle = read_labels(oracle_path, dataset.schema, _named_source(oracle_path))
             adjudications = LabelSet(dataset.schema, Source.ADJUDICATOR)
             try:
                 assemble_reference(config, dataset, adjudications)
             except AdjudicationError as exc:
                 adjudications = adjudicate_from_oracle(exc.worklist, oracle)
-        ref, _, _ = assemble_reference(config, dataset, adjudications)
+        ref = assemble_reference(config, dataset, adjudications)
     except AdjudicationError as exc:
         if worklist_path:
             write_disagreements(exc.worklist, worklist_path)

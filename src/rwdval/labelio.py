@@ -12,7 +12,7 @@ from __future__ import annotations
 import codecs
 import csv
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -266,10 +266,15 @@ def read_labels(
     return LabelSet._from_store(schema, source, by_patient, expected_refresh_id)
 
 
-def _format_value(value: str | float) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def label_cells(patient_id: str, variable: str, rows: Iterable[Row], source: Source) -> Iterator[list]:
+    """The six ``LABEL_COLUMNS`` cells of each of one key's rows; ``read_labels`` reads them back."""
+    source = source.value
+    return (
+        # repr keeps every float digit
+        [patient_id, variable, repr(value) if isinstance(value, float) else value,
+         event_date.isoformat() if event_date else "", source, refresh_id or ""]
+        for value, event_date, refresh_id in rows
+    )
 
 
 def write_labels(labels: LabelSet, path: str | Path) -> None:
@@ -279,22 +284,11 @@ def write_labels(labels: LabelSet, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_COLUMNS)
-        source = labels.source.value
         by_patient = labels._by_patient
         for pid in sorted(by_patient):
             own = by_patient[pid]
             for var in sorted(own):
-                writer.writerows(
-                    [
-                        pid,
-                        var,
-                        _format_value(value),
-                        event_date.isoformat() if event_date else "",
-                        source,
-                        refresh_id or "",
-                    ]
-                    for value, event_date, refresh_id in own[var]
-                )
+                writer.writerows(label_cells(pid, var, own[var], labels.source))
 
 
 def read_attributes(path: str | Path, declared_strata: list[str]) -> dict[str, dict[str, str]]:

@@ -315,8 +315,7 @@ def assemble_reference(
 ):
     """Assemble the reference standard the configured mode asks for.
 
-    Returns (reference_standard, evaluand_llm, evaluand_abstraction). The
-    adjudications default to the dataset's adjudicator labels (none given
+    The adjudications default to the dataset's adjudicator labels (none given
     means none made). An incomplete adjudication raises
     ``AdjudicationError``, whose ``worklist`` holds the open cases.
     """
@@ -324,25 +323,22 @@ def assemble_reference(
     a1 = dataset.labels(Source.ABSTRACTOR_1)
     mode = config.reference_mode
     if mode == ReferenceMode.DUPLICATE_ABSTRACTION:
-        ref, (llm_eval, a1_eval) = build_duplicate_abstraction(
-            llm, a1, dataset.labels(Source.ABSTRACTOR_2)
-        )
-        return ref, llm_eval, a1_eval
+        return build_duplicate_abstraction(llm, a1, dataset.labels(Source.ABSTRACTOR_2))
     if adjudications is None:
         adjudications = dataset.label_sets.get(Source.ADJUDICATOR)
     if adjudications is None:
         adjudications = LabelSet(dataset.schema, Source.ADJUDICATOR)
     tol = config.tolerances.date_tolerance_days
     if mode == ReferenceMode.DOUBLE_ADJUDICATION:
-        ref = build_double_adjudication(llm, a1, adjudications, tolerance_days=tol)
-    else:
-        ref = build_triple_adjudication(
-            llm, a1, dataset.labels(Source.ABSTRACTOR_2), adjudications, tolerance_days=tol
-        )
-    return ref, llm, a1
+        return build_double_adjudication(llm, a1, adjudications, tolerance_days=tol)
+    return build_triple_adjudication(
+        llm, a1, dataset.labels(Source.ABSTRACTOR_2), adjudications, tolerance_days=tol
+    )
 
 
-def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference, llm, a1) -> dict:
+def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference) -> dict:
+    """The extraction and abstractor 1 scored against ``reference``."""
+    llm, a1 = dataset.labels(Source.LLM), dataset.labels(Source.ABSTRACTOR_1)
     tol = config.tolerances
     cohort = sorted(dataset.patients)
     strata = {attr: dataset.strata(attr) for attr in config.strata}
@@ -643,7 +639,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     need_reference = config.pillars.metrics or config.pillars.replication
     if need_reference:
         try:
-            reference, llm_eval, a1_eval = assemble_reference(config, dataset)
+            reference = assemble_reference(config, dataset)
             report["reference"] = reference.summary()
             worklist = list(reference.cases)
         except AdjudicationError as exc:
@@ -652,7 +648,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             if config.pillars.metrics:
                 report["metrics"] = {"status": "blocked", "reason": str(exc)}
     if config.pillars.metrics and reference is not None:
-        report["metrics"] = _metrics_pillar(config, dataset, reference, llm_eval, a1_eval)
+        report["metrics"] = _metrics_pillar(config, dataset, reference)
     if config.pillars.checks:
         checks_dict, findings = _checks_pillar(config, dataset, suite)
         report["checks"] = checks_dict
@@ -766,10 +762,9 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict[str, Path]:
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["t", "n_at_risk", "d", "S", "se"])
-                for row in curve.to_rows():
-                    writer.writerow(
-                        [row["t"], row["n_at_risk"], row["d"], row["S"], row["se"]]
-                    )
+                writer.writerows(
+                    zip(curve.times, curve.n_at_risk, curve.n_events, curve.survival, curve.std_err)
+                )
             written[f"curve:{name}"] = path
     if result.worklist:
         worklist_path = out / "disagreements.csv"

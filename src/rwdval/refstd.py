@@ -33,9 +33,10 @@ import csv
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from pathlib import Path
 
-from .labelio import _format_value
+from .labelio import LABEL_COLUMNS, label_cells
 from .schema import (
     _NO_ROWS,
     LabelRecord,
@@ -46,9 +47,7 @@ from .schema import (
     VariableKind,
     VariableSpec,
     _records,
-    _row,
     effective_tolerance,
-    validate_record,
 )
 
 
@@ -75,83 +74,51 @@ class CaseStatus(str, Enum):
     RESOLVED = "resolved"
 
 
+# every (llm, abstractor 1, abstractor 2) sources tuple a case can hold, so
+# the thousands of cases of a worklist share a few tuples
+_SIDE_SOURCES = {t: t for t in product([None, *Source], repeat=3)}
+
+
+@dataclass(slots=True)
 class DisagreementCase:
     """One (patient, variable) where two sources assert different things.
 
     An absent assertion on one side is itself a disagreement when the other
     side asserts something, including a documented unknown.
 
-    A case keeps each side's rows and source, and ``llm``, ``abstractor_1``
-    and ``abstractor_2`` build that side's ``LabelRecord``s when read. Given
-    records, each side must be the key's records from one source.
+    ``rows`` holds the key's rows from the (llm, abstractor 1, abstractor 2)
+    sides and ``sources`` their sources; a side without rows has source
+    None, whatever was given, so equal cases are cases with equal records.
+    ``llm``, ``abstractor_1`` and ``abstractor_2`` build that side's
+    ``LabelRecord``s when read.
     """
 
-    __slots__ = ("patient_id", "variable", "pair", "status", "_rows", "_sources")
+    patient_id: str
+    variable: str
+    pair: Pair
+    rows: tuple[tuple[Row, ...], ...] = ((), (), ())
+    sources: tuple[Source | None, ...] = (None, None, None)
+    status: CaseStatus = CaseStatus.OPEN
 
-    def __init__(
-        self,
-        patient_id: str,
-        variable: str,
-        pair: Pair,
-        llm: tuple[LabelRecord, ...] = (),
-        abstractor_1: tuple[LabelRecord, ...] = (),
-        abstractor_2: tuple[LabelRecord, ...] = (),
-        status: CaseStatus = CaseStatus.OPEN,
-    ):
-        sides = (llm, abstractor_1, abstractor_2)
-        self.patient_id, self.variable, self.pair, self.status = patient_id, variable, pair, status
-        self._rows = tuple(tuple(map(_row, recs)) for recs in sides)
-        self._sources = tuple(recs[0].source if recs else None for recs in sides)
-
-    @classmethod
-    def _of_rows(
-        cls,
-        patient_id: str,
-        variable: str,
-        pair: Pair,
-        rows: tuple[tuple[Row, ...], ...],
-        sources: tuple[Source | None, ...],
-    ) -> "DisagreementCase":
-        """An open case over the (llm, abstractor 1, abstractor 2) sides' rows
-        and sources, taken as is."""
-        case = cls.__new__(cls)
-        case.patient_id, case.variable, case.pair, case.status = (
-            patient_id, variable, pair, CaseStatus.OPEN
-        )
-        case._rows, case._sources = rows, sources
-        return case
-
-    def _side(self, side: int) -> tuple[LabelRecord, ...]:
-        return _records(self.patient_id, self.variable, self._rows[side], self._sources[side])
+    def __post_init__(self) -> None:
+        sources = tuple(s if r else None for r, s in zip(self.rows, self.sources))
+        self.sources = _SIDE_SOURCES.get(sources, sources)
 
     @property
     def llm(self) -> tuple[LabelRecord, ...]:
-        return self._side(0)
+        return _records(self.patient_id, self.variable, self.rows[0], self.sources[0])
 
     @property
     def abstractor_1(self) -> tuple[LabelRecord, ...]:
-        return self._side(1)
+        return _records(self.patient_id, self.variable, self.rows[1], self.sources[1])
 
     @property
     def abstractor_2(self) -> tuple[LabelRecord, ...]:
-        return self._side(2)
+        return _records(self.patient_id, self.variable, self.rows[2], self.sources[2])
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.patient_id, self.variable)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DisagreementCase):
-            return NotImplemented
-        fields = lambda c: (c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2, c.status)
-        return fields(self) == fields(other)
-
-    def __repr__(self) -> str:
-        return (
-            f"DisagreementCase(patient_id={self.patient_id!r}, variable={self.variable!r}, "
-            f"pair={self.pair!r}, llm={self.llm!r}, abstractor_1={self.abstractor_1!r}, "
-            f"abstractor_2={self.abstractor_2!r}, status={self.status!r})"
-        )
 
 
 class AdjudicationError(ValueError):
@@ -171,19 +138,16 @@ class AdjudicationError(ValueError):
         self.uncovered = uncovered
         self.stale = stale
         self.worklist = worklist or []
-        parts = []
-        if uncovered:
-            parts.append(
-                f"{len(uncovered)} unresolved disagreement(s) without adjudication: "
-                + ", ".join(f"{p}/{v}" for p, v in uncovered[:10])
-                + (" ..." if len(uncovered) > 10 else "")
+        parts = [
+            f"{len(keys)} {what}: "
+            + ", ".join(f"{p}/{v}" for p, v in keys[:10])
+            + (" ..." if len(keys) > 10 else "")
+            for keys, what in (
+                (uncovered, "unresolved disagreement(s) without adjudication"),
+                (stale, "adjudication(s) for keys that are not disagreements"),
             )
-        if stale:
-            parts.append(
-                f"{len(stale)} adjudication(s) for keys that are not disagreements: "
-                + ", ".join(f"{p}/{v}" for p, v in stale[:10])
-                + (" ..." if len(stale) > 10 else "")
-            )
+            if keys
+        ]
         super().__init__("; ".join(parts))
 
 
@@ -366,7 +330,7 @@ def find_disagreements(
             agree = agreement[var]
             for pair, a, b in pairs:
                 if not agree(rows[a], rows[b]):
-                    cases.append(DisagreementCase._of_rows(pid, var, pair, rows, sources))
+                    cases.append(DisagreementCase(pid, var, pair, rows, sources))
     return cases
 
 
@@ -374,22 +338,20 @@ def build_duplicate_abstraction(
     llm: LabelSet,
     abstractor_1: LabelSet,
     abstractor_2: LabelSet,
-) -> tuple[ReferenceStandard, tuple[LabelSet, LabelSet]]:
-    """Second abstraction as reference; evaluands are the extraction and A1.
+) -> ReferenceStandard:
+    """Second abstraction as reference, for scoring the extraction and A1.
 
     The reference is abstractor 2 verbatim (no key disputed, so every
     key's provenance is single_source). Scoring abstractor 2 against it is
-    the identity and is reported as such, which is why the evaluands
-    returned are the extraction and abstractor 1.
+    the identity, so only the extraction and abstractor 1 are scored.
     """
     if len(abstractor_2) == 0:
         raise ValueError("abstractor_2 label set is empty; nothing to reference")
-    rs = ReferenceStandard(
+    return ReferenceStandard(
         mode=ReferenceMode.DUPLICATE_ABSTRACTION,
         labels=abstractor_2.relabel(Source.REFERENCE),
         patients=frozenset(_patient_union(llm, abstractor_1, abstractor_2)),
     )
-    return rs, (llm, abstractor_1)
 
 
 def _check_adjudications(
@@ -507,24 +469,12 @@ def write_disagreements(cases: Iterable[DisagreementCase], path: str | Path) -> 
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["patient_id", "variable", "value", "event_date", "source", "refresh_id", "pair"]
-        )
+        writer.writerow([*LABEL_COLUMNS, "pair"])
         for case in cases:
             pid, var, pair = case.patient_id, case.variable, case.pair.value
-            for rows, source in zip(case._rows, case._sources):
-                writer.writerows(
-                    [
-                        pid,
-                        var,
-                        _format_value(value),
-                        event_date.isoformat() if event_date else "",
-                        source.value,
-                        refresh_id or "",
-                        pair,
-                    ]
-                    for value, event_date, refresh_id in rows
-                )
+            for rows, source in zip(case.rows, case.sources):
+                if rows:
+                    writer.writerows([*cells, pair] for cells in label_cells(pid, var, rows, source))
 
 
 def adjudicate_from_oracle(
@@ -554,12 +504,5 @@ def adjudicate_from_oracle(
                 f"{case.variable}: oracle has no record for {case.patient_id} and "
                 "no unknown token is declared to stand in for absence"
             )
-        stand_in = LabelRecord(
-            patient_id=case.patient_id,
-            variable=case.variable,
-            value=spec.unknown_token,
-            source=Source.ADJUDICATOR,
-        )
-        validate_record(stand_in, spec)
-        own[case.variable] = (_row(stand_in),)
+        own[case.variable] = ((spec.unknown_token, None, None),)
     return LabelSet._from_store(oracle.schema, Source.ADJUDICATOR, by_patient)

@@ -460,16 +460,6 @@ class EquityReport:
     suppressed: list[str]
     concordance: ConcordanceResult | None
 
-    def to_dict(self) -> dict:
-        return {
-            "stratum_attribute": self.stratum_attribute,
-            "medians": dict(sorted(self.medians.items())),
-            "group_sizes": dict(sorted(self.group_sizes.items())),
-            "suppressed": sorted(self.suppressed),
-            "concordance": self.concordance.to_dict() if self.concordance else None,
-            "curves": {g: c.to_dict() for g, c in sorted(self.curves.items())},
-        }
-
 
 def equity_replication(
     records: Sequence[SurvivalRecord],

@@ -56,8 +56,9 @@ class VariableSpec:
     ``allowed_values`` is required for categorical variables, optional for
     date and event_list variables (their value payload is usually a small
     category set such as yes/no or positive/negative), and forbidden for
-    numeric ones. ``unknown_token`` marks the documented-unknown value and
-    must be a member of ``allowed_values`` when both are present.
+    numeric ones. ``unknown_token`` marks the documented-unknown value: a
+    non-empty token, a member of ``allowed_values`` when both are present,
+    and forbidden for numeric variables, whose labels are numbers.
     ``date_tolerance_days`` overrides the engine-wide date tolerance.
     """
 
@@ -77,8 +78,14 @@ class VariableSpec:
             raise SchemaError(f"allowed_values: required for {self.name}, a categorical variable")
         if kind == VariableKind.NUMERIC and self.allowed_values:
             raise SchemaError(f"allowed_values: {self.name} is numeric and takes none")
-        if self.unknown_token is not None and self.allowed_values is not None:
-            if self.unknown_token not in self.allowed_values:
+        if self.unknown_token is not None:
+            # a label's value is a number or a non-empty token, so these tokens
+            # could never be a label
+            if kind == VariableKind.NUMERIC:
+                raise SchemaError(f"unknown_token: {self.name} is numeric and takes none")
+            if not self.unknown_token:
+                raise SchemaError(f"unknown_token: must be non-empty for {self.name}")
+            if self.allowed_values is not None and self.unknown_token not in self.allowed_values:
                 raise SchemaError(
                     f"unknown_token: {self.unknown_token!r} is not in the allowed_values of {self.name}"
                 )

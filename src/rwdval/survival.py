@@ -66,33 +66,6 @@ class KMCurve:
                 return time
         return None
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "t": t,
-                "n_at_risk": n,
-                "d": d,
-                "S": s,
-                "se": se,
-            }
-            for t, n, d, s, se in zip(
-                self.times, self.n_at_risk, self.n_events, self.survival, self.std_err
-            )
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "n_at_risk": list(self.n_at_risk),
-            "n_events": list(self.n_events),
-            "survival": list(self.survival),
-            "std_err": list(self.std_err),
-            "n_total": self.n_total,
-            "n_events_total": self.n_events_total,
-            "max_followup": self.max_followup,
-            "median": self.median(),
-        }
-
 
 def km_estimate(
     durations: "np.ndarray | list[float]", events: "np.ndarray | list[bool]"

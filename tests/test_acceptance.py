@@ -76,10 +76,10 @@ def _duplicate_scores(schema, llm_recs, a1_recs, truth_recs, variable, positive)
     llm = label_set(schema, Source.LLM, llm_recs)
     a1 = label_set(schema, Source.ABSTRACTOR_1, a1_recs)
     a2 = label_set(schema, Source.ABSTRACTOR_2, truth_recs)
-    ref, (llm_eval, a1_eval) = build_duplicate_abstraction(llm, a1, a2)
+    ref = build_duplicate_abstraction(llm, a1, a2)
     cohort = sorted(ref.labels.patients)
-    m_llm = variable_metrics(llm_eval, ref, variable, positive, patients=cohort)
-    m_a1 = variable_metrics(a1_eval, ref, variable, positive, patients=cohort)
+    m_llm = variable_metrics(llm, ref, variable, positive, patients=cohort)
+    m_a1 = variable_metrics(a1, ref, variable, positive, patients=cohort)
     return {r.metric: r.delta_pp for r in relative_difference(m_llm, m_a1)}, m_llm, m_a1
 
 
@@ -237,7 +237,7 @@ def test_ac2_reference_standard_properties():
         )
 
         # duplicate-abstraction identity: the duplicate scores 1.0 vs the reference
-        ref, _ = build_duplicate_abstraction(llm, a1, a2)
+        ref = build_duplicate_abstraction(llm, a1, a2)
         for variable, positive in (("surgery", "yes"), ("stage", "II"), ("er_result", None)):
             report = variable_metrics(a2, ref, variable, positive)
             for metric in ("recall", "precision", "f1", "date_accuracy"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rwdval import (
     CohortDataset,
+    ConfigError,
     LabelRecord,
     LabelSet,
     Source,
@@ -518,6 +519,29 @@ def test_distribution_range_filter(schema):
     )
     result = run_all_checks(suite, ds).result("c1")
     assert result.n_flagged == 0  # among surgical patients, I is 1/1
+
+
+@pytest.mark.parametrize(
+    "check, problem",
+    [
+        (
+            check_of(DistributionRange(variable="er_result", expected={"positive": (0.0, 1.0)})),
+            "checks[0].cohort.variable: er_result is an event_list variable, which holds many values per patient",
+        ),
+        (
+            CheckDefinition(id="c1", expr=parse_check("value(stage) < 'III'")),
+            "checks[0].expr: categories support only = and !=",
+        ),
+    ],
+    ids=["distribution_over_an_event_list", "category_ordering"],
+)
+def test_run_all_checks_rejects_a_suite_that_does_not_fit_the_schema(schema, check, problem):
+    """A suite built in code meets the schema check a loaded suite does,
+    before any check runs."""
+    ds = dataset_of(schema, [rec("p1", "stage", "I"), rec("p1", "er_result", "positive", day(0))])
+    with pytest.raises(ConfigError) as exc:
+        run_all_checks(CheckSuite([check]), ds)
+    assert problem in str(exc.value)
 
 
 def test_distribution_range_empty_is_not_applicable(schema):

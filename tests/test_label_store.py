@@ -208,7 +208,7 @@ def test_mutating_a_copy_or_a_reference_leaves_its_sources_unchanged(schema):
     stamped = a1.relabel(Source.ABSTRACTOR_1, refresh_id="2")
     _mutate(stamped)
 
-    duplicate, _ = build_duplicate_abstraction(llm, a1, a2)
+    duplicate = build_duplicate_abstraction(llm, a1, a2)
     _mutate(duplicate.labels)
 
     cases = find_disagreements(llm, a1, a2)

@@ -262,7 +262,8 @@ def test_metrics_pillar_equals_the_public_oracles(workspace):
     # each attribute has a stratum of 113 patients, suppressed, and one of 127
     config = replace(config, tolerances=replace(config.tolerances, min_stratum_n=120))
     dataset = _load_dataset(config, _load_schema(config))
-    reference, llm, a1 = assemble_reference(config, dataset)
+    reference = assemble_reference(config, dataset)
+    llm, a1 = dataset.labels(Source.LLM), dataset.labels(Source.ABSTRACTOR_1)
     cohort = sorted(dataset.patients)
     tol = config.tolerances
     days = {"tolerance_days": tol.date_tolerance_days}
@@ -448,7 +449,7 @@ def test_run_never_imports_scipy(tmp_path):
 
 
 def test_refstd_oracle_resolves_the_block(workspace, tmp_path):
-    # oracle files are read with source=reference, so export one that way
+    # an oracle file whose rows say reference
     from rwdval import load_schema, read_labels
 
     schema = load_schema(workspace / "schema.yaml")
@@ -475,6 +476,30 @@ def test_refstd_oracle_resolves_the_block(workspace, tmp_path):
     )
     assert result.exit_code == 0, text(result)
     assert (out / "reference_labels.csv").exists()
+
+
+def test_refstd_oracle_is_read_as_the_source_its_rows_name(tmp_path):
+    """A ``simulate`` workspace's abstractor 2 file, whose rows say
+    ``abstractor_2``, serves as the oracle as it is; a file whose rows name
+    two sources still exits 2, naming each row that differs from the first."""
+    ws = tmp_path / "ws"
+    runner = CliRunner()
+    made = runner.invoke(main, ["--out", str(ws), "--seed", "3", "simulate", "--n", "200", "--with-refresh"])
+    assert made.exit_code == 0, text(made)
+    oracle = ws / "labels_abstractor_2.csv"
+    args = ["--config", str(ws / "run.yaml"), "--out", str(tmp_path / "ref"), "refstd"]
+    args += ["--mode", "triple_adjudication", "--oracle"]
+    result = runner.invoke(main, [*args, str(oracle)])
+    assert result.exit_code == 0, text(result)
+    assert (tmp_path / "ref" / "disagreements.csv").exists()
+
+    lines = oracle.read_text().splitlines()
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("\n".join([*lines[:3], lines[3].replace(",abstractor_2,", ",reference,")]) + "\n")
+    result = runner.invoke(main, [*args, str(mixed)])
+    assert result.exit_code == 2, text(result)
+    assert "row 4: source 'reference' does not match declared 'abstractor_2'" in text(result)
+    assert "row 3:" not in text(result)
 
 
 def test_missing_config_is_a_run_failure():
@@ -1139,6 +1164,16 @@ _DROP = object()
             {("variables", 0, "date_tolerance_days"): True},
             "variables[0].date_tolerance_days: must be an integer, got True",
         ),
+        (
+            "schema",
+            {("variables", 0, "kind"): "numeric", ("variables", 0, "allowed_values"): _DROP},
+            "variables[0].unknown_token: initial_dx is numeric and takes none",
+        ),
+        (
+            "schema",
+            {("variables", 0, "unknown_token"): ""},
+            "variables[0].unknown_token: must be non-empty for initial_dx",
+        ),
     ],
     ids=[
         "suite_positive_value_missing",
@@ -1163,6 +1198,8 @@ _DROP = object()
         "schema_date_tolerance_days_a_string",
         "schema_unknown_variable_key",
         "schema_date_tolerance_days_a_boolean",
+        "schema_numeric_unknown_token",
+        "schema_empty_unknown_token",
     ],
 )
 def test_malformed_schema_or_suite_exits_2_naming_file_and_yaml_path(workspace, tmp_path, target, changes, message):

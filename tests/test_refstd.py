@@ -300,14 +300,15 @@ def _find_disagreements_oracle(llm, abstractor_1, abstractor_2=None, *, toleranc
             recs_a, recs_b = set_a.get(pid, var), set_b.get(pid, var)
             if _assertions_agree_dp(llm.schema, var, recs_a, recs_b, tolerance_days):
                 continue
+            sides = [llm.get(pid, var), abstractor_1.get(pid, var)]
+            sides.append(abstractor_2.get(pid, var) if abstractor_2 is not None else ())
             cases.append(
                 DisagreementCase(
                     patient_id=pid,
                     variable=var,
                     pair=pair,
-                    llm=llm.get(pid, var),
-                    abstractor_1=abstractor_1.get(pid, var),
-                    abstractor_2=abstractor_2.get(pid, var) if abstractor_2 is not None else (),
+                    rows=tuple(tuple(map(_row, recs)) for recs in sides),
+                    sources=tuple(recs[0].source if recs else None for recs in sides),
                 )
             )
     cases.sort(key=lambda c: (c.patient_id, c.variable, list(Pair).index(c.pair)))
@@ -368,6 +369,22 @@ def test_find_disagreements_equals_the_per_pair_oracle(drawn):
         write_disagreements(got, path)
         with open(path, newline="") as fh:
             assert list(csv.reader(fh))[1:] == _worklist_rows(want)
+
+
+def test_a_case_keeps_no_source_for_an_empty_side(schema):
+    llm, a1 = two_sets(schema, [rec("p1", "stage", "I")], [])
+    (found,) = find_disagreements(llm, a1)
+    assert found.sources == (Source.LLM, None, None)
+    given = DisagreementCase(
+        "p1",
+        "stage",
+        Pair.LLM_VS_A1,
+        rows=((("I", None, None),), (), ()),
+        sources=(Source.LLM, Source.ABSTRACTOR_1, Source.ABSTRACTOR_2),
+    )
+    assert given == found
+    assert given.sources is found.sources  # cases share one tuple per sources pattern
+    assert given.abstractor_1 == () and given.llm == llm.get("p1", "stage")
 
 
 def _worklist_rows(cases):
@@ -531,7 +548,7 @@ def test_duplicate_provenance_equals_the_per_key_map(drawn):
     sets, _ = drawn
     llm, a1, a2 = sets[0], sets[1], sets[-1]
     assume(len(a2))
-    ref, _ = build_duplicate_abstraction(llm, a1, a2)
+    ref = build_duplicate_abstraction(llm, a1, a2)
     assert ref.disputed == frozenset()
     _assert_provenance_is(ref, {key: Provenance.SINGLE_SOURCE for key in sorted(a2.keys())})
 
@@ -550,9 +567,8 @@ def test_duplicate_reference_is_second_abstraction(schema):
             rec("p2", "surgery", "yes", date(2020, 5, 1), source=Source.ABSTRACTOR_2),
         ],
     )
-    ref, evaluands = build_duplicate_abstraction(llm, a1, a2)
+    ref = build_duplicate_abstraction(llm, a1, a2)
     assert ref.mode == ReferenceMode.DUPLICATE_ABSTRACTION
-    assert evaluands == (llm, a1)
     assert ref.labels == a2.relabel(Source.REFERENCE)
     assert set(ref.provenance.values()) == {Provenance.SINGLE_SOURCE}
     assert ref.patients == frozenset({"p1", "p2"})
@@ -576,7 +592,7 @@ def test_scoring_the_reference_source_is_identity(schema):
     a2 = LabelSet(schema, Source.ABSTRACTOR_2, records)
     llm = LabelSet(schema, Source.LLM)
     a1 = LabelSet(schema, Source.ABSTRACTOR_1)
-    ref, _ = build_duplicate_abstraction(llm, a1, a2)
+    ref = build_duplicate_abstraction(llm, a1, a2)
     report = variable_metrics(a2, ref, "surgery", "yes")
     assert report.value("recall") == 1.0
     assert report.value("precision") == 1.0
@@ -824,7 +840,7 @@ def _assert_no_fabrication(ref_labels, *sources):
 def test_reference_content_traces_to_inputs_randomized(schema):
     for seed in range(40):
         llm, a1, a2 = _random_label_sets(seed, schema)
-        ref, _ = build_duplicate_abstraction(llm, a1, a2)
+        ref = build_duplicate_abstraction(llm, a1, a2)
         _assert_no_fabrication(ref.labels, a2)
 
         cases = find_disagreements(llm, a1)

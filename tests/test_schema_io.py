@@ -47,6 +47,17 @@ def test_numeric_rejects_allowed_values():
         VariableSpec("size", VariableKind.NUMERIC, allowed_values=frozenset({"a"}))
 
 
+def test_numeric_rejects_an_unknown_token():
+    # ingest reads a numeric cell as a number, so no label could be the token
+    with pytest.raises(SchemaError, match="unknown_token: size is numeric and takes none"):
+        VariableSpec("size", VariableKind.NUMERIC, unknown_token="unknown")
+
+
+def test_unknown_token_must_be_non_empty():
+    with pytest.raises(SchemaError, match="unknown_token: must be non-empty for surgery"):
+        VariableSpec("surgery", VariableKind.DATE, unknown_token="")
+
+
 def test_unknown_token_must_be_allowed():
     with pytest.raises(SchemaError):
         VariableSpec(
