@@ -21,8 +21,6 @@ from pathlib import Path
 from statistics import median
 from typing import Annotated, get_args
 
-import yaml
-
 from ..schema import (
     MISSING_ATTRIBUTE,
     CohortDataset,
@@ -40,6 +38,7 @@ from ..yamlspec import (
     Parsed,
     at_least,
     dated_variable,
+    load_yaml,
     read_spec,
     schema_problems,
     single_valued_variable,
@@ -683,8 +682,7 @@ def load_suite(path: str | Path, schema: Schema) -> CheckSuite:
     """Load a YAML check suite and check it against a schema; a
     ``ConfigError`` lists every problem, each with the file and its YAML
     path."""
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(path)
     try:
         return suite_from_dict(doc, schema)
     except ConfigError as exc:

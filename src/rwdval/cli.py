@@ -25,6 +25,7 @@ from .pipeline import (
     Pillars,
     assemble_reference,
     canonical_json,
+    disagreement_cases,
     emit_report,
     load_run_config,
     run_pipeline,
@@ -33,7 +34,7 @@ from .pipeline import (
     _summary_lines,
 )
 from .refstd import AdjudicationError, ReferenceMode, adjudicate_from_oracle, write_disagreements
-from .schema import LabelSet, SchemaError, Source
+from .schema import SchemaError, Source
 from .synth import REGIMENS, ErrorModel, ErrorRates, GeneratorConfig, corrupt, generate_truth, refresh_snapshot
 
 _RUN_ERRORS = (ConfigError, IngestError, SchemaError, OSError, ValueError, yaml.YAMLError)
@@ -135,30 +136,28 @@ def _named_source(path) -> Source:
 @click.option("--emit-worklist", "worklist_path", type=click.Path(), default=None,
               help="Write unresolved disagreements here when assembly is blocked.")
 @click.option("--adjudications", "adjudications_path", type=click.Path(exists=True), default=None,
-              help="Adjudicator label file (overrides the config).")
+              help="Adjudicator label file (overrides the config; not with --oracle).")
 @click.option("--oracle", "oracle_path", type=click.Path(exists=True), default=None,
               help="Resolve open disagreements by copying these labels (simulation aid). "
                    "Rows carry the source the first row names; an empty cell reads as 'reference'.")
 @click.pass_context
 def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
     """Assemble the reference standard; emit a worklist when blocked."""
+    if adjudications_path and oracle_path:
+        _fail("--adjudications and --oracle cannot be given together: the oracle makes the adjudications")
     try:
         config = _load_config(ctx)
         if mode:
             config = replace(config, reference_mode=ReferenceMode(mode))
         dataset = _load_dataset(config, _load_schema(config))
-        adjudications = None
+        adjudications = cases = None
         if adjudications_path:
             adjudications = read_labels(adjudications_path, dataset.schema, Source.ADJUDICATOR)
         if oracle_path:
-            # assembling with no adjudications yields the active mode's open cases
             oracle = read_labels(oracle_path, dataset.schema, _named_source(oracle_path))
-            adjudications = LabelSet(dataset.schema, Source.ADJUDICATOR)
-            try:
-                assemble_reference(config, dataset, adjudications)
-            except AdjudicationError as exc:
-                adjudications = adjudicate_from_oracle(exc.worklist, oracle)
-        ref = assemble_reference(config, dataset, adjudications)
+            cases = disagreement_cases(config, dataset)
+            adjudications = adjudicate_from_oracle(cases, oracle)
+        ref = assemble_reference(config, dataset, adjudications, cases=cases)
     except AdjudicationError as exc:
         if worklist_path:
             write_disagreements(exc.worklist, worklist_path)
@@ -231,18 +230,19 @@ def report(ctx):
     ctx.exit(doc.get("exit_code", 0))
 
 
+# the simulated extraction's error rates; abstractor 1 errs at a third of each
+_LLM_ERRORS = ErrorRates(miss=0.03, hallucinate=0.01, flip=0.02, date_shift_rate=0.05, date_shift_days=45)
+_A1_ERRORS = ErrorRates(
+    miss=0.03 / 3, hallucinate=0.01 / 3, flip=0.02 / 3, date_shift_rate=0.05 / 3, date_shift_days=45
+)
+
+
 @main.command()
 @click.option("--n", "n_patients", type=int, default=500, show_default=True)
-@click.option("--miss", type=float, default=0.03, show_default=True)
-@click.option("--flip", type=float, default=0.02, show_default=True)
-@click.option("--hallucinate", type=float, default=0.01, show_default=True)
-@click.option("--date-shift-rate", type=float, default=0.05, show_default=True)
-@click.option("--date-shift-days", type=int, default=45, show_default=True)
 @click.option("--with-refresh", is_flag=True, default=False,
               help="Also write a prior extraction snapshot for refresh checks.")
 @click.pass_context
-def simulate(ctx, n_patients, miss, flip, hallucinate, date_shift_rate,
-             date_shift_days, with_refresh):
+def simulate(ctx, n_patients, with_refresh):
     """Write a synthetic validation workspace ready for `rwdval run`."""
     out_dir = ctx.obj.get("out_dir")
     if not out_dir:
@@ -251,26 +251,8 @@ def simulate(ctx, n_patients, miss, flip, hallucinate, date_shift_rate,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = generate_truth(GeneratorConfig(n_patients=n_patients), seed=seed)
-    llm_model = ErrorModel(
-        default=ErrorRates(
-            miss=miss,
-            hallucinate=hallucinate,
-            flip=flip,
-            date_shift_rate=date_shift_rate,
-            date_shift_days=date_shift_days,
-        )
-    )
-    a1_model = ErrorModel(
-        default=ErrorRates(
-            miss=miss / 3,
-            hallucinate=hallucinate / 3,
-            flip=flip / 3,
-            date_shift_rate=date_shift_rate / 3,
-            date_shift_days=date_shift_days,
-        )
-    )
-    llm = corrupt(dataset, llm_model, source=Source.LLM, seed=seed + 1)
-    a1 = corrupt(dataset, a1_model, source=Source.ABSTRACTOR_1, seed=seed + 2)
+    llm = corrupt(dataset, ErrorModel(default=_LLM_ERRORS), source=Source.LLM, seed=seed + 1)
+    a1 = corrupt(dataset, ErrorModel(default=_A1_ERRORS), source=Source.ABSTRACTOR_1, seed=seed + 2)
     a2 = dataset.labels(Source.REFERENCE).relabel(Source.ABSTRACTOR_2)
     save_schema(dataset.schema, out / "schema.yaml")
     write_attributes(dataset.patients, out / "attributes.csv")

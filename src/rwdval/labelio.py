@@ -31,7 +31,7 @@ from .schema import (
     _canonical,
     validate_record,
 )
-from .yamlspec import ConfigError, read_spec
+from .yamlspec import ConfigError, load_yaml, read_spec
 
 LABEL_COLUMNS = ["patient_id", "variable", "value", "event_date", "source", "refresh_id"]
 
@@ -361,8 +361,7 @@ class _SchemaFile:
 def load_schema(path: str | Path) -> Schema:
     """Load a schema from YAML; a ``SchemaError`` lists every problem, each
     with the file and its YAML path."""
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(path)
     try:
         return read_spec(_SchemaFile, doc).schema
     except ConfigError as exc:

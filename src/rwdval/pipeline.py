@@ -20,18 +20,17 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Annotated
 
-import yaml
-
 from . import checks as checks_mod
 from . import metrics as metrics_mod
 from .labelio import IngestError, load_schema, read_attributes, read_labels
 from .refstd import (
     AdjudicationError,
+    DisagreementCase,
     ReferenceMode,
     build_double_adjudication,
     build_duplicate_abstraction,
     build_triple_adjudication,
-    find_disagreements,  # not called here; perfbench/spans.py wraps it at this name
+    find_disagreements,
     write_disagreements,
 )
 from .replication import (
@@ -55,6 +54,7 @@ from .yamlspec import (
     OneOf,
     at_least,
     dated_variable,
+    load_yaml,
     read_spec,
     schema_problems,
     single_valued_variable,
@@ -190,8 +190,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     """Parse ``run.yaml``; a ``ConfigError`` lists every problem before any input is read."""
     path = Path(path)
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
+        doc = load_yaml(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     config = read_spec(RunConfig, doc)
@@ -310,14 +309,28 @@ def _load_dataset(config: RunConfig, schema: Schema) -> CohortDataset:
     return dataset
 
 
+def disagreement_cases(config: RunConfig, dataset: CohortDataset) -> list[DisagreementCase]:
+    """The open disagreements the configured mode adjudicates (none under
+    duplicate abstraction), found in one walk of the keys."""
+    mode = config.reference_mode
+    if mode == ReferenceMode.DUPLICATE_ABSTRACTION:
+        return []
+    a2 = dataset.labels(Source.ABSTRACTOR_2) if mode == ReferenceMode.TRIPLE_ADJUDICATION else None
+    llm, a1 = dataset.labels(Source.LLM), dataset.labels(Source.ABSTRACTOR_1)
+    return find_disagreements(llm, a1, a2, tolerance_days=config.tolerances.date_tolerance_days)
+
+
 def assemble_reference(
-    config: RunConfig, dataset: CohortDataset, adjudications: LabelSet | None = None
+    config: RunConfig, dataset: CohortDataset, adjudications: LabelSet | None = None,
+    *, cases: list[DisagreementCase] | None = None,
 ):
     """Assemble the reference standard the configured mode asks for.
 
     The adjudications default to the dataset's adjudicator labels (none given
-    means none made). An incomplete adjudication raises
-    ``AdjudicationError``, whose ``worklist`` holds the open cases.
+    means none made). ``cases`` are the mode's disagreements when the caller
+    already has them from ``disagreement_cases``; by default the assembly
+    finds them. An incomplete adjudication raises ``AdjudicationError``,
+    whose ``worklist`` holds the open cases.
     """
     llm = dataset.labels(Source.LLM)
     a1 = dataset.labels(Source.ABSTRACTOR_1)
@@ -330,9 +343,9 @@ def assemble_reference(
         adjudications = LabelSet(dataset.schema, Source.ADJUDICATOR)
     tol = config.tolerances.date_tolerance_days
     if mode == ReferenceMode.DOUBLE_ADJUDICATION:
-        return build_double_adjudication(llm, a1, adjudications, tolerance_days=tol)
+        return build_double_adjudication(llm, a1, adjudications, tolerance_days=tol, cases=cases)
     return build_triple_adjudication(
-        llm, a1, dataset.labels(Source.ABSTRACTOR_2), adjudications, tolerance_days=tol
+        llm, a1, dataset.labels(Source.ABSTRACTOR_2), adjudications, tolerance_days=tol, cases=cases
     )
 
 
@@ -696,7 +709,7 @@ def _summary_lines(report: dict) -> list[str]:
             shown = ", ".join(
                 f"{m}={llm[m]:.4f}" for m in ("recall", "precision", "f1") if llm.get(m) is not None
             )
-            lines.append(f"  derived {name}: {shown}")
+            lines.append(f"  derived {name}: {shown or 'not applicable: no defined recall, precision or f1'}")
     checks = report.get("checks")
     if checks:
         lines.append("")

@@ -69,22 +69,20 @@ class Provenance(str, Enum):
     ADJUDICATED = "adjudicated"
 
 
-class CaseStatus(str, Enum):
-    OPEN = "open"
-    RESOLVED = "resolved"
-
-
 # every (llm, abstractor 1, abstractor 2) sources tuple a case can hold, so
 # the thousands of cases of a worklist share a few tuples
 _SIDE_SOURCES = {t: t for t in product([None, *Source], repeat=3)}
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DisagreementCase:
     """One (patient, variable) where two sources assert different things.
 
     An absent assertion on one side is itself a disagreement when the other
-    side asserts something, including a documented unknown.
+    side asserts something, including a documented unknown. A case is never
+    changed once built: the cases ``find_disagreements`` returns, and those
+    of ``AdjudicationError.worklist``, are open; those of
+    ``ReferenceStandard.cases`` are resolved.
 
     ``rows`` holds the key's rows from the (llm, abstractor 1, abstractor 2)
     sides and ``sources`` their sources; a side without rows has source
@@ -98,11 +96,10 @@ class DisagreementCase:
     pair: Pair
     rows: tuple[tuple[Row, ...], ...] = ((), (), ())
     sources: tuple[Source | None, ...] = (None, None, None)
-    status: CaseStatus = CaseStatus.OPEN
 
     def __post_init__(self) -> None:
         sources = tuple(s if r else None for r, s in zip(self.rows, self.sources))
-        self.sources = _SIDE_SOURCES.get(sources, sources)
+        object.__setattr__(self, "sources", _SIDE_SOURCES.get(sources, sources))
 
     @property
     def llm(self) -> tuple[LabelRecord, ...]:
@@ -126,18 +123,15 @@ class AdjudicationError(ValueError):
 
     ``worklist`` holds every case whose key is uncovered, in
     ``find_disagreements`` order: the cases an adjudicator still has to
-    resolve before the assembly can go through.
+    resolve before the assembly can go through. ``uncovered`` is their
+    keys, each once, and ``stale`` the adjudicated keys that are not
+    disagreements.
     """
 
-    def __init__(
-        self,
-        uncovered: list[tuple[str, str]],
-        stale: list[tuple[str, str]],
-        worklist: list[DisagreementCase] | None = None,
-    ):
-        self.uncovered = uncovered
+    def __init__(self, worklist: list[DisagreementCase], stale: list[tuple[str, str]]):
+        self.worklist = worklist
         self.stale = stale
-        self.worklist = worklist or []
+        self.uncovered = uncovered = list(dict.fromkeys(c.key for c in worklist))
         parts = [
             f"{len(keys)} {what}: "
             + ", ".join(f"{p}/{v}" for p, v in keys[:10])
@@ -365,11 +359,9 @@ def _check_adjudications(
         )
     case_keys = {c.key for c in cases}
     adj_keys = adjudications.keys()
-    uncovered = sorted(case_keys - adj_keys)
     stale = sorted(adj_keys - case_keys)
-    if uncovered or stale:
-        open_keys = set(uncovered)
-        raise AdjudicationError(uncovered, stale, [c for c in cases if c.key in open_keys])
+    if stale or not case_keys <= adj_keys:
+        raise AdjudicationError([c for c in cases if c.key not in adj_keys], stale)
     return case_keys
 
 
@@ -380,10 +372,10 @@ def _build_adjudicated(
     abstractor_2: LabelSet | None,
     adjudications: LabelSet,
     tolerance_days: int,
+    cases: list[DisagreementCase] | None,
 ) -> ReferenceStandard:
-    cases = find_disagreements(
-        llm, abstractor_1, abstractor_2, tolerance_days=tolerance_days
-    )
+    if cases is None:
+        cases = find_disagreements(llm, abstractor_1, abstractor_2, tolerance_days=tolerance_days)
     case_keys = _check_adjudications(cases, adjudications)
     # One walk in (patient, variable) order: a disputed key shares the
     # adjudicator's rows, every other key abstractor 1's. An agreed key is
@@ -402,8 +394,6 @@ def _build_adjudicated(
         for var in sorted(variables):
             own[var] = store_adj[pid][var] if (pid, var) in case_keys else own_1[var]
     labels = LabelSet._from_store(llm.schema, Source.REFERENCE, by_patient)
-    for case in cases:
-        case.status = CaseStatus.RESOLVED
     return ReferenceStandard(
         mode=mode,
         labels=labels,
@@ -419,16 +409,18 @@ def build_double_adjudication(
     adjudications: LabelSet,
     *,
     tolerance_days: int = 30,
+    cases: list[DisagreementCase] | None = None,
 ) -> ReferenceStandard:
     """Adjudicate every extraction-vs-abstractor disagreement.
 
     The adjudications must cover exactly the open disagreements: any
     uncovered case aborts with the complete list, and an adjudication for a
     key that is not a disagreement is equally an error (it would fabricate
-    reference content nobody disputed).
+    reference content nobody disputed). ``cases`` are the disagreements a
+    caller already found for these inputs; by default they are found here.
     """
     return _build_adjudicated(
-        ReferenceMode.DOUBLE_ADJUDICATION, llm, abstractor_1, None, adjudications, tolerance_days
+        ReferenceMode.DOUBLE_ADJUDICATION, llm, abstractor_1, None, adjudications, tolerance_days, cases
     )
 
 
@@ -439,6 +431,7 @@ def build_triple_adjudication(
     adjudications: LabelSet,
     *,
     tolerance_days: int = 30,
+    cases: list[DisagreementCase] | None = None,
 ) -> ReferenceStandard:
     """Adjudicate all pairwise disagreements among three sources.
 
@@ -446,14 +439,10 @@ def build_triple_adjudication(
     adjudicator; unanimous keys keep abstractor 1's record (identical to
     abstractor 2's up to date tolerance). Majority vote is deliberately not
     applied: two sources agreeing does not settle a dispute with the third.
+    ``cases`` is as for ``build_double_adjudication``.
     """
     return _build_adjudicated(
-        ReferenceMode.TRIPLE_ADJUDICATION,
-        llm,
-        abstractor_1,
-        abstractor_2,
-        adjudications,
-        tolerance_days,
+        ReferenceMode.TRIPLE_ADJUDICATION, llm, abstractor_1, abstractor_2, adjudications, tolerance_days, cases
     )
 
 

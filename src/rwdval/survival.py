@@ -1,10 +1,9 @@
 """Kaplan-Meier survival estimation.
 
 Product-limit estimator over right-censored durations, with Greenwood
-variance and log(-log) confidence bands. At tied times, events are
-processed before censorings. The median is the smallest event time where
-the curve drops to 0.5 or below; if the curve never reaches 0.5 the
-median is undefined (None).
+variance. At tied times, events are processed before censorings. The
+median is the smallest event time where the curve drops to 0.5 or below;
+if the curve never reaches 0.5 the median is undefined (None).
 """
 from __future__ import annotations
 

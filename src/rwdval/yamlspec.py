@@ -1,6 +1,7 @@
 """The one reader of ``run.yaml``, ``schema.yaml`` and check suites.
 
-``read_spec`` reads a document into one spec dataclass per mapping and
+``load_yaml`` parses a file, through libyaml when PyYAML was built with
+it; ``read_spec`` reads a document into one spec dataclass per mapping and
 lists every problem with its YAML path from the document root;
 ``schema_problems`` then checks a read spec against the schema. A field
 reads the YAML key of its name; its ``yaml`` metadata may say False (not
@@ -17,6 +18,8 @@ from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
+
+import yaml
 
 from .schema import Schema, VariableKind
 
@@ -231,6 +234,17 @@ def _parse(cls, value: dict, path: str, problems: list[str]):
     except ValueError as exc:
         problems.append(_key(path, exc))
         return None
+
+
+# libyaml's parser builds the same documents as the pure-Python one, several
+# times faster; both raise yaml.YAMLError naming the file and line
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(path: str | Path):
+    """The YAML document in the file at ``path``, read as ``yaml.safe_load`` reads it."""
+    with open(path) as fh:
+        return yaml.load(fh, Loader=_LOADER)
 
 
 def read_spec(cls, doc):

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs and the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,10 @@ from oracles import bootstrap_ci, rescoring_oracle
 
 import rwdval
 from rwdval import (
+    AdjudicationError,
+    ReferenceMode,
     Source,
+    adjudicate_from_oracle,
     default_suite_path,
     load_schema,
     load_suite,
@@ -30,6 +34,9 @@ from rwdval import (
     save_schema,
     write_labels,
 )
+from rwdval import pipeline as pipeline_mod
+from rwdval import refstd as refstd_mod
+from rwdval import yamlspec
 from rwdval.checks import engine as checks_engine
 from rwdval.cli import main
 from rwdval.pipeline import (
@@ -43,6 +50,7 @@ from rwdval.pipeline import (
     _summary_lines,
     assemble_reference,
     config_hash,
+    disagreement_cases,
     load_run_config,
     run_from_config_file,
     run_pipeline,
@@ -502,6 +510,119 @@ def test_refstd_oracle_is_read_as_the_source_its_rows_name(tmp_path):
     assert "row 3:" not in text(result)
 
 
+@pytest.fixture(scope="module")
+def refresh_workspace(tmp_path_factory):
+    """``simulate --n 200 --seed 3 --with-refresh``, left unchanged by its users."""
+    ws = tmp_path_factory.mktemp("refresh") / "ws"
+    made = CliRunner().invoke(main, ["--out", str(ws), "--seed", "3", "simulate", "--n", "200", "--with-refresh"])
+    assert made.exit_code == 0, text(made)
+    return ws
+
+
+# what `refstd --mode MODE --oracle labels_abstractor_2.csv` writes on the
+# refresh workspace: the SHA-256 of reference_labels.csv and of
+# disagreements.csv, and the summary it prints
+_ORACLE_REFSTD = {
+    "triple_adjudication": (
+        "34e35e2d1765c2650862f380cc9914feb7e6392d7fe83c71562c9be5d444350d",
+        "46550667ef611349297a35f63a60a48d27efdcdde3b250f97aa53757ea9e72b6",
+        [
+            "disagreements: {'total': 555, 'by_pair': {'llm_vs_abstractor_1': 272, "
+            "'llm_vs_abstractor_2': 214, 'abstractor_1_vs_abstractor_2': 69}}",
+            "mode: triple_adjudication",
+            "n_labels: 2800",
+            "n_patients: 200",
+            "provenance: {'agreed': 2450, 'adjudicated': 276}",
+        ],
+    ),
+    "double_adjudication": (
+        "ab3a0bcce1630041930b2759557dd8414f9540ddbe137bf51bb1de6fdc6cbc5b",
+        "c093f5bdaf77c95aaccf287af6a5eef349312b5b7f570eafd1076b9615457d64",
+        [
+            "disagreements: {'total': 272, 'by_pair': {'llm_vs_abstractor_1': 272}}",
+            "mode: double_adjudication",
+            "n_labels: 2799",
+            "n_patients: 200",
+            "provenance: {'agreed': 2453, 'adjudicated': 272}",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_ORACLE_REFSTD))
+def test_refstd_oracle_walks_the_disagreements_once(refresh_workspace, tmp_path, monkeypatch, mode):
+    """The oracle adjudicates the cases of one walk, and the assembly takes
+    those cases rather than walking the keys again."""
+    walk = refstd_mod.find_disagreements
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    # every name the function is reached through
+    monkeypatch.setattr(refstd_mod, "find_disagreements", counted)
+    monkeypatch.setattr(pipeline_mod, "find_disagreements", counted)
+    ws, out = refresh_workspace, tmp_path / "ref"
+    args = ["--config", str(ws / "run.yaml"), "--out", str(out), "refstd", "--mode", mode]
+    result = CliRunner().invoke(main, [*args, "--oracle", str(ws / "labels_abstractor_2.csv")])
+    assert result.exit_code == 0, text(result)
+    assert len(calls) == 1
+    labels_digest, cases_digest, summary = _ORACLE_REFSTD[mode]
+    digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert (digest("reference_labels.csv"), digest("disagreements.csv")) == (labels_digest, cases_digest)
+    assert result.stdout.splitlines() == [f"reference labels written to {out / 'reference_labels.csv'}", *summary]
+
+
+@pytest.mark.parametrize("mode", ["double_adjudication", "triple_adjudication"])
+def test_found_cases_assemble_the_reference_the_default_walk_does(refresh_workspace, mode):
+    config = replace(load_run_config(refresh_workspace / "run.yaml"), reference_mode=ReferenceMode(mode))
+    dataset = _load_dataset(config, _load_schema(config))
+    cases = disagreement_cases(config, dataset)
+    oracle = dataset.labels(Source.ABSTRACTOR_2)
+    adjudications = adjudicate_from_oracle(cases, oracle)
+    ref = assemble_reference(config, dataset, adjudications, cases=cases)
+    assert ref == assemble_reference(config, dataset, adjudications)
+    assert ref.cases == tuple(cases) and len(cases) > 0
+    # an incomplete adjudication blocks alike, with the same open cases
+    partial = adjudicate_from_oracle(cases[: len(cases) // 2], oracle)
+    blocked = []
+    for given in (cases, None):
+        with pytest.raises(AdjudicationError) as err:
+            assemble_reference(config, dataset, partial, cases=given)
+        blocked.append((err.value.worklist, err.value.uncovered, err.value.stale, str(err.value)))
+    assert blocked[0] == blocked[1]
+    assert blocked[0][0] == [c for c in cases if c.key not in partial.keys()]
+
+
+def test_duplicate_abstraction_has_no_cases_to_find(refresh_workspace, monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "find_disagreements", None)  # never called
+    config = load_run_config(refresh_workspace / "run.yaml")
+    assert config.reference_mode == ReferenceMode.DUPLICATE_ABSTRACTION
+    assert disagreement_cases(config, _load_dataset(config, _load_schema(config))) == []
+
+
+def test_refstd_refuses_adjudications_beside_oracle(refresh_workspace, tmp_path):
+    """``--oracle`` makes the adjudications, so a file given beside it would be
+    dropped unread: a stale key that blocks on its own must not pass."""
+    ws = refresh_workspace
+    stale = tmp_path / "adjudications.csv"
+    stale.write_text(
+        "patient_id,variable,value,event_date,source,refresh_id\nP999999,stage,IV,,adjudicator,\n"
+    )
+    runner = CliRunner()
+    args = ["--config", str(ws / "run.yaml"), "--out", str(tmp_path / "ref"), "refstd"]
+    args += ["--mode", "triple_adjudication", "--adjudications", str(stale)]
+    alone = runner.invoke(main, args)
+    assert alone.exit_code == 1, text(alone)
+    assert "1 adjudication(s) for keys that are not disagreements: P999999/stage" in text(alone)
+    both = runner.invoke(main, [*args, "--oracle", str(ws / "labels_abstractor_2.csv")])
+    assert both.exit_code == 2, text(both)
+    assert "--adjudications" in text(both) and "--oracle" in text(both)
+    assert "Traceback" not in text(both)
+    assert not (tmp_path / "ref").exists()
+
+
 def test_missing_config_is_a_run_failure():
     runner = CliRunner()
     result = runner.invoke(main, ["run"])
@@ -664,6 +785,40 @@ def test_yaml_syntax_error_is_a_run_failure(tmp_path):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error: while parsing" in text(result)
+
+
+def test_libyaml_and_python_parsers_read_equal_documents(tmp_path):
+    """``load_yaml`` parses through libyaml when PyYAML has it; the run config,
+    the schema and the packaged suite read the same either way."""
+    made = CliRunner().invoke(main, ["--out", str(tmp_path), "--seed", "3", "simulate", "--n", "5"])
+    assert made.exit_code == 0, text(made)
+    assert yamlspec._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    loaders = [yaml.SafeLoader, *([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])]
+    for path in (tmp_path / "run.yaml", tmp_path / "schema.yaml", default_suite_path()):
+        content = path.read_text()
+        docs = [yaml.load(content, Loader=loader) for loader in loaders]
+        assert all(doc == docs[0] for doc in docs), path
+        assert yamlspec.load_yaml(path) == docs[0]
+        assert docs[0]
+    # a syntax error names the file and line through either parser
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("thresholds: {recall: [0.9\n")
+    for loader in loaders:
+        with open(bad) as fh, pytest.raises(yaml.YAMLError, match=r'while parsing .*\n  in ".*bad.yaml", line 1'):
+            yaml.load(fh, Loader=loader)
+
+
+def test_thin_derived_variable_prints_why_it_has_no_metrics(tmp_path):
+    """One patient gives the derived variable no defined recall, precision or
+    f1; its summary line says so rather than ending empty."""
+    runner = CliRunner()
+    made = runner.invoke(main, ["--out", str(tmp_path), "--seed", "3", "simulate", "--n", "1"])
+    assert made.exit_code == 0, text(made)
+    result = runner.invoke(main, ["--config", str(tmp_path / "run.yaml"), "run"])
+    assert result.exit_code == 1, text(result)
+    line = "  derived tnbc: not applicable: no defined recall, precision or f1"
+    assert line in result.stdout.splitlines()
+    assert line in (tmp_path / "results" / "summary.txt").read_text().splitlines()
 
 
 # a survival analysis over the small workspace's one date variable

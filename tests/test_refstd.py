@@ -3,7 +3,7 @@
 import csv
 import random
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from rwdval import (
     write_disagreements,
 )
 from rwdval import refstd
-from rwdval.refstd import CaseStatus, Pair, Provenance, _agreement
+from rwdval.refstd import Pair, Provenance, _agreement
 from rwdval.schema import _row, effective_tolerance
 
 from conftest import make_schema, rec
@@ -275,7 +275,6 @@ def test_find_disagreements_ordering(schema):
         ("p2", "stage"),
     ]
     assert all(c.pair == Pair.LLM_VS_A1 for c in cases)
-    assert all(c.status == CaseStatus.OPEN for c in cases)
 
 
 def test_find_disagreements_three_way_pairs(schema):
@@ -522,13 +521,18 @@ def _assert_provenance_is(ref, provenance):
 @given(_compared_sets())
 def test_adjudicated_builds_equal_the_key_union_assembly(drawn):
     sets, tolerance = drawn
-    adjudications = _covering_adjudications(find_disagreements(*sets, tolerance_days=tolerance), sets)
+    found = find_disagreements(*sets, tolerance_days=tolerance)
+    adjudications = _covering_adjudications(found, sets)
     if len(sets) == 2:
         got = build_double_adjudication(*sets, adjudications, tolerance_days=tolerance)
+        given_cases = build_double_adjudication(*sets, adjudications, tolerance_days=tolerance, cases=found)
         labels, provenance, cases, patients = _assemble_oracle(*sets, None, adjudications, tolerance)
     else:
         got = build_triple_adjudication(*sets, adjudications, tolerance_days=tolerance)
+        given_cases = build_triple_adjudication(*sets, adjudications, tolerance_days=tolerance, cases=found)
         labels, provenance, cases, patients = _assemble_oracle(*sets, adjudications, tolerance)
+    # the cases a caller already found assemble the same reference
+    assert given_cases == got
 
     def stored(labels):
         return labels.source, [(pid, list(own.items())) for pid, own in labels._by_patient.items()]
@@ -536,8 +540,8 @@ def test_adjudicated_builds_equal_the_key_union_assembly(drawn):
     assert got.labels == labels
     assert stored(got.labels) == stored(labels)
     _assert_provenance_is(got, provenance)
-    assert [(c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2, c.status) for c in got.cases] == [
-        (c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2, CaseStatus.RESOLVED) for c in cases
+    assert [(c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2) for c in got.cases] == [
+        (c.key, c.pair, c.llm, c.abstractor_1, c.abstractor_2) for c in cases
     ]
     assert got.patients == patients
 
@@ -612,6 +616,20 @@ def adjudication_inputs(schema):
     return llm, a1
 
 
+def test_a_case_is_never_changed_after_it_is_built(schema):
+    """Assembly resolves the found cases without touching them: the
+    reference holds the very cases ``find_disagreements`` returned."""
+    llm, a1 = adjudication_inputs(schema)
+    cases = find_disagreements(llm, a1)
+    before = [(c.key, c.pair, c.rows, c.sources) for c in cases]
+    adj = LabelSet(schema, Source.ADJUDICATOR, [rec("p1", "stage", "I", source=Source.ADJUDICATOR)])
+    ref = build_double_adjudication(llm, a1, adj, cases=cases)
+    assert all(a is b for a, b in zip(ref.cases, cases, strict=True))
+    assert [(c.key, c.pair, c.rows, c.sources) for c in cases] == before
+    with pytest.raises(FrozenInstanceError):
+        cases[0].pair = Pair.A1_VS_A2
+
+
 def test_double_adjudication_resolves_disagreements(schema):
     llm, a1 = adjudication_inputs(schema)
     adj = LabelSet(
@@ -626,7 +644,6 @@ def test_double_adjudication_resolves_disagreements(schema):
     assert ref.provenance[("p1", "stage")] == Provenance.ADJUDICATED
     assert ref.provenance[("p2", "stage")] == Provenance.AGREED
     assert ref.provenance[("p1", "surgery")] == Provenance.AGREED
-    assert all(c.status == CaseStatus.RESOLVED for c in ref.cases)
     summ = ref.summary()
     assert summ["disagreements"]["total"] == 1
     # summary.txt prints the counts in order: the first key, p1/stage, is disputed
@@ -716,7 +733,6 @@ def test_blocked_assembly_carries_its_worklist(schema, mode):
     exc = err.value
     assert exc.uncovered == [("p1", var), ("p3", var)]
     assert [c.key for c in exc.worklist] == exc.uncovered
-    assert all(c.status == CaseStatus.OPEN for c in exc.worklist)
 
 
 def test_triple_worklist_keeps_every_pair_of_an_open_key(schema):
