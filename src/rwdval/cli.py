@@ -5,13 +5,14 @@ Subcommands mirror the pillars: ingest and refstd prepare inputs, metrics
 config enables (all by default), report re-prints a previous run, and
 simulate builds a synthetic workspace to try the whole flow on. Exit codes
 are uniform: 0 clean, 1 validation issues (including an unassembled
-reference standard), 2 run failure, which the group maps from any
-subcommand's run error in one place.
+reference standard), 2 run failure or internal error, which the group
+maps from any subcommand's exception in one place.
 """
 from __future__ import annotations
 
 import csv
 import sys
+import traceback
 from dataclasses import fields, replace
 from itertools import islice
 from pathlib import Path
@@ -41,13 +42,19 @@ _RUN_ERRORS = (ConfigError, IngestError, SchemaError, OSError, ValueError, yaml.
 
 
 class _Main(click.Group):
-    """The one error boundary: any subcommand's run error exits 2 with a message."""
+    """The one error boundary: any subcommand's run error exits 2 with a
+    message, and an internal error exits 2 with its traceback on stderr."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort, click.ClickException):
+            raise  # click's own exits; ctx.exit raises Exit, a RuntimeError
         except _RUN_ERRORS as exc:
             _fail(str(exc))
+        except Exception:
+            traceback.print_exc()
+            sys.exit(2)
 
 
 @click.group(cls=_Main)

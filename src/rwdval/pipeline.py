@@ -39,7 +39,6 @@ from .replication import (
     EquityReport,
     SurvivalCohort,
     ToleranceBenchmark,
-    benchmark_concordance,
     compare_curves,
     compare_distribution,
     compare_trend,
@@ -442,48 +441,39 @@ def _reference_label_set(dataset: CohortDataset, reference) -> LabelSet | None:
     return dataset.label_sets.get(Source.REFERENCE)
 
 
+def _grouped_survival(
+    spec: SurvivalBenchmarkSpec | EquitySpec, labels: LabelSet, groups: dict[str, list[str]], floor: int
+) -> tuple[dict[str, SurvivalCohort], EquityReport]:
+    """Each group's cohort from ``labels``, and their curves, medians and
+    benchmark verdict from the one grouped-survival path."""
+    cohorts = {group: spec.cohort(labels, pids) for group, pids in groups.items()}
+    records = {group: cohort.records for group, cohort in cohorts.items()}
+    return cohorts, equity_replication(records, min_stratum_n=floor, benchmark=spec.benchmark)
+
+
 def _survival_analysis(spec: SurvivalBenchmarkSpec, dataset: CohortDataset, reference, curves: dict) -> dict:
-    llm = dataset.labels(Source.LLM)
     name = spec.name
     groups = dataset.strata(spec.group_by) if spec.group_by else {"all": sorted(dataset.patients)}
+    cohorts, llm = _grouped_survival(spec, dataset.labels(Source.LLM), groups, 1)
+    entries = {group: {"llm_cohort": cohort.summary()} for group, cohort in cohorts.items()}
     ref_labels = _reference_label_set(dataset, reference)
-    result: dict = {"kind": "survival_benchmark", "name": name, "groups": {}}
-    llm_medians: dict[str, float | None] = {}
-    ref_medians: dict[str, float | None] = {}
-    for group in sorted(groups):
-        pids = groups[group]
-        cohort = spec.cohort(llm, pids)
-        entry: dict = {"llm_cohort": cohort.summary()}
-        if cohort.n_included:
-            curve = cohort.curve()
-            llm_medians[group] = curve.median()
-            entry["llm_median"] = curve.median()
-            curves[f"{name}_{group}_llm"] = curve
-            if ref_labels is not None:
-                ref_cohort = spec.cohort(ref_labels, pids)
-                if ref_cohort.n_included:
-                    ref_curve = ref_cohort.curve()
-                    ref_medians[group] = ref_curve.median()
-                    entry["reference_median"] = ref_curve.median()
-                    curves[f"{name}_{group}_reference"] = ref_curve
-                    entry["vs_reference"] = compare_curves(
-                        curve, ref_curve, at_times=spec.at_times
-                    ).to_dict()
-        else:
-            llm_medians[group] = None
-        result["groups"][group] = entry
-    benchmark = spec.benchmark
-    if benchmark is not None:
-        # a group the benchmark names but the cohort lacks has no median
-        if isinstance(benchmark, ToleranceBenchmark):
-            named = dict.fromkeys([benchmark.group])
-        else:
-            named = dict.fromkeys([benchmark.higher, benchmark.lower])
-        result["concordance"] = benchmark_concordance(benchmark, named | llm_medians).to_dict()
-        if ref_medians:
-            result["reference_concordance"] = benchmark_concordance(
-                benchmark, named | ref_medians
-            ).to_dict()
+    ref = None
+    if ref_labels is not None:  # only the groups with an llm curve
+        _, ref = _grouped_survival(spec, ref_labels, {group: groups[group] for group in llm.curves}, 1)
+    for group, curve in llm.curves.items():
+        entry = entries[group]
+        entry["llm_median"] = llm.medians[group]
+        curves[f"{name}_{group}_llm"] = curve
+        if ref is not None and group in ref.curves:
+            ref_curve = ref.curves[group]
+            entry["reference_median"] = ref.medians[group]
+            curves[f"{name}_{group}_reference"] = ref_curve
+            entry["vs_reference"] = compare_curves(curve, ref_curve, at_times=spec.at_times).to_dict()
+    result: dict = {"kind": "survival_benchmark", "name": name, "groups": entries}
+    if llm.concordance is not None:
+        result["concordance"] = llm.concordance.to_dict()
+        if ref is not None and ref.curves:
+            result["reference_concordance"] = ref.concordance.to_dict()
     return result
 
 
@@ -527,55 +517,39 @@ def _trend_analysis(spec: TrendSpec, dataset: CohortDataset, reference) -> dict:
 
 
 def _equity_analysis(spec: EquitySpec, config: RunConfig, dataset: CohortDataset, reference, curves: dict) -> dict:
-    llm = dataset.labels(Source.LLM)
-    attr = spec.stratum_attribute
-    name = spec.name or f"equity_{attr}"
-    patients = sorted(dataset.patients)
-    stratum_of = {pid: dataset.attribute(pid, attr) for pid in dataset.patients}
+    name = spec.name or f"equity_{spec.stratum_attribute}"
+    groups = dataset.strata(spec.stratum_attribute)
+    floor = config.tolerances.min_stratum_n
 
-    def replicate(cohort: SurvivalCohort) -> EquityReport:
-        return equity_replication(
-            cohort.records,
-            stratum_of,
-            stratum_attribute=attr,
-            benchmark=spec.benchmark,
-            min_stratum_n=config.tolerances.min_stratum_n,
-        )
+    def replicate(labels: LabelSet, side: str) -> tuple[EquityReport, str]:
+        _, report = _grouped_survival(spec, labels, groups, floor)
+        for group, curve in report.curves.items():
+            curves[f"{name}_{group}_{side}"] = curve
+        return report, f"all {len(report.group_sizes)} strata fall below min_stratum_n={floor}"
 
-    cohort = spec.cohort(llm, patients)
-    try:
-        report = replicate(cohort)
-    except ValueError as exc:  # every stratum falls below min_stratum_n
-        return _not_applicable("equity", name, str(exc))
-    for group, curve in report.curves.items():
-        curves[f"{name}_{group}_llm"] = curve
+    llm, thin = replicate(dataset.labels(Source.LLM), "llm")
+    if not llm.curves:
+        return _not_applicable("equity", name, thin)
     out = {
         "kind": "equity",
         "name": name,
         "llm": {
-            "medians": dict(sorted(report.medians.items())),
-            "group_sizes": dict(sorted(report.group_sizes.items())),
-            "suppressed": sorted(report.suppressed),
-            "concordance": report.concordance.to_dict() if report.concordance else None,
+            "medians": llm.medians,
+            "group_sizes": llm.group_sizes,
+            "suppressed": llm.suppressed,
+            "concordance": llm.concordance.to_dict() if llm.concordance else None,
         },
     }
     ref_labels = _reference_label_set(dataset, reference)
     if ref_labels is not None:
-        ref_cohort = spec.cohort(ref_labels, patients)
-        if ref_cohort.n_included:
-            try:
-                ref_report = replicate(ref_cohort)
-            except ValueError as exc:
-                out["reference"] = {"status": "not_applicable", "reason": str(exc)}
-                return out
-            for group, curve in ref_report.curves.items():
-                curves[f"{name}_{group}_reference"] = curve
+        ref, thin = replicate(ref_labels, "reference")
+        if ref.curves:
             out["reference"] = {
-                "medians": dict(sorted(ref_report.medians.items())),
-                "concordance": (
-                    ref_report.concordance.to_dict() if ref_report.concordance else None
-                ),
+                "medians": ref.medians,
+                "concordance": ref.concordance.to_dict() if ref.concordance else None,
             }
+        elif ref.group_sizes:  # the reference cohort is not empty, only thin
+            out["reference"] = {"status": "not_applicable", "reason": thin}
     return out
 
 
@@ -771,7 +745,9 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict[str, Path]:
         curve_dir.mkdir(exist_ok=True)
         for name in sorted(result.curves):
             curve = result.curves[name]
-            path = curve_dir / f"{name}.csv"
+            # a stratum value is free text: "%", "/" and NUL would break the file name
+            stem = name.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
+            path = curve_dir / f"{stem}.csv"
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["t", "n_at_risk", "d", "S", "se"])

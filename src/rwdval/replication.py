@@ -409,9 +409,10 @@ def benchmark_concordance(
 ) -> ConcordanceResult:
     """Score observed group medians against one external benchmark.
 
-    A group missing from ``medians`` is an error; a group present with an
-    undefined (None) median makes the result non-concordant with the
-    reason stated, because the direction or value cannot be established.
+    A group the benchmark names has no median when ``medians`` lacks it
+    (the group is absent, empty or suppressed) or maps it to None. Either
+    way the result is non-concordant with the reason stated, because the
+    direction or value cannot be established.
     """
     if isinstance(benchmark, DirectionBenchmark):
         groups = (benchmark.higher, benchmark.lower)
@@ -419,10 +420,7 @@ def benchmark_concordance(
         groups = (benchmark.group,)
     else:
         raise TypeError(f"unsupported benchmark {benchmark!r}")
-    for group in groups:
-        if group not in medians:
-            raise KeyError(f"{benchmark.name}: no median supplied for {group!r}")
-    observed = {group: medians[group] for group in groups}
+    observed = {group: medians.get(group) for group in groups}
     undefined = sorted(g for g, m in observed.items() if m is None)
     if isinstance(benchmark, DirectionBenchmark):
         m_hi, m_lo = observed[benchmark.higher], observed[benchmark.lower]
@@ -448,12 +446,11 @@ def benchmark_concordance(
     )
 
 
-# ---- equity replication ----
+# ---- grouped survival: survival benchmarks and equity analyses ----
 
 
 @dataclass
 class EquityReport:
-    stratum_attribute: str
     curves: dict[str, KMCurve]
     medians: dict[str, float | None]
     group_sizes: dict[str, int]
@@ -462,30 +459,30 @@ class EquityReport:
 
 
 def equity_replication(
-    records: Sequence[SurvivalRecord],
-    stratum_of: Mapping[str, str],
+    groups: Mapping[str, Sequence[SurvivalRecord]],
     *,
-    stratum_attribute: str = "stratum",
-    benchmark: DirectionBenchmark | None = None,
     min_stratum_n: int = 20,
+    benchmark: BenchmarkSpec | None = None,
 ) -> EquityReport:
-    """Per-stratum survival replication for equity assessment.
+    """One Kaplan-Meier curve per group, then one benchmark verdict.
 
-    Fits one curve per stratum, suppressing strata below
-    ``min_stratum_n``. When a direction benchmark is given (a published
-    between-group difference), its concordance is scored on the observed
-    medians. Raises if every stratum is suppressed.
+    The one grouped-survival path: a survival benchmark calls it with a
+    floor of 1, an equity analysis with the run's ``min_stratum_n``. A
+    group with fewer records than ``min_stratum_n`` is sized but
+    suppressed; a group with no records is left out. When a benchmark is
+    given (a published between-group difference or one group's median),
+    it is scored on the fitted medians, so a group it names that is
+    absent, empty or suppressed makes it non-concordant. Thin data raises
+    nothing: when every group is suppressed, ``curves`` is empty.
     """
-    groups: dict[str, list[SurvivalRecord]] = {}
-    for rec in records:
-        key = stratum_of.get(rec.patient_id, "missing")
-        groups.setdefault(key, []).append(rec)
     curves: dict[str, KMCurve] = {}
     medians: dict[str, float | None] = {}
     sizes: dict[str, int] = {}
     suppressed: list[str] = []
     for key in sorted(groups):
         recs = groups[key]
+        if not recs:
+            continue
         sizes[key] = len(recs)
         if len(recs) < min_stratum_n:
             suppressed.append(key)
@@ -493,18 +490,10 @@ def equity_replication(
         curve = km_from_records(recs)
         curves[key] = curve
         medians[key] = curve.median()
-    if not curves:
-        raise ValueError(
-            f"all {len(groups)} strata fall below min_stratum_n={min_stratum_n}"
-        )
-    concordance = None
-    if benchmark is not None:
-        concordance = benchmark_concordance(benchmark, medians)
     return EquityReport(
-        stratum_attribute=stratum_attribute,
         curves=curves,
         medians=medians,
         group_sizes=sizes,
         suppressed=suppressed,
-        concordance=concordance,
+        concordance=None if benchmark is None else benchmark_concordance(benchmark, medians),
     )

@@ -379,6 +379,118 @@ def test_equity_too_thin_is_not_applicable_and_the_run_goes_on(tmp_path):
     assert not any("os_equity" in issue for issue in report["issues"])
 
 
+@pytest.fixture(scope="module")
+def seed3_workspace(tmp_path_factory):
+    """``simulate --n 200 --seed 3``: race_ethnicity groupA has 38 survival
+    subjects and groupB 31; its users copy it before changing it."""
+    ws = tmp_path_factory.mktemp("seed3") / "ws"
+    made = CliRunner().invoke(main, ["--out", str(ws), "--seed", "3", "simulate", "--n", "200"])
+    assert made.exit_code == 0, text(made)
+    return ws
+
+
+@pytest.mark.parametrize("lower, min_stratum_n", [("groupZ", 20), ("groupB", 33)])
+def test_equity_benchmark_naming_an_absent_or_suppressed_stratum_is_discordant(
+    seed3_workspace, tmp_path, lower, min_stratum_n
+):
+    # groupZ does not exist; groupB (31 subjects) falls below min_stratum_n=33
+    ws = tmp_path / "ws"
+    shutil.copytree(seed3_workspace, ws)
+    doc = yaml.safe_load((ws / "run.yaml").read_text())
+    (equity,) = [a for a in doc["analyses"] if a["kind"] == "equity"]
+    equity["benchmark"] = {"name": "gap", "type": "direction", "higher": "groupA", "lower": lower}
+    doc["tolerances"]["min_stratum_n"] = min_stratum_n
+    (ws / "run.yaml").write_text(yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1, text(result)
+    report = json.loads((ws / "results" / "report.json").read_text())
+    (got,) = [a for a in report["replication"]["analyses"] if a["kind"] == "equity"]
+    reason = f"median undefined for {lower}; direction cannot be established"
+    assert got["llm"]["concordance"]["reason"] == reason
+    assert got["llm"]["concordance"]["observed"][lower] is None
+    assert f"os_equity: discordant with benchmark ({reason})" in report["issues"]
+
+
+def test_a_slash_in_a_stratum_value_is_encoded_in_the_curve_file_name(seed3_workspace, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(seed3_workspace, ws)
+    attributes = ws / "attributes.csv"
+    attributes.write_text(attributes.read_text().replace("groupA", "Black/African American"))
+    result = CliRunner().invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exit_code in (0, 1), text(result)
+    curves = sorted(p.name for p in (ws / "results" / "curves").iterdir())
+    assert "os_equity_Black%2FAfrican American_llm.csv" in curves
+    assert "os_equity_Black%2FAfrican American_reference.csv" in curves
+    assert "os_by_arm_A_llm.csv" in curves  # names without "/" or "%" keep their bytes
+    assert (ws / "results" / "summary.txt").exists()
+
+
+def test_emit_report_percent_encodes_only_slash_nul_and_percent(tmp_path):
+    curve = rwdval.km_estimate([10, 20, 30], [True, False, True])
+    names = ["a/b", "50%", "nul\0byte", "plain group-1 (x)"]
+    report = {
+        "config_hash": "0" * 64, "reference_mode": "duplicate_abstraction",
+        "cohort": {"n_patients": 0}, "issues": [], "exit_code": 0,
+    }
+    written = pipeline_mod.emit_report(
+        pipeline_mod.PipelineResult(report=report, curves=dict.fromkeys(names, curve)), tmp_path
+    )
+    got = {name: written[f"curve:{name}"].name for name in names}
+    assert got == {
+        "a/b": "a%2Fb.csv",
+        "50%": "50%25.csv",
+        "nul\0byte": "nul%00byte.csv",
+        "plain group-1 (x)": "plain group-1 (x).csv",
+    }
+    assert sorted(p.name for p in (tmp_path / "curves").iterdir()) == sorted(got.values())
+
+
+def test_an_internal_error_exits_2_with_its_traceback_on_stderr(seed3_workspace, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("replication fault")
+
+    monkeypatch.setattr(pipeline_mod, "equity_replication", broken)
+    result = CliRunner().invoke(main, ["--config", str(seed3_workspace / "run.yaml"), "--out", str(tmp_path), "run"])
+    assert result.exit_code == 2, text(result)
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback (most recent call last)" in result.stderr
+    assert "RuntimeError: replication fault" in result.stderr
+
+
+def test_survival_benchmark_and_equity_share_per_group_curves(workspace, tmp_path):
+    """Grouped by the same attribute with a floor no larger than the smallest
+    group, a survival benchmark and an equity analysis give each side the
+    same medians and byte-equal curve exports."""
+    ws = tmp_path / "ws"
+    shutil.copytree(workspace, ws)
+    doc = yaml.safe_load((ws / "run.yaml").read_text())
+    (survival,) = [a for a in doc["analyses"] if a["kind"] == "survival_benchmark"]
+    assert survival["group_by"] == "treatment_arm"
+    equity = {
+        "kind": "equity", "name": "arm_equity", "stratum_attribute": "treatment_arm",
+        **{k: survival[k] for k in ("index_variable", "event_variable", "censor_variable")},
+    }
+    doc["analyses"] = [survival, equity]
+    (ws / "run.yaml").write_text(yaml.safe_dump(doc))
+    config = load_run_config(ws / "run.yaml")
+    sizes = run_pipeline(config).report["replication"]["analyses"][1]["llm"]["group_sizes"]
+    assert sorted(sizes) == ["A", "B"]
+    config = replace(config, tolerances=replace(config.tolerances, min_stratum_n=min(sizes.values())))
+    result = run_pipeline(config)
+    got_survival, got_equity = result.report["replication"]["analyses"]
+    assert got_equity["llm"]["suppressed"] == []
+    for side in ("llm", "reference"):
+        survival_medians = {g: entry[f"{side}_median"] for g, entry in got_survival["groups"].items()}
+        assert got_equity[side]["medians"] == survival_medians
+    pipeline_mod.emit_report(result, tmp_path / "out")
+    for side in ("llm", "reference"):
+        for group in sizes:
+            a = (tmp_path / "out" / "curves" / f"os_by_arm_{group}_{side}.csv").read_bytes()
+            b = (tmp_path / "out" / "curves" / f"arm_equity_{group}_{side}.csv").read_bytes()
+            assert a == b, (side, group)
+
+
 @pytest.mark.parametrize("seed", ["1", "2", "3"])
 @pytest.mark.parametrize("n", ["1", "2", "3"])
 def test_tiny_cohorts_never_stop_the_run(tmp_path, seed, n):

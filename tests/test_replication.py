@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from rwdval import (
+    CohortDataset,
     DirectionBenchmark,
     LabelSet,
     Source,
@@ -315,10 +316,15 @@ def test_direction_benchmark_undefined_median_is_discordant_with_reason():
     assert "median undefined for A" in got.reason
 
 
-def test_direction_benchmark_missing_group_is_an_error():
+def test_direction_benchmark_missing_group_reads_as_undefined():
+    # absent, empty and suppressed groups all reach the verdict as a missing median
     bm = DirectionBenchmark(name="arm_gap", higher="A", lower="B")
-    with pytest.raises(KeyError):
-        benchmark_concordance(bm, {"A": 420.0})
+    got = benchmark_concordance(bm, {"A": 420.0})
+    assert (got.concordant, got.reason, got.observed) == (
+        False,
+        "median undefined for B; direction cannot be established",
+        {"A": 420.0, "B": None},
+    )
 
 
 def test_tolerance_benchmark():
@@ -375,11 +381,14 @@ def make_records(group, n, event_day, *, events=True):
     ]
 
 
+def by_stratum(*groups):
+    """Records keyed by stratum: groupA from the first list, groupB from the second."""
+    return dict(zip(("groupA", "groupB"), groups))
+
+
 def test_equity_replication_per_stratum():
-    records = make_records("a", 30, 400) + make_records("b", 30, 200)
-    stratum_of = {r.patient_id: ("groupA" if r.patient_id[0] == "a" else "groupB") for r in records}
     bm = DirectionBenchmark(name="gap", higher="groupA", lower="groupB")
-    report = equity_replication(records, stratum_of, benchmark=bm)
+    report = equity_replication(by_stratum(make_records("a", 30, 400), make_records("b", 30, 200)), benchmark=bm)
     assert report.group_sizes == {"groupA": 30, "groupB": 30}
     assert report.medians["groupA"] > report.medians["groupB"]
     assert report.concordance.concordant
@@ -387,21 +396,33 @@ def test_equity_replication_per_stratum():
 
 
 def test_equity_replication_suppresses_small_strata():
-    records = make_records("a", 30, 400) + make_records("b", 5, 200)
-    stratum_of = {r.patient_id: ("groupA" if r.patient_id[0] == "a" else "groupB") for r in records}
-    report = equity_replication(records, stratum_of)
+    report = equity_replication(by_stratum(make_records("a", 30, 400), make_records("b", 5, 200)))
     assert report.suppressed == ["groupB"]
     assert "groupB" not in report.medians
     assert report.group_sizes["groupB"] == 5
 
 
 def test_equity_replication_unmapped_patients_form_missing_stratum():
+    # the pipeline groups by CohortDataset.strata, which reads an absent attribute as "missing"
     records = make_records("a", 25, 300)
-    report = equity_replication(records, {}, min_stratum_n=20)
+    dataset = CohortDataset(schema=breast_schema(), patients={r.patient_id: {} for r in records})
+    by_pid = {r.patient_id: r for r in records}
+    groups = {key: [by_pid[pid] for pid in pids] for key, pids in dataset.strata("race_ethnicity").items()}
+    report = equity_replication(groups, min_stratum_n=20)
     assert list(report.curves) == ["missing"]
 
 
-def test_equity_replication_all_suppressed_is_an_error():
-    records = make_records("a", 3, 100)
-    with pytest.raises(ValueError):
-        equity_replication(records, {}, min_stratum_n=20)
+def test_equity_replication_all_suppressed_raises_nothing():
+    report = equity_replication({"missing": make_records("a", 3, 100), "empty": []}, min_stratum_n=20)
+    assert (report.curves, report.medians, report.group_sizes, report.suppressed) == ({}, {}, {"missing": 3}, ["missing"])
+
+
+def test_equity_replication_scores_a_named_suppressed_or_empty_group_as_undefined():
+    bm = DirectionBenchmark(name="gap", higher="groupA", lower="groupB")
+    for thin in (make_records("b", 5, 200), []):
+        report = equity_replication(by_stratum(make_records("a", 30, 400), thin), benchmark=bm)
+        assert not report.concordance.concordant
+        assert report.concordance.reason == "median undefined for groupB; direction cannot be established"
+    tolerance = ToleranceBenchmark(name="a", group="groupZ", expected_median=1.0, tolerance=1.0)
+    report = equity_replication(by_stratum(make_records("a", 30, 400)), benchmark=tolerance)
+    assert report.concordance.reason == "median undefined; value cannot be compared"
