@@ -33,10 +33,11 @@ the signed day count b - a; durations are written like ``90d``.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime
+from decimal import Decimal
 from enum import Enum
 
 from ..schema import RowView, Schema, VariableKind
@@ -59,22 +60,6 @@ class Truth(Enum):
 
 
 _NEGATION = {Truth.TRUE: Truth.FALSE, Truth.FALSE: Truth.TRUE, Truth.UNKNOWN: Truth.UNKNOWN}
-
-
-def _kleene(truths: Iterable[Truth], decisive: Truth) -> Truth:
-    """Kleene's strong conjunction (``decisive`` FALSE) or disjunction
-    (``decisive`` TRUE) of lazily produced truths.
-
-    Stops at the first decisive value; otherwise UNKNOWN if any value was,
-    else the negation of ``decisive``.
-    """
-    out = _NEGATION[decisive]
-    for truth in truths:
-        if truth is decisive:
-            return decisive
-        if truth is Truth.UNKNOWN:
-            out = Truth.UNKNOWN
-    return out
 
 
 @dataclass(frozen=True)
@@ -461,6 +446,9 @@ def _print_operand(op: Operand) -> str:
         return str(v)
     if isinstance(v, date_type):
         return v.isoformat()
+    if isinstance(v, float):  # positional digits and a point: the lexer reads no exponent
+        text = format(Decimal(repr(v)), "f")
+        return text if "." in text else f"{text}.0"
     return repr(v)
 
 
@@ -498,29 +486,7 @@ def to_text(expr: Expr) -> str:
     return render(expr, 0)
 
 
-# ---- evaluation ----
-
-
-def _known_entries(view: RowView, schema: Schema, var: str) -> list[tuple[str | float, object]]:
-    """Documented, non-unknown (value, date) entries for one variable."""
-    unknown = schema[var].unknown_token
-    return [(v, d) for v, d, _ in view.get(var, ()) if v != unknown]
-
-
-def _operand_values(op: Operand, view: RowView, schema: Schema) -> list:
-    if isinstance(op, Value):
-        return [v for v, _ in _known_entries(view, schema, op.var)]
-    if isinstance(op, DateOf):
-        return [d for _, d in _known_entries(view, schema, op.var) if d is not None]
-    if isinstance(op, Lit):
-        v = op.value
-        return [v.days if isinstance(v, Duration) else v]
-    if isinstance(op, DaysBetween):
-        lefts = _operand_values(op.left, view, schema)
-        rights = _operand_values(op.right, view, schema)
-        return [(b - a).days for a in lefts for b in rights]
-    raise TypeError(f"not an operand: {op!r}")
-
+# ---- compilation ----
 
 _CMP_FUNCS = {
     "=": lambda a, b: a == b,
@@ -534,65 +500,13 @@ _CMP_FUNCS = {
 }
 
 
-def _exists_truth(found: bool, left: list, right: list) -> Truth:
-    if not left or not right:
-        return Truth.UNKNOWN
-    return Truth.TRUE if found else Truth.FALSE
-
-
-def evaluate(expr: Expr, view: RowView, schema: Schema) -> Truth:
-    """Three-valued truth of an expression over one patient's rows, as
-    ``patient_view`` returns them (refresh ids are ignored).
-
-    Comparison atoms hold when some pair of documented known values
-    satisfies them; they are indeterminate when either side has no
-    documented known value. ``exists``/``known`` are always determinate.
-    Adding documentation can only move atoms from indeterminate to
-    determinate, so a passing check never becomes not-applicable as charts
-    accrue.
-    """
-    if isinstance(expr, Cmp):
-        left = _operand_values(expr.left, view, schema)
-        right = _operand_values(expr.right, view, schema)
-        fn = _CMP_FUNCS[expr.op]
-        found = any(fn(a, b) for a in left for b in right)
-        return _exists_truth(found, left, right)
-    if isinstance(expr, WithinDays):
-        left = _operand_values(expr.left, view, schema)
-        right = _operand_values(expr.right, view, schema)
-        found = any(abs((b - a).days) <= expr.days.days for a in left for b in right)
-        return _exists_truth(found, left, right)
-    if isinstance(expr, Exists):
-        return Truth.TRUE if expr.var in view else Truth.FALSE
-    if isinstance(expr, Known):
-        return (
-            Truth.TRUE if _known_entries(view, schema, expr.var) else Truth.FALSE
-        )
-    if isinstance(expr, Not):
-        return _NEGATION[evaluate(expr.item, view, schema)]
-    if isinstance(expr, And):
-        return _kleene((evaluate(i, view, schema) for i in expr.items), Truth.FALSE)
-    if isinstance(expr, Or):
-        return _kleene((evaluate(i, view, schema) for i in expr.items), Truth.TRUE)
-    if isinstance(expr, Implies):
-        # (not a) or b; a FALSE decides it without evaluating b
-        antecedent = evaluate(expr.antecedent, view, schema)
-        if antecedent is Truth.FALSE:
-            return Truth.TRUE
-        consequent = evaluate(expr.consequent, view, schema)
-        return _kleene((_NEGATION[antecedent], consequent), Truth.TRUE)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-# ---- compilation ----
-
 # A compiled check: the truth of one expression over one patient's row view.
 CompiledCheck = Callable[[RowView], Truth]
 
 
 def _compile_known(var: str, schema: Schema, dates: bool) -> Callable[[RowView], list]:
-    """``_operand_values`` of ``value(var)`` (or, with ``dates``, ``date(var)``),
-    with the variable's unknown token bound once."""
+    """The documented known values of ``value(var)`` (or, with ``dates``,
+    ``date(var)``), with the variable's unknown token bound once."""
     unknown = schema[var].unknown_token
     if dates:  # rows of categorical and numeric variables carry no date
         def known(view):
@@ -643,13 +557,18 @@ def _compile_pairs(left_op: Operand, right_op: Operand, schema: Schema, holds) -
 
 
 def compile_check(expr: Expr, schema: Schema) -> CompiledCheck:
-    """``expr`` as nested closures over a patient's row view, for repeated evaluation.
+    """``expr`` as nested closures that give its three-valued truth over one
+    patient's rows, as ``patient_view`` returns them (refresh ids are ignored).
 
-    ``compile_check(expr, schema)(view)`` equals ``evaluate(expr, view,
-    schema)`` for every view of ``(value, event_date, refresh_id)`` rows,
-    as ``patient_view`` returns them; each variable's unknown token is
-    looked up here, once, so a variable the schema lacks raises
-    ``SchemaError`` now rather than per patient.
+    Comparison atoms hold when some pair of documented known values
+    satisfies them; they are indeterminate when either side has no
+    documented known value. ``exists``/``known`` are always determinate.
+    Adding documentation can only move atoms from indeterminate to
+    determinate, so a passing check never becomes not-applicable as charts
+    accrue. Each variable's unknown token is looked up here, once, so a
+    variable the schema lacks raises ``SchemaError`` now rather than per
+    patient. This is the one evaluator; the interpreter in
+    ``tests/oracles.py`` is the oracle it is tested against.
     """
     TRUE, FALSE, UNKNOWN = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
     if isinstance(expr, Cmp):
@@ -674,7 +593,7 @@ def compile_check(expr: Expr, schema: Schema) -> CompiledCheck:
         decisive = FALSE if isinstance(expr, And) else TRUE
         otherwise = _NEGATION[decisive]
 
-        def fold(view):  # _kleene over the items, stopping at the first decisive one
+        def fold(view):  # Kleene's and/or, stopping at the first decisive item
             out = otherwise
             for item in items:
                 truth = item(view)

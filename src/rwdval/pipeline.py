@@ -227,7 +227,15 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(config: RunConfig) -> str:
-    """Digest of the config content plus every referenced input file."""
+    """Digest of the config content plus every referenced input file.
+
+    A seed set after loading (``--seed``) is hashed as if the config stated
+    it; a config whose seed is the one it states hashes its document as read.
+    """
+    doc = config.raw
+    tolerances = doc.get("tolerances") or {}
+    if config.tolerances.seed != tolerances.get("seed", Tolerances.seed):
+        doc = {**doc, "tolerances": {**tolerances, "seed": config.tolerances.seed}}
     inputs = {f"labels.{source.value}": p for source, p in config.labels.items()}
     for key in ("schema", "attributes", "previous_labels", "check_suite"):
         if getattr(config, key) is not None:
@@ -238,7 +246,7 @@ def config_hash(config: RunConfig) -> str:
             digests[role] = _file_digest(inputs[role])
         except OSError as exc:
             raise ConfigError(f"cannot read input {inputs[role]}: {exc}") from exc
-    payload = canonical_json({"config": _jsonable(config.raw), "inputs": digests})
+    payload = canonical_json({"config": _jsonable(doc), "inputs": digests})
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -127,7 +127,3 @@ def km_from_records(records: "list[SurvivalRecord]") -> KMCurve:
     durations = [float(r.duration_days) for r in records]
     events = [r.event for r in records]
     return km_estimate(durations, events)
-
-
-def median_survival(records: "list[SurvivalRecord]") -> float | None:
-    return km_from_records(records).median()

@@ -25,7 +25,6 @@ from .metrics import DerivedVariableRule
 from .schema import (
     _NO_ROWS,
     CohortDataset,
-    LabelRecord,
     LabelSet,
     Row,
     Schema,
@@ -130,6 +129,8 @@ REGIMENS = {
     "cdk46_inhibitor_ai": 0.25,
     "capecitabine": 0.15,
 }
+STRATA = {"race_ethnicity": {"groupA": 0.5, "groupB": 0.5}}
+ARMS = {"A": 0.5, "B": 0.5}
 _OS_MEDIAN_DAYS = {"A": 420.0, "B": 330.0}
 _FOLLOWUP_DAYS = 1095
 
@@ -138,20 +139,15 @@ _FOLLOWUP_DAYS = 1095
 class GeneratorConfig:
     """The settable parameters of the synthetic cohort.
 
-    Probability maps must sum to 1. ``include`` restricts which variables
-    are emitted (None keeps all). The rest of the cohort is fixed by the
-    module constants above: the diagnosis era, the stage mix, treatment
-    rates and delays, the first-line regimen mix (``REGIMENS``), and
-    survival, which is exponential from the metastatic date with medians of
-    420 days in arm A and 330 in arm B, administratively censored at 1095
-    days.
+    The rest of the cohort is fixed by the module constants above: the
+    diagnosis era, the stage mix, treatment rates and delays, the
+    first-line regimen mix (``REGIMENS``), the attribute strata
+    (``STRATA``), the treatment arms (``ARMS``), and survival, which is
+    exponential from the metastatic date with medians of 420 days in arm A
+    and 330 in arm B, administratively censored at 1095 days.
     """
 
     n_patients: int = 1000
-    strata: Mapping[str, Mapping[str, float]] = field(
-        default_factory=lambda: {"race_ethnicity": {"groupA": 0.5, "groupB": 0.5}}
-    )
-    arms: Mapping[str, float] = field(default_factory=lambda: {"A": 0.5, "B": 0.5})
     metastatic_fraction: float = 0.35
     de_novo_fraction: float = 0.25
     biomarker_positive: Mapping[str, float] = field(
@@ -171,24 +167,10 @@ class GeneratorConfig:
         }
     )
     biomarker_repeat_rate: float = 0.15
-    unknown_rate: float = 0.0
-    include: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         if self.n_patients <= 0:
             raise ValueError("n_patients must be positive")
-        for name, probs in [
-            ("arms", self.arms),
-            *[(f"strata[{k}]", v) for k, v in self.strata.items()],
-        ]:
-            total = sum(probs.values())
-            if not math.isclose(total, 1.0, abs_tol=1e-9):
-                raise ValueError(f"{name}: probabilities sum to {total}, not 1")
-        if self.include is not None:
-            known = set(breast_schema().keys())
-            bad = set(self.include) - known
-            if bad:
-                raise ValueError(f"include names unknown variables: {sorted(bad)}")
 
 
 def _uniform_days(rng: np.random.Generator, window: tuple[int, int]) -> int:
@@ -211,11 +193,8 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
     patients: dict[str, dict[str, str]] = {}
     width = max(6, len(str(config.n_patients - 1)))
-    include = config.include
 
     def emit(variable, value, event_date=None):
-        if include is not None and variable not in include:
-            return
         row = (value, event_date, None)
         rows = own.get(variable)
         own[variable] = (row,) if rows is None else _canonical(rows + (row,))
@@ -224,8 +203,8 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
         rng = _patient_rng(_TRUTH_SALT, seed, i)
         pid = f"P{i:0{width}d}"
         own: dict[str, tuple[Row, ...]] = {}
-        attrs = {attr: _choice(rng, probs) for attr, probs in sorted(config.strata.items())}
-        attrs["treatment_arm"] = _choice(rng, config.arms)
+        attrs = {attr: _choice(rng, probs) for attr, probs in sorted(STRATA.items())}
+        attrs["treatment_arm"] = _choice(rng, ARMS)
         patients[pid] = attrs
 
         initial = shift_date(_DIAGNOSIS_START, int(rng.integers(0, _DIAGNOSIS_SPAN_DAYS)))
@@ -315,14 +294,7 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
         else:
             emit("death", "no")
             emit("last_contact", "yes", shift_date(anchor, _FOLLOWUP_DAYS))
-
-        if config.unknown_rate > 0:
-            # downgrade some documented values to documented-unknown
-            for variable in ("stage", "hr_status", "first_line_regimen"):
-                if rng.random() < config.unknown_rate:
-                    _make_unknown(own, variable, schema)
-        if own:
-            by_patient[pid] = own
+        by_patient[pid] = own
 
     labels = LabelSet._from_store(schema, Source.REFERENCE, by_patient)
     dataset = CohortDataset(
@@ -330,14 +302,6 @@ def generate_truth(config: GeneratorConfig, seed: int = 0) -> CohortDataset:
     )
     dataset.validate()
     return dataset
-
-
-def _make_unknown(own: dict[str, tuple[Row, ...]], variable: str, schema: Schema) -> None:
-    """Replace a documented key's rows with one documented-unknown row."""
-    spec = schema[variable]
-    if spec.unknown_token is None or not own.pop(variable, None):
-        return
-    own[variable] = ((spec.unknown_token, None, None),)
 
 
 # ---- error model ----
@@ -508,17 +472,15 @@ def refresh_snapshot(
     *,
     seed: int,
     refresh_id: str,
-    additions: LabelSet | None = None,
 ) -> LabelSet:
     """Produce the next refresh of a label feed.
 
     Each key mutates with its variable's ``instability`` rate, unscaled by
     any stratum: the value flips when an alternative known value exists,
     otherwise the date shifts by the configured magnitude (default 30
-    days). ``additions`` merge in new patients, the expected kind of churn.
+    days).
     """
     schema = labels.schema
-    source = labels.source
     variables = [(name, schema[name], model.rates_for(name)) for name in sorted(schema.keys())]
     # mutations keep rows valid (see corrupt), so they go straight into the store
     by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
@@ -545,21 +507,7 @@ def refresh_snapshot(
                         event_date = shift_date(event_date, sign * shift)
                 out.append((value, event_date, refresh_id))
             own[variable] = _canonical(out)
-    if additions is not None:
-        overlap = additions.patients & labels.patients
-        if overlap:
-            raise ValueError(f"additions overlap existing patients: {sorted(overlap)[:5]}")
-        # additions may carry another schema, so they go through the validating add
-        checked = LabelSet(
-            schema,
-            source,
-            (
-                LabelRecord(r.patient_id, r.variable, r.value, r.event_date, source, refresh_id)
-                for r in additions.records()
-            ),
-        )
-        by_patient.update(checked._by_patient)
-    return LabelSet._from_store(schema, source, by_patient, refresh_id)
+    return LabelSet._from_store(schema, labels.source, by_patient, refresh_id)
 
 
 # ---- closed-form expectations ----

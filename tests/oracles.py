@@ -15,6 +15,9 @@
   ``assertions_agree`` is ``refstd._agreement`` over two keys' records.
 * ``survival_at`` is the linear scan of a Kaplan-Meier step function that
   ``KMCurve.survival_at``'s bisection must match float for float.
+* ``evaluate`` interprets a check expression's AST over one patient's rows
+  on every call; ``compile_check``, the library's one evaluator, must give
+  the same truth for every well-typed expression and row view.
 """
 from __future__ import annotations
 
@@ -41,10 +44,30 @@ from rwdval import (
     generate_truth,
     variable_metrics,
 )
+from rwdval.checks.lang import (
+    _CMP_FUNCS,
+    _NEGATION,
+    And,
+    Cmp,
+    DateOf,
+    DaysBetween,
+    Duration,
+    Exists,
+    Expr,
+    Implies,
+    Known,
+    Lit,
+    Not,
+    Operand,
+    Or,
+    Truth,
+    Value,
+    WithinDays,
+)
 from rwdval.labelio import LABEL_COLUMNS
 from rwdval.metrics import METRIC_NAMES
 from rwdval.refstd import _agreement
-from rwdval.schema import _row, validate_record
+from rwdval.schema import RowView, _row, validate_record
 
 
 def _record_sort_key(rec: LabelRecord):
@@ -302,3 +325,90 @@ def survival_at(curve: KMCurve, t: float) -> float:
         else:
             break
     return s
+
+
+def _kleene(truths: Iterable[Truth], decisive: Truth) -> Truth:
+    """Kleene's strong conjunction (``decisive`` FALSE) or disjunction
+    (``decisive`` TRUE) of lazily produced truths.
+
+    Stops at the first decisive value; otherwise UNKNOWN if any value was,
+    else the negation of ``decisive``.
+    """
+    out = _NEGATION[decisive]
+    for truth in truths:
+        if truth is decisive:
+            return decisive
+        if truth is Truth.UNKNOWN:
+            out = Truth.UNKNOWN
+    return out
+
+
+def _known_entries(view: RowView, schema: Schema, var: str) -> list[tuple[str | float, object]]:
+    """Documented, non-unknown (value, date) entries for one variable."""
+    unknown = schema[var].unknown_token
+    return [(v, d) for v, d, _ in view.get(var, ()) if v != unknown]
+
+
+def _operand_values(op: Operand, view: RowView, schema: Schema) -> list:
+    if isinstance(op, Value):
+        return [v for v, _ in _known_entries(view, schema, op.var)]
+    if isinstance(op, DateOf):
+        return [d for _, d in _known_entries(view, schema, op.var) if d is not None]
+    if isinstance(op, Lit):
+        v = op.value
+        return [v.days if isinstance(v, Duration) else v]
+    if isinstance(op, DaysBetween):
+        lefts = _operand_values(op.left, view, schema)
+        rights = _operand_values(op.right, view, schema)
+        return [(b - a).days for a in lefts for b in rights]
+    raise TypeError(f"not an operand: {op!r}")
+
+
+def _exists_truth(found: bool, left: list, right: list) -> Truth:
+    if not left or not right:
+        return Truth.UNKNOWN
+    return Truth.TRUE if found else Truth.FALSE
+
+
+def evaluate(expr: Expr, view: RowView, schema: Schema) -> Truth:
+    """Three-valued truth of an expression over one patient's rows, as
+    ``patient_view`` returns them (refresh ids are ignored).
+
+    Comparison atoms hold when some pair of documented known values
+    satisfies them; they are indeterminate when either side has no
+    documented known value. ``exists``/``known`` are always determinate.
+    Adding documentation can only move atoms from indeterminate to
+    determinate, so a passing check never becomes not-applicable as charts
+    accrue.
+    """
+    if isinstance(expr, Cmp):
+        left = _operand_values(expr.left, view, schema)
+        right = _operand_values(expr.right, view, schema)
+        fn = _CMP_FUNCS[expr.op]
+        found = any(fn(a, b) for a in left for b in right)
+        return _exists_truth(found, left, right)
+    if isinstance(expr, WithinDays):
+        left = _operand_values(expr.left, view, schema)
+        right = _operand_values(expr.right, view, schema)
+        found = any(abs((b - a).days) <= expr.days.days for a in left for b in right)
+        return _exists_truth(found, left, right)
+    if isinstance(expr, Exists):
+        return Truth.TRUE if expr.var in view else Truth.FALSE
+    if isinstance(expr, Known):
+        return (
+            Truth.TRUE if _known_entries(view, schema, expr.var) else Truth.FALSE
+        )
+    if isinstance(expr, Not):
+        return _NEGATION[evaluate(expr.item, view, schema)]
+    if isinstance(expr, And):
+        return _kleene((evaluate(i, view, schema) for i in expr.items), Truth.FALSE)
+    if isinstance(expr, Or):
+        return _kleene((evaluate(i, view, schema) for i in expr.items), Truth.TRUE)
+    if isinstance(expr, Implies):
+        # (not a) or b; a FALSE decides it without evaluating b
+        antecedent = evaluate(expr.antecedent, view, schema)
+        if antecedent is Truth.FALSE:
+            return Truth.TRUE
+        consequent = evaluate(expr.consequent, view, schema)
+        return _kleene((_NEGATION[antecedent], consequent), Truth.TRUE)
+    raise TypeError(f"not an expression: {expr!r}")

@@ -18,7 +18,6 @@ from rwdval import (
     breast_schema,
     compile_check,
     default_suite_path,
-    evaluate,
     load_suite,
     parse_check,
     refresh_stability,
@@ -61,6 +60,7 @@ from rwdval.checks.lang import (
 from rwdval.schema import SchemaError
 
 from conftest import make_schema, rec
+from oracles import evaluate
 
 
 D0 = date(2020, 1, 1)
@@ -159,6 +159,8 @@ def test_to_text_fixed_point_examples():
         "days_between(date(a), date(b)) >= 0d and days_between(date(a), date(b)) <= 180d",
         "(exists(a) implies exists(b)) implies exists(c)",
         "within_days(date(a), 2001-02-03, 30d) or value(x) != 'y'",
+        # floats print positionally: repr's 1e-05 and 1.2345678901234568e+17 do not lex
+        "value(x) > 0.00001 and value(x) < 123456789012345678.5",
     ]
     for text in texts:
         ast = parse_check(text)
@@ -174,6 +176,7 @@ def _operands(depth):
         _idents.map(DateOf),
         st.text(st.characters(whitelist_categories=("Ll",), max_codepoint=122), max_size=6).map(Lit),
         st.integers(-999, 999).map(Lit),
+        st.floats(allow_nan=False, allow_infinity=False).map(Lit),
         st.dates(date(1900, 1, 1), date(2099, 12, 28)).map(Lit),
         st.integers(-400, 400).map(lambda n: Lit(Duration(n))),
     )
@@ -226,30 +229,30 @@ def view_of(schema, records):
 def test_vacuous_implication_passes(schema):
     expr = parse_check("value(stage) = 'III' implies value(surgery) = 'yes'", schema)
     view = view_of(schema, [rec("p1", "stage", "I")])
-    assert evaluate(expr, view, schema) == Truth.TRUE
+    assert compile_check(expr, schema)(view) == Truth.TRUE
 
 
 def test_unknown_antecedent_is_indeterminate(schema):
     expr = parse_check("value(stage) = 'III' implies value(surgery) = 'yes'", schema)
     # stage is documented unknown and surgery undocumented: no verdict
     view = view_of(schema, [rec("p1", "stage", "unknown")])
-    assert evaluate(expr, view, schema) == Truth.UNKNOWN
+    assert compile_check(expr, schema)(view) == Truth.UNKNOWN
 
 
 def test_missing_variable_is_indeterminate(schema):
     expr = parse_check("value(stage) = 'I'", schema)
-    assert evaluate(expr, {}, schema) == Truth.UNKNOWN
+    assert compile_check(expr, schema)({}) == Truth.UNKNOWN
 
 
 def test_exists_and_known_are_determinate(schema):
     exists_expr = parse_check("exists(stage)", schema)
     known_expr = parse_check("known(stage)", schema)
-    assert evaluate(exists_expr, {}, schema) == Truth.FALSE
+    assert compile_check(exists_expr, schema)({}) == Truth.FALSE
     view = view_of(schema, [rec("p1", "stage", "unknown")])
-    assert evaluate(exists_expr, view, schema) == Truth.TRUE
-    assert evaluate(known_expr, view, schema) == Truth.FALSE
+    assert compile_check(exists_expr, schema)(view) == Truth.TRUE
+    assert compile_check(known_expr, schema)(view) == Truth.FALSE
     view = view_of(schema, [rec("p1", "stage", "II")])
-    assert evaluate(known_expr, view, schema) == Truth.TRUE
+    assert compile_check(known_expr, schema)(view) == Truth.TRUE
 
 
 def test_event_list_some_semantics(schema):
@@ -264,11 +267,11 @@ def test_event_list_some_semantics(schema):
         ],
     )
     # both atoms hold: each is satisfied by SOME documented event
-    assert evaluate(expr_pos, view, schema) == Truth.TRUE
-    assert evaluate(expr_neg, view, schema) == Truth.TRUE
-    assert evaluate(no_neg, view, schema) == Truth.FALSE
+    assert compile_check(expr_pos, schema)(view) == Truth.TRUE
+    assert compile_check(expr_neg, schema)(view) == Truth.TRUE
+    assert compile_check(no_neg, schema)(view) == Truth.FALSE
     only_pos = view_of(schema, [rec("p1", "er_result", "positive", day(0))])
-    assert evaluate(no_neg, only_pos, schema) == Truth.TRUE
+    assert compile_check(no_neg, schema)(only_pos) == Truth.TRUE
 
 
 def test_days_between_is_signed(schema):
@@ -281,7 +284,7 @@ def test_days_between_is_signed(schema):
         ],
     )
     # er_result - surgery = -5 days; no documented pair satisfies >= 0
-    assert evaluate(expr, view, schema) == Truth.FALSE
+    assert compile_check(expr, schema)(view) == Truth.FALSE
 
 
 def test_within_days_is_absolute(schema):
@@ -293,7 +296,7 @@ def test_within_days_is_absolute(schema):
             rec("p1", "er_result", "positive", day(15)),
         ],
     )
-    assert evaluate(expr, view, schema) == Truth.TRUE
+    assert compile_check(expr, schema)(view) == Truth.TRUE
 
 
 def test_outcome_mapping(schema):
@@ -307,7 +310,7 @@ def test_outcome_mapping(schema):
 
 # The connectives as they were before they short-circuited: each copies its
 # operands into a list and scans it; ``Implies`` evaluates both sides. Kept
-# as the oracle for ``evaluate``'s folds.
+# as the oracle for the compiled check's folds.
 
 
 def _oracle_not(a):
@@ -428,7 +431,7 @@ def _views(draw):
 def test_short_circuit_connectives_equal_the_list_oracle(expr, view):
     schema = make_schema()
     typecheck(expr, schema)
-    assert evaluate(expr, view, schema) == _oracle_evaluate(expr, view, schema)
+    assert compile_check(expr, schema)(view) == _oracle_evaluate(expr, view, schema)
 
 
 @settings(max_examples=400, deadline=None)

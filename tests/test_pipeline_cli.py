@@ -787,6 +787,29 @@ def test_config_hash_tracks_input_content(workspace):
         labels_path.write_text(original)
 
 
+def test_config_hash_covers_a_seed_override(seed3_workspace, tmp_path):
+    """``--seed`` changes the bootstrap draws, so it changes the hash: a run
+    with ``--seed 1`` hashes as a config stating ``seed: 1`` does, and a run
+    without ``--seed``, or with the stated seed, keeps the stated hash."""
+
+    def reported_hash(ws, *seed):
+        args = ["--format", "json", "--config", str(ws / "run.yaml"), *seed, "metrics"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1), text(result)
+        return json.loads(result.output)["config_hash"]
+
+    stated = config_hash(load_run_config(seed3_workspace / "run.yaml"))
+    assert reported_hash(seed3_workspace) == stated
+    assert reported_hash(seed3_workspace, "--seed", "3") == stated
+    one = reported_hash(seed3_workspace, "--seed", "1")
+    two = reported_hash(seed3_workspace, "--seed", "2")
+    assert len({stated, one, two}) == 3
+    ws = shutil.copytree(seed3_workspace, tmp_path / "ws")
+    run_yaml = ws / "run.yaml"
+    run_yaml.write_text(run_yaml.read_text().replace("  seed: 3\n", "  seed: 1\n"))
+    assert reported_hash(ws) == one
+
+
 # --- pipeline behavior on a hand-built workspace ---
 
 

@@ -1,15 +1,19 @@
 """Synthetic cohort generator and error model."""
 
+import dataclasses
 import hashlib
+import math
 
 import pytest
 from click.testing import CliRunner
 
 from rwdval import (
+    CohortDataset,
     DerivedVariableRule,
     ErrorModel,
     ErrorRates,
     GeneratorConfig,
+    LabelRecord,
     LabelSet,
     Source,
     breast_schema,
@@ -25,6 +29,7 @@ from rwdval import (
     variable_metrics,
 )
 from rwdval.cli import main
+from rwdval.synth import ARMS, REGIMENS, STRATA
 
 from oracles import simulate_validation_inputs
 
@@ -33,6 +38,12 @@ SEED = 20260801
 
 def small_config(n=300, **kw):
     return GeneratorConfig(n_patients=n, **kw)
+
+
+def with_reference(dataset, records):
+    """The dataset's patients with ``records`` as its reference labels."""
+    labels = LabelSet(dataset.schema, Source.REFERENCE, records)
+    return CohortDataset(dataset.schema, dataset.patients, {Source.REFERENCE: labels})
 
 
 # --- generation ---
@@ -76,6 +87,28 @@ def test_prevalences_track_configuration():
     assert abs(arms.count("A") / n - 0.5) < 3 * (0.25 / n) ** 0.5
 
 
+def test_generator_config_has_six_settable_fields():
+    # the strata, arms and regimen mix are module constants, not settings
+    assert [f.name for f in dataclasses.fields(GeneratorConfig)] == [
+        "n_patients",
+        "metastatic_fraction",
+        "de_novo_fraction",
+        "biomarker_positive",
+        "biomarker_tested",
+        "biomarker_repeat_rate",
+    ]
+
+
+def test_fixed_cohort_mixes_are_distributions():
+    for probs in [ARMS, REGIMENS, *STRATA.values()]:
+        assert math.isclose(sum(probs.values()), 1.0, abs_tol=1e-9)
+    ds = generate_truth(small_config(200), seed=SEED)
+    for pid in ds.patients:
+        assert ds.attribute(pid, "treatment_arm") in ARMS
+        for attr, probs in STRATA.items():
+            assert ds.attribute(pid, attr) in probs
+
+
 def test_truth_satisfies_the_default_suite():
     # below ~5k the monthly metastatic ramp is lumpy enough to trip the
     # rolling-median check, so stay at a size where the cohort is smooth
@@ -83,26 +116,6 @@ def test_truth_satisfies_the_default_suite():
     suite = load_suite(default_suite_path(), ds.schema)
     report = run_all_checks(suite, ds, source=Source.REFERENCE)
     assert report.n_findings == 0, [f.to_dict() for f in report.findings()]
-
-
-def test_unknown_rate_produces_documented_unknowns():
-    ds = generate_truth(small_config(400, unknown_rate=0.4), seed=SEED)
-    labels = ds.labels(Source.REFERENCE)
-    unknowns = sum(
-        1
-        for pid in ds.patients
-        if (r := labels.get_single(pid, "stage")) is not None and r.value == "unknown"
-    )
-    assert unknowns > 50  # roughly 40% of 400
-
-
-def test_include_restricts_emitted_variables():
-    ds = generate_truth(
-        small_config(50, include=frozenset({"initial_dx", "stage"})), seed=SEED
-    )
-    assert ds.labels(Source.REFERENCE).variables <= {"initial_dx", "stage"}
-    with pytest.raises(ValueError):
-        small_config(50, include=frozenset({"bogus"}))
 
 
 # --- error model plumbing ---
@@ -189,7 +202,10 @@ def test_hallucination_adds_values_where_truth_is_silent():
 def test_event_list_hallucination_needs_an_anchor_date():
     # without initial_dx in the truth there is no anchor, and event-list
     # records cannot be fabricated undated
-    ds = generate_truth(small_config(100, include=frozenset({"stage"})), seed=SEED)
+    full = generate_truth(small_config(100), seed=SEED)
+    ds = with_reference(
+        full, [r for r in full.labels(Source.REFERENCE).records() if r.variable == "stage"]
+    )
     model = ErrorModel(default=ErrorRates(hallucinate=1.0))
     got = corrupt(ds, model, source=Source.LLM, seed=4)
     assert "er_result" not in got.variables
@@ -290,11 +306,15 @@ def test_refresh_instability_rate_is_respected():
     assert changed / n_keys == pytest.approx(0.2, abs=0.04)
 
 
-def test_refresh_additions_must_be_new_patients():
-    ds = generate_truth(small_config(30), seed=SEED)
+def test_refresh_keeps_the_feed_patients_and_keys():
+    # a refresh mutates existing keys; it neither adds nor drops any
+    ds = generate_truth(small_config(150), seed=SEED)
     v1 = corrupt(ds, ErrorModel(), source=Source.LLM, seed=3, refresh_id="1")
-    with pytest.raises(ValueError):
-        refresh_snapshot(v1, ErrorModel(), seed=4, refresh_id="2", additions=v1)
+    model = ErrorModel(default=ErrorRates(instability=1.0, date_shift_days=10))
+    v2 = refresh_snapshot(v1, model, seed=4, refresh_id="2")
+    assert v2.patients == v1.patients
+    assert set(v2.keys()) == set(v1.keys())
+    assert v2 != v1
 
 
 # --- one-call simulation ---
@@ -323,25 +343,29 @@ def _through_add(labels):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_synth_output_passes_the_validating_add(seed):
     """Synth builds its label sets without validating each record."""
-    config = small_config(150, unknown_rate=0.2)
-    truth = generate_truth(config, seed=seed)
-    reference = truth.labels(Source.REFERENCE)
+    generated = generate_truth(small_config(150), seed=seed)
+    reference = generated.labels(Source.REFERENCE)
     assert reference == _through_add(reference)
+    # every fifth patient's stage, hr_status and regimen become documented
+    # unknowns, which corrupt may miss but never flips
+    downgraded = {
+        (r.patient_id, r.variable)
+        for r in reference.records()
+        if int(r.patient_id[1:]) % 5 == 0 and r.variable in ("stage", "hr_status", "first_line_regimen")
+    }
+    truth = with_reference(
+        generated,
+        [r for r in reference.records() if (r.patient_id, r.variable) not in downgraded]
+        + [LabelRecord(pid, var, "unknown", None, Source.REFERENCE) for pid, var in sorted(downgraded)],
+    )
     noisy = ErrorRates(
         miss=0.1, hallucinate=0.3, flip=0.2, date_shift_rate=0.3, date_shift_days=40, instability=0.3
     )
     llm = corrupt(truth, ErrorModel(default=noisy), source=Source.LLM, seed=seed, refresh_id="1")
     assert llm == _through_add(llm)
-    # patients P000150 onwards are new to the refreshed feed
-    newcomers = generate_truth(small_config(170), seed=seed + 10).labels(Source.REFERENCE)
-    additions = LabelSet(
-        newcomers.schema,
-        Source.REFERENCE,
-        [r for r in newcomers.records() if r.patient_id >= "P000150"],
-    )
-    refreshed = refresh_snapshot(
-        llm, ErrorModel(default=noisy), seed=seed, refresh_id="2", additions=additions
-    )
+    kept = {r.value for r in llm.records() if (r.patient_id, r.variable) in downgraded}
+    assert kept == {"unknown"}
+    refreshed = refresh_snapshot(llm, ErrorModel(default=noisy), seed=seed, refresh_id="2")
     assert refreshed == _through_add(refreshed)
     assert {r.refresh_id for r in refreshed.records()} == {"2"}
 
