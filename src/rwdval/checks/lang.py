@@ -18,7 +18,7 @@ Grammar (EBNF; keywords are case-sensitive, whitespace insignificant):
                 | "days_between" , "(" , operand , "," , operand , ")"
                 | literal ;
     literal     = string | number | iso_date | duration ;
-    string      = "'" , { any char except "'" } , "'" ;
+    string      = "'" , { any char except "'" | "''" } , "'" ;   (* '' is one ' *)
     iso_date    = YYYY-MM-DD ;
     duration    = [ "-" ] , digits , "d" ;
 
@@ -153,7 +153,7 @@ _TOKEN_RE = re.compile(
   | (?P<iso_date>\d{4}-\d{2}-\d{2})
   | (?P<duration>-?\d+d\b)
   | (?P<number>-?\d+(?:\.\d+)?)
-  | (?P<string>'[^']*')
+  | (?P<string>'(?:[^']|'')*')
   | (?P<op><=|>=|!=|=|<|>)
   | (?P<lparen>\()
   | (?P<rparen>\))
@@ -302,7 +302,7 @@ class _Parser:
             return DaysBetween(left, right)
         if tok.kind == "string":
             self.next()
-            return Lit(tok.text[1:-1])
+            return Lit(tok.text[1:-1].replace("''", "'"))
         if tok.kind == "iso_date":
             self.next()
             try:
@@ -440,8 +440,8 @@ def _print_operand(op: Operand) -> str:
     if isinstance(op, DaysBetween):
         return f"days_between({_print_operand(op.left)}, {_print_operand(op.right)})"
     v = op.value
-    if isinstance(v, str):
-        return f"'{v}'"
+    if isinstance(v, str):  # a quote inside the literal is doubled, as in SQL
+        return "'" + v.replace("'", "''") + "'"
     if isinstance(v, Duration):
         return str(v)
     if isinstance(v, date_type):

@@ -297,6 +297,20 @@ class MetricReport:
         return out
 
 
+def _fraction_table(tp, fp, fn, with_date, date_ok, completeness) -> dict:
+    """Each metric's (numerator, denominator); a zero denominator leaves it
+    undefined. The counts are ints, or int64 arrays of one entry per
+    replicate, and so is every entry of the table."""
+    return {
+        "recall": (tp, tp + fn),
+        "precision": (tp, tp + fp),
+        # f1 is defined only where recall and precision both are
+        "f1": (2 * tp, (2 * tp + fp + fn) * ((tp + fn > 0) & (tp + fp > 0))),
+        "date_accuracy": (date_ok, with_date),
+        "completeness": completeness,
+    }
+
+
 def compute_metrics(
     counts: ConfusionCounts,
     *,
@@ -311,15 +325,14 @@ def compute_metrics(
     value-matched pairs that both carry a date. Zero denominators leave the
     metric undefined rather than zero.
     """
-    tp, fp, fn = counts.tp, counts.fp, counts.fn
-    fractions = {
-        "recall": (tp, tp + fn),
-        "precision": (tp, tp + fp),
-        # f1 is defined only where recall and precision both are
-        "f1": (2 * tp, 2 * tp + fp + fn) if tp + fn and tp + fp else (0, 0),
-        "date_accuracy": (counts.n_date_correct, counts.n_matched_with_date),
-        "completeness": completeness or (0, 0),
-    }
+    fractions = _fraction_table(
+        counts.tp,
+        counts.fp,
+        counts.fn,
+        counts.n_matched_with_date,
+        counts.n_date_correct,
+        completeness or (0, 0),
+    )
     report = MetricReport(variable=counts.variable, n_patients=n_patients, ci=ci, counts=counts)
     for name, (num, den) in fractions.items():
         if den > 0:
@@ -387,11 +400,16 @@ def bootstrap_variable_ci(
 ) -> dict[str, tuple[float, float]]:
     """95 % percentile bootstrap intervals for every defined metric of the rows.
 
-    Replicate ``k`` re-sums the rows of the ``k``-th draw of
-    ``default_rng(seed).integers(0, n, size=n)``, which gives exactly
-    ``variable_metrics`` on that patient resample. Undefined replicate
-    values are dropped, a metric with no defined replicate gets no
-    interval, and each interval is widened to bracket the point estimate.
+    Replicate ``k`` is the ``k``-th draw of
+    ``default_rng(seed).integers(0, n, size=n)``. ``np.bincount`` turns it
+    into per-patient counts, and one int64 product of those counts with the
+    rows sums the replicate, so only O(n) memory is held. Every replicate's
+    metrics come from the fraction table ``compute_metrics`` uses, which
+    gives exactly ``variable_metrics`` on that patient resample. Undefined
+    replicate values are dropped, a metric with no defined replicate gets no
+    interval, and the 2.5 and 97.5 points are numpy's default linear
+    (Hyndman and Fan type 7) percentile, bit for bit. Each interval is
+    widened to bracket the point estimate.
     """
     n = len(rows.patients)
     if n == 0:
@@ -399,23 +417,37 @@ def bootstrap_variable_ci(
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
     rng = np.random.default_rng(seed)
-    drawn: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
-    for _ in range(n_replicates):
-        replicate = rows.report(rng.integers(0, n, size=n))
-        for name, values in drawn.items():
-            value = replicate.value(name)
-            if value is not None:
-                values.append(value)
+    sums = np.empty((n_replicates, 6), dtype=np.int64)
+    for k in range(n_replicates):
+        sums[k] = np.bincount(rng.integers(0, n, size=n), minlength=n) @ rows.rows
+    tp, fp, fn, with_date, date_ok, known = sums.T
+    table = _fraction_table(tp, fp, fn, with_date, date_ok, (known, np.full_like(known, n)))
     point = rows.report()
     intervals = {}
-    for name, values in drawn.items():
-        if values:
-            lo, hi = np.percentile(values, (2.5, 97.5))
+    for name, (num, den) in table.items():
+        defined = den > 0
+        if defined.any():
+            values = np.sort(num[defined] / den[defined])
+            lo, hi = _percentile(values, 2.5), _percentile(values, 97.5)
             center = point.value(name)
             if center is not None:
                 lo, hi = min(lo, center), max(hi, center)
-            intervals[name] = (float(lo), float(hi))
+            intervals[name] = (lo, hi)
     return intervals
+
+
+def _percentile(ascending: np.ndarray, q: float) -> float:
+    """``float(np.percentile(ascending, q))`` for ascending values: the
+    default linear interpolation, without ``np.percentile``'s import of
+    ``numpy.ma``."""
+    index = (len(ascending) - 1) * (q / 100)
+    below = int(index)
+    if below >= len(ascending) - 1:
+        return float(ascending[-1])
+    a, b = float(ascending[below]), float(ascending[below + 1])
+    t = index - below
+    # numpy interpolates from the nearer end
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,17 @@ def test_to_text_fixed_point_examples():
         assert parse_check(to_text(ast)) == ast
 
 
+def test_to_text_doubles_a_quote_inside_a_string_literal():
+    ast = Cmp("=", Value("x"), Lit("a'b"))
+    assert to_text(ast) == "value(x) = 'a''b'"
+    assert parse_check(to_text(ast)) == ast
+    assert parse_check("value(dx) = 'Crohn''s' or value(dx) = ''''") == Or(
+        (Cmp("=", Value("dx"), Lit("Crohn's")), Cmp("=", Value("dx"), Lit("'")))
+    )
+    with pytest.raises(CheckSyntaxError):
+        parse_check("value(x) = 'a'b'")
+
+
 _idents = st.sampled_from(["alpha", "beta", "gamma", "delta_var"])
 
 
@@ -174,7 +185,9 @@ def _operands(depth):
     leaf = st.one_of(
         _idents.map(Value),
         _idents.map(DateOf),
-        st.text(st.characters(whitelist_categories=("Ll",), max_codepoint=122), max_size=6).map(Lit),
+        st.text(
+            st.characters(whitelist_categories=("Ll",), whitelist_characters="'", max_codepoint=122), max_size=6
+        ).map(Lit),
         st.integers(-999, 999).map(Lit),
         st.floats(allow_nan=False, allow_infinity=False).map(Lit),
         st.dates(date(1900, 1, 1), date(2099, 12, 28)).map(Lit),

@@ -15,6 +15,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from rwdval import (
@@ -42,7 +44,7 @@ from rwdval import (
     stratified_metrics,
     variable_metrics,
 )
-from rwdval.metrics import EVENT_PRESENCE, MetricReport
+from rwdval.metrics import EVENT_PRESENCE, MetricReport, _percentile
 
 from conftest import make_schema, rec
 from oracles import bootstrap_ci, confusion, rescoring_oracle
@@ -462,6 +464,27 @@ def test_bootstrap_resamples_are_the_rows_of_one_whole_draw(n, n_replicates, see
     whole = np.random.default_rng(seed).integers(0, n, size=(n_replicates, n))
     assert seen[0] == list(range(n))  # the point estimate sees the cohort itself
     assert seen[1:] == whole.tolist()
+
+
+# replicate metrics are ratios of small counts, so they tie often
+_ratios = st.builds(lambda num, den: min(num, den) / den, st.integers(0, 12), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 300).flatmap(lambda n: st.lists(st.one_of(_ratios, st.floats(0, 1)), min_size=n, max_size=n)),
+    # 50 on an even number of values puts the point halfway between two of them
+    st.one_of(st.sampled_from([2.5, 97.5, 50.0]), st.floats(0, 100)),
+)
+@example([0.0, 1.0], 50.0)
+@example([0.1], 2.5)
+# past the midpoint numpy interpolates down from the upper value, which
+# differs from a + (b - a) * t in the last bit on these
+@example([0.0, 1 / 7], 60.0)
+@example([0.0] * 5 + [7 / 12, 2.25], 97.5)
+def test_percentile_equals_numpy_default_percentile(values, q):
+    got = _percentile(np.sort(values), q)
+    assert got.hex() == float(np.percentile(values, q)).hex()
 
 
 # --- per-patient rows against the re-scoring oracle ---

@@ -539,7 +539,26 @@ try:
 except SystemExit as exc:
     print("exit", exc.code)
 print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("numpy.ma loaded:", "numpy.ma" in sys.modules)
 """
+
+
+def _run_in_a_child(config: Path) -> list[str]:
+    """``rwdval run`` in a fresh interpreter; its last two lines list the
+    scipy modules and whether numpy.ma was loaded."""
+    src = str(Path(rwdval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, str(config)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-3] in ("exit 0", "exit 1"), proc.stdout + proc.stderr
+    return lines[-2:]
 
 
 def test_run_never_imports_scipy(tmp_path):
@@ -549,23 +568,27 @@ def test_run_never_imports_scipy(tmp_path):
     ws = tmp_path / "ws"
     result = CliRunner().invoke(main, ["--out", str(ws), "--seed", SEED, "simulate", "--n", "120"])
     assert result.exit_code == 0, text(result)
-    src = str(Path(rwdval.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_MODULES, str(ws / "run.yaml")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-2] in ("exit 0", "exit 1"), proc.stdout + proc.stderr
-    assert lines[-1] == "scipy modules: []"
+    assert _run_in_a_child(ws / "run.yaml")[0] == "scipy modules: []"
     report = json.loads((ws / "results" / "report.json").read_text())
     analyses = report["replication"]["analyses"]
     (dist,) = [a for a in analyses if a["kind"] == "distribution_vs_reference"]
     assert dist["comparison"]["chi2_applicable"]  # the chi-square path ran
+
+
+def test_bootstrap_run_never_imports_numpy_ma(tmp_path):
+    """The bootstrap takes its percentiles without ``np.percentile``, whose
+    ``np.unique`` call imports numpy.ma (about 1 MB and 12 ms); nothing
+    else in a run loads it."""
+    ws = tmp_path / "ws"
+    result = CliRunner().invoke(main, ["--out", str(ws), "--seed", SEED, "simulate", "--n", "120"])
+    assert result.exit_code == 0, text(result)
+    doc = yaml.safe_load((ws / "run.yaml").read_text())
+    doc["metrics"]["bootstrap"] = True
+    doc["tolerances"]["bootstrap_replicates"] = 200
+    (ws / "run.yaml").write_text(yaml.safe_dump(doc))
+    assert _run_in_a_child(ws / "run.yaml")[1] == "numpy.ma loaded: False"
+    report = json.loads((ws / "results" / "report.json").read_text())
+    assert all(entry["llm"]["ci"] for entry in report["metrics"]["variables"].values())
 
 
 def test_refstd_oracle_resolves_the_block(workspace, tmp_path):
