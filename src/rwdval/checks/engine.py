@@ -21,6 +21,7 @@ from pathlib import Path
 from statistics import median
 from typing import Annotated, get_args
 
+from ..labelio import label_text
 from ..schema import (
     MISSING_ATTRIBUTE,
     CohortDataset,
@@ -366,18 +367,6 @@ def _refresh_order_key(refresh_id: str):
         return (1, 0, refresh_id)
 
 
-def _describe(rows) -> str:
-    if not rows:
-        return "absent"
-    parts = []
-    for value, event_date, _ in rows:
-        if event_date is not None:
-            parts.append(f"{value}@{event_date.isoformat()}")
-        else:
-            parts.append(str(value))
-    return "; ".join(parts)
-
-
 def refresh_stability(
     labels_v1: LabelSet,
     labels_v2: LabelSet,
@@ -412,9 +401,7 @@ def refresh_stability(
             added.append(pid)
             continue
         if before and not after:
-            changed.append(
-                RefreshChange(pid, "removed", _describe(before), _describe(after))
-            )
+            changed.append(RefreshChange(pid, "removed", label_text(before), "absent"))
             continue
         if agree(before, after):
             continue
@@ -424,7 +411,7 @@ def refresh_stability(
             reason = "value_changed"
         else:
             reason = "date_moved"
-        changed.append(RefreshChange(pid, reason, _describe(before), _describe(after)))
+        changed.append(RefreshChange(pid, reason, label_text(before), label_text(after)))
     return RefreshDelta(variable=variable, changed=changed, added=added)
 
 
@@ -577,14 +564,6 @@ def _run_refresh(
 # ---- suite execution ----
 
 
-def _printed(rows, kind: VariableKind):
-    """One key's rows as a finding's ``observed`` text prints them: the value, a
-    (value, date) pair for a date variable, a tuple of such pairs for an event list."""
-    if kind == VariableKind.EVENT_LIST:
-        return tuple(row[:2] for row in rows)
-    return rows[0][:2] if kind == VariableKind.DATE else rows[0][0]
-
-
 def run_all_checks(
     suite: CheckSuite,
     dataset: CohortDataset,
@@ -636,9 +615,7 @@ def run_all_checks(
                 if truth is Truth.UNKNOWN:
                     result.n_not_applicable += 1
                 elif truth is Truth.FALSE:
-                    observed = "; ".join(
-                        f"{var}={_printed(view[var], schema[var].kind)!r}" for var in variables if var in view
-                    )
+                    observed = "; ".join(f"{var}={label_text(view[var])}" for var in variables if var in view)
                     result.flag(pid, observed or "no documented values", expected)
                 for attr, value in stratum_values:
                     result.stratified[attr][value].count(truth)

@@ -30,6 +30,7 @@ from .pipeline import (
     emit_report,
     load_run_config,
     run_pipeline,
+    _dotted_lines,
     _load_dataset,
     _load_schema,
     _summary_lines,
@@ -90,6 +91,14 @@ def _load_config(ctx: click.Context):
     return config
 
 
+def _echo(ctx: click.Context, doc: dict, lines) -> None:
+    """``doc`` as canonical JSON under ``--format json``, else as the text ``lines(doc)``."""
+    if ctx.obj["format"] == "json":
+        click.echo(canonical_json(doc), nl=False)
+    else:
+        click.echo("\n".join(lines(doc)))
+
+
 def _run_and_report(ctx: click.Context, only: str | None = None):
     """Run the configured pillars, or just the pillar ``only``."""
     config = _load_config(ctx)
@@ -98,10 +107,7 @@ def _run_and_report(ctx: click.Context, only: str | None = None):
     result = run_pipeline(config)
     if config.output_dir is not None:
         emit_report(result, config.output_dir)
-    if ctx.obj["format"] == "json":
-        click.echo(canonical_json(result.report), nl=False)
-    else:
-        click.echo("\n".join(_summary_lines(result.report)))
+    _echo(ctx, result.report, _summary_lines)
     ctx.exit(result.exit_code)
 
 
@@ -178,13 +184,10 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
         write_labels(ref.labels, out / "reference_labels.csv")
         if ref.cases:
             write_disagreements(ref.cases, out / "disagreements.csv")
+        else:  # none of an earlier assembly's cases stands
+            (out / "disagreements.csv").unlink(missing_ok=True)
         click.echo(f"reference labels written to {out / 'reference_labels.csv'}")
-    summary = ref.summary()
-    if ctx.obj["format"] == "json":
-        click.echo(canonical_json(summary), nl=False)
-    else:
-        for key, value in sorted(summary.items()):
-            click.echo(f"{key}: {value}")
+    _echo(ctx, ref.summary(), _dotted_lines)
 
 
 @main.command()
@@ -221,19 +224,14 @@ def report(ctx):
     """Print the report from a previous run's output directory."""
     import json
 
-    out_dir = ctx.obj.get("out_dir")
-    if not out_dir:
-        out_dir = _load_config(ctx).output_dir
+    out_dir = ctx.obj.get("out_dir") or _load_config(ctx).output_dir
     if not out_dir:
         _fail("give --out (or a config with output_dir) pointing at a finished run")
     path = Path(out_dir) / "report.json"
     if not path.exists():
         _fail(f"no report found at {path}")
     doc = json.loads(path.read_text())
-    if ctx.obj["format"] == "json":
-        click.echo(canonical_json(doc), nl=False)
-    else:
-        click.echo("\n".join(_summary_lines(doc)))
+    _echo(ctx, doc, _summary_lines)
     ctx.exit(doc.get("exit_code", 0))
 
 

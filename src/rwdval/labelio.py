@@ -100,10 +100,15 @@ def _numbered_rows(path: Path, fh, problems: list[str]) -> Iterator[tuple[int, l
     being row 1. A row the csv module cannot read (such as a cell over its
     field size limit) or bytes that are not text in the file's encoding
     stop the read: an ``IngestError`` lists ``problems`` and then that one,
-    with its row (or, for bytes, its line) number."""
+    with its row (or, for bytes, its line) number. One byte-order mark
+    opening the file, as Excel's "CSV UTF-8" writes it, is not header text."""
+    rows = enumerate(csv.reader(fh), start=1)
     lineno = 0
     try:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in rows:  # row 1 alone, which a byte-order mark may open
+            yield lineno, [row[0].removeprefix("\ufeff"), *row[1:]] if row else row
+            break
+        for lineno, row in rows:
             yield lineno, row
     except csv.Error as exc:
         raise IngestError(path, [*problems, f"row {lineno + 1}: {exc}"]) from None
@@ -266,14 +271,27 @@ def read_labels(
     return LabelSet._from_store(schema, source, by_patient, expected_refresh_id)
 
 
+def _value_cell(value: str | float) -> str:
+    """A label value as its file cell: a float by ``repr``, which keeps every digit; a token verbatim."""
+    return repr(value) if isinstance(value, float) else value
+
+
 def label_cells(patient_id: str, variable: str, rows: Iterable[Row], source: Source) -> Iterator[list]:
     """The six ``LABEL_COLUMNS`` cells of each of one key's rows; ``read_labels`` reads them back."""
     source = source.value
     return (
-        # repr keeps every float digit
-        [patient_id, variable, repr(value) if isinstance(value, float) else value,
+        [patient_id, variable, _value_cell(value),
          event_date.isoformat() if event_date else "", source, refresh_id or ""]
         for value, event_date, refresh_id in rows
+    )
+
+
+def label_text(rows: Iterable[Row]) -> str:
+    """One key's rows as findings print them: each row's value cell, with
+    ``@YYYY-MM-DD`` when it is dated, joined by ``", "``."""
+    return ", ".join(
+        f"{_value_cell(value)}@{event_date.isoformat()}" if event_date else _value_cell(value)
+        for value, event_date, _ in rows
     )
 
 

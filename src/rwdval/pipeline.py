@@ -194,6 +194,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     config = read_spec(RunConfig, doc)
     problems = [] if Source.LLM in config.labels else ["labels.llm: required"]
+    if Source.REFERENCE in config.labels:
+        problems.append("labels.reference: not accepted; the reference standard comes from reference_mode")
     unknown = sorted(set(config.thresholds) - set(metrics_mod.METRIC_NAMES))
     if unknown:
         problems.append(f"thresholds: unknown metric(s) {unknown}; known: {list(metrics_mod.METRIC_NAMES)}")
@@ -443,12 +445,6 @@ def _checks_pillar(
     return report.to_dict(), report.findings()
 
 
-def _reference_label_set(dataset: CohortDataset, reference) -> LabelSet | None:
-    if reference is not None:
-        return reference.labels
-    return dataset.label_sets.get(Source.REFERENCE)
-
-
 def _grouped_survival(
     spec: SurvivalBenchmarkSpec | EquitySpec, labels: LabelSet, groups: dict[str, list[str]], floor: int
 ) -> tuple[dict[str, SurvivalCohort], EquityReport]:
@@ -464,10 +460,9 @@ def _survival_analysis(spec: SurvivalBenchmarkSpec, dataset: CohortDataset, refe
     groups = dataset.strata(spec.group_by) if spec.group_by else {"all": sorted(dataset.patients)}
     cohorts, llm = _grouped_survival(spec, dataset.labels(Source.LLM), groups, 1)
     entries = {group: {"llm_cohort": cohort.summary()} for group, cohort in cohorts.items()}
-    ref_labels = _reference_label_set(dataset, reference)
     ref = None
-    if ref_labels is not None:  # only the groups with an llm curve
-        _, ref = _grouped_survival(spec, ref_labels, {group: groups[group] for group in llm.curves}, 1)
+    if reference is not None:  # only the groups with an llm curve
+        _, ref = _grouped_survival(spec, reference.labels, {group: groups[group] for group in llm.curves}, 1)
     for group, curve in llm.curves.items():
         entry = entries[group]
         entry["llm_median"] = llm.medians[group]
@@ -515,9 +510,8 @@ def _trend_analysis(spec: TrendSpec, dataset: CohortDataset, reference) -> dict:
     if not llm_trend.months:
         return _not_applicable("trend", name, f"no dated {variable} record to bucket by month")
     out = {"kind": "trend", "name": name, "variable": variable, "llm": llm_trend.to_dict()}
-    ref_labels = _reference_label_set(dataset, reference)
-    if ref_labels is not None:
-        ref_trend = trend_series(ref_labels, variable)
+    if reference is not None:
+        ref_trend = trend_series(reference.labels, variable)
         if ref_trend.months:
             out["reference"] = ref_trend.to_dict()
             out["comparison"] = compare_trend(llm_trend, ref_trend).to_dict()
@@ -548,9 +542,8 @@ def _equity_analysis(spec: EquitySpec, config: RunConfig, dataset: CohortDataset
             "concordance": llm.concordance.to_dict() if llm.concordance else None,
         },
     }
-    ref_labels = _reference_label_set(dataset, reference)
-    if ref_labels is not None:
-        ref, thin = replicate(ref_labels, "reference")
+    if reference is not None:
+        ref, thin = replicate(reference.labels, "reference")
         if ref.curves:
             out["reference"] = {
                 "medians": ref.medians,
@@ -659,17 +652,28 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 # ---- report emission ----
 
 
+def _dotted_lines(mapping: dict, prefix: str = "") -> list[str]:
+    """One ``dotted.key: value`` line per leaf of a nested mapping, each
+    starting with ``prefix``, with the keys sorted at every level."""
+    lines = []
+    for key, value in sorted(mapping.items()):
+        if isinstance(value, dict):
+            lines += _dotted_lines(value, f"{prefix}{key}.")
+        else:
+            lines.append(f"{prefix}{key}: {value}")
+    return lines
+
+
 def _summary_lines(report: dict) -> list[str]:
     lines = ["validation run summary", "=" * 22, ""]
     lines.append(f"config hash: {report['config_hash']}")
     lines.append(f"reference mode: {report['reference_mode']}")
     lines.append(f"patients: {report['cohort']['n_patients']}")
     ref = report.get("reference")
-    if ref:
-        if ref.get("status") == "blocked":
-            lines.append(f"reference: BLOCKED ({ref['reason']})")
-        else:
-            lines.append(f"reference: {ref}")
+    if ref and ref.get("status") == "blocked":
+        lines.append(f"reference: BLOCKED ({ref['reason']})")
+    elif ref:
+        lines += ["reference:", *_dotted_lines(ref, "  ")]
     metrics = report.get("metrics")
     if metrics and metrics.get("status") == "ok":
         lines.append("")
@@ -728,7 +732,8 @@ def _summary_lines(report: dict) -> list[str]:
 
 
 def emit_report(result: PipelineResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write the deterministic report bundle; returns the written paths."""
+    """Write the deterministic report bundle, removing any worklist or curve
+    file in ``out_dir`` that this run did not write; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = {}
@@ -738,15 +743,11 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict[str, Path]:
     summary_path = out / "summary.txt"
     summary_path.write_text("\n".join(_summary_lines(result.report)) + "\n")
     written["summary"] = summary_path
-    findings = result.report.get("findings", [])
     findings_path = out / "findings.csv"
     with open(findings_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check_id", "severity", "scope", "observed", "expected"])
-        for f in findings:
-            writer.writerow(
-                [f["check_id"], f["severity"], f["scope"], f["observed"], f["expected"]]
-            )
+        writer = csv.DictWriter(fh, ["check_id", "severity", "scope", "observed", "expected"])
+        writer.writeheader()
+        writer.writerows(result.report.get("findings", []))
     written["findings"] = findings_path
     if result.curves:
         curve_dir = out / "curves"
@@ -767,6 +768,9 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict[str, Path]:
         worklist_path = out / "disagreements.csv"
         write_disagreements(result.worklist, worklist_path)
         written["worklist"] = worklist_path
+    # the bundle holds only this run's files, whatever an earlier run left here
+    for stale in {out / "disagreements.csv", *out.glob("curves/*.csv")} - set(written.values()):
+        stale.unlink(missing_ok=True)
     return written
 
 

@@ -30,6 +30,7 @@ with k-th in the bucket's canonical order, in linear time.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -192,28 +193,17 @@ class ReferenceStandard:
         return _ProvenanceView(self)
 
     def summary(self) -> dict:
-        by_pair: dict[str, int] = {}
-        for case in self.cases:
-            by_pair[case.pair.value] = by_pair.get(case.pair.value, 0) + 1
-        # the provenance counts in the order a walk of the keys meets them:
-        # the first key's provenance comes first
-        store = self.labels._by_patient
-        n_keys = len(self.provenance)
-        if self.mode == ReferenceMode.DUPLICATE_ABSTRACTION:
-            counts = [(Provenance.SINGLE_SOURCE, n_keys)]
-        else:
-            n_disputed = len(self.disputed)
-            counts = [(Provenance.AGREED, n_keys - n_disputed), (Provenance.ADJUDICATED, n_disputed)]
-            if store:
-                first = min(store)
-                if (first, min(store[first])) in self.disputed:
-                    counts.reverse()
+        by_pair = dict(Counter(case.pair.value for case in self.cases))
+        n_disputed = len(self.disputed)  # none under duplicate abstraction
+        duplicate = self.mode == ReferenceMode.DUPLICATE_ABSTRACTION
+        undisputed = Provenance.SINGLE_SOURCE if duplicate else Provenance.AGREED
+        counts = {Provenance.ADJUDICATED: n_disputed, undisputed: len(self.provenance) - n_disputed}
         return {
             "mode": self.mode.value,
             "n_labels": len(self.labels),
             "n_patients": len(self.patients),
             "disagreements": {"total": len(self.cases), "by_pair": by_pair},
-            "provenance": {prov.value: n for prov, n in counts if n},
+            "provenance": {prov.value: n for prov, n in counts.items() if n},
         }
 
 

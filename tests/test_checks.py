@@ -746,6 +746,12 @@ def test_refresh_change_classification(schema):
     reasons = {c.patient_id: c.reason for c in delta.changed}
     assert reasons == {"p1": "value_changed", "p2": "date_moved", "p3": "removed"}
     assert delta.added == ["p4"]
+    # each side prints as label text, and a side with no rows as "absent"
+    assert [(c.before, c.after) for c in delta.changed] == [
+        ("yes@2020-01-01", "no"),
+        ("yes@2020-01-01", "yes@2020-02-10"),
+        ("yes@2020-01-01", "absent"),
+    ]
 
 
 def test_refresh_tolerance_absorbs_small_moves(schema):
@@ -768,7 +774,9 @@ def test_refresh_event_list_changes(schema):
         ],
     )
     delta = refresh_stability(v1, v2, "er_result")
-    assert [c.reason for c in delta.changed] == ["events_changed"]
+    assert [(c.reason, c.after) for c in delta.changed] == [
+        ("events_changed", "positive@2020-01-01, negative@2020-03-31")
+    ]
 
 
 def test_refresh_requires_ordered_ids(schema):
@@ -783,6 +791,25 @@ def test_refresh_requires_ordered_ids(schema):
     d = LabelSet(schema, Source.LLM, [rec("p1", "stage", "I")], refresh_id="9")
     e = LabelSet(schema, Source.LLM, [rec("p1", "stage", "I")], refresh_id="10")
     assert refresh_stability(d, e, "stage").changed == []
+
+
+def test_a_finding_prints_each_referenced_value_as_label_text(schema):
+    expr = parse_check(
+        "value(stage) = 'III' implies value(surgery) = 'yes' or value(tumor_size_mm) > 50 or not exists(er_result)",
+        schema,
+    )
+    records = [
+        rec("p1", "stage", "III"),
+        rec("p1", "surgery", "no", day(0)),
+        rec("p1", "tumor_size_mm", 12.5),
+        rec("p1", "er_result", "positive", day(0)),
+        rec("p1", "er_result", "negative", day(90)),
+    ]
+    check = CheckDefinition(id="c1", expr=expr)
+    (finding,) = run_all_checks(CheckSuite([check]), dataset_of(schema, records)).findings()
+    assert finding.observed == (
+        "er_result=positive@2020-01-01, negative@2020-03-31; stage=III; surgery=no@2020-01-01; tumor_size_mm=12.5"
+    )
 
 
 def test_refresh_check_without_prior_snapshot_is_not_applicable(schema):
@@ -816,7 +843,7 @@ def test_refresh_check_with_prior_snapshot(schema):
     result = run_all_checks(suite, ds, previous=prior).result("c1")
     assert result.n_evaluated == 2  # patients present in the prior snapshot
     assert result.n_flagged == 1
-    assert "value_changed" in result.findings[0].observed
+    assert result.findings[0].observed == "value_changed: yes@2020-01-01 -> no"
 
 
 # --- suite plumbing ---

@@ -4,7 +4,11 @@ Each workspace is built by ``simulate``, run with ``rwdval run``, and the
 SHA-256 of each pinned output file is compared with digests recorded
 before the code paths they cover were optimised: the per-patient label
 store, the compiled checks and the shared metric rows for the duplicate
-mode runs, and the reference assembly for the adjudicated runs.
+mode runs, and the reference assembly for the adjudicated runs. The
+report, summary and findings digests were re-recorded once, when findings
+came to print label text (``no@2017-08-15``, not a Python repr) and the
+summary's reference block sorted dotted-key lines; the disagreement
+digests did not move.
 """
 
 import hashlib
@@ -19,25 +23,25 @@ from conftest import adjudicate_simulated
 
 GOLDEN = {
     "bootstrap": {
-        "report.json": "db822d7bfacd8e2effd9d768b6a915a3c684d5c47fa5048b9f9b5e3758078c55",
-        "summary.txt": "f71a05add08e1adde69a321ba2cd574f088e1500638b8467e08de67c9b9e8993",
-        "findings.csv": "cb06e55cb89fc4d76e172df602c2938bb03523b62ec3f5fd11d3206c32764b7b",
+        "report.json": "0a2d00c2fe13a8603b0af0c6e8a8e8b91b48e4f957fe4d73dd7afda03f20d57f",
+        "summary.txt": "20591aa7612e6120960d91fa92dca99ac670b6118a8965689887e03dc1246552",
+        "findings.csv": "c879ba5c9b31c543aca4d204dc564f03cbd1217f7d7c9b376adddbef236d8961",
     },
     "refresh": {
-        "report.json": "895a1d0cbfd00e866edc8a2cef1c2a5a12bce643d534ef6ba976ef95144b5cb8",
-        "summary.txt": "7cc879f5226ba6cd33e7c47506d0bcdbb368b39179f1ebef4bf612e4dbe71b55",
-        "findings.csv": "cc49c50d4eb23ab9d119fb1e3504435a6ed5bb2d3630187c0859565513ad971d",
+        "report.json": "b483d71e5060a36208a122fa0a6c7ada4de2ced3c2843c31dc806f5b723c09fa",
+        "summary.txt": "02721ecb4fbcb74f87dd08e36957abf426c67e9461cd8f419632cebe831e15de",
+        "findings.csv": "322e96e3915817ae597e593b2b9b1f817720079c504077e74acdf15731638597",
     },
     "triple": {
-        "report.json": "7609748726531c78569e1d210cf131e3595faa6e5ff71ef7b6df961b87b827d6",
-        "summary.txt": "931838fc358163bf75124706214802999b0daf1e0562d4b612cb8e03d192891b",
-        "findings.csv": "cc49c50d4eb23ab9d119fb1e3504435a6ed5bb2d3630187c0859565513ad971d",
+        "report.json": "7113d3b35524868149d007e39342fd352d36df071500a1bb5c407229b7c54cad",
+        "summary.txt": "36fac0d2721c504be369a4e7110061296ce7b584c42ab43fc402eafa2e99a65f",
+        "findings.csv": "322e96e3915817ae597e593b2b9b1f817720079c504077e74acdf15731638597",
         "disagreements.csv": "46550667ef611349297a35f63a60a48d27efdcdde3b250f97aa53757ea9e72b6",
     },
     "double": {
-        "report.json": "b70ce3286f2adf189dae7d85bffb747e0680eed36684c1c51f4d68516fdea32c",
-        "summary.txt": "07d2cbceefbb3ef3a61efe9f7a8634d134e95894aa89f08b7e31d79ef47541f8",
-        "findings.csv": "cc49c50d4eb23ab9d119fb1e3504435a6ed5bb2d3630187c0859565513ad971d",
+        "report.json": "cc9e9d4239b52663729d4da44d9666b2bf25fedd11ba0af3563b9dbf32ee3c06",
+        "summary.txt": "a685c5dc8615f4f832abad706cca7f8821a1703723835742ab7b67aaab7d10c0",
+        "findings.csv": "322e96e3915817ae597e593b2b9b1f817720079c504077e74acdf15731638597",
         "disagreements.csv": "c093f5bdaf77c95aaccf287af6a5eef349312b5b7f570eafd1076b9615457d64",
     },
 }

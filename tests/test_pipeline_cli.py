@@ -656,29 +656,34 @@ def refresh_workspace(tmp_path_factory):
 
 # what `refstd --mode MODE --oracle labels_abstractor_2.csv` writes on the
 # refresh workspace: the SHA-256 of reference_labels.csv and of
-# disagreements.csv, and the summary it prints
+# disagreements.csv, and the summary it prints as sorted dotted-key lines
 _ORACLE_REFSTD = {
     "triple_adjudication": (
         "34e35e2d1765c2650862f380cc9914feb7e6392d7fe83c71562c9be5d444350d",
         "46550667ef611349297a35f63a60a48d27efdcdde3b250f97aa53757ea9e72b6",
         [
-            "disagreements: {'total': 555, 'by_pair': {'llm_vs_abstractor_1': 272, "
-            "'llm_vs_abstractor_2': 214, 'abstractor_1_vs_abstractor_2': 69}}",
+            "disagreements.by_pair.abstractor_1_vs_abstractor_2: 69",
+            "disagreements.by_pair.llm_vs_abstractor_1: 272",
+            "disagreements.by_pair.llm_vs_abstractor_2: 214",
+            "disagreements.total: 555",
             "mode: triple_adjudication",
             "n_labels: 2800",
             "n_patients: 200",
-            "provenance: {'agreed': 2450, 'adjudicated': 276}",
+            "provenance.adjudicated: 276",
+            "provenance.agreed: 2450",
         ],
     ),
     "double_adjudication": (
         "ab3a0bcce1630041930b2759557dd8414f9540ddbe137bf51bb1de6fdc6cbc5b",
         "c093f5bdaf77c95aaccf287af6a5eef349312b5b7f570eafd1076b9615457d64",
         [
-            "disagreements: {'total': 272, 'by_pair': {'llm_vs_abstractor_1': 272}}",
+            "disagreements.by_pair.llm_vs_abstractor_1: 272",
+            "disagreements.total: 272",
             "mode: double_adjudication",
             "n_labels: 2799",
             "n_patients: 200",
-            "provenance: {'agreed': 2453, 'adjudicated': 272}",
+            "provenance.adjudicated: 272",
+            "provenance.agreed: 2453",
         ],
     ),
 }
@@ -756,6 +761,70 @@ def test_refstd_refuses_adjudications_beside_oracle(refresh_workspace, tmp_path)
     assert "--adjudications" in text(both) and "--oracle" in text(both)
     assert "Traceback" not in text(both)
     assert not (tmp_path / "ref").exists()
+
+
+_REPRS = ("datetime.", "{'", "('")
+
+
+@pytest.mark.parametrize("mode", ["duplicate_abstraction", "double_adjudication", "triple_adjudication"])
+def test_printed_values_are_label_text_and_report_reprints_the_run(refresh_workspace, tmp_path, mode):
+    """Findings, summaries and the refstd summary print label text and
+    dotted-key lines, never a Python repr, and ``report`` reprints the run's
+    ``summary.txt`` and ``report.json`` byte for byte."""
+    ws = tmp_path / "ws"
+    shutil.copytree(refresh_workspace, ws)
+    doc = yaml.safe_load((ws / "run.yaml").read_text())
+    if mode != "duplicate_abstraction":
+        adjudicate_simulated(ws, doc, mode)  # the simulated truth is the oracle
+    (ws / "run.yaml").write_text(yaml.safe_dump(doc))
+    runner = CliRunner()
+    config = ["--config", str(ws / "run.yaml")]
+    ran = runner.invoke(main, [*config, "run"])
+    assert ran.exit_code == 1, text(ran)
+    results = ws / "results"
+    summary = (results / "summary.txt").read_text()
+    assert ran.output == summary
+    assert runner.invoke(main, [*config, "report"]).output == summary
+    as_json = runner.invoke(main, [*config, "--format", "json", "report"])
+    assert as_json.output == (results / "report.json").read_text()
+    refstd = runner.invoke(main, [*config, "--out", str(tmp_path / "ref"), "refstd"])
+    assert refstd.exit_code == 0, text(refstd)
+    assert f"mode: {mode}" in refstd.output.splitlines()
+    findings = (results / "findings.csv").read_text()
+    assert "=yes@" in findings  # a dated value as the label file writes it
+    for shown in (findings, summary, refstd.output):
+        assert not [r for r in _REPRS if r in shown], shown
+
+
+def test_a_run_removes_the_worklist_and_curves_an_earlier_run_left(seed3_workspace, tmp_path):
+    """A run into a used output directory leaves exactly the files a run
+    into an empty one writes, and so does ``refstd`` with its worklist."""
+    ws = tmp_path / "ws"
+    shutil.copytree(seed3_workspace, ws)
+    doc = yaml.safe_load((ws / "run.yaml").read_text())
+    runner = CliRunner()
+
+    def run(name: str, out: Path, command: str = "run", **change):
+        (ws / name).write_text(yaml.safe_dump({**doc, **change}))
+        return runner.invoke(main, ["--config", str(ws / name), "--out", str(out), command])
+
+    def files(out: Path) -> dict[str, bytes]:
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    blocked = run("blocked.yaml", used, reference_mode="triple_adjudication")
+    assert blocked.exit_code == 1, text(blocked)
+    assert (used / "disagreements.csv").exists() and (used / "curves" / "os_equity_groupA_llm.csv").exists()
+    no_equity = [a for a in doc["analyses"] if a["kind"] != "equity"]
+    for out in (used, fresh):
+        assert run("no_equity.yaml", out, analyses=no_equity).exit_code == 1
+    assert files(used) == files(fresh)
+    assert not (used / "disagreements.csv").exists()
+    oracle = ["refstd", "--mode", "triple_adjudication", "--oracle", str(ws / "labels_abstractor_2.csv")]
+    assert runner.invoke(main, ["--config", str(ws / "run.yaml"), "--out", str(used), *oracle]).exit_code == 0
+    assert (used / "disagreements.csv").exists()
+    assert run("run.yaml", used, "refstd").exit_code == 0
+    assert not (used / "disagreements.csv").exists() and (used / "reference_labels.csv").exists()
 
 
 def test_missing_config_is_a_run_failure():
@@ -1143,6 +1212,10 @@ _DISTRIBUTION = {"kind": "distribution_vs_reference", "variable": "stage", "refe
             {"analyses": [{**_DISTRIBUTION, "variable": "er_result"}]},
             "analyses[0].variable: er_result is an event_list variable, which holds many values per patient",
         ),
+        (
+            {"labels": {"llm": "llm.csv", "abstractor_1": "a1.csv", "reference": "a1.csv"}},
+            "labels.reference: not accepted; the reference standard comes from reference_mode",
+        ),
     ],
     ids=[
         "strata_not_a_list",
@@ -1200,6 +1273,7 @@ _DISTRIBUTION = {"kind": "distribution_vs_reference", "variable": "stage", "refe
         "survival_censor_on_an_undated_variable",
         "equity_index_on_an_undated_variable",
         "distribution_on_an_event_list",
+        "labels_reference",
     ],
 )
 def test_malformed_run_yaml_exits_2_naming_the_yaml_path(tmp_path, change, message):
@@ -1740,6 +1814,31 @@ def test_an_unreadable_cell_exits_2_naming_the_file_and_row(tiny_workspace, tmp_
     assert isinstance(result.exception, SystemExit)
     assert f"{(ws / name).resolve()}: 1 problem(s)\n  {message}" in text(result)
     assert "Traceback" not in text(result)
+
+
+@pytest.mark.parametrize("name", ["labels_llm.csv", "attributes.csv"])
+def test_a_utf8_byte_order_mark_before_the_header_is_not_header_text(tiny_workspace, tmp_path, name):
+    """Excel's "CSV UTF-8" starts a file with U+FEFF: the run reads the file
+    as it reads the same file without the mark."""
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    for path in [*tiny_workspace.glob("labels_*.csv"), *(tiny_workspace / n for n in ("attributes.csv", "schema.yaml", "run.yaml"))]:
+        shutil.copy(path, ws)
+    runner = CliRunner()
+
+    def report() -> dict:
+        args = ["--config", str(ws / "run.yaml"), "--out", str(tmp_path / "out"), "--format", "json", "run"]
+        result = runner.invoke(main, args)
+        assert result.exit_code in (0, 1), text(result)
+        return {k: v for k, v in json.loads(result.output).items() if k != "config_hash"}
+
+    plain = report()
+    (ws / name).write_bytes("\ufeff".encode() + (ws / name).read_bytes())
+    assert report() == plain
+    if name.startswith("labels_"):
+        args = ["ingest", "--schema", str(ws / "schema.yaml"), "--source", "llm", str(ws / name)]
+        ingest = runner.invoke(main, args)
+        assert ingest.exit_code == 0, text(ingest)
 
 
 @pytest.mark.parametrize("name", ["labels_llm.csv", "labels_abstractor_1.csv"])

@@ -503,7 +503,7 @@ def _covering_adjudications(cases, sets):
 
 def _assert_provenance_is(ref, provenance):
     """``ref.provenance`` reads as the per-key map ``provenance``, in its
-    order, and ``summary()`` counts it as a walk of that map would."""
+    order, and ``summary()`` counts each provenance that map holds."""
     view = ref.provenance
     assert list(view.items()) == list(provenance.items())
     assert len(view) == len(provenance)
@@ -514,7 +514,7 @@ def _assert_provenance_is(ref, provenance):
     counted = {}
     for prov in provenance.values():
         counted[prov.value] = counted.get(prov.value, 0) + 1
-    assert list(ref.summary()["provenance"].items()) == list(counted.items())
+    assert ref.summary()["provenance"] == counted
 
 
 @settings(max_examples=300, deadline=None)
@@ -646,11 +646,10 @@ def test_double_adjudication_resolves_disagreements(schema):
     assert ref.provenance[("p1", "surgery")] == Provenance.AGREED
     summ = ref.summary()
     assert summ["disagreements"]["total"] == 1
-    # summary.txt prints the counts in order: the first key, p1/stage, is disputed
-    assert list(summ["provenance"].items()) == [("adjudicated", 1), ("agreed", 2)]
+    assert summ["provenance"] == {"adjudicated": 1, "agreed": 2}
 
 
-def test_summary_lists_the_first_keys_provenance_first(schema):
+def test_summary_counts_each_provenance_and_leaves_out_a_zero(schema):
     llm, a1 = two_sets(
         schema,
         [rec("p1", "stage", "II"), rec("p2", "stage", "I")],
@@ -658,7 +657,7 @@ def test_summary_lists_the_first_keys_provenance_first(schema):
     )
     adj = LabelSet(schema, Source.ADJUDICATOR, [rec("p2", "stage", "I", source=Source.ADJUDICATOR)])
     summ = build_double_adjudication(llm, a1, adj).summary()
-    assert list(summ["provenance"].items()) == [("agreed", 1), ("adjudicated", 1)]
+    assert summ["provenance"] == {"agreed": 1, "adjudicated": 1}
     # a count of zero is left out
     llm, a1 = two_sets(schema, [rec("p1", "stage", "I")], [rec("p1", "stage", "II")])
     adj = LabelSet(schema, Source.ADJUDICATOR, [rec("p1", "stage", "I", source=Source.ADJUDICATOR)])
