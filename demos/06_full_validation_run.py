@@ -21,8 +21,10 @@ from rwdval import (
     GeneratorConfig,
     Source,
     corrupt,
+    emit_report,
     generate_truth,
-    run_from_config_file,
+    load_run_config,
+    run_pipeline,
     save_schema,
     write_attributes,
     write_labels,
@@ -76,7 +78,9 @@ output_dir: results
 """)
 
     # ---- run every pillar and emit the bundle ----
-    result = run_from_config_file(ws / "run.yaml")
+    config = load_run_config(ws / "run.yaml")
+    result = run_pipeline(config)
+    emit_report(result, config.output_dir)
     print(f"exit code: {result.exit_code}")
     print(f"written to {ws / 'results'}: "
           f"{sorted(p.name for p in (ws / 'results').iterdir())}")

@@ -1,19 +1,19 @@
 """Command-line interface for the validation engine.
 
-Subcommands mirror the pillars: ingest and refstd prepare inputs, metrics
-/ checks / replicate run one pillar each, run executes the pillars the
-config enables (all by default), report re-prints a previous run, and
-simulate builds a synthetic workspace to try the whole flow on. Exit codes
-are uniform: 0 clean, 1 validation issues (including an unassembled
-reference standard), 2 run failure or internal error, which the group
-maps from any subcommand's exception in one place.
+ingest and refstd prepare inputs, run executes the pillars the config's
+``pillars:`` mapping enables (all by default) and writes the report
+bundle, report re-prints a previous run, and simulate builds a synthetic
+workspace to try the whole flow on. Exit codes are uniform: 0 clean, 1
+validation issues (including an unassembled reference standard), 2 run
+failure or internal error, which the group maps from any subcommand's
+exception in one place.
 """
 from __future__ import annotations
 
 import csv
 import sys
 import traceback
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -23,7 +23,6 @@ import yaml
 from .labelio import LABEL_COLUMNS, IngestError, load_schema, read_labels, save_schema, write_attributes, write_labels
 from .pipeline import (
     ConfigError,
-    Pillars,
     assemble_reference,
     canonical_json,
     disagreement_cases,
@@ -99,18 +98,6 @@ def _echo(ctx: click.Context, doc: dict, lines) -> None:
         click.echo("\n".join(lines(doc)))
 
 
-def _run_and_report(ctx: click.Context, only: str | None = None):
-    """Run the configured pillars, or just the pillar ``only``."""
-    config = _load_config(ctx)
-    if only is not None:
-        config = replace(config, pillars=Pillars(**{f.name: f.name == only for f in fields(Pillars)}))
-    result = run_pipeline(config)
-    if config.output_dir is not None:
-        emit_report(result, config.output_dir)
-    _echo(ctx, result.report, _summary_lines)
-    ctx.exit(result.exit_code)
-
-
 @main.command()
 @click.argument("label_file", type=click.Path(exists=True))
 @click.option("--schema", "schema_path", type=click.Path(exists=True), required=True)
@@ -177,9 +164,8 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
             click.echo(f"worklist written: {worklist_path} ({len(exc.worklist)} cases)")
         click.echo(f"reference standard blocked: {exc}", err=True)
         ctx.exit(1)
-    out_dir = ctx.obj.get("out_dir") or config.output_dir
-    if out_dir:
-        out = Path(out_dir)
+    if ctx.obj.get("out_dir"):  # a run's output_dir holds only what that run wrote
+        out = Path(ctx.obj["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         write_labels(ref.labels, out / "reference_labels.csv")
         if ref.cases:
@@ -192,30 +178,14 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
 
 @main.command()
 @click.pass_context
-def metrics(ctx):
-    """Variable-level metrics against the reference standard."""
-    _run_and_report(ctx, "metrics")
-
-
-@main.command()
-@click.pass_context
-def checks(ctx):
-    """Run the verification check suite."""
-    _run_and_report(ctx, "checks")
-
-
-@main.command()
-@click.pass_context
-def replicate(ctx):
-    """Replicate configured analyses and score benchmark concordance."""
-    _run_and_report(ctx, "replication")
-
-
-@main.command()
-@click.pass_context
 def run(ctx):
     """Run the pillars the config enables (all by default) and write the report bundle."""
-    _run_and_report(ctx)
+    config = _load_config(ctx)
+    result = run_pipeline(config)
+    if config.output_dir is not None:
+        emit_report(result, config.output_dir)
+    _echo(ctx, result.report, _summary_lines)
+    ctx.exit(result.exit_code)
 
 
 @main.command()

@@ -194,6 +194,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     config = read_spec(RunConfig, doc)
     problems = [] if Source.LLM in config.labels else ["labels.llm: required"]
+    if config.pillars.metrics or config.pillars.replication:  # both need the reference standard
+        needs = "required when pillars.metrics or pillars.replication is on"
+        if Source.ABSTRACTOR_1 not in config.labels:
+            problems.append(f"labels.abstractor_1: {needs}")
+        if Source.ABSTRACTOR_2 not in config.labels and config.reference_mode != ReferenceMode.DOUBLE_ADJUDICATION:
+            problems.append(f"labels.abstractor_2: {needs} and reference_mode is {config.reference_mode.value}")
     if Source.REFERENCE in config.labels:
         problems.append("labels.reference: not accepted; the reference standard comes from reference_mode")
     unknown = sorted(set(config.thresholds) - set(metrics_mod.METRIC_NAMES))
@@ -772,13 +778,3 @@ def emit_report(result: PipelineResult, out_dir: str | Path) -> dict[str, Path]:
     for stale in {out / "disagreements.csv", *out.glob("curves/*.csv")} - set(written.values()):
         stale.unlink(missing_ok=True)
     return written
-
-
-def run_from_config_file(path: str | Path, out_dir: str | Path | None = None) -> PipelineResult:
-    """Load a config, run the pipeline, and emit outputs if a directory is known."""
-    config = load_run_config(path)
-    result = run_pipeline(config)
-    target = out_dir or config.output_dir
-    if target is not None:
-        emit_report(result, target)
-    return result

@@ -51,8 +51,8 @@ from rwdval.pipeline import (
     assemble_reference,
     config_hash,
     disagreement_cases,
+    emit_report,
     load_run_config,
-    run_from_config_file,
     run_pipeline,
 )
 
@@ -159,15 +159,47 @@ def test_run_exports_survival_curves(workspace):
     assert header == "t,n_at_risk,d,S,se"
 
 
-def test_single_pillar_commands_scope_the_report(workspace):
+_PILLARS = ("metrics", "checks", "replication")
+
+
+def _only(workspace, pillar: str) -> str:
+    """The workspace's run config with ``pillar`` the one pillar enabled."""
+    doc = yaml.safe_load((workspace / "run.yaml").read_text())
+    doc["pillars"] = {name: name == pillar for name in _PILLARS}
+    path = workspace / f"run_only_{pillar}.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("pillar", _PILLARS)
+def test_single_pillar_configs_scope_the_report(workspace, tmp_path, pillar):
+    args = ["--config", _only(workspace, pillar), "--out", str(tmp_path), "--format", "json", "run"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1), text(result)
+    report = json.loads(result.output)
+    assert pillar in report and not (set(_PILLARS) - {pillar}) & report.keys()
+    assert (tmp_path / "report.json").read_text() == result.output
+
+
+def test_a_pillars_limited_run_has_its_own_hash_and_report_reprints_it(workspace, tmp_path):
     runner = CliRunner()
-    base = ["--config", str(workspace / "run.yaml"), "--format", "json"]
-    checks_only = json.loads(runner.invoke(main, base + ["checks"]).output)
-    assert "checks" in checks_only and "metrics" not in checks_only
-    metrics_only = json.loads(runner.invoke(main, base + ["metrics"]).output)
-    assert "metrics" in metrics_only and "checks" not in metrics_only
-    replicate_only = json.loads(runner.invoke(main, base + ["replicate"]).output)
-    assert "replication" in replicate_only and "metrics" not in replicate_only
+    ran = runner.invoke(main, ["--config", _only(workspace, "checks"), "--out", str(tmp_path), "run"])
+    assert ran.exit_code in (0, 1), text(ran)
+    limited = json.loads((tmp_path / "report.json").read_text())["config_hash"]
+    assert limited != config_hash(load_run_config(workspace / "run.yaml"))
+    reprinted = runner.invoke(main, ["--out", str(tmp_path), "report"])
+    assert reprinted.exit_code == ran.exit_code
+    assert reprinted.stdout_bytes == (tmp_path / "summary.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["metrics", "checks", "replicate"])
+def test_a_pillar_subcommand_is_a_usage_error(workspace, command):
+    """``pillars:`` in the config is the one way to pick pillars."""
+    result = CliRunner().invoke(main, ["--config", str(workspace / "run.yaml"), command])
+    assert result.exit_code == 2, text(result)
+    assert "Usage:" in text(result)
+    assert f"No such command '{command}'" in text(result)
+    assert "Traceback" not in text(result)
 
 
 def test_report_command_reprints_a_finished_run(workspace):
@@ -519,7 +551,7 @@ def test_one_category_distribution_writes_strict_json(workspace, tmp_path):
     ]
     config = workspace / "run_one_category.yaml"
     config.write_text(yaml.safe_dump(doc))
-    run_from_config_file(config, out_dir=tmp_path / "out")
+    emit_report(run_pipeline(load_run_config(config)), tmp_path / "out")
     report = json.loads(
         (tmp_path / "out" / "report.json").read_text(), parse_constant=_reject_constant
     )
@@ -763,6 +795,26 @@ def test_refstd_refuses_adjudications_beside_oracle(refresh_workspace, tmp_path)
     assert not (tmp_path / "ref").exists()
 
 
+def test_refstd_without_out_leaves_the_run_bundle_as_run_wrote_it(refresh_workspace, tmp_path):
+    """The configured output_dir holds what ``run`` wrote and nothing else:
+    ``refstd`` writes its files only under ``--out``."""
+    ws = shutil.copytree(refresh_workspace, tmp_path / "ws")
+    results = ws / "results"
+
+    def bundle():
+        return {p.relative_to(results).as_posix(): p.read_bytes() for p in results.rglob("*") if p.is_file()}
+
+    runner = CliRunner()
+    ran = runner.invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert ran.exit_code in (0, 1), text(ran)
+    written = bundle()
+    args = ["--config", str(ws / "run.yaml"), "refstd", "--mode", "triple_adjudication"]
+    result = runner.invoke(main, [*args, "--oracle", str(ws / "labels_abstractor_2.csv")])
+    assert result.exit_code == 0, text(result)
+    assert result.stdout.splitlines() == _ORACLE_REFSTD["triple_adjudication"][2]
+    assert bundle() == written
+
+
 _REPRS = ("datetime.", "{'", "('")
 
 
@@ -835,7 +887,7 @@ def test_missing_config_is_a_run_failure():
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("command", ["run", "metrics", "checks", "replicate", "refstd", "report"])
+@pytest.mark.parametrize("command", ["run", "refstd", "report"])
 def test_malformed_config_is_a_run_failure_for_every_command(tmp_path, command):
     cfg_path = tmp_path / "bad.yaml"
     cfg_path.write_text(yaml.safe_dump({"schema": "schema.yaml", "labels": {"abstractor_1": "a.csv"}}))
@@ -857,9 +909,8 @@ def test_run_honours_configured_pillars(workspace, tmp_path):
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert "metrics" not in report
     assert {"checks", "replication"} <= report.keys()
-    # a one-pillar subcommand still runs only its own pillar
-    cfg = str(workspace / "run.yaml")
-    result = runner.invoke(main, ["--config", cfg, "--out", str(tmp_path / "m"), "metrics"])
+    # a metrics-only config runs only its own pillar
+    result = runner.invoke(main, ["--config", _only(workspace, "metrics"), "--out", str(tmp_path / "m"), "run"])
     assert result.exit_code in (0, 1), text(result)
     report = json.loads((tmp_path / "m" / "report.json").read_text())
     assert "metrics" in report
@@ -884,22 +935,24 @@ def test_config_hash_covers_a_seed_override(seed3_workspace, tmp_path):
     with ``--seed 1`` hashes as a config stating ``seed: 1`` does, and a run
     without ``--seed``, or with the stated seed, keeps the stated hash."""
 
-    def reported_hash(ws, *seed):
-        args = ["--format", "json", "--config", str(ws / "run.yaml"), *seed, "metrics"]
+    def reported_hash(config, *seed):
+        args = ["--format", "json", "--config", str(config), "--out", str(tmp_path / "out"), *seed, "run"]
         result = CliRunner().invoke(main, args)
         assert result.exit_code in (0, 1), text(result)
         return json.loads(result.output)["config_hash"]
 
-    stated = config_hash(load_run_config(seed3_workspace / "run.yaml"))
-    assert reported_hash(seed3_workspace) == stated
-    assert reported_hash(seed3_workspace, "--seed", "3") == stated
-    one = reported_hash(seed3_workspace, "--seed", "1")
-    two = reported_hash(seed3_workspace, "--seed", "2")
-    assert len({stated, one, two}) == 3
     ws = shutil.copytree(seed3_workspace, tmp_path / "ws")
-    run_yaml = ws / "run.yaml"
-    run_yaml.write_text(run_yaml.read_text().replace("  seed: 3\n", "  seed: 1\n"))
-    assert reported_hash(ws) == one
+    run_yaml = ws / "run.yaml"  # one pillar keeps the five runs short
+    run_yaml.write_text(run_yaml.read_text() + "pillars: {checks: false, replication: false}\n")
+    stated = config_hash(load_run_config(run_yaml))
+    assert reported_hash(run_yaml) == stated
+    assert reported_hash(run_yaml, "--seed", "3") == stated
+    one = reported_hash(run_yaml, "--seed", "1")
+    two = reported_hash(run_yaml, "--seed", "2")
+    assert len({stated, one, two}) == 3
+    seed1_yaml = ws / "run_seed1.yaml"
+    seed1_yaml.write_text(run_yaml.read_text().replace("  seed: 3\n", "  seed: 1\n"))
+    assert reported_hash(seed1_yaml) == one
 
 
 # --- pipeline behavior on a hand-built workspace ---
@@ -947,7 +1000,8 @@ def test_unresolved_adjudication_blocks_only_metrics(tmp_path):
 
 def test_adjudicated_run_computes_metrics(tmp_path):
     cfg_path = small_workspace(tmp_path, with_adjudicator=True)
-    result = run_from_config_file(cfg_path, out_dir=tmp_path / "out")
+    result = run_pipeline(load_run_config(cfg_path))
+    emit_report(result, tmp_path / "out")
     assert result.exit_code == 0
     stage = result.report["metrics"]["variables"]["stage"]
     # llm got p2 wrong, so accuracy-style recall over classes is hit
@@ -1384,6 +1438,60 @@ def test_every_config_problem_is_listed_before_any_label_file_is_read(tmp_path, 
     assert "Traceback" not in text(result)
 
 
+_NEEDS_REFERENCE = "required when pillars.metrics or pillars.replication is on"
+
+
+@pytest.mark.parametrize(
+    "pillars, mode, messages",
+    [
+        (
+            {"checks": False, "replication": False},
+            "triple_adjudication",
+            [
+                f"labels.abstractor_1: {_NEEDS_REFERENCE}",
+                f"labels.abstractor_2: {_NEEDS_REFERENCE} and reference_mode is triple_adjudication",
+            ],
+        ),
+        ({"metrics": False, "checks": False}, "double_adjudication", [f"labels.abstractor_1: {_NEEDS_REFERENCE}"]),
+    ],
+    ids=["metrics", "replication"],
+)
+def test_a_missing_abstraction_the_pillars_need_is_listed_before_any_label_file_is_read(
+    tmp_path, pillars, mode, messages
+):
+    cfg_path = small_workspace(tmp_path)
+    doc = yaml.safe_load(cfg_path.read_text())
+    doc.update(pillars=pillars, reference_mode=mode, thresholds={"recal": 0.9})
+    doc["labels"] = {"llm": "missing_llm.csv"}
+    cfg_path.write_text(yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["--config", str(cfg_path), "run"])
+    assert result.exit_code == 2, text(result)
+    assert f"error: {len(messages) + 1} problems:" in text(result)
+    for message in [*messages, "thresholds: unknown metric(s) ['recal']"]:
+        assert f"\n  {message}" in text(result)
+    assert "missing_" not in text(result)
+    assert "Traceback" not in text(result)
+
+
+def test_a_checks_only_config_runs_over_the_extraction_alone(seed3_workspace, tmp_path):
+    """The checks need no human abstraction: a config naming only the
+    extraction runs them."""
+    ws = seed3_workspace
+    config = {
+        "schema": str(ws / "schema.yaml"),
+        "labels": {"llm": str(ws / "labels_llm.csv")},
+        "pillars": {"metrics": False, "replication": False},
+        "output_dir": "results",
+    }
+    (tmp_path / "checks.yaml").write_text(yaml.safe_dump(config))
+    result = CliRunner().invoke(main, ["--config", str(tmp_path / "checks.yaml"), "--format", "json", "run"])
+    assert result.exit_code in (0, 1), text(result)
+    report = json.loads(result.output)
+    assert report["checks"]["n_findings"] == len(report["findings"])
+    assert not {"metrics", "reference", "replication"} & report.keys()
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["findings.csv", "report.json", "summary.txt"]
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [
@@ -1602,7 +1710,7 @@ def test_malformed_schema_or_suite_exits_2_naming_file_and_yaml_path(workspace, 
     run = yaml.safe_load((workspace / "run.yaml").read_text())
     run["schema"] = str(workspace / "schema.yaml")
     run["schema" if target == "schema" else "check_suite"] = str(malformed)
-    run["labels"] = {"llm": "missing_llm.csv", "abstractor_1": "missing_a1.csv"}
+    run["labels"] = {"llm": "missing_llm.csv", "abstractor_1": "missing_a1.csv", "abstractor_2": "missing_a2.csv"}
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump({**run, "output_dir": str(tmp_path)}, sort_keys=False))
     result = CliRunner().invoke(main, ["--config", str(config), "run"])
