@@ -53,7 +53,6 @@ from .lang import (
     parse_check,
     referenced_variables,
     to_text,
-    typecheck,
 )
 
 
@@ -84,8 +83,8 @@ def evaluate_patient_check(check: CompiledCheck, view: RowView) -> Truth:
     return check(view)
 
 
-# check expression text: its syntax is checked when read, its types against the schema
-CheckExpr = Annotated[Expr, Parsed(parse_check, typecheck)]
+# check expression text: its syntax is checked when read, its types when compiled against the schema
+CheckExpr = Annotated[Expr, Parsed(parse_check, compile_check)]
 
 
 def _check_ranges(expected: dict[str, tuple[float, float]]) -> None:
@@ -163,9 +162,10 @@ class RefreshStability:
     """Values must not mutate between data refreshes.
 
     Needs a prior snapshot at run time; without one the check is
-    not-applicable. Additions are expected churn and are counted, not
-    flagged; value changes, date moves beyond tolerance, and removals are
-    findings.
+    not-applicable. It evaluates each patient with rows of the variable in
+    the prior snapshot: value changes, date moves beyond tolerance, and
+    removals are findings. Additions are expected churn, neither flagged
+    nor counted.
     """
 
     variable: str
@@ -367,6 +367,25 @@ def _refresh_order_key(refresh_id: str):
         return (1, 0, refresh_id)
 
 
+def refresh_id_problems(
+    labels_v1: LabelSet, labels_v2: LabelSet, names: tuple[str, str] = ("the first label set", "the second label set")
+) -> list[str]:
+    """Why two refreshes cannot be compared, each named by ``names``: the rows
+    of each must carry exactly one refresh id, and the first's must strictly
+    precede the second's."""
+    v1, v2 = labels_v1.refresh_id, labels_v2.refresh_id
+    problems = [
+        f"{name}: its rows must carry exactly one refresh_id to compare refreshes"
+        for name, refresh_id in zip(names, (v1, v2))
+        if refresh_id is None
+    ]
+    if not problems and not _refresh_order_key(v1) < _refresh_order_key(v2):
+        problems.append(
+            f"refresh ids must be strictly increasing, got {v1!r} in {names[0]} then {v2!r} in {names[1]}"
+        )
+    return problems
+
+
 def refresh_stability(
     labels_v1: LabelSet,
     labels_v2: LabelSet,
@@ -381,13 +400,9 @@ def refresh_stability(
     values are the instability signal; newly added patients are reported
     separately as expected growth.
     """
-    v1, v2 = labels_v1.refresh_id, labels_v2.refresh_id
-    if v1 is None or v2 is None:
-        raise ValueError("both label sets need a refresh_id to compare refreshes")
-    if not _refresh_order_key(v1) < _refresh_order_key(v2):
-        raise ValueError(
-            f"refresh ids must be strictly increasing, got {v1!r} then {v2!r}"
-        )
+    problems = refresh_id_problems(labels_v1, labels_v2)
+    if problems:
+        raise ValueError("; ".join(problems))
     spec = labels_v1.schema[variable]
     kind = spec.kind
     changed: list[RefreshChange] = []

@@ -339,92 +339,14 @@ class _Parser:
         return self.next().text
 
 
-def parse_check(text: str, schema: Schema | None = None) -> Expr:
-    """Parse (and, given a schema, type-check) one check expression."""
+def parse_check(text: str) -> Expr:
+    """Parse one check expression; ``compile_check`` type-checks it against a schema."""
     parser = _Parser(text)
     expr = parser.expr()
     tail = parser.peek()
     if tail.kind != "end":
         raise CheckSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)
-    if schema is not None:
-        typecheck(expr, schema)
     return expr
-
-
-# ---- types ----
-
-_CATEGORY, _NUMBER, _DATE, _DURATION = "category", "number", "date", "duration"
-
-
-def _operand_type(op: Operand, schema: Schema) -> str:
-    if isinstance(op, Value):
-        spec = schema[op.var]  # raises SchemaError -> unknown variable
-        return _NUMBER if spec.kind == VariableKind.NUMERIC else _CATEGORY
-    if isinstance(op, DateOf):
-        spec = schema[op.var]
-        if not spec.kind.has_dates:
-            raise CheckTypeError(
-                f"date({op.var}): {spec.kind.value} variables carry no date"
-            )
-        return _DATE
-    if isinstance(op, DaysBetween):
-        for side in (op.left, op.right):
-            if _operand_type(side, schema) != _DATE:
-                raise CheckTypeError("days_between() arguments must be dates")
-        return _DURATION
-    if isinstance(op, Lit):
-        v = op.value
-        if isinstance(v, str):
-            return _CATEGORY
-        if isinstance(v, Duration):
-            return _DURATION
-        if isinstance(v, date_type):
-            return _DATE
-        return _NUMBER
-    raise CheckTypeError(f"unsupported operand {op!r}")
-
-
-def _check_literal_membership(a: Operand, b: Operand, schema: Schema) -> None:
-    if isinstance(a, Value) and isinstance(b, Lit) and isinstance(b.value, str):
-        allowed = schema[a.var].allowed_values
-        if allowed is not None and b.value not in allowed:
-            raise CheckTypeError(
-                f"{a.var}: literal {b.value!r} is not an allowed value "
-                f"({sorted(allowed)})"
-            )
-
-
-def typecheck(expr: Expr, schema: Schema) -> None:
-    """Raise CheckTypeError (or SchemaError for unknown variables)."""
-    if isinstance(expr, Cmp):
-        lt = _operand_type(expr.left, schema)
-        rt = _operand_type(expr.right, schema)
-        if lt != rt:
-            raise CheckTypeError(f"cannot compare {lt} with {rt}")
-        if expr.op in ("before", "after") and lt != _DATE:
-            raise CheckTypeError(f"{expr.op!r} applies to dates, not {lt}")
-        if lt == _CATEGORY and expr.op not in ("=", "!="):
-            raise CheckTypeError(f"categories support only = and !=, not {expr.op!r}")
-        _check_literal_membership(expr.left, expr.right, schema)
-        _check_literal_membership(expr.right, expr.left, schema)
-    elif isinstance(expr, WithinDays):
-        for side in (expr.left, expr.right):
-            if _operand_type(side, schema) != _DATE:
-                raise CheckTypeError("within_days() arguments must be dates")
-        if expr.days.days < 0:
-            raise CheckTypeError("within_days() needs a non-negative day count")
-    elif isinstance(expr, (Exists, Known)):
-        schema[expr.var]
-    elif isinstance(expr, Not):
-        typecheck(expr.item, schema)
-    elif isinstance(expr, (And, Or)):
-        for item in expr.items:
-            typecheck(item, schema)
-    elif isinstance(expr, Implies):
-        typecheck(expr.antecedent, schema)
-        typecheck(expr.consequent, schema)
-    else:
-        raise CheckTypeError(f"not a boolean expression: {expr!r}")
 
 
 # ---- printer ----
@@ -488,6 +410,9 @@ def to_text(expr: Expr) -> str:
 
 # ---- compilation ----
 
+_CATEGORY, _NUMBER, _DATE, _DURATION = "category", "number", "date", "duration"
+_LITERAL_TYPES = ((str, _CATEGORY), (Duration, _DURATION), (date_type, _DATE))  # else a number
+
 _CMP_FUNCS = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
@@ -502,12 +427,13 @@ _CMP_FUNCS = {
 
 # A compiled check: the truth of one expression over one patient's row view.
 CompiledCheck = Callable[[RowView], Truth]
+# A compiled operand's values over one patient's row view.
+Values = Callable[[RowView], list]
 
 
-def _compile_known(var: str, schema: Schema, dates: bool) -> Callable[[RowView], list]:
+def _compile_known(var: str, unknown: str | None, dates: bool) -> Values:
     """The documented known values of ``value(var)`` (or, with ``dates``,
     ``date(var)``), with the variable's unknown token bound once."""
-    unknown = schema[var].unknown_token
     if dates:  # rows of categorical and numeric variables carry no date
         def known(view):
             return [d for v, d, _ in view.get(var, ()) if v != unknown and d is not None]
@@ -517,29 +443,58 @@ def _compile_known(var: str, schema: Schema, dates: bool) -> Callable[[RowView],
     return known
 
 
-def _compile_operand(op: Operand, schema: Schema) -> Callable[[RowView], list]:
-    if isinstance(op, (Value, DateOf)):
-        return _compile_known(op.var, schema, isinstance(op, DateOf))
+def _compile_operand(op: Operand, schema: Schema) -> tuple[str, Values]:
+    """The type of ``op`` and its values; a variable the schema lacks raises ``SchemaError``."""
+    if isinstance(op, Value):
+        spec = schema[op.var]
+        kind = _NUMBER if spec.kind == VariableKind.NUMERIC else _CATEGORY
+        return kind, _compile_known(op.var, spec.unknown_token, dates=False)
+    if isinstance(op, DateOf):
+        spec = schema[op.var]
+        if not spec.kind.has_dates:
+            raise CheckTypeError(f"date({op.var}): {spec.kind.value} variables carry no date")
+        return _DATE, _compile_known(op.var, spec.unknown_token, dates=True)
     if isinstance(op, Lit):
         v = op.value
+        kind = next((t for cls, t in _LITERAL_TYPES if isinstance(v, cls)), _NUMBER)
         values = [v.days if isinstance(v, Duration) else v]
-        return lambda view: values
+        return kind, lambda view: values
     if isinstance(op, DaysBetween):
-        left = _compile_operand(op.left, schema)
-        right = _compile_operand(op.right, schema)
+        left = _compile_dates(op.left, schema, "days_between")
+        right = _compile_dates(op.right, schema, "days_between")
 
         def days_between(view):
             lefts, rights = left(view), right(view)
             return [(b - a).days for a in lefts for b in rights]
 
-        return days_between
-    raise TypeError(f"not an operand: {op!r}")
+        return _DURATION, days_between
+    raise CheckTypeError(f"unsupported operand {op!r}")
 
 
-def _compile_pairs(left_op: Operand, right_op: Operand, schema: Schema, holds) -> CompiledCheck:
+def _compile_dates(op: Operand, schema: Schema, function: str) -> Values:
+    """The values of ``op``, an argument of ``function()``, which takes only dates."""
+    kind, values = _compile_operand(op, schema)
+    if kind != _DATE:
+        raise CheckTypeError(f"{function}() arguments must be dates")
+    return values
+
+
+def _check_literal_membership(a: Operand, b: Operand, schema: Schema) -> None:
+    """A string literal compared with ``value(x)`` must be a known value of x."""
+    if isinstance(a, Value) and isinstance(b, Lit) and isinstance(b.value, str):
+        spec = schema[a.var]
+        if b.value == spec.unknown_token:
+            raise CheckTypeError(
+                f"{a.var}: literal {b.value!r} is the unknown token, which value() never "
+                f"reads; exists({a.var}) and not known({a.var}) finds a documented unknown"
+            )
+        allowed = spec.allowed_values
+        if allowed is not None and b.value not in allowed:
+            raise CheckTypeError(f"{a.var}: literal {b.value!r} is not an allowed value ({sorted(allowed)})")
+
+
+def _compile_pairs(left_values: Values, right_values: Values, holds) -> CompiledCheck:
     """An atom that holds when some pair of documented known values satisfies ``holds``."""
-    left_values = _compile_operand(left_op, schema)
-    right_values = _compile_operand(right_op, schema)
     TRUE, FALSE, UNKNOWN = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
 
     def atom(view):
@@ -557,33 +512,50 @@ def _compile_pairs(left_op: Operand, right_op: Operand, schema: Schema, holds) -
 
 
 def compile_check(expr: Expr, schema: Schema) -> CompiledCheck:
-    """``expr`` as nested closures that give its three-valued truth over one
-    patient's rows, as ``patient_view`` returns them (refresh ids are ignored).
+    """``expr`` type-checked against ``schema`` and compiled to nested
+    closures that give its three-valued truth over one patient's rows, as
+    ``patient_view`` returns them (refresh ids are ignored).
+
+    It type-checks as it compiles, before any patient is evaluated: an
+    ill-typed expression raises ``CheckTypeError`` (operands of two types,
+    an order on categories, ``date()`` of an undated variable, a negative
+    ``within_days``, a literal that is not a known value) and a variable
+    the schema lacks raises ``SchemaError``.
 
     Comparison atoms hold when some pair of documented known values
     satisfies them; they are indeterminate when either side has no
     documented known value. ``exists``/``known`` are always determinate.
     Adding documentation can only move atoms from indeterminate to
     determinate, so a passing check never becomes not-applicable as charts
-    accrue. Each variable's unknown token is looked up here, once, so a
-    variable the schema lacks raises ``SchemaError`` now rather than per
-    patient. This is the one evaluator; the interpreter in
+    accrue. This is the one evaluator; the interpreter in
     ``tests/oracles.py`` is the oracle it is tested against.
     """
     TRUE, FALSE, UNKNOWN = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
     if isinstance(expr, Cmp):
-        return _compile_pairs(expr.left, expr.right, schema, _CMP_FUNCS[expr.op])
+        lt, left = _compile_operand(expr.left, schema)
+        rt, right = _compile_operand(expr.right, schema)
+        if lt != rt:
+            raise CheckTypeError(f"cannot compare {lt} with {rt}")
+        if expr.op in ("before", "after") and lt != _DATE:
+            raise CheckTypeError(f"{expr.op!r} applies to dates, not {lt}")
+        if lt == _CATEGORY and expr.op not in ("=", "!="):
+            raise CheckTypeError(f"categories support only = and !=, not {expr.op!r}")
+        _check_literal_membership(expr.left, expr.right, schema)
+        _check_literal_membership(expr.right, expr.left, schema)
+        return _compile_pairs(left, right, _CMP_FUNCS[expr.op])
     if isinstance(expr, WithinDays):
+        left = _compile_dates(expr.left, schema, "within_days")
+        right = _compile_dates(expr.right, schema, "within_days")
         days = expr.days.days
-        return _compile_pairs(
-            expr.left, expr.right, schema, lambda a, b: abs((b - a).days) <= days
-        )
+        if days < 0:
+            raise CheckTypeError("within_days() needs a non-negative day count")
+        return _compile_pairs(left, right, lambda a, b: abs((b - a).days) <= days)
     if isinstance(expr, Exists):
         var = expr.var
         schema[var]
         return lambda view: TRUE if var in view else FALSE
     if isinstance(expr, Known):
-        values = _compile_known(expr.var, schema, dates=False)
+        values = _compile_known(expr.var, schema[expr.var].unknown_token, dates=False)
         return lambda view: TRUE if values(view) else FALSE
     if isinstance(expr, Not):
         item = compile_check(expr.item, schema)
@@ -618,7 +590,7 @@ def compile_check(expr: Expr, schema: Schema) -> CompiledCheck:
             return UNKNOWN if a is UNKNOWN or b is UNKNOWN else FALSE
 
         return implies
-    raise TypeError(f"not an expression: {expr!r}")
+    raise CheckTypeError(f"not a boolean expression: {expr!r}")
 
 
 def referenced_variables(expr: Expr | Operand) -> set[str]:

@@ -316,7 +316,6 @@ def compute_metrics(
     *,
     completeness: tuple[int, int] | None = None,
     n_patients: int = 0,
-    ci: dict[str, tuple[float, float]] | None = None,
 ) -> MetricReport:
     """Derive recall/precision/F1/date-accuracy from confusion counts.
 
@@ -333,7 +332,7 @@ def compute_metrics(
         counts.n_date_correct,
         completeness or (0, 0),
     )
-    report = MetricReport(variable=counts.variable, n_patients=n_patients, ci=ci, counts=counts)
+    report = MetricReport(variable=counts.variable, n_patients=n_patients, counts=counts)
     for name, (num, den) in fractions.items():
         if den > 0:
             setattr(report, name, num / den)

@@ -434,21 +434,20 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference) -> dic
     return out
 
 
-def _checks_pillar(
-    config: RunConfig, dataset: CohortDataset, suite: checks_mod.CheckSuite
-) -> tuple[dict, list]:
-    previous = None
-    if config.previous_labels is not None:
-        previous = read_labels(config.previous_labels, dataset.schema, Source.LLM)
-    report = checks_mod.run_all_checks(
-        suite,
-        dataset,
-        source=Source.LLM,
-        strata=config.strata,
-        previous=previous,
-        min_stratum_n=config.tolerances.min_stratum_n,
-    )
-    return report.to_dict(), report.findings()
+def _load_previous(config: RunConfig, dataset: CohortDataset, suite: checks_mod.CheckSuite) -> LabelSet | None:
+    """The prior snapshot the extraction's refresh checks compare against,
+    if the config names one. When the suite has a refresh check, a
+    ``ConfigError`` names each label file whose rows do not carry exactly
+    one refresh id, or both files and ids when they are out of order."""
+    if config.previous_labels is None:
+        return None
+    previous = read_labels(config.previous_labels, dataset.schema, Source.LLM)
+    if any(isinstance(check.cohort, checks_mod.RefreshStability) for check in suite):
+        names = (str(config.previous_labels), str(config.labels[Source.LLM]))
+        problems = checks_mod.refresh_id_problems(previous, dataset.labels(Source.LLM), names)
+        if problems:
+            raise ConfigError(*problems)
+    return previous
 
 
 def _grouped_survival(
@@ -616,6 +615,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if config.pillars.checks:  # checked against the schema before any label file is read
         suite = checks_mod.load_suite(config.check_suite or checks_mod.default_suite_path(), schema)
     dataset = _load_dataset(config, schema)
+    previous = None if suite is None else _load_previous(config, dataset, suite)
     report: dict = {
         "config_hash": config_hash(config),
         "reference_mode": config.reference_mode.value,
@@ -644,9 +644,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if config.pillars.metrics and reference is not None:
         report["metrics"] = _metrics_pillar(config, dataset, reference)
     if config.pillars.checks:
-        checks_dict, findings = _checks_pillar(config, dataset, suite)
-        report["checks"] = checks_dict
-        report["findings"] = [f.to_dict() for f in findings]
+        checks = checks_mod.run_all_checks(
+            suite, dataset, source=Source.LLM, strata=config.strata, previous=previous,
+            min_stratum_n=config.tolerances.min_stratum_n,
+        )
+        report["checks"] = checks.to_dict()
+        report["findings"] = [f.to_dict() for f in checks.findings()]
+        del checks, previous  # the replication pillar reuses their memory
     if config.pillars.replication:
         report["replication"] = _replication_pillar(config, dataset, reference, curves)
     issues = _collect_issues(report)

@@ -62,7 +62,7 @@ class Parsed:
     """Text read by ``parse`` (a ``ValueError`` is a problem), checked by ``schema_problems`` with ``check``."""
 
     parse: Callable[[str], object]
-    check: Callable[[object, Schema], None]
+    check: Callable[[object, Schema], object]
 
     def read(self, value, path: str, problems: list[str]):
         text = _value(str, value, path, problems)

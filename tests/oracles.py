@@ -18,6 +18,10 @@
 * ``evaluate`` interprets a check expression's AST over one patient's rows
   on every call; ``compile_check``, the library's one evaluator, must give
   the same truth for every well-typed expression and row view.
+* ``typecheck`` walks a check expression against a schema apart from
+  compiling it, raising ``CheckTypeError`` (or ``SchemaError`` for an
+  unknown variable); ``compile_check`` type-checks as it compiles and must
+  raise the same class with the same text for every expression.
 """
 from __future__ import annotations
 
@@ -48,6 +52,7 @@ from rwdval.checks.lang import (
     _CMP_FUNCS,
     _NEGATION,
     And,
+    CheckTypeError,
     Cmp,
     DateOf,
     DaysBetween,
@@ -412,3 +417,83 @@ def evaluate(expr: Expr, view: RowView, schema: Schema) -> Truth:
         consequent = evaluate(expr.consequent, view, schema)
         return _kleene((_NEGATION[antecedent], consequent), Truth.TRUE)
     raise TypeError(f"not an expression: {expr!r}")
+
+
+_CATEGORY, _NUMBER, _DATE, _DURATION = "category", "number", "date", "duration"
+
+
+def _operand_type(op: Operand, schema: Schema) -> str:
+    if isinstance(op, Value):
+        spec = schema[op.var]  # raises SchemaError -> unknown variable
+        return _NUMBER if spec.kind == VariableKind.NUMERIC else _CATEGORY
+    if isinstance(op, DateOf):
+        spec = schema[op.var]
+        if not spec.kind.has_dates:
+            raise CheckTypeError(
+                f"date({op.var}): {spec.kind.value} variables carry no date"
+            )
+        return _DATE
+    if isinstance(op, DaysBetween):
+        for side in (op.left, op.right):
+            if _operand_type(side, schema) != _DATE:
+                raise CheckTypeError("days_between() arguments must be dates")
+        return _DURATION
+    if isinstance(op, Lit):
+        v = op.value
+        if isinstance(v, str):
+            return _CATEGORY
+        if isinstance(v, Duration):
+            return _DURATION
+        if isinstance(v, date):
+            return _DATE
+        return _NUMBER
+    raise CheckTypeError(f"unsupported operand {op!r}")
+
+
+def _check_literal_membership(a: Operand, b: Operand, schema: Schema) -> None:
+    if isinstance(a, Value) and isinstance(b, Lit) and isinstance(b.value, str):
+        # value() reads only documented known values, so the unknown token never matches
+        if b.value == schema[a.var].unknown_token:
+            raise CheckTypeError(
+                f"{a.var}: literal {b.value!r} is the unknown token, which value() never "
+                f"reads; exists({a.var}) and not known({a.var}) finds a documented unknown"
+            )
+        allowed = schema[a.var].allowed_values
+        if allowed is not None and b.value not in allowed:
+            raise CheckTypeError(
+                f"{a.var}: literal {b.value!r} is not an allowed value "
+                f"({sorted(allowed)})"
+            )
+
+
+def typecheck(expr: Expr, schema: Schema) -> None:
+    """Raise CheckTypeError (or SchemaError for unknown variables)."""
+    if isinstance(expr, Cmp):
+        lt = _operand_type(expr.left, schema)
+        rt = _operand_type(expr.right, schema)
+        if lt != rt:
+            raise CheckTypeError(f"cannot compare {lt} with {rt}")
+        if expr.op in ("before", "after") and lt != _DATE:
+            raise CheckTypeError(f"{expr.op!r} applies to dates, not {lt}")
+        if lt == _CATEGORY and expr.op not in ("=", "!="):
+            raise CheckTypeError(f"categories support only = and !=, not {expr.op!r}")
+        _check_literal_membership(expr.left, expr.right, schema)
+        _check_literal_membership(expr.right, expr.left, schema)
+    elif isinstance(expr, WithinDays):
+        for side in (expr.left, expr.right):
+            if _operand_type(side, schema) != _DATE:
+                raise CheckTypeError("within_days() arguments must be dates")
+        if expr.days.days < 0:
+            raise CheckTypeError("within_days() needs a non-negative day count")
+    elif isinstance(expr, (Exists, Known)):
+        schema[expr.var]
+    elif isinstance(expr, Not):
+        typecheck(expr.item, schema)
+    elif isinstance(expr, (And, Or)):
+        for item in expr.items:
+            typecheck(item, schema)
+    elif isinstance(expr, Implies):
+        typecheck(expr.antecedent, schema)
+        typecheck(expr.consequent, schema)
+    else:
+        raise CheckTypeError(f"not a boolean expression: {expr!r}")

@@ -55,12 +55,11 @@ from rwdval.checks.lang import (
     Value,
     WithinDays,
     referenced_variables,
-    typecheck,
 )
-from rwdval.schema import SchemaError
+from rwdval.schema import Schema, SchemaError, VariableSpec
 
 from conftest import make_schema, rec
-from oracles import evaluate
+from oracles import evaluate, typecheck
 
 
 D0 = date(2020, 1, 1)
@@ -125,28 +124,49 @@ def test_keywords_cannot_be_variable_names():
 
 def test_typecheck_category_ordering_rejected(schema):
     with pytest.raises(CheckTypeError):
-        parse_check("value(stage) < 'I'", schema)
-    parse_check("value(stage) != 'I'", schema)  # equality family is fine
+        compile_check(parse_check("value(stage) < 'I'"), schema)
+    compile_check(parse_check("value(stage) != 'I'"), schema)  # equality family is fine
 
 
 def test_typecheck_unknown_variable(schema):
     with pytest.raises(SchemaError):
-        parse_check("exists(bogus)", schema)
+        compile_check(parse_check("exists(bogus)"), schema)
 
 
 def test_typecheck_literal_membership(schema):
     with pytest.raises(CheckTypeError):
-        parse_check("value(stage) = 'IX'", schema)
+        compile_check(parse_check("value(stage) = 'IX'"), schema)
 
 
 def test_typecheck_date_of_undated_kind(schema):
     with pytest.raises(CheckTypeError):
-        parse_check("date(stage) before 2020-01-01", schema)
+        compile_check(parse_check("date(stage) before 2020-01-01"), schema)
 
 
 def test_typecheck_negative_within_days(schema):
     with pytest.raises(CheckTypeError):
-        parse_check("within_days(date(surgery), date(surgery), -1d)", schema)
+        compile_check(parse_check("within_days(date(surgery), date(surgery), -1d)"), schema)
+
+
+def test_a_literal_naming_the_unknown_token_is_rejected():
+    """``value()`` reads only documented known values, so ``value(stage) =
+    'unknown'`` never holds: negated, it would never flag anyone."""
+    schema = breast_schema()
+    hint = r"stage: literal 'unknown' is the unknown token.*exists\(stage\) and not known\(stage\)"
+    with pytest.raises(CheckTypeError, match=hint):
+        compile_check(parse_check("not (value(stage) = 'unknown')"), schema)
+    with pytest.raises(CheckTypeError, match=hint):
+        compile_check(parse_check("'unknown' != value(stage)"), schema)
+    with pytest.raises(CheckTypeError, match="stage: literal 'V' is not an allowed value"):
+        compile_check(parse_check("value(stage) = 'V'"), schema)
+    # the token is no known value whatever allowed_values holds
+    free = Schema([VariableSpec("note", VariableKind.EVENT_LIST, unknown_token="unk")])
+    with pytest.raises(CheckTypeError, match="note: literal 'unk' is the unknown token"):
+        compile_check(parse_check("value(note) = 'unk'"), free)
+    compile_check(parse_check("value(note) = 'unknown'"), free)
+    doc = {"checks": [{"id": "staged", "expr": "not (value(stage) = 'unknown')"}]}
+    with pytest.raises(ConfigError, match=r"checks\[0\]\.expr: stage: literal 'unknown' is the unknown token"):
+        suite_from_dict(doc, schema)
 
 
 # --- canonical text round trip ---
@@ -240,26 +260,26 @@ def view_of(schema, records):
 
 
 def test_vacuous_implication_passes(schema):
-    expr = parse_check("value(stage) = 'III' implies value(surgery) = 'yes'", schema)
+    expr = parse_check("value(stage) = 'III' implies value(surgery) = 'yes'")
     view = view_of(schema, [rec("p1", "stage", "I")])
     assert compile_check(expr, schema)(view) == Truth.TRUE
 
 
 def test_unknown_antecedent_is_indeterminate(schema):
-    expr = parse_check("value(stage) = 'III' implies value(surgery) = 'yes'", schema)
+    expr = parse_check("value(stage) = 'III' implies value(surgery) = 'yes'")
     # stage is documented unknown and surgery undocumented: no verdict
     view = view_of(schema, [rec("p1", "stage", "unknown")])
     assert compile_check(expr, schema)(view) == Truth.UNKNOWN
 
 
 def test_missing_variable_is_indeterminate(schema):
-    expr = parse_check("value(stage) = 'I'", schema)
+    expr = parse_check("value(stage) = 'I'")
     assert compile_check(expr, schema)({}) == Truth.UNKNOWN
 
 
 def test_exists_and_known_are_determinate(schema):
-    exists_expr = parse_check("exists(stage)", schema)
-    known_expr = parse_check("known(stage)", schema)
+    exists_expr = parse_check("exists(stage)")
+    known_expr = parse_check("known(stage)")
     assert compile_check(exists_expr, schema)({}) == Truth.FALSE
     view = view_of(schema, [rec("p1", "stage", "unknown")])
     assert compile_check(exists_expr, schema)(view) == Truth.TRUE
@@ -269,9 +289,9 @@ def test_exists_and_known_are_determinate(schema):
 
 
 def test_event_list_some_semantics(schema):
-    expr_pos = parse_check("value(er_result) = 'positive'", schema)
-    expr_neg = parse_check("value(er_result) = 'negative'", schema)
-    no_neg = parse_check("not (value(er_result) = 'negative')", schema)
+    expr_pos = parse_check("value(er_result) = 'positive'")
+    expr_neg = parse_check("value(er_result) = 'negative'")
+    no_neg = parse_check("not (value(er_result) = 'negative')")
     view = view_of(
         schema,
         [
@@ -288,7 +308,7 @@ def test_event_list_some_semantics(schema):
 
 
 def test_days_between_is_signed(schema):
-    expr = parse_check("days_between(date(surgery), date(er_result)) >= 0d", schema)
+    expr = parse_check("days_between(date(surgery), date(er_result)) >= 0d")
     view = view_of(
         schema,
         [
@@ -301,7 +321,7 @@ def test_days_between_is_signed(schema):
 
 
 def test_within_days_is_absolute(schema):
-    expr = parse_check("within_days(date(surgery), date(er_result), 30)", schema)
+    expr = parse_check("within_days(date(surgery), date(er_result), 30)")
     view = view_of(
         schema,
         [
@@ -313,7 +333,7 @@ def test_within_days_is_absolute(schema):
 
 
 def test_outcome_mapping(schema):
-    check = compile_check(parse_check("value(stage) = 'I'", schema), schema)
+    check = compile_check(parse_check("value(stage) = 'I'"), schema)
     ok = view_of(schema, [rec("p1", "stage", "I")])
     bad = view_of(schema, [rec("p1", "stage", "II")])
     assert evaluate_patient_check(check, ok) == Truth.TRUE
@@ -373,7 +393,8 @@ _VARS = ["stage", "surgery", "er_result", "tumor_size_mm"]
 _dates = st.integers(0, 120).map(day)
 _dated_vars = st.sampled_from([DateOf("surgery"), DateOf("er_result")])
 _date_operands = st.one_of(_dated_vars, _dates.map(Lit))
-_order_ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=", "before", "after")
+_order_ops = st.sampled_from(_CMP_OPS[:6])
 
 # Well-typed atoms on the test schema: ``exists`` and ``known`` are always
 # determinate; the comparisons are indeterminate when a side is undocumented.
@@ -443,7 +464,6 @@ def _views(draw):
 @given(_typed_exprs(3), _views())
 def test_short_circuit_connectives_equal_the_list_oracle(expr, view):
     schema = make_schema()
-    typecheck(expr, schema)
     assert compile_check(expr, schema)(view) == _oracle_evaluate(expr, view, schema)
 
 
@@ -451,8 +471,75 @@ def test_short_circuit_connectives_equal_the_list_oracle(expr, view):
 @given(_typed_exprs(3), _views())
 def test_compiled_check_equals_the_interpreter(expr, view):
     schema = make_schema()
-    typecheck(expr, schema)
     assert compile_check(expr, schema)(view) == evaluate(expr, view, schema)
+
+
+# Any expression on the test schema, well typed or not: unknown variables,
+# dates of undated variables, mixed operand types, orders and before/after
+# on categories, days_between of non-dates, negative within_days, literals
+# that are not allowed or that name the unknown token, and non-expressions
+# (an operand where a boolean expression belongs, and the reverse).
+_any_vars = st.sampled_from([*_VARS, "bogus"])
+_any_strings = st.sampled_from(["I", "IX", "unknown", "yes", "positive"]).map(Lit)
+_any_literals = st.one_of(
+    _any_strings,
+    st.integers(-5, 60).map(Lit),
+    st.floats(0, 60, allow_nan=False).map(Lit),
+    _dates.map(Lit),
+    st.integers(-60, 60).map(lambda n: Lit(Duration(n))),
+)
+_plain_operands = st.one_of(_any_vars.map(Value), _any_vars.map(DateOf), _any_literals)
+_any_operands = st.one_of(
+    _plain_operands,
+    st.tuples(_plain_operands, _plain_operands).map(lambda t: DaysBetween(*t)),
+    st.just(Exists("stage")),  # not an operand
+)
+# operand pairs of one type, so that the rules on operators and literals are met
+_same_typed_pairs = st.one_of(
+    st.tuples(st.sampled_from(_VARS[:3]).map(Value), _any_strings),
+    st.tuples(_date_operands, _date_operands),
+    st.tuples(st.just(Value("tumor_size_mm")), st.integers(0, 60).map(Lit)),
+)
+_any_pairs = st.tuples(
+    st.one_of(st.tuples(_any_operands, _any_operands), _same_typed_pairs), st.booleans()
+).map(lambda t: t[0] if t[1] else t[0][::-1])
+_any_atoms = st.one_of(
+    _any_vars.map(Exists),
+    _any_vars.map(Known),
+    st.tuples(st.sampled_from(_CMP_OPS), _any_pairs).map(lambda t: Cmp(t[0], *t[1])),
+    st.tuples(st.one_of(st.tuples(_date_operands, _date_operands), _any_pairs), st.sampled_from([-1, 0, 30])).map(
+        lambda t: WithinDays(*t[0], Duration(t[1]))
+    ),
+)
+
+
+def _any_exprs(depth):
+    if depth <= 0:
+        return _any_atoms
+    sub = _any_exprs(depth - 1)
+    return st.one_of(
+        _any_atoms,
+        sub.map(Not),
+        st.lists(sub, min_size=2, max_size=3).map(lambda xs: And(tuple(xs))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda xs: Or(tuple(xs))),
+        st.tuples(sub, sub).map(lambda t: Implies(*t)),
+    )
+
+
+def _raised(check, *args):
+    """The class and text of the ``ValueError`` that ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(_any_atoms, _any_exprs(2), _typed_exprs(2), _plain_operands.map(Not)))
+def test_compiling_raises_what_the_type_rules_raise(expr):
+    schema = make_schema()
+    assert _raised(compile_check, expr, schema) == _raised(typecheck, expr, schema)
 
 
 def test_compiling_rejects_an_unknown_variable(schema):
@@ -795,8 +882,7 @@ def test_refresh_requires_ordered_ids(schema):
 
 def test_a_finding_prints_each_referenced_value_as_label_text(schema):
     expr = parse_check(
-        "value(stage) = 'III' implies value(surgery) = 'yes' or value(tumor_size_mm) > 50 or not exists(er_result)",
-        schema,
+        "value(stage) = 'III' implies value(surgery) = 'yes' or value(tumor_size_mm) > 50 or not exists(er_result)"
     )
     records = [
         rec("p1", "stage", "III"),
@@ -850,7 +936,7 @@ def test_refresh_check_with_prior_snapshot(schema):
 
 
 def test_duplicate_check_ids_rejected(schema):
-    expr = parse_check("exists(stage)", schema)
+    expr = parse_check("exists(stage)")
     mk = lambda: CheckDefinition(
         id="dup",
         category=CheckCategory.CONFORMANCE,
@@ -954,7 +1040,7 @@ def test_run_all_checks_stratified_tallies(schema):
     records = [rec(f"p{i}", "stage", "I" if i < 3 else "II") for i in range(6)]
     attrs = {f"p{i}": {"site": "east" if i % 2 == 0 else "west"} for i in range(6)}
     ds = dataset_of(schema, records, attrs=attrs)
-    expr = parse_check("value(stage) = 'I'", schema)
+    expr = parse_check("value(stage) = 'I'")
     suite = CheckSuite(
         [
             CheckDefinition(
@@ -1008,7 +1094,7 @@ def test_stratum_tallies_sum_to_check_totals(schema):
                 level=CheckLevel.PATIENT,
                 severity=Severity.WARNING,
                 description="",
-                expr=parse_check(text, schema),
+                expr=parse_check(text),
             )
             for cid, text in texts.items()
         ]

@@ -258,7 +258,7 @@ def test_simulated_refresh_snapshot_runs(tmp_path):
     assert result.exit_code == 0, text(result)
     result = runner.invoke(main, ["--config", str(ws / "run.yaml"), "run"])
     assert result.exit_code in (0, 1), text(result)
-    assert "both label sets need a refresh_id" not in text(result)
+    assert "refresh_id" not in text(result)
 
 
 def test_bootstrap_run_brackets_every_point_and_is_deterministic(workspace):
@@ -684,6 +684,64 @@ def refresh_workspace(tmp_path_factory):
     made = CliRunner().invoke(main, ["--out", str(ws), "--seed", "3", "simulate", "--n", "200", "--with-refresh"])
     assert made.exit_code == 0, text(made)
     return ws
+
+
+def _restamp(source: Path, target: Path, refresh_ids) -> Path:
+    """``source`` written to ``target`` with each data row's refresh_id
+    cell taken in turn from the cycle ``refresh_ids``."""
+    with open(source, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    at = header.index("refresh_id")
+    with open(target, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            writer.writerow([*row[:at], refresh_ids[i % len(refresh_ids)], *row[at + 1:]])
+    return target
+
+
+def test_refresh_ids_that_cannot_be_compared_stop_the_run_before_any_pillar(refresh_workspace, tmp_path, monkeypatch):
+    """With a refresh check in the suite, ``run`` exits 2 at load, with no
+    traceback, naming each label file whose rows do not carry exactly one
+    refresh id, or both files and both ids when they are out of order."""
+    ws = shutil.copytree(refresh_workspace, tmp_path / "ws")
+    assembled = []
+    monkeypatch.setattr(pipeline_mod, "assemble_reference", lambda *args, **kwargs: assembled.append(args))
+    doc = yaml.safe_load((ws / "run.yaml").read_text())
+    prior, current = ws / "labels_prev.csv", ws / "labels_llm_restamped.csv"
+
+    def run(prior_ids, current_ids=("2",)):
+        _restamp(ws / "labels_llm_refresh1.csv", prior, prior_ids)
+        _restamp(ws / "labels_llm.csv", current, current_ids)
+        (ws / "run.yaml").write_text(
+            yaml.safe_dump({**doc, "previous_labels": prior.name, "labels": {**doc["labels"], "llm": current.name}})
+        )
+        result = CliRunner().invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+        assert result.exit_code == 2, text(result)
+        assert "Traceback" not in text(result)
+        return text(result)
+
+    need = "its rows must carry exactly one refresh_id to compare refreshes"
+    out = run([""])  # a copy of an extraction with no refresh id, as simulate writes without --with-refresh
+    assert f"error: {prior}: {need}" in out
+    assert str(current) not in out
+    out = run(["1", "0"], [""])
+    assert f"{prior}: {need}" in out
+    assert f"{current}: {need}" in out
+    out = run(["2"])
+    assert f"error: refresh ids must be strictly increasing, got '2' in {prior} then '2' in {current}" in out
+    assert assembled == []
+
+
+def test_a_suite_with_no_refresh_check_runs_on_a_prior_without_refresh_ids(refresh_workspace, tmp_path):
+    ws = shutil.copytree(refresh_workspace, tmp_path / "ws")
+    _restamp(ws / "labels_llm_refresh1.csv", ws / "labels_llm_refresh1.csv", [""])
+    (ws / "suite.yaml").write_text("checks:\n  - id: staged\n    expr: exists(stage)\n")
+    doc = yaml.safe_load((ws / "run.yaml").read_text())
+    (ws / "run.yaml").write_text(yaml.safe_dump({**doc, "check_suite": "suite.yaml"}))
+    result = CliRunner().invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exit_code in (0, 1), text(result)
+    assert "staged: flagged" in text(result)
 
 
 # what `refstd --mode MODE --oracle labels_abstractor_2.csv` writes on the
