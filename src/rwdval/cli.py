@@ -145,6 +145,7 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
     """Assemble the reference standard; emit a worklist when blocked."""
     if adjudications_path and oracle_path:
         _fail("--adjudications and --oracle cannot be given together: the oracle makes the adjudications")
+    blocked = None
     try:
         config = _load_config(ctx)
         if mode:
@@ -159,20 +160,26 @@ def refstd(ctx, mode, worklist_path, adjudications_path, oracle_path):
             adjudications = adjudicate_from_oracle(cases, oracle)
         ref = assemble_reference(config, dataset, adjudications, cases=cases)
     except AdjudicationError as exc:
+        blocked = exc
         if worklist_path:
             write_disagreements(exc.worklist, worklist_path)
             click.echo(f"worklist written: {worklist_path} ({len(exc.worklist)} cases)")
-        click.echo(f"reference standard blocked: {exc}", err=True)
-        ctx.exit(1)
-    if ctx.obj.get("out_dir"):  # a run's output_dir holds only what that run wrote
+    if ctx.obj.get("out_dir"):  # DIR holds only what this assembly wrote, as a run's bundle does
         out = Path(ctx.obj["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        write_labels(ref.labels, out / "reference_labels.csv")
-        if ref.cases:
-            write_disagreements(ref.cases, out / "disagreements.csv")
+        cases = blocked.worklist if blocked else ref.cases
+        if cases:
+            write_disagreements(cases, out / "disagreements.csv")
         else:  # none of an earlier assembly's cases stands
             (out / "disagreements.csv").unlink(missing_ok=True)
-        click.echo(f"reference labels written to {out / 'reference_labels.csv'}")
+        if blocked:  # nor does its reference
+            (out / "reference_labels.csv").unlink(missing_ok=True)
+        else:
+            write_labels(ref.labels, out / "reference_labels.csv")
+            click.echo(f"reference labels written to {out / 'reference_labels.csv'}")
+    if blocked:
+        click.echo(f"reference standard blocked: {blocked}", err=True)
+        ctx.exit(1)
     _echo(ctx, ref.summary(), _dotted_lines)
 
 

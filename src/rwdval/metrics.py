@@ -18,7 +18,7 @@ number of percentage points serializes as exactly that number).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from fractions import Fraction
 
@@ -247,20 +247,13 @@ def patient_rows(
 
 @dataclass
 class RelativePerformance:
-    """Extraction-minus-abstraction gap for one metric, in percentage points."""
+    """Extraction-minus-abstraction gap for one metric, in percentage points;
+    its report entry is ``dataclasses.asdict`` of it."""
 
     metric: str
-    llm_value: float
-    abstraction_value: float
+    llm: float
+    abstraction: float
     delta_pp: float
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "llm": self.llm_value,
-            "abstraction": self.abstraction_value,
-            "delta_pp": self.delta_pp,
-        }
 
 
 @dataclass
@@ -360,9 +353,7 @@ def relative_difference(
         if a is None or b is None:
             continue
         delta = float(100 * (Fraction(*llm.ratios[name]) - Fraction(*abstraction.ratios[name])))
-        out.append(
-            RelativePerformance(metric=name, llm_value=a, abstraction_value=b, delta_pp=delta)
-        )
+        out.append(RelativePerformance(metric=name, llm=a, abstraction=b, delta_pp=delta))
     return out
 
 
@@ -603,7 +594,7 @@ class StratumMetrics:
             "suppressed": self.suppressed,
             "llm": self.llm.to_dict() if self.llm is not None else None,
             "abstraction": self.abstraction.to_dict() if self.abstraction is not None else None,
-            "relative": [r.to_dict() for r in self.relative] if self.relative else None,
+            "relative": [asdict(r) for r in self.relative] if self.relative else None,
         }
 
 

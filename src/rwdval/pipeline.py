@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Annotated
 
@@ -396,7 +396,7 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference) -> dic
             "positive_class": positive_class,
             "llm": llm_report.to_dict(),
             "abstraction": a1_report.to_dict(),
-            "relative": [r.to_dict() for r in relative],
+            "relative": [asdict(r) for r in relative],
         }
         if config.strata:
             entry["stratified"] = {
@@ -429,24 +429,26 @@ def _metrics_pillar(config: RunConfig, dataset: CohortDataset, reference) -> dic
             "window_days": list(rule.window_days),
             "llm": e2e.llm.to_dict(),
             "abstraction": e2e.abstraction.to_dict() if e2e.abstraction else None,
-            "relative": [r.to_dict() for r in e2e.relative] if e2e.relative else None,
+            "relative": [asdict(r) for r in e2e.relative] if e2e.relative else None,
         }
     return out
 
 
 def _load_previous(config: RunConfig, dataset: CohortDataset, suite: checks_mod.CheckSuite) -> LabelSet | None:
-    """The prior snapshot the extraction's refresh checks compare against,
-    if the config names one. When the suite has a refresh check, a
-    ``ConfigError`` names each label file whose rows do not carry exactly
-    one refresh id, or both files and ids when they are out of order."""
-    if config.previous_labels is None:
+    """The prior snapshot the suite's refresh checks compare against: None
+    when the config names none or the suite has no refresh check, which
+    leaves the file unread. A ``ConfigError`` names each label file whose
+    rows do not carry exactly one refresh id, or both files and ids when
+    they are out of order."""
+    if config.previous_labels is None or not any(
+        isinstance(check.cohort, checks_mod.RefreshStability) for check in suite
+    ):
         return None
     previous = read_labels(config.previous_labels, dataset.schema, Source.LLM)
-    if any(isinstance(check.cohort, checks_mod.RefreshStability) for check in suite):
-        names = (str(config.previous_labels), str(config.labels[Source.LLM]))
-        problems = checks_mod.refresh_id_problems(previous, dataset.labels(Source.LLM), names)
-        if problems:
-            raise ConfigError(*problems)
+    names = (str(config.previous_labels), str(config.labels[Source.LLM]))
+    problems = checks_mod.refresh_id_problems(previous, dataset.labels(Source.LLM), names)
+    if problems:
+        raise ConfigError(*problems)
     return previous
 
 
@@ -476,12 +478,12 @@ def _survival_analysis(spec: SurvivalBenchmarkSpec, dataset: CohortDataset, refe
             ref_curve = ref.curves[group]
             entry["reference_median"] = ref.medians[group]
             curves[f"{name}_{group}_reference"] = ref_curve
-            entry["vs_reference"] = compare_curves(curve, ref_curve, at_times=spec.at_times).to_dict()
+            entry["vs_reference"] = asdict(compare_curves(curve, ref_curve, at_times=spec.at_times))
     result: dict = {"kind": "survival_benchmark", "name": name, "groups": entries}
     if llm.concordance is not None:
-        result["concordance"] = llm.concordance.to_dict()
+        result["concordance"] = asdict(llm.concordance)
         if ref is not None and ref.curves:
-            result["reference_concordance"] = ref.concordance.to_dict()
+            result["reference_concordance"] = asdict(ref.concordance)
     return result
 
 
@@ -503,7 +505,7 @@ def _distribution_analysis(spec: DistributionSpec, dataset: CohortDataset) -> di
         "name": name,
         "variable": variable,
         "observed_counts": dict(sorted(observed.items())),
-        "comparison": comparison.to_dict(),
+        "comparison": asdict(comparison),
     }
 
 
@@ -514,12 +516,12 @@ def _trend_analysis(spec: TrendSpec, dataset: CohortDataset, reference) -> dict:
     llm_trend = trend_series(llm, variable)
     if not llm_trend.months:
         return _not_applicable("trend", name, f"no dated {variable} record to bucket by month")
-    out = {"kind": "trend", "name": name, "variable": variable, "llm": llm_trend.to_dict()}
+    out = {"kind": "trend", "name": name, "variable": variable, "llm": asdict(llm_trend)}
     if reference is not None:
         ref_trend = trend_series(reference.labels, variable)
         if ref_trend.months:
-            out["reference"] = ref_trend.to_dict()
-            out["comparison"] = compare_trend(llm_trend, ref_trend).to_dict()
+            out["reference"] = asdict(ref_trend)
+            out["comparison"] = asdict(compare_trend(llm_trend, ref_trend))
     return out
 
 
@@ -544,7 +546,7 @@ def _equity_analysis(spec: EquitySpec, config: RunConfig, dataset: CohortDataset
             "medians": llm.medians,
             "group_sizes": llm.group_sizes,
             "suppressed": llm.suppressed,
-            "concordance": llm.concordance.to_dict() if llm.concordance else None,
+            "concordance": asdict(llm.concordance) if llm.concordance else None,
         },
     }
     if reference is not None:
@@ -552,7 +554,7 @@ def _equity_analysis(spec: EquitySpec, config: RunConfig, dataset: CohortDataset
         if ref.curves:
             out["reference"] = {
                 "medians": ref.medians,
-                "concordance": ref.concordance.to_dict() if ref.concordance else None,
+                "concordance": asdict(ref.concordance) if ref.concordance else None,
             }
         elif ref.group_sizes:  # the reference cohort is not empty, only thin
             out["reference"] = {"status": "not_applicable", "reason": thin}

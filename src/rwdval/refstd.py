@@ -24,8 +24,8 @@ Two sources agree on an event list when, per value token, their dated
 events pair off one-to-one within the date tolerance and their undated
 counts are equal. On a line, a one-to-one pairing within a threshold
 exists iff pairing the dates in sorted order works (uncrossing two pairs
-never widens the larger gap), so each token's dates are compared k-th
-with k-th in the bucket's canonical order, in linear time.
+never widens the larger gap), so both lists are sorted by token, then
+dated before undated, then by date, and compared k-th with k-th.
 """
 from __future__ import annotations
 
@@ -218,7 +218,9 @@ def _agreement(
     on exactly one side is a disagreement. Event lists agree when, per
     value token, the undated counts coincide and the dated events match
     one-to-one within tolerance, which holds iff the k-th earliest date on
-    one side lies within tolerance of the k-th earliest on the other.
+    one side lies within tolerance of the k-th earliest on the other: both
+    lists are sorted by token, dated before undated, then by date, and
+    compared row by row.
     Both sides are one key's rows in a label set over the variable's
     schema: canonical, and single for kinds that admit one.
     """
@@ -241,6 +243,10 @@ def _agreement(
 
         return agree
 
+    def by_token(row: Row) -> tuple:
+        # each token's dated events by date, then its undated ones
+        return str(row[0]), row[1] is None, row[1]
+
     def agree_events(recs_a, recs_b):
         # agreeing lists hold as many events per token, so as many in all
         n = len(recs_a)
@@ -248,26 +254,7 @@ def _agreement(
             return False
         if n < 2:
             return n == 0 or single(recs_a[0], recs_b[0])
-        by_token: dict = {}
-        for value, event_date, _ in recs_a:
-            by_token.setdefault(value, []).append(event_date)
-        other: dict = {}
-        for value, event_date, _ in recs_b:
-            other.setdefault(value, []).append(event_date)
-        if by_token.keys() != other.keys():
-            return False
-        for token, dates_a in by_token.items():
-            dates_b = other[token]
-            if len(dates_a) != len(dates_b):
-                return False
-            # canonical order puts each token's dated events first, by date
-            for da, db in zip(dates_a, dates_b):
-                if da is None or db is None:
-                    if da is not db:
-                        return False
-                elif abs((da - db).days) > tol:
-                    return False
-        return True
+        return all(map(single, sorted(recs_a, key=by_token), sorted(recs_b, key=by_token)))
 
     return agree_events
 

@@ -5,7 +5,8 @@ Kaplan-Meier curves and category distributions between sources or against
 published figures, tracks monthly trend series, and scores concordance
 with external benchmarks (direction of effect, or a median within a
 stated tolerance). Undefined medians never silently pass: they make the
-benchmark non-concordant with an explicit reason.
+benchmark non-concordant with an explicit reason. A comparison's report
+entry is ``dataclasses.asdict`` of its result, so its fields are its keys.
 """
 from __future__ import annotations
 
@@ -125,17 +126,6 @@ class CurveComparison:
         default_factory=list
     )  # (t, S_a, S_b, S_a - S_b)
 
-    def to_dict(self) -> dict:
-        return {
-            "median_a": self.median_a,
-            "median_b": self.median_b,
-            "median_delta": self.median_delta,
-            "max_abs_diff": self.max_abs_diff,
-            "max_abs_diff_at": self.max_abs_diff_at,
-            "common_horizon": self.common_horizon,
-            "survival_deltas": [list(row) for row in self.survival_deltas],
-        }
-
 
 def compare_curves(
     curve_a: KMCurve,
@@ -191,19 +181,6 @@ class DistributionComparison:
     chi2_pvalue: float | None
     chi2_applicable: bool
     chi2_reason: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tvd": self.tvd,
-            "per_category": {
-                cat: list(vals) for cat, vals in sorted(self.per_category.items())
-            },
-            "chi2": self.chi2,
-            "chi2_pvalue": self.chi2_pvalue,
-            "chi2_applicable": self.chi2_applicable,
-            "chi2_reason": self.chi2_reason,
-        }
 
 
 def distribution_from_labels(
@@ -308,13 +285,6 @@ class TrendSeries:
     months: list[str]
     counts: list[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "months": self.months,
-            "counts": self.counts,
-        }
-
 
 def trend_series(labels: LabelSet, variable: str) -> TrendSeries:
     """Zero-filled monthly record counts for a dated variable."""
@@ -329,15 +299,6 @@ class TrendComparison:
     counts_b: list[int]
     correlation: float | None
     max_abs_count_diff: int
-
-    def to_dict(self) -> dict:
-        return {
-            "months": self.months,
-            "counts_a": self.counts_a,
-            "counts_b": self.counts_b,
-            "correlation": self.correlation,
-            "max_abs_count_diff": self.max_abs_count_diff,
-        }
 
 
 def compare_trend(a: TrendSeries, b: TrendSeries) -> TrendComparison:
@@ -394,14 +355,6 @@ class ConcordanceResult:
     concordant: bool
     reason: str
     observed: dict[str, float | None]
-
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "concordant": self.concordant,
-            "reason": self.reason,
-            "observed": dict(sorted(self.observed.items())),
-        }
 
 
 def benchmark_concordance(

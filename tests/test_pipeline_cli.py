@@ -5,11 +5,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -314,7 +315,7 @@ def test_metrics_pillar_equals_the_public_oracles(workspace):
         return {
             "llm": llm_report.to_dict(),
             "abstraction": a1_report.to_dict(),
-            "relative": [r.to_dict() for r in metrics.relative_difference(llm_report, a1_report)],
+            "relative": [asdict(r) for r in metrics.relative_difference(llm_report, a1_report)],
         }
 
     expected = {}
@@ -744,6 +745,90 @@ def test_a_suite_with_no_refresh_check_runs_on_a_prior_without_refresh_ids(refre
     assert "staged: flagged" in text(result)
 
 
+def test_a_prior_snapshot_is_read_only_when_a_refresh_check_compares_it(refresh_workspace, tmp_path):
+    """A bad row in ``previous_labels`` stops a run whose suite has a
+    refresh check, naming the file, and none whose suite has none: that
+    suite leaves the prior file unread."""
+    ws = shutil.copytree(refresh_workspace, tmp_path / "ws")
+    prior = ws / "labels_llm_refresh1.csv"
+    header, first, *rest = prior.read_text().splitlines(keepends=True)
+    assert first.startswith("P000000,adjuvant_start,no,")
+    prior.write_text(header + first.replace(",no,", ",not_a_value,", 1) + "".join(rest))
+    runner = CliRunner()
+    result = runner.invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exit_code == 2, text(result)
+    assert str(prior) in text(result) and "Traceback" not in text(result)
+    (ws / "suite.yaml").write_text("checks:\n  - id: staged\n    expr: exists(stage)\n")
+    doc = yaml.safe_load((ws / "run.yaml").read_text())
+    (ws / "run.yaml").write_text(yaml.safe_dump({**doc, "check_suite": "suite.yaml"}))
+    result = runner.invoke(main, ["--config", str(ws / "run.yaml"), "run"])
+    assert result.exit_code in (0, 1), text(result)
+    assert "staged: flagged" in text(result)
+
+
+def test_a_blocked_refstd_out_holds_only_its_open_cases(refresh_workspace, tmp_path):
+    """A blocked ``refstd --out DIR`` leaves in DIR the open cases, as
+    ``--emit-worklist`` writes them, and no reference an earlier assembly
+    wrote there."""
+    out, worklist = tmp_path / "ref", tmp_path / "worklist.csv"
+    args = ["--config", str(refresh_workspace / "run.yaml"), "--out", str(out), "refstd"]
+    args += ["--mode", "triple_adjudication"]
+    runner = CliRunner()
+    resolved = runner.invoke(main, [*args, "--oracle", str(refresh_workspace / "labels_abstractor_2.csv")])
+    assert resolved.exit_code == 0, text(resolved)
+    assert sorted(p.name for p in out.iterdir()) == ["disagreements.csv", "reference_labels.csv"]
+    blocked = runner.invoke(main, [*args, "--emit-worklist", str(worklist)])
+    assert blocked.exit_code == 1, text(blocked)
+    assert "reference standard blocked" in text(blocked)
+    assert [p.name for p in out.iterdir()] == ["disagreements.csv"]
+    assert (out / "disagreements.csv").read_bytes() == worklist.read_bytes()
+
+
+def _shuffled_with_crlf(path: Path, rng: random.Random) -> None:
+    """Rewrite the CSV file ``path`` with its data rows in ``rng``'s order
+    and CRLF line ends."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    rng.shuffle(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows([header, *rows])
+
+
+@pytest.mark.parametrize("mode", ["duplicate_abstraction", "triple_adjudication"])
+def test_a_run_does_not_depend_on_csv_row_order_or_line_ends(tmp_path, mode):
+    """Every input CSV with its data rows shuffled and CRLF line ends gives
+    the bundle and stdout of the files as written, but for the config hash."""
+    ws = tmp_path / "ws"
+    made = CliRunner().invoke(main, ["--out", str(ws), "--seed", "3", "simulate", "--n", "120", "--with-refresh"])
+    assert made.exit_code == 0, text(made)
+    if mode == "triple_adjudication":  # the simulated truth adjudicates every case
+        config = replace(load_run_config(ws / "run.yaml"), reference_mode=ReferenceMode(mode))
+        dataset = _load_dataset(config, _load_schema(config))
+        adjudications = adjudicate_from_oracle(disagreement_cases(config, dataset), dataset.labels(Source.ABSTRACTOR_2))
+        write_labels(adjudications, ws / "labels_adjudicator.csv")
+        doc = yaml.safe_load((ws / "run.yaml").read_text())
+        labels = {**doc["labels"], "adjudicator": "labels_adjudicator.csv"}
+        (ws / "run.yaml").write_text(yaml.safe_dump({**doc, "reference_mode": mode, "labels": labels}))
+    shuffled = shutil.copytree(ws, tmp_path / "shuffled")
+    rng = random.Random(0)
+    for path in sorted(shuffled.glob("*.csv")):
+        _shuffled_with_crlf(path, rng)
+
+    def bundle(root: Path) -> dict[str, str]:
+        result = CliRunner().invoke(main, ["--config", str(root / "run.yaml"), "run"])
+        assert result.exit_code in (0, 1), text(result)
+        out = root / "results"
+        files = {p.relative_to(out).as_posix(): p.read_text() for p in sorted(out.rglob("*")) if p.is_file()}
+        files["stdout"] = result.output
+        digest = json.loads(files["report.json"])["config_hash"]
+        return {name: body.replace(digest, "<config_hash>") for name, body in files.items()}
+
+    expected = bundle(ws)
+    assert {"findings.csv", "summary.txt", "curves/os_by_arm_A_llm.csv"} <= expected.keys()
+    assert ("disagreements.csv" in expected) == (mode == "triple_adjudication")
+    assert bundle(shuffled) == expected
+
+
 # what `refstd --mode MODE --oracle labels_abstractor_2.csv` writes on the
 # refresh workspace: the SHA-256 of reference_labels.csv and of
 # disagreements.csv, and the summary it prints as sorted dotted-key lines
@@ -846,11 +931,14 @@ def test_refstd_refuses_adjudications_beside_oracle(refresh_workspace, tmp_path)
     alone = runner.invoke(main, args)
     assert alone.exit_code == 1, text(alone)
     assert "1 adjudication(s) for keys that are not disagreements: P999999/stage" in text(alone)
+    open_cases = (tmp_path / "ref" / "disagreements.csv").read_bytes()
     both = runner.invoke(main, [*args, "--oracle", str(ws / "labels_abstractor_2.csv")])
     assert both.exit_code == 2, text(both)
     assert "--adjudications" in text(both) and "--oracle" in text(both)
     assert "Traceback" not in text(both)
-    assert not (tmp_path / "ref").exists()
+    # the blocked assembly left its open cases in DIR; the refused command wrote nothing
+    assert [p.name for p in (tmp_path / "ref").iterdir()] == ["disagreements.csv"]
+    assert (tmp_path / "ref" / "disagreements.csv").read_bytes() == open_cases
 
 
 def test_refstd_without_out_leaves_the_run_bundle_as_run_wrote_it(refresh_workspace, tmp_path):
