@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from statistics import median
 from typing import Annotated, get_args
+
+import numpy as np
 
 from ..labelio import label_text
 from ..schema import (
@@ -46,6 +47,8 @@ from ..yamlspec import (
     token_of,
 )
 from .lang import (
+    TRUTH_CODES,
+    TRUTHS,
     CompiledCheck,
     Expr,
     Truth,
@@ -72,15 +75,22 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-def evaluate_patient_check(check: CompiledCheck, view: RowView) -> Truth:
-    """Outcome of one compiled check for one patient view: ``TRUE`` passes,
-    ``FALSE`` is a finding and ``UNKNOWN`` is not applicable.
+def evaluate_patient_check(
+    check: CompiledCheck, rows: RowView | LabelSet, patients: Sequence[str] | None = None
+) -> Truth | np.ndarray:
+    """Outcome of one compiled check. For one patient's row view it is a
+    ``Truth``: ``TRUE`` passes, ``FALSE`` is a finding and ``UNKNOWN`` is
+    not applicable. Given a label set and its ``patients``, it is each
+    patient's truth code (``TRUTH_CODES``) in one int64 array, in their
+    order.
 
-    ``run_all_checks`` calls it once per patient and check through this
-    module's name, where ``perfbench/spans.py`` wraps it to time patient
-    evaluation; keep the name.
+    ``run_all_checks`` calls it once per check over the whole cohort
+    through this module's name, where ``perfbench/spans.py`` wraps it to
+    time patient evaluation; keep the name.
     """
-    return check(view)
+    if patients is None:
+        return check(rows)
+    return check.over(rows, patients)
 
 
 # check expression text: its syntax is checked when read, its types when compiled against the schema
@@ -249,13 +259,6 @@ class StratumTally:
     n_not_applicable: int = 0
     suppressed: bool = False
 
-    def count(self, truth: Truth) -> None:
-        self.n_evaluated += 1
-        if truth is Truth.UNKNOWN:
-            self.n_not_applicable += 1
-        elif truth is Truth.FALSE:
-            self.n_flagged += 1
-
     def to_dict(self) -> dict:
         out = {
             "n_evaluated": self.n_evaluated,
@@ -410,7 +413,7 @@ def refresh_stability(
     agree = _agreement(spec, tolerance_days)
     patients = sorted(set(labels_v1._holders(variable)).union(labels_v2._holders(variable)))
     for pid, before, after in zip(
-        patients, labels_v1._column(variable, patients), labels_v2._column(variable, patients)
+        patients, labels_v1._rows(variable, patients), labels_v2._rows(variable, patients)
     ):
         if not before and after:
             added.append(pid)
@@ -435,7 +438,16 @@ def refresh_stability(
 
 def _known_values(labels: LabelSet, variable: str, patients: Sequence[str]) -> list[str | None]:
     """Each patient's known value of a single-valued variable; None when unknown or missing."""
-    return [None if row is None else row[0] for row in labels._known_firsts(variable, patients)]
+    column = labels.column(variable, patients)
+    return [column.values[code] if code >= 0 else None for code in column.codes.tolist()]
+
+
+def _median(values: Iterable[float]) -> float:
+    """``statistics.median``, whose module would load ``fractions`` and
+    ``decimal`` into every run for this one function."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _month_key(d: date) -> str:
@@ -464,7 +476,7 @@ def monthly_counts(labels: LabelSet, variable: str) -> tuple[list[str], list[int
     unknown = spec.unknown_token
     dates = [
         event_date
-        for rows in labels._column(variable, labels.patients)
+        for rows in labels._rows(variable, labels.patients)
         for value, event_date, _ in rows
         if event_date is not None and value != unknown
     ]
@@ -483,13 +495,12 @@ def _run_distribution(
     cohort: Sequence[str],
     result: CheckResult,
 ) -> None:
-    keep = None if spec.filter_expr is None else compile_check(spec.filter_expr, labels.schema)
-    eligible = []
-    for pid, value in zip(cohort, _known_values(labels, spec.variable, cohort)):
-        if keep is not None and keep(patient_view(labels, patient_id=pid)) is not Truth.TRUE:
-            continue
-        if value is not None:
-            eligible.append(value)
+    values = _known_values(labels, spec.variable, cohort)
+    if spec.filter_expr is not None:
+        keep = compile_check(spec.filter_expr, labels.schema)
+        passed = evaluate_patient_check(keep, labels, cohort) == TRUTH_CODES[Truth.TRUE]
+        values = [value for value, kept in zip(values, passed.tolist()) if kept]
+    eligible = [value for value in values if value is not None]
     n = len(eligible)
     for token, (lo, hi) in sorted(spec.expected.items()):
         result.n_evaluated += 1
@@ -515,8 +526,8 @@ def _run_monthly(spec: MonthlyCountStability, labels: LabelSet, result: CheckRes
         lo = max(0, hi - w)
         hi = min(len(counts), lo + w)
         window = counts[lo:hi]
-        med = median(window)
-        mad = median(abs(x - med) for x in window)
+        med = _median(window)
+        mad = _median(abs(x - med) for x in window)
         scale = max(mad, 0.6745 * math.sqrt(max(med, 1.0)))
         if abs(c - med) > spec.mad_k * scale:
             result.flag(
@@ -615,25 +626,35 @@ def run_all_checks(
         if r.check.expr is not None
     ]
     if patient_checks and cohort:
-        sizes = {attr: {v: len(p) for v, p in dataset.strata(attr).items()} for attr in strata}
-        for result, _, _, _ in patient_checks:
-            result.stratified = {
-                attr: {v: StratumTally(suppressed=n < min_stratum_n) for v, n in sizes[attr].items()}
-                for attr in strata
-            }
-        for pid in cohort:
-            view = patient_view(labels, patient_id=pid)
-            stratum_values = [(attr, dataset.attribute(pid, attr)) for attr in strata]
-            for result, check, variables, expected in patient_checks:
-                truth = evaluate_patient_check(check, view)
-                result.n_evaluated += 1
-                if truth is Truth.UNKNOWN:
-                    result.n_not_applicable += 1
-                elif truth is Truth.FALSE:
-                    observed = "; ".join(f"{var}={label_text(view[var])}" for var in variables if var in view)
-                    result.flag(pid, observed or "no documented values", expected)
-                for attr, value in stratum_values:
-                    result.stratified[attr][value].count(truth)
+        flagged, not_applicable = TRUTH_CODES[Truth.FALSE], TRUTH_CODES[Truth.UNKNOWN]
+        # each attribute's strata in order of first patient, and each patient's stratum among them
+        stratum_of = {}
+        for attr in strata:
+            values = [dataset.attribute(pid, attr) for pid in cohort]
+            index = {value: i for i, value in enumerate(dict.fromkeys(values))}
+            stratum_of[attr] = (list(index), np.array([index[value] for value in values], dtype=np.int64))
+        for result, check, variables, expected in patient_checks:
+            truths = evaluate_patient_check(check, labels, cohort)
+            result.n_evaluated += len(cohort)
+            result.n_not_applicable += int(np.count_nonzero(truths == not_applicable))
+            for i in np.flatnonzero(truths == flagged).tolist():
+                pid = cohort[i]
+                view = patient_view(labels, patient_id=pid)
+                observed = "; ".join(f"{var}={label_text(view[var])}" for var in variables if var in view)
+                result.flag(pid, observed or "no documented values", expected)
+            for attr, (names, stratum) in stratum_of.items():
+                # one row per stratum, one column per truth code
+                counts = np.bincount(stratum * len(TRUTHS) + truths, minlength=len(names) * len(TRUTHS))
+                counts = counts.reshape(len(names), len(TRUTHS)).tolist()
+                result.stratified[attr] = {
+                    name: StratumTally(
+                        n_evaluated=sum(row),
+                        n_flagged=row[flagged],
+                        n_not_applicable=row[not_applicable],
+                        suppressed=sum(row) < min_stratum_n,
+                    )
+                    for name, row in zip(names, counts)
+                }
     for result in results:
         spec = result.check.cohort
         if spec is None:

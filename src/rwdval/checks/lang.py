@@ -33,14 +33,15 @@ the signed day count b - a; durations are written like ``90d``.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from datetime import date as date_type
-from datetime import datetime
-from decimal import Decimal
 from enum import Enum
 
-from ..schema import RowView, Schema, VariableKind
+import numpy as np
+
+from ..labelio import parse_iso_date
+from ..schema import Column, LabelSet, RowView, Schema, Source, VariableKind
 
 
 class CheckSyntaxError(ValueError):
@@ -57,9 +58,6 @@ class Truth(Enum):
     TRUE = "true"
     FALSE = "false"
     UNKNOWN = "unknown"
-
-
-_NEGATION = {Truth.TRUE: Truth.FALSE, Truth.FALSE: Truth.TRUE, Truth.UNKNOWN: Truth.UNKNOWN}
 
 
 @dataclass(frozen=True)
@@ -306,7 +304,7 @@ class _Parser:
         if tok.kind == "iso_date":
             self.next()
             try:
-                return Lit(datetime.strptime(tok.text, "%Y-%m-%d").date())
+                return Lit(parse_iso_date(tok.text))
             except ValueError:
                 raise CheckSyntaxError(f"invalid calendar date {tok.text!r}", tok.pos) from None
         if tok.kind == "duration":
@@ -369,6 +367,8 @@ def _print_operand(op: Operand) -> str:
     if isinstance(v, date_type):
         return v.isoformat()
     if isinstance(v, float):  # positional digits and a point: the lexer reads no exponent
+        from decimal import Decimal  # only here, so that a run without float literals never loads it
+
         text = format(Decimal(repr(v)), "f")
         return text if "." in text else f"{text}.0"
     return repr(v)
@@ -413,6 +413,7 @@ def to_text(expr: Expr) -> str:
 _CATEGORY, _NUMBER, _DATE, _DURATION = "category", "number", "date", "duration"
 _LITERAL_TYPES = ((str, _CATEGORY), (Duration, _DURATION), (date_type, _DATE))  # else a number
 
+# each holds element-wise on numpy arrays as on two values
 _CMP_FUNCS = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
@@ -424,59 +425,140 @@ _CMP_FUNCS = {
     "after": lambda a, b: a > b,
 }
 
+# A cohort's truths are int64 codes, the index of each patient's truth here.
+# The order makes Kleene's connectives arithmetic: ``and`` is the minimum of
+# its items' codes, ``or`` the maximum and ``not`` the code's complement to 2.
+TRUTHS = (Truth.FALSE, Truth.UNKNOWN, Truth.TRUE)
+TRUTH_CODES = {truth: code for code, truth in enumerate(TRUTHS)}
 
-# A compiled check: the truth of one expression over one patient's row view.
-CompiledCheck = Callable[[RowView], Truth]
-# A compiled operand's values over one patient's row view.
-Values = Callable[[RowView], list]
+
+@dataclass(frozen=True, eq=False)
+class _Keys:
+    """An operand over a cohort whose variables hold one value per patient.
+
+    ``keys[i]`` stands for patient ``i``'s value where ``has[i]``: a
+    category or number is its index in ``table``, a date is its ordinal
+    and a day count is itself (those have no ``table``).
+    """
+
+    keys: np.ndarray
+    has: np.ndarray
+    table: tuple | None = None
+
+    def per_patient(self) -> list[Sequence]:
+        """Each patient's values, as an atom over event lists reads them."""
+        keys, table = self.keys.tolist(), self.table
+        has = self.has.tolist()
+        if table is not None:
+            keys = [table[key] if known else None for key, known in zip(keys, has)]
+        return [(key,) if known else () for key, known in zip(keys, has)]
 
 
-def _compile_known(var: str, unknown: str | None, dates: bool) -> Values:
+# An operand's values over (labels, patients): ``_Keys``, or for an operand
+# that reads an event list, each patient's list of values (dates as ordinals).
+Operands = Callable[[LabelSet, tuple], "_Keys | list[list]"]
+# An expression's truth codes over (labels, patients).
+Truths = Callable[[LabelSet, tuple], np.ndarray]
+
+
+def _per_patient(values: "_Keys | list[list]") -> list[list]:
+    return values.per_patient() if isinstance(values, _Keys) else values
+
+
+def _ranks(left: _Keys, right: _Keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides' category or number keys as ranks in one order, and where
+    either side's value is NaN, which compares unequal to every value."""
+    order = sorted({v for v in left.table + right.table if v == v})
+    rank = {v: i for i, v in enumerate(order)}
+
+    def ranked(side: _Keys) -> np.ndarray:
+        lookup = np.array([rank.get(v, -1) for v in side.table] + [-1], dtype=np.int64)
+        return lookup[np.where(side.has, side.keys, -1)]
+
+    a, b = ranked(left), ranked(right)
+    return a, b, (a < 0) | (b < 0)
+
+
+def _compile_known(var: str, spec, dates: bool) -> tuple[bool, Operands]:
     """The documented known values of ``value(var)`` (or, with ``dates``,
-    ``date(var)``), with the variable's unknown token bound once."""
-    if dates:  # rows of categorical and numeric variables carry no date
-        def known(view):
-            return [d for v, d, _ in view.get(var, ()) if v != unknown and d is not None]
+    ``date(var)``), and whether the variable is an event list."""
+    unknown = spec.unknown_token
+    if spec.kind == VariableKind.EVENT_LIST:
+        if dates:
+            def known(labels, patients):
+                return [
+                    [d.toordinal() for v, d, _ in rows if v != unknown and d is not None] if rows else rows
+                    for rows in labels._rows(var, patients)
+                ]
+        else:
+            def known(labels, patients):
+                return [
+                    [v for v, _, _ in rows if v != unknown] if rows else rows
+                    for rows in labels._rows(var, patients)
+                ]
+        return True, known
+    if dates:
+        def known(labels, patients):
+            ordinals = labels.column(var, patients).dates
+            return _Keys(ordinals, ordinals > 0)
     else:
-        def known(view):
-            return [v for v, _, _ in view.get(var, ()) if v != unknown]
-    return known
+        def known(labels, patients):
+            column = labels.column(var, patients)
+            return _Keys(column.codes, column.known, column.values)
+    return False, known
 
 
-def _compile_operand(op: Operand, schema: Schema) -> tuple[str, Values]:
-    """The type of ``op`` and its values; a variable the schema lacks raises ``SchemaError``."""
+def _compile_operand(op: Operand, schema: Schema) -> tuple[str, bool, Operands]:
+    """The type of ``op``, whether it reads an event list, and its values; a
+    variable the schema lacks raises ``SchemaError``."""
     if isinstance(op, Value):
         spec = schema[op.var]
         kind = _NUMBER if spec.kind == VariableKind.NUMERIC else _CATEGORY
-        return kind, _compile_known(op.var, spec.unknown_token, dates=False)
+        return (kind, *_compile_known(op.var, spec, dates=False))
     if isinstance(op, DateOf):
         spec = schema[op.var]
         if not spec.kind.has_dates:
             raise CheckTypeError(f"date({op.var}): {spec.kind.value} variables carry no date")
-        return _DATE, _compile_known(op.var, spec.unknown_token, dates=True)
+        return (_DATE, *_compile_known(op.var, spec, dates=True))
     if isinstance(op, Lit):
         v = op.value
         kind = next((t for cls, t in _LITERAL_TYPES if isinstance(v, cls)), _NUMBER)
-        values = [v.days if isinstance(v, Duration) else v]
-        return kind, lambda view: values
+        if kind in (_CATEGORY, _NUMBER):
+            key, table = 0, (v,)
+        else:
+            key, table = v.days if kind == _DURATION else v.toordinal(), None
+
+        def literal(labels, patients):
+            # a day count beyond int64 fills an object array, which compares as Python ints do
+            n = len(patients)
+            return _Keys(np.full(n, key), np.ones(n, dtype=bool), table)
+
+        return kind, False, literal
     if isinstance(op, DaysBetween):
-        left = _compile_dates(op.left, schema, "days_between")
-        right = _compile_dates(op.right, schema, "days_between")
+        left_listed, left = _compile_dates(op.left, schema, "days_between")
+        right_listed, right = _compile_dates(op.right, schema, "days_between")
+        if left_listed or right_listed:
+            def days_between(labels, patients):
+                lefts = _per_patient(left(labels, patients))
+                rights = _per_patient(right(labels, patients))
+                return [[b - a for a in la for b in rb] for la, rb in zip(lefts, rights)]
 
-        def days_between(view):
-            lefts, rights = left(view), right(view)
-            return [(b - a).days for a in lefts for b in rights]
+            return _DURATION, True, days_between
 
-        return _DURATION, days_between
+        def days_between(labels, patients):
+            a, b = left(labels, patients), right(labels, patients)
+            return _Keys(b.keys - a.keys, a.has & b.has)
+
+        return _DURATION, False, days_between
     raise CheckTypeError(f"unsupported operand {op!r}")
 
 
-def _compile_dates(op: Operand, schema: Schema, function: str) -> Values:
+def _compile_dates(op: Operand, schema: Schema, function: str) -> tuple[bool, Operands]:
     """The values of ``op``, an argument of ``function()``, which takes only dates."""
-    kind, values = _compile_operand(op, schema)
+    kind, listed, values = _compile_operand(op, schema)
     if kind != _DATE:
         raise CheckTypeError(f"{function}() arguments must be dates")
-    return values
+    return listed, values
 
 
 def _check_literal_membership(a: Operand, b: Operand, schema: Schema) -> None:
@@ -493,28 +575,124 @@ def _check_literal_membership(a: Operand, b: Operand, schema: Schema) -> None:
             raise CheckTypeError(f"{a.var}: literal {b.value!r} is not an allowed value ({sorted(allowed)})")
 
 
-def _compile_pairs(left_values: Values, right_values: Values, holds) -> CompiledCheck:
-    """An atom that holds when some pair of documented known values satisfies ``holds``."""
-    TRUE, FALSE, UNKNOWN = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
+def _compile_pairs(left: Operands, right: Operands, listed: bool, holds, nan_holds: bool = False) -> Truths:
+    """An atom that holds when some pair of documented known values
+    satisfies ``holds``; it is UNKNOWN where either side has none.
 
-    def atom(view):
-        left = left_values(view)
-        right = right_values(view)
-        if not left or not right:
-            return UNKNOWN
-        for a in left:
-            for b in right:
-                if holds(a, b):
-                    return TRUE
-        return FALSE
+    Over single values ``holds`` compares whole key arrays at once, and a
+    NaN on either side holds exactly when ``nan_holds``. An atom over an
+    event list (``listed``) tries each patient's pairs in turn.
+    """
+    if listed:
+        def atom(labels, patients):
+            lefts = _per_patient(left(labels, patients))
+            rights = _per_patient(right(labels, patients))
+            return np.fromiter(
+                (
+                    1 if not a or not b else 2 if any(holds(x, y) for x in a for y in b) else 0
+                    for a, b in zip(lefts, rights)
+                ),
+                dtype=np.int64,
+                count=len(patients),
+            )
+
+        return atom
+
+    def atom(labels, patients):
+        a, b = left(labels, patients), right(labels, patients)
+        if a.table is None:
+            found = holds(a.keys, b.keys)
+        else:
+            ranks_a, ranks_b, nan = _ranks(a, b)
+            found = np.where(nan, nan_holds, holds(ranks_a, ranks_b))
+        return np.where(a.has & b.has, 2 * found, 1)
 
     return atom
 
 
+def _compile(expr: Expr, schema: Schema) -> Truths:
+    """``expr`` type-checked against ``schema``, as a function of (labels,
+    patients) to its truth codes; ``compile_check`` describes both."""
+    if isinstance(expr, Cmp):
+        lt, left_listed, left = _compile_operand(expr.left, schema)
+        rt, right_listed, right = _compile_operand(expr.right, schema)
+        if lt != rt:
+            raise CheckTypeError(f"cannot compare {lt} with {rt}")
+        if expr.op in ("before", "after") and lt != _DATE:
+            raise CheckTypeError(f"{expr.op!r} applies to dates, not {lt}")
+        if lt == _CATEGORY and expr.op not in ("=", "!="):
+            raise CheckTypeError(f"categories support only = and !=, not {expr.op!r}")
+        _check_literal_membership(expr.left, expr.right, schema)
+        _check_literal_membership(expr.right, expr.left, schema)
+        return _compile_pairs(
+            left, right, left_listed or right_listed, _CMP_FUNCS[expr.op], nan_holds=expr.op == "!="
+        )
+    if isinstance(expr, WithinDays):
+        left_listed, left = _compile_dates(expr.left, schema, "within_days")
+        right_listed, right = _compile_dates(expr.right, schema, "within_days")
+        days = expr.days.days
+        if days < 0:
+            raise CheckTypeError("within_days() needs a non-negative day count")
+        # two bounds, not abs(): on key arrays that would page in a numpy loop nothing else in a run uses
+        return _compile_pairs(
+            left, right, left_listed or right_listed, lambda a, b: (b - a <= days) & (b - a >= -days)
+        )
+    if isinstance(expr, Exists):
+        var = expr.var
+        if schema[var].kind == VariableKind.EVENT_LIST:
+            return lambda labels, patients: np.fromiter(
+                (2 if rows else 0 for rows in labels._rows(var, patients)), dtype=np.int64, count=len(patients)
+            )
+        return lambda labels, patients: 2 * (labels.column(var, patients).codes != Column.MISSING)
+    if isinstance(expr, Known):
+        listed, values = _compile_known(expr.var, schema[expr.var], dates=False)
+        if listed:
+            return lambda labels, patients: np.fromiter(
+                (2 if known else 0 for known in values(labels, patients)), dtype=np.int64, count=len(patients)
+            )
+        return lambda labels, patients: 2 * values(labels, patients).has
+    if isinstance(expr, Not):
+        item = _compile(expr.item, schema)
+        return lambda labels, patients: 2 - item(labels, patients)
+    if isinstance(expr, (And, Or)):
+        items = tuple(_compile(i, schema) for i in expr.items)
+        fold = np.minimum if isinstance(expr, And) else np.maximum
+        return lambda labels, patients: fold.reduce([item(labels, patients) for item in items])
+    if isinstance(expr, Implies):
+        antecedent = _compile(expr.antecedent, schema)
+        consequent = _compile(expr.consequent, schema)
+        # (not a) or b
+        return lambda labels, patients: np.maximum(2 - antecedent(labels, patients), consequent(labels, patients))
+    raise CheckTypeError(f"not a boolean expression: {expr!r}")
+
+
+class CompiledCheck:
+    """A check expression compiled against a schema.
+
+    ``over(labels, patients)`` evaluates it for every patient of a cohort
+    at once; calling it on one patient's row view evaluates that view as a
+    one-patient cohort through the same code.
+    """
+
+    def __init__(self, schema: Schema, truths: Truths):
+        self.schema = schema
+        self._truths = truths
+
+    def over(self, labels: LabelSet, patients: Sequence[str]) -> np.ndarray:
+        """The truth code (an index into ``TRUTHS``) of each of ``patients``
+        in ``labels``, as an int64 array in their order."""
+        return self._truths(labels, tuple(patients))
+
+    def __call__(self, view: RowView) -> Truth:
+        """The truth over one patient's rows, as ``patient_view`` returns them."""
+        labels = LabelSet._from_store(self.schema, Source.LLM, {"": view} if view else {})
+        return TRUTHS[self.over(labels, ("",))[0]]
+
+
 def compile_check(expr: Expr, schema: Schema) -> CompiledCheck:
-    """``expr`` type-checked against ``schema`` and compiled to nested
-    closures that give its three-valued truth over one patient's rows, as
-    ``patient_view`` returns them (refresh ids are ignored).
+    """``expr`` type-checked against ``schema`` and compiled to a
+    ``CompiledCheck``, which gives its three-valued truth for each patient
+    of a cohort in one pass (refresh ids are ignored).
 
     It type-checks as it compiles, before any patient is evaluated: an
     ill-typed expression raises ``CheckTypeError`` (operands of two types,
@@ -527,70 +705,18 @@ def compile_check(expr: Expr, schema: Schema) -> CompiledCheck:
     documented known value. ``exists``/``known`` are always determinate.
     Adding documentation can only move atoms from indeterminate to
     determinate, so a passing check never becomes not-applicable as charts
-    accrue. This is the one evaluator; the interpreter in
+    accrue.
+
+    Truths are the int64 codes of ``TRUTHS``: FALSE 0, UNKNOWN 1, TRUE 2, so
+    ``and`` is an element-wise minimum, ``or`` a maximum, ``not`` is
+    ``2 - x`` and ``a implies b`` is ``max(2 - a, b)``. Atoms over
+    single-valued variables compare their ``LabelSet.column``s element-wise
+    (categories and numbers by their rank among both sides' values); an
+    atom that reads an event list tries each patient's pairs of values in
+    turn. This is the one evaluator; the interpreter in
     ``tests/oracles.py`` is the oracle it is tested against.
     """
-    TRUE, FALSE, UNKNOWN = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
-    if isinstance(expr, Cmp):
-        lt, left = _compile_operand(expr.left, schema)
-        rt, right = _compile_operand(expr.right, schema)
-        if lt != rt:
-            raise CheckTypeError(f"cannot compare {lt} with {rt}")
-        if expr.op in ("before", "after") and lt != _DATE:
-            raise CheckTypeError(f"{expr.op!r} applies to dates, not {lt}")
-        if lt == _CATEGORY and expr.op not in ("=", "!="):
-            raise CheckTypeError(f"categories support only = and !=, not {expr.op!r}")
-        _check_literal_membership(expr.left, expr.right, schema)
-        _check_literal_membership(expr.right, expr.left, schema)
-        return _compile_pairs(left, right, _CMP_FUNCS[expr.op])
-    if isinstance(expr, WithinDays):
-        left = _compile_dates(expr.left, schema, "within_days")
-        right = _compile_dates(expr.right, schema, "within_days")
-        days = expr.days.days
-        if days < 0:
-            raise CheckTypeError("within_days() needs a non-negative day count")
-        return _compile_pairs(left, right, lambda a, b: abs((b - a).days) <= days)
-    if isinstance(expr, Exists):
-        var = expr.var
-        schema[var]
-        return lambda view: TRUE if var in view else FALSE
-    if isinstance(expr, Known):
-        values = _compile_known(expr.var, schema[expr.var].unknown_token, dates=False)
-        return lambda view: TRUE if values(view) else FALSE
-    if isinstance(expr, Not):
-        item = compile_check(expr.item, schema)
-        return lambda view: _NEGATION[item(view)]
-    if isinstance(expr, (And, Or)):
-        items = tuple(compile_check(i, schema) for i in expr.items)
-        decisive = FALSE if isinstance(expr, And) else TRUE
-        otherwise = _NEGATION[decisive]
-
-        def fold(view):  # Kleene's and/or, stopping at the first decisive item
-            out = otherwise
-            for item in items:
-                truth = item(view)
-                if truth is decisive:
-                    return decisive
-                if truth is UNKNOWN:
-                    out = UNKNOWN
-            return out
-
-        return fold
-    if isinstance(expr, Implies):
-        antecedent = compile_check(expr.antecedent, schema)
-        consequent = compile_check(expr.consequent, schema)
-
-        def implies(view):  # (not a) or b; a FALSE decides it without evaluating b
-            a = antecedent(view)
-            if a is FALSE:
-                return TRUE
-            b = consequent(view)
-            if b is TRUE:
-                return TRUE
-            return UNKNOWN if a is UNKNOWN or b is UNKNOWN else FALSE
-
-        return implies
-    raise CheckTypeError(f"not a boolean expression: {expr!r}")
+    return CompiledCheck(schema, _compile(expr, schema))
 
 
 def referenced_variables(expr: Expr | Operand) -> set[str]:

@@ -272,8 +272,9 @@ def read_labels(
 
 
 def _value_cell(value: str | float) -> str:
-    """A label value as its file cell: a float by ``repr``, which keeps every digit; a token verbatim."""
-    return repr(value) if isinstance(value, float) else value
+    """A label value as its file cell: a token verbatim, a number by
+    ``repr``, which keeps every digit of a float."""
+    return value if isinstance(value, str) else repr(value)
 
 
 def label_cells(patient_id: str, variable: str, rows: Iterable[Row], source: Source) -> Iterator[list]:

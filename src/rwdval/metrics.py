@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from fractions import Fraction
 
 import numpy as np
 
@@ -215,12 +214,12 @@ def patient_rows(
     if positive_class is not None and allowed is not None and positive_class not in allowed:
         raise ValueError(f"{variable}: positive_class {positive_class!r} not in allowed values")
     cohort = _cohort(reference, patients)
-    rows = []
     if spec.kind == VariableKind.EVENT_LIST:
         # a row is known when its value is not the unknown token (a None token matches no value)
         unknown = spec.unknown_token
+        rows = []
         for pred_rows, ref_rows in zip(
-            pred._column(variable, cohort), ref_labels._column(variable, cohort)
+            pred._rows(variable, cohort), ref_labels._rows(variable, cohort)
         ):
             pred_events, pred_undated = _asserted_events(pred_rows, unknown, positive_class)
             ref_events, ref_undated = _asserted_events(ref_rows, unknown, positive_class)
@@ -231,17 +230,19 @@ def patient_rows(
             # every matched pair is dated and within tolerance by construction
             rows.append((m.n_matched, fp, fn, m.n_matched, m.n_matched, known))
         return PatientRows(variable, positive_class, cohort, rows)
-    date_kind = spec.kind == VariableKind.DATE
-    # other kinds hold at most one row per patient, so its value decides ``known``
-    for pred_row, ref_row in zip(
-        pred._known_firsts(variable, cohort), ref_labels._known_firsts(variable, cohort)
-    ):
-        known = pred_row is not None
-        ref_pos = None if ref_row is None else ref_row[0] == positive_class
-        tp, fp, fn = _one_vs_rest(ref_pos, known and pred_row[0] == positive_class)
-        dated = date_kind and tp == 1 and pred_row[1] is not None and ref_row[1] is not None
-        correct = dated and abs((pred_row[1] - ref_row[1]).days) <= tol
-        rows.append((tp, fp, fn, dated, correct, known))
+    # other kinds hold at most one row per patient, so each side is one
+    # column; a reference that is unknown or missing scores nothing
+    pred_column, ref_column = pred.column(variable, cohort), ref_labels.column(variable, cohort)
+    ref_pos = ref_column.equals(positive_class)
+    ref_neg = ref_column.known & ~ref_pos
+    pred_pos = pred_column.equals(positive_class)
+    tp = ref_pos & pred_pos
+    # only date variables carry dates, so no other kind has a dated match
+    dated = tp & (pred_column.dates > 0) & (ref_column.dates > 0)
+    # two bounds, not np.abs(): that would page in a numpy loop nothing else in a run uses
+    days_apart = pred_column.dates - ref_column.dates
+    correct = dated & (days_apart <= tol) & (days_apart >= -tol)
+    rows = np.stack([tp, ref_neg & pred_pos, ref_pos & ~pred_pos, dated, correct, pred_column.known], axis=1)
     return PatientRows(variable, positive_class, cohort, rows)
 
 
@@ -338,8 +339,9 @@ def relative_difference(
 ) -> list[RelativePerformance]:
     """Per-metric (llm - abstraction) deltas in signed percentage points.
 
-    Only metrics defined on both sides appear. The delta is computed
-    rationally from the reports' exact integer ratios, so integral
+    Only metrics defined on both sides appear. The delta is computed from
+    the reports' exact integer ratios as one integer fraction, divided once;
+    Python's integer division is correctly rounded, so integral
     percentage-point gaps come out exact. The two reports must describe the
     same cohort.
     """
@@ -352,7 +354,8 @@ def relative_difference(
         a, b = llm.value(name), abstraction.value(name)
         if a is None or b is None:
             continue
-        delta = float(100 * (Fraction(*llm.ratios[name]) - Fraction(*abstraction.ratios[name])))
+        (a_num, a_den), (b_num, b_den) = llm.ratios[name], abstraction.ratios[name]
+        delta = 100 * (a_num * b_den - b_num * a_den) / (a_den * b_den)
         out.append(RelativePerformance(metric=name, llm=a, abstraction=b, delta_pp=delta))
     return out
 
@@ -499,9 +502,9 @@ def derive_variable(
             raise ValueError(f"{rule.name}: {comp} has no known value {required!r}")
     patients = sorted(cohort) if cohort is not None else sorted(labels.patients)
     lo, hi = rule.window_days
-    index_column = labels._column(rule.index_variable, patients)
+    index_column = labels._rows(rule.index_variable, patients)
     components = [
-        (schema[comp].unknown_token, required, labels._column(comp, patients))
+        (schema[comp].unknown_token, required, labels._rows(comp, patients))
         for comp, required in rule.components
     ]
     out: dict[str, str] = {}

@@ -22,6 +22,7 @@ from datetime import date, timedelta
 from enum import Enum
 from types import MappingProxyType
 
+import numpy as np
 
 MISSING_ATTRIBUTE = "missing"
 
@@ -220,6 +221,60 @@ def _row(record: LabelRecord) -> Row:
     return (record.value, record.event_date, record.refresh_id)
 
 
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One single-valued variable over a cohort, in cohort order.
+
+    ``codes[i]`` is the index in ``values`` of patient ``i``'s known
+    value, ``UNKNOWN`` when its row is documented unknown and ``MISSING``
+    when it has none. ``dates[i]`` is the ordinal of the known value's
+    date, 0 when there is none. Both are int64 arrays. ``values`` lists
+    the distinct known values in order of first appearance; a NaN is
+    distinct from every value, so two rows that hold one NaN object share
+    a code without their values being equal.
+    """
+
+    values: tuple
+    codes: np.ndarray
+    dates: np.ndarray
+
+    UNKNOWN = -1
+    MISSING = -2
+
+    @classmethod
+    def of(cls, rows_by_patient: Iterable[tuple[Row, ...]], unknown: str | None) -> "Column":
+        """The column of each patient's rows, as ``LabelSet._rows`` gives them."""
+        index: dict = {}
+        codes, dates = [], []
+        for rows in rows_by_patient:
+            if not rows:
+                codes.append(cls.MISSING)
+                dates.append(0)
+                continue
+            value, event_date, _ = rows[0]
+            if value == unknown:
+                codes.append(cls.UNKNOWN)
+                dates.append(0)
+                continue
+            code = index.get(value)
+            if code is None:
+                code = index[value] = len(index)
+            codes.append(code)
+            dates.append(0 if event_date is None else event_date.toordinal())
+        return cls(tuple(index), np.array(codes, dtype=np.int64), np.array(dates, dtype=np.int64))
+
+    @property
+    def known(self) -> np.ndarray:
+        """Whether each patient documents a known value."""
+        return self.codes >= 0
+
+    def equals(self, value) -> np.ndarray:
+        """Whether each patient's known value equals ``value``."""
+        # one entry per value, then False for the two negative codes
+        table = np.array([known == value for known in self.values] + [False, False])
+        return table[self.codes]
+
+
 class LabelSet:
     """All labels from one source, held as rows per patient and then per variable.
 
@@ -252,6 +307,9 @@ class LabelSet:
         self.source = Source(source)
         self.refresh_id = refresh_id
         self._by_patient: dict[str, dict[str, tuple[Row, ...]]] = {}
+        # the last cohort read as columns, and its Column of each variable
+        # read; built on first read, dropped by every change
+        self._columns: tuple[tuple[str, ...], dict[str, Column]] = ((), {})
         for rec in records:
             self.add(rec)
 
@@ -282,6 +340,7 @@ class LabelSet:
                 f"record source {record.source.value!r} does not match "
                 f"label set source {self.source.value!r}"
             )
+        self._columns = ((), {})
         own = self._by_patient.get(record.patient_id)
         if own is None:
             own = self._by_patient[record.patient_id] = {}
@@ -298,6 +357,7 @@ class LabelSet:
 
     def remove(self, patient_id: str, variable: str) -> None:
         """Drop every record for one key; absent keys are a no-op."""
+        self._columns = ((), {})
         own = self._by_patient.get(patient_id)
         if own is not None:
             own.pop(variable, None)
@@ -317,17 +377,35 @@ class LabelSet:
         value, event_date, refresh_id = rows[0]
         return LabelRecord(patient_id, variable, value, event_date, self.source, refresh_id)
 
-    def _column(self, variable: str, patients: Iterable[str]) -> list[tuple[Row, ...]]:
+    def _rows(self, variable: str, patients: Iterable[str]) -> list[tuple[Row, ...]]:
         """The rows of ``variable`` for each patient in order, in one call."""
         by_patient = self._by_patient
         return [by_patient.get(pid, _NO_ROWS).get(variable, ()) for pid in patients]
+
+    def column(self, variable: str, patients: Sequence[str]) -> Column:
+        """The ``Column`` of a single-valued ``variable`` over ``patients``
+        (repeats allowed). The set keeps the columns of the last cohort
+        read until its next ``add`` or ``remove``, so readers of one cohort
+        share them."""
+        spec = self.schema[variable]
+        if spec.kind == VariableKind.EVENT_LIST:
+            raise ValueError(f"{variable}: an event_list variable has no column")
+        patients = tuple(patients)
+        cohort, columns = self._columns
+        if patients != cohort:
+            columns = {}
+            self._columns = (patients, columns)
+        column = columns.get(variable)
+        if column is None:
+            column = columns[variable] = Column.of(self._rows(variable, patients), spec.unknown_token)
+        return column
 
     def _known_firsts(self, variable: str, patients: Iterable[str]) -> list[Row | None]:
         """Each patient's first row of ``variable``; None when missing or documented unknown."""
         unknown = self.schema[variable].unknown_token
         return [
             rows[0] if rows and rows[0][0] != unknown else None
-            for rows in self._column(variable, patients)
+            for rows in self._rows(variable, patients)
         ]
 
     def _holders(self, variable: str) -> list[str]:

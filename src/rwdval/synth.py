@@ -556,7 +556,7 @@ def expected_metrics(
     n_known = 0
     n_absent = 0
     n_pos_dated = 0
-    for rows in labels._column(variable, patients):
+    for rows in labels._rows(variable, patients):
         if not rows:
             n_absent += 1
             continue

@@ -11,6 +11,9 @@
   resample with ``variable_metrics``.
 * ``simulate_validation_inputs`` builds a truth cohort plus corrupted
   extraction and abstraction label sets in one call.
+* ``single_valued_rows`` builds ``metrics.patient_rows``'s rows of a
+  categorical, date or numeric variable one patient at a time, as the
+  column path it is tested against replaced.
 * ``confusion`` is ``variable_metrics``'s confusion counts alone, and
   ``assertions_agree`` is ``refstd._agreement`` over two keys' records.
 * ``survival_at`` is the linear scan of a Kaplan-Meier step function that
@@ -50,7 +53,6 @@ from rwdval import (
 )
 from rwdval.checks.lang import (
     _CMP_FUNCS,
-    _NEGATION,
     And,
     CheckTypeError,
     Cmp,
@@ -305,6 +307,46 @@ def confusion(
     ).counts
 
 
+def single_valued_rows(
+    pred: LabelSet,
+    reference: LabelSet,
+    variable: str,
+    positive_class,
+    *,
+    tolerance_days: int = 30,
+    patients: Sequence[str],
+) -> np.ndarray:
+    """``patient_rows(...).rows`` of a single-valued variable: each
+    patient's (tp, fp, fn, dated, date-correct, known) from its first rows."""
+    spec = pred.schema[variable]
+    tol = spec.date_tolerance_days if spec.date_tolerance_days is not None else tolerance_days
+    unknown = spec.unknown_token
+
+    def known_first(labels: LabelSet, pid: str):
+        rows = labels.get(pid, variable)
+        return rows[0] if rows and rows[0].value != unknown else None
+
+    rows = []
+    for pid in patients:
+        pred_rec, ref_rec = known_first(pred, pid), known_first(reference, pid)
+        known = pred_rec is not None
+        pred_pos = known and pred_rec.value == positive_class
+        if ref_rec is None:  # nothing to score against
+            rows.append((0, 0, 0, 0, 0, known))
+            continue
+        ref_pos = ref_rec.value == positive_class
+        tp, fp, fn = ref_pos and pred_pos, pred_pos and not ref_pos, ref_pos and not pred_pos
+        dated = (
+            spec.kind == VariableKind.DATE
+            and tp
+            and pred_rec.event_date is not None
+            and ref_rec.event_date is not None
+        )
+        correct = dated and abs((pred_rec.event_date - ref_rec.event_date).days) <= tol
+        rows.append((tp, fp, fn, dated, correct, known))
+    return np.array(rows, dtype=np.int64).reshape(-1, 6)
+
+
 def assertions_agree(
     schema: Schema,
     variable: str,
@@ -330,6 +372,9 @@ def survival_at(curve: KMCurve, t: float) -> float:
         else:
             break
     return s
+
+
+_NEGATION = {Truth.TRUE: Truth.FALSE, Truth.FALSE: Truth.TRUE, Truth.UNKNOWN: Truth.UNKNOWN}
 
 
 def _kleene(truths: Iterable[Truth], decisive: Truth) -> Truth:

@@ -1,6 +1,6 @@
 """Check expression language and suite execution."""
 
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from types import MappingProxyType
 
 import pytest
@@ -1111,3 +1111,50 @@ def test_stratum_tallies_sum_to_check_totals(schema):
                 assert total == getattr(result, count), (cid, attr, count)
     assert sum(r.n_flagged for r in report.results) > 0
     assert sum(r.n_not_applicable for r in report.results) > 0
+
+
+def _literal_or_error(text):
+    """The date a check reads for the literal ``text``, or the message it rejects it with."""
+    try:
+        return parse_check(f"date(surgery) before {text}").right.value
+    except CheckSyntaxError as exc:
+        return str(exc)
+
+
+def _strptime_or_error(text):
+    try:
+        return datetime.strptime(text, "%Y-%m-%d").date()
+    except ValueError:
+        return f"invalid calendar date {text!r} (at position 21)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1998-01-01",
+        "2024-02-29",
+        "9999-12-31",
+        "0001-01-01",
+        "0000-01-01",
+        "2023-02-29",
+        "2023-02-30",
+        "2020-13-01",
+        "2020-00-10",
+        "2020-01-00",
+        "٢٠٢٠-٠١-٠٥",  # Arabic-Indic digits, which strptime's \d reads
+        "２０２０-０１-３２",  # fullwidth digits, day 32
+    ],
+)
+def test_a_date_literal_reads_as_strptime_reads_it(text):
+    assert _literal_or_error(text) == _strptime_or_error(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 50), st.floats(0, 50, allow_nan=False)), min_size=1, max_size=15))
+def test_the_monthly_median_is_the_statistics_median(values):
+    import statistics
+
+    from rwdval.checks.engine import _median
+
+    got, want = _median(iter(values)), statistics.median(values)
+    assert got == want and type(got) is type(want)

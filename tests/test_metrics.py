@@ -737,3 +737,21 @@ def test_stratified_metrics_suppresses_small_strata(schema):
     assert got["groupB"].suppressed is True
     assert got["groupB"].llm is None
     assert got["groupB"].n == 2
+
+
+_counts = st.tuples(*[st.integers(0, 10**6)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counts, _counts, st.integers(1, 10**6))
+def test_relative_difference_equals_the_rational_difference(llm_counts, abstraction_counts, n):
+    llm, abstraction = (
+        compute_metrics(ConfusionCounts("s", "I", *counts), completeness=(min(counts[0], n), n), n_patients=n)
+        for counts in (llm_counts, abstraction_counts)
+    )
+    got = {r.metric: r.delta_pp for r in relative_difference(llm, abstraction)}
+    want = {
+        name: float(100 * (Fraction(*llm.ratios[name]) - Fraction(*abstraction.ratios[name])))
+        for name in llm.ratios.keys() & abstraction.ratios.keys()
+    }
+    assert got == want

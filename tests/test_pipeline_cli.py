@@ -33,6 +33,7 @@ from rwdval import (
     load_suite,
     metrics,
     save_schema,
+    to_text,
     write_labels,
 )
 from rwdval import pipeline as pipeline_mod
@@ -594,6 +595,36 @@ def _run_in_a_child(config: Path) -> list[str]:
     return lines[-2:]
 
 
+def test_run_never_imports_strptime_fractions_or_decimal(tmp_path):
+    """Label dates and check literals parse on ``date.fromisoformat``'s
+    strict path, so a run never loads ``_strptime`` and its locale tables;
+    metric deltas divide integers and the monthly check has its own median,
+    so it loads neither ``fractions`` nor ``decimal`` (about 0.4 MB of
+    peak RSS on a 1,500-patient run)."""
+    ws = tmp_path / "ws"
+    result = CliRunner().invoke(main, ["--out", str(ws), "--seed", SEED, "simulate", "--n", "120"])
+    assert result.exit_code == 0, text(result)
+    suite = load_suite(default_suite_path(), load_schema(ws / "schema.yaml"))
+    assert any("before 1998-01-01" in to_text(check.expr) for check in suite if check.expr is not None)
+    src = str(Path(rwdval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    unwanted = ("_strptime", "calendar", "fractions", "decimal", "statistics")
+    script = _RUN_AND_LIST_MODULES + f"print(sorted(m for m in {unwanted!r} if m in sys.modules))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ws / "run.yaml")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-4] in ("exit 0", "exit 1"), proc.stdout + proc.stderr
+    report = json.loads((ws / "results" / "report.json").read_text())
+    assert report["metrics"]["variables"]["surgery"]["relative"]  # the deltas were computed
+    assert lines[-1] == "[]"
+
+
 def test_run_never_imports_scipy(tmp_path):
     """The chi-square p-value comes from the pure-Python ``chdtrc`` port, and
     KM bands are not on the run path; importing scipy.special costs about
@@ -784,20 +815,30 @@ def test_a_blocked_refstd_out_holds_only_its_open_cases(refresh_workspace, tmp_p
     assert (out / "disagreements.csv").read_bytes() == worklist.read_bytes()
 
 
-def _shuffled_with_crlf(path: Path, rng: random.Random) -> None:
-    """Rewrite the CSV file ``path`` with its data rows in ``rng``'s order
-    and CRLF line ends."""
+def _shuffled_with_crlf(path: Path, rng: random.Random, quoting: int = csv.QUOTE_MINIMAL) -> None:
+    """Rewrite the CSV file ``path`` with its data rows in ``rng``'s order,
+    CRLF line ends and ``quoting``."""
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh))
     rng.shuffle(rows)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\r\n").writerows([header, *rows])
+        csv.writer(fh, lineterminator="\r\n", quoting=quoting).writerows([header, *rows])
 
 
 @pytest.mark.parametrize("mode", ["duplicate_abstraction", "triple_adjudication"])
 def test_a_run_does_not_depend_on_csv_row_order_or_line_ends(tmp_path, mode):
     """Every input CSV with its data rows shuffled and CRLF line ends gives
     the bundle and stdout of the files as written, but for the config hash."""
+    _assert_rewritten_inputs_give_the_same_run(tmp_path, mode, csv.QUOTE_MINIMAL)
+
+
+@pytest.mark.parametrize("mode", ["duplicate_abstraction", "triple_adjudication"])
+def test_a_run_does_not_depend_on_csv_quoting(tmp_path, mode):
+    """The same, with every cell of every input CSV quoted."""
+    _assert_rewritten_inputs_give_the_same_run(tmp_path, mode, csv.QUOTE_ALL)
+
+
+def _assert_rewritten_inputs_give_the_same_run(tmp_path: Path, mode: str, quoting: int) -> None:
     ws = tmp_path / "ws"
     made = CliRunner().invoke(main, ["--out", str(ws), "--seed", "3", "simulate", "--n", "120", "--with-refresh"])
     assert made.exit_code == 0, text(made)
@@ -812,7 +853,9 @@ def test_a_run_does_not_depend_on_csv_row_order_or_line_ends(tmp_path, mode):
     shuffled = shutil.copytree(ws, tmp_path / "shuffled")
     rng = random.Random(0)
     for path in sorted(shuffled.glob("*.csv")):
-        _shuffled_with_crlf(path, rng)
+        _shuffled_with_crlf(path, rng, quoting)
+    if quoting == csv.QUOTE_ALL:  # the rewrite did quote every cell
+        assert (shuffled / "labels_llm.csv").read_text().startswith('"patient_id","variable"')
 
     def bundle(root: Path) -> dict[str, str]:
         result = CliRunner().invoke(main, ["--config", str(root / "run.yaml"), "run"])
